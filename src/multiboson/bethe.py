@@ -53,7 +53,6 @@ class SolverConfig:
     deflation_tol: float = 0.0
     degenerate_tol: float = 1e-6
     dedup_tol: float = 1e-7
-    min_separation: float = 1e-10
     damping: float = 0.5
 
 
@@ -362,16 +361,100 @@ def _coefficients_at_energy(op: DiffOpForm, energy: float) -> np.ndarray:
     return c
 
 
+def _tridiagonal_lu(mp, lower, diag, upper):
+    """Factor a tridiagonal mpmath matrix in O(n); returns `solve(rhs)`.
+
+    `diag[m]` is entry (m, m), `lower[m]` entry (m+1, m) and `upper[m]`
+    entry (m, m+1).  The steps are those of mpmath's dense `LU_decomp` /
+    `lu_solve` restricted to the band: `prec + 10` bits, scaled partial
+    pivoting between rows j and j+1 (the only rows with a nonzero in
+    column j), the same operation order, and ZeroDivisionError when a row
+    sum or a pivot is at most ||A||_1 * eps.  Every update the dense code
+    makes outside the band subtracts an exact zero, so factors and
+    solutions match `mp.lu_solve` bit for bit.  Row swaps give U a second
+    superdiagonal.  Where the dense code finds no pivot at all (a column
+    that is exactly zero on and below the diagonal) and fails with a
+    TypeError, this raises ZeroDivisionError.  Factor and solve under the
+    same working precision.
+    """
+    n = len(diag)
+    zero = mp.mpf(0)
+
+    def row_sum(row):
+        return mp.fsum([abs(x) for x in row])
+
+    with mp.extraprec(10):
+        # ||A||_1: column m holds upper[m-1], diag[m], lower[m], in row order
+        norm = max(mp.fsum((upper[m - 1] if m else zero, diag[m],
+                            lower[m] if m < n - 1 else zero), absolute=True)
+                   for m in range(n))
+        tol = mp.absmin(norm * mp.eps)
+        # row m as entries of columns m-1, m, m+1; rows below the active
+        # pair are still unmodified, so their sums are the ones LU_decomp
+        # tests at every step
+        given = [(lower[m - 1] if m else zero, diag[m], upper[m] if m < n - 1 else zero)
+                 for m in range(n)]
+        sums = [row_sum(row) for row in given]
+        if any(s <= tol for s in sums):
+            raise ZeroDivisionError("matrix is numerically singular")
+        swaps, mults, rows = [], [], []
+        # the active rows j and j+1 as entries of columns j, j+1, j+2
+        cur = given[0][1:] + (zero,)
+        for j in range(n - 1):
+            nxt = given[j + 1]
+            s = row_sum(cur)
+            if s <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            w_cur = 1 / s * abs(cur[0])
+            w_nxt = 1 / sums[j + 1] * abs(nxt[0])
+            swap = w_nxt > w_cur    # ties keep row j, as LU_decomp does
+            if swap:
+                cur, nxt = nxt, cur
+            if abs(cur[0]) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            mult = nxt[0] / cur[0]
+            swaps.append(swap)
+            mults.append(mult)
+            rows.append(cur)
+            cur = (nxt[1] - mult * cur[1], nxt[2] - mult * cur[2], zero)
+        if abs(cur[0]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        rows.append(cur)
+
+    def solve(rhs):
+        with mp.extraprec(10):
+            # applying each swap just before its elimination step performs
+            # the same operations as lu_solve's permute-then-substitute
+            y = [mp.convert(x) for x in rhs]
+            for j in range(n - 1):
+                if swaps[j]:
+                    y[j], y[j + 1] = y[j + 1], y[j]
+                y[j + 1] -= mults[j] * y[j]
+            x = [zero] * n
+            for i in range(n - 1, -1, -1):
+                u0, u1, u2 = rows[i]
+                xi = y[i]
+                if i + 1 < n:
+                    xi -= u1 * x[i + 1]
+                if i + 2 < n:
+                    xi -= u2 * x[i + 2]
+                x[i] = xi / u0
+            return x
+
+    return solve
+
+
 def _high_precision_coefficients(op: DiffOpForm, energy: float, dps: int | None = None):
     """Eigenpolynomial coefficients by inverse iteration at high precision.
 
     Working precision is the honest cure for hard levels: the eigenvalue
     is polished on the characteristic-polynomial recurrence of the
-    monomial block, then two rounds of inverse iteration on the shifted
-    block resolve every coefficient -- including components far below
-    float64 visibility -- before rescaling back to float64.  Digits scale
-    with the block size so the coefficient span never eats the precision.
-    Returns (coefficients, polished energy).
+    monomial block, then the shifted tridiagonal block is factored once
+    (banded LU, O(n)) and that factorization serves two rounds of inverse
+    iteration.  These resolve every coefficient -- including components
+    far below float64 visibility -- before rescaling back to float64.
+    Digits scale with the block size so the coefficient span never eats
+    the precision.  Returns (coefficients, polished energy).
     """
     import mpmath as mp
 
@@ -407,17 +490,12 @@ def _high_precision_coefficients(op: DiffOpForm, energy: float, dps: int | None 
         # inverse iteration on the shifted block; the shift is offset by a
         # sub-working-precision amount so the solve stays nonsingular
         shift = e_val + mp.mpf(10) ** (-(dps * 2) // 3) * e_scale
-        mat = mp.zeros(n + 1, n + 1)
-        for m in range(n + 1):
-            mat[m, m] = hop_b[m] - shift
-        for m in range(n):
-            mat[m + 1, m] = hop_a[m]
-            mat[m, m + 1] = hop_c[m]
-        vec = mp.matrix([mp.mpf(1)] * (n + 1))
+        solve = _tridiagonal_lu(mp, hop_a[:n], [b - shift for b in hop_b], hop_c)
+        vec = [mp.mpf(1)] * (n + 1)
         for _ in range(2):
-            vec = mp.lu_solve(mat, vec)
+            vec = solve(vec)
             peak = max(abs(x) for x in vec)
-            vec = vec / peak
+            vec = [x / peak for x in vec]
         out = np.array([float(x) for x in vec])
     return out, float(e_val)
 
@@ -487,8 +565,9 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
 
     Candidate full-degree starting root sets are tried in order of
     increasing cost -- eigenvector extraction, the float64 coefficient
-    recurrence, and the high-precision recurrence -- each polished by
-    damped Newton on the robust residuals.  A candidate is accepted when
+    recurrence, and high-precision inverse iteration (one banded LU of the
+    shifted block, reused for both solves) -- each polished by damped
+    Newton on the robust residuals.  A candidate is accepted when
     the scaled residual meets `cfg.tol` and the closed-form energy agrees
     with the oracle eigenvalue to `cfg.energy_tol`.
 
