@@ -13,10 +13,13 @@ For pairwise-distinct roots the two differ exactly by the factor
 psi'(a_p).  The energy depends on the roots only through their sum:
 E = B(N) - A(N-1) * sum(alpha), with A, B the hop polynomials.
 
-The production solve path extracts roots from monomial-basis eigenvectors
-(companion-matrix root finding) and Newton-refines them on the robust
-residuals; an independent multi-start Newton search on the pole-residue
-equations is available as a confirmation mode.
+The production solve path takes each level's roots from the companion
+matrix of an eigenpolynomial: first the monomial-basis eigenvector, then
+the coefficients rebuilt from the three-term recurrence in float64, then
+the same recurrence at high working precision.  The first root set that
+passes as-is is accepted; damped Newton on the robust residuals polishes
+the candidates only when none does.  An independent multi-start Newton
+search on the pole-residue equations is available as a confirmation mode.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class SolverConfig:
     `tol` bounds the scaled robust residual accepted after refinement;
     `energy_tol` the relative disagreement tolerated against the oracle
     eigenvalue.  `seed` feeds the multi-start generator of the direct
-    mode, which draws `starts` initial root sets inside `start_radius`.
+    mode, which draws `starts` initial root sets.
     """
 
     tol: float = 1e-12
@@ -48,12 +51,17 @@ class SolverConfig:
     seed: int = 0
     direct: bool = False
     starts: int = 64
-    start_radius: float = 3.0
     energy_tol: float = 1e-8
-    deflation_tol: float = 0.0
-    degenerate_tol: float = 1e-6
-    dedup_tol: float = 1e-7
-    damping: float = 0.5
+
+
+# Relative separation below which a root set counts as degenerate.
+_DEGENERATE_TOL = 1e-6
+# Step shrink factor of each damped Newton retry.
+_DAMPING = 0.5
+# Scale of the random starting root sets of the direct search.
+_START_RADIUS = 3.0
+# Relative distance below which two direct-search solutions are one.
+_DEDUP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,9 @@ class BetheSolution:
 
     `residual_bae` is NaN when the pole-residue form was not evaluated
     (degenerate or reduced root sets).  `source` tags how the roots were
-    obtained: 'extracted' (companion roots accepted as-is), 'refined'
-    (Newton-polished), or 'direct' (independent multi-start search).
+    obtained: 'extracted' (roots of the eigenvector's coefficients),
+    'refined' (roots of a recurrence-built eigenpolynomial, or a Newton
+    polish of any candidate), or 'direct' (independent multi-start search).
     """
 
     level: int
@@ -167,12 +176,24 @@ def _deflate(psi: np.ndarray, root: complex) -> np.ndarray:
     return q
 
 
-def _scaled_values(coeffs: np.ndarray, points: np.ndarray):
-    """Values of the polynomial at `points`, and their magnitude scales."""
+def _magnitudes(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Magnitude scale of the polynomial's terms at `points`."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = npoly.polyval(points, coeffs)
         mags = npoly.polyval(np.abs(points), np.abs(coeffs))
-    return np.atleast_1d(vals), np.maximum(np.atleast_1d(mags), 1e-300)
+    return np.maximum(np.atleast_1d(mags), 1e-300)
+
+
+def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
+    """Whether two roots lie within rel_tol * max(1, max|root|)."""
+    n = roots.size
+    if n < 2:
+        return False
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(roots[i] - roots[j]) < rel_tol * scale:
+                return True
+    return False
 
 
 def _scaled_robust(p_list, roots: np.ndarray) -> float:
@@ -209,11 +230,8 @@ def bethe_residuals(op: DiffOpForm, roots, min_separation: float = 1e-10) -> np.
     n = roots.size
     if n == 0:
         return np.zeros(0, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < min_separation * scale:
-                raise ValueError("coincident roots: use the robust residual form")
+    if _has_close_pair(roots, min_separation):
+        raise ValueError("coincident roots: use the robust residual form")
     psi = _monic_from_roots(roots)
     p_list = _float_polys(op)
     res = np.zeros(n, dtype=complex)
@@ -252,12 +270,12 @@ def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
     """Roots of the eigenpolynomial sum_n coeffs[n] z^n.
 
     Uses companion-matrix eigenvalues (balanced internally), which stay
-    accurate enough for Newton polishing even when the leading coefficient
-    sits twenty orders of magnitude below the largest one -- strongly
-    localized levels genuinely look like that in the monomial basis.  Only
-    when |coeffs[N]| <= deflation_tol * max|coeffs| (default: an exact
-    zero, the g = 0 situation) are trailing coefficients trimmed and
-    `reduced` returned True.
+    accurate enough to pass as-is, or to start a Newton polish, even when
+    the leading coefficient sits twenty orders of magnitude below the
+    largest one -- strongly localized levels genuinely look like that in
+    the monomial basis.  Only when |coeffs[N]| <= deflation_tol *
+    max|coeffs| (default: an exact zero, the g = 0 situation) are trailing
+    coefficients trimmed and `reduced` returned True.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
@@ -343,8 +361,9 @@ def _coefficients_at_energy(op: DiffOpForm, energy: float) -> np.ndarray:
     For an eigenvalue E of the monomial block the coefficients satisfy
     C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1} with c_0 = 1, which
     is structurally nonzero.  This route survives the exact-zero flushing
-    dense eigensolvers apply to negligible vector components; its roundoff
-    is repaired by Newton polishing afterwards.
+    dense eigensolvers apply to negligible vector components.  Its float64
+    roundoff can be too large for the roots to pass as-is; then the
+    high-precision recurrence is the next candidate.
     """
     n = op.n_top
     c = np.zeros(n + 1, dtype=complex)
@@ -361,100 +380,18 @@ def _coefficients_at_energy(op: DiffOpForm, energy: float) -> np.ndarray:
     return c
 
 
-def _tridiagonal_lu(mp, lower, diag, upper):
-    """Factor a tridiagonal mpmath matrix in O(n); returns `solve(rhs)`.
-
-    `diag[m]` is entry (m, m), `lower[m]` entry (m+1, m) and `upper[m]`
-    entry (m, m+1).  The steps are those of mpmath's dense `LU_decomp` /
-    `lu_solve` restricted to the band: `prec + 10` bits, scaled partial
-    pivoting between rows j and j+1 (the only rows with a nonzero in
-    column j), the same operation order, and ZeroDivisionError when a row
-    sum or a pivot is at most ||A||_1 * eps.  Every update the dense code
-    makes outside the band subtracts an exact zero, so factors and
-    solutions match `mp.lu_solve` bit for bit.  Row swaps give U a second
-    superdiagonal.  Where the dense code finds no pivot at all (a column
-    that is exactly zero on and below the diagonal) and fails with a
-    TypeError, this raises ZeroDivisionError.  Factor and solve under the
-    same working precision.
-    """
-    n = len(diag)
-    zero = mp.mpf(0)
-
-    def row_sum(row):
-        return mp.fsum([abs(x) for x in row])
-
-    with mp.extraprec(10):
-        # ||A||_1: column m holds upper[m-1], diag[m], lower[m], in row order
-        norm = max(mp.fsum((upper[m - 1] if m else zero, diag[m],
-                            lower[m] if m < n - 1 else zero), absolute=True)
-                   for m in range(n))
-        tol = mp.absmin(norm * mp.eps)
-        # row m as entries of columns m-1, m, m+1; rows below the active
-        # pair are still unmodified, so their sums are the ones LU_decomp
-        # tests at every step
-        given = [(lower[m - 1] if m else zero, diag[m], upper[m] if m < n - 1 else zero)
-                 for m in range(n)]
-        sums = [row_sum(row) for row in given]
-        if any(s <= tol for s in sums):
-            raise ZeroDivisionError("matrix is numerically singular")
-        swaps, mults, rows = [], [], []
-        # the active rows j and j+1 as entries of columns j, j+1, j+2
-        cur = given[0][1:] + (zero,)
-        for j in range(n - 1):
-            nxt = given[j + 1]
-            s = row_sum(cur)
-            if s <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            w_cur = 1 / s * abs(cur[0])
-            w_nxt = 1 / sums[j + 1] * abs(nxt[0])
-            swap = w_nxt > w_cur    # ties keep row j, as LU_decomp does
-            if swap:
-                cur, nxt = nxt, cur
-            if abs(cur[0]) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            mult = nxt[0] / cur[0]
-            swaps.append(swap)
-            mults.append(mult)
-            rows.append(cur)
-            cur = (nxt[1] - mult * cur[1], nxt[2] - mult * cur[2], zero)
-        if abs(cur[0]) <= tol:
-            raise ZeroDivisionError("matrix is numerically singular")
-        rows.append(cur)
-
-    def solve(rhs):
-        with mp.extraprec(10):
-            # applying each swap just before its elimination step performs
-            # the same operations as lu_solve's permute-then-substitute
-            y = [mp.convert(x) for x in rhs]
-            for j in range(n - 1):
-                if swaps[j]:
-                    y[j], y[j + 1] = y[j + 1], y[j]
-                y[j + 1] -= mults[j] * y[j]
-            x = [zero] * n
-            for i in range(n - 1, -1, -1):
-                u0, u1, u2 = rows[i]
-                xi = y[i]
-                if i + 1 < n:
-                    xi -= u1 * x[i + 1]
-                if i + 2 < n:
-                    xi -= u2 * x[i + 2]
-                x[i] = xi / u0
-            return x
-
-    return solve
-
-
-def _high_precision_coefficients(op: DiffOpForm, energy: float, dps: int | None = None):
-    """Eigenpolynomial coefficients by inverse iteration at high precision.
+def _high_precision_coefficients(op: DiffOpForm, energy: float) -> np.ndarray:
+    """Eigenpolynomial coefficients from the recurrence at high precision.
 
     Working precision is the honest cure for hard levels: the eigenvalue
     is polished on the characteristic-polynomial recurrence of the
-    monomial block, then the shifted tridiagonal block is factored once
-    (banded LU, O(n)) and that factorization serves two rounds of inverse
-    iteration.  These resolve every coefficient -- including components
-    far below float64 visibility -- before rescaling back to float64.
-    Digits scale with the block size so the coefficient span never eats
-    the precision.  Returns (coefficients, polished energy).
+    monomial block, then the coefficients follow from the same three-term
+    recurrence as `_coefficients_at_energy`, run at the working precision.
+    That resolves every coefficient -- including components far below
+    float64 visibility -- before the peak-normalized vector is rounded
+    back to float64.  Digits scale with the block size so the coefficient
+    span never eats the precision.  A vanishing C(m) raises
+    ZeroDivisionError: the interaction is off and there is no recurrence.
     """
     import mpmath as mp
 
@@ -464,8 +401,7 @@ def _high_precision_coefficients(op: DiffOpForm, energy: float, dps: int | None 
         return mp.mpf(float(x))
 
     n = op.n_top
-    if dps is None:
-        dps = max(50, 30 + 4 * n)
+    dps = max(50, 30 + 4 * n)
     with mp.workdps(dps):
         hop_a = [to_mp(op.hop_a(m)) for m in range(max(n - 1, 0) + 1)]
         hop_b = [to_mp(op.hop_b(m)) for m in range(n + 1)]
@@ -487,17 +423,14 @@ def _high_precision_coefficients(op: DiffOpForm, energy: float, dps: int | None 
             e_val -= step
             if abs(step) <= mp.mpf(10) ** (8 - dps) * e_scale:
                 break
-        # inverse iteration on the shifted block; the shift is offset by a
-        # sub-working-precision amount so the solve stays nonsingular
-        shift = e_val + mp.mpf(10) ** (-(dps * 2) // 3) * e_scale
-        solve = _tridiagonal_lu(mp, hop_a[:n], [b - shift for b in hop_b], hop_c)
-        vec = [mp.mpf(1)] * (n + 1)
-        for _ in range(2):
-            vec = solve(vec)
-            peak = max(abs(x) for x in vec)
-            vec = [x / peak for x in vec]
-        out = np.array([float(x) for x in vec])
-    return out, float(e_val)
+        vec = [mp.mpf(1)]
+        for m in range(n):
+            rhs = (e_val - hop_b[m]) * vec[m]
+            if m > 0:
+                rhs -= hop_a[m - 1] * vec[m - 1]
+            vec.append(rhs / hop_c[m])
+        peak = max(abs(x) for x in vec)
+        return np.array([float(x / peak) for x in vec])
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +477,7 @@ def _newton_loop(p_list, roots, best, cfg):
             if resid < best:
                 roots, best = trial, resid
                 break
-            factor *= cfg.damping
+            factor *= _DAMPING
         else:
             return roots, best <= cfg.tol, it
         if best <= cfg.tol:
@@ -561,15 +494,17 @@ def _closed_form_energy(model, sector, roots, cfg) -> float:
 
 
 def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
-    """Root pipeline for one eigenlevel.
+    """Root pipeline for one eigenlevel, in one pass down the candidates.
 
-    Candidate full-degree starting root sets are tried in order of
-    increasing cost -- eigenvector extraction, the float64 coefficient
-    recurrence, and high-precision inverse iteration (one banded LU of the
-    shifted block, reused for both solves) -- each polished by damped
-    Newton on the robust residuals.  A candidate is accepted when
-    the scaled residual meets `cfg.tol` and the closed-form energy agrees
-    with the oracle eigenvalue to `cfg.energy_tol`.
+    Candidate full-degree root sets come in order of increasing cost --
+    eigenvector extraction, the float64 coefficient recurrence, and the
+    same recurrence at high working precision -- and each is judged as-is:
+    the first whose scaled residual meets `cfg.tol` and whose closed-form
+    energy agrees with the oracle eigenvalue to `cfg.energy_tol` is
+    accepted, and later candidates are never built.  Only when none
+    passes does damped Newton on the robust residuals polish the distinct
+    candidates, in the same order, until one passes; the best attempt of
+    either pass is kept otherwise.
 
     An eigenvector whose leading coefficient is exactly zero usually means
     the eigensolver flushed a negligible component (exact reduction cannot
@@ -584,42 +519,53 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
             level=level, roots=(), energy=_closed_form_energy(model, sector, (), cfg),
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
-    v_roots, v_reduced = roots_from_eigenvector(vector, cfg.deflation_tol)
+    v_roots, v_reduced = roots_from_eigenvector(vector)
     if v_roots.size and not np.all(np.isfinite(v_roots)):
         # leading coefficient at underflow scale: retreat to the trimmed set
-        v_roots, v_reduced = roots_from_eigenvector(vector, max(cfg.deflation_tol, 1e-12))
+        v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
 
     def candidates():
         if not v_reduced:
             yield "extracted", v_roots
-        for build in (lambda: _coefficients_at_energy(op, oracle),
-                      lambda: _high_precision_coefficients(op, oracle)[0]):
+        for build in (_coefficients_at_energy, _high_precision_coefficients):
             try:
-                coeffs = build()
+                coeffs = build(op, oracle)
             except ZeroDivisionError:   # vanishing interaction: no recurrence
                 return
             if np.all(np.isfinite(coeffs)) and abs(coeffs[-1]) > 0:
                 yield "refined", np.roots(coeffs[::-1])
 
-    best = None
     scale = max(1.0, abs(oracle))
-    for tag, start in candidates():
-        if start.size != n_full or not np.all(np.isfinite(start)):
-            continue
-        if _is_degenerate(start, cfg.degenerate_tol):
-            refined, iterations = start, 0
-        else:
-            refined, _, iterations = _newton_refine(p_list, start, cfg)
-        resid = _scaled_robust(p_list, refined)
-        energy = _closed_form_energy(model, sector, refined, cfg)
+
+    def judge(roots, tag):
+        resid = _scaled_robust(p_list, roots)
+        energy = _closed_form_energy(model, sector, roots, cfg)
         ok = (resid <= cfg.tol
               and math.isfinite(energy)
               and abs(energy - oracle) <= cfg.energy_tol * scale)
-        attempt = (ok, resid, refined, tag if iterations == 0 else "refined", energy)
+        return ok, resid, roots, tag, energy
+
+    best = None
+    starts = []
+    for tag, start in candidates():
+        if start.size != n_full or not np.all(np.isfinite(start)):
+            continue
+        attempt = judge(start, tag)
         if best is None or (attempt[0], -attempt[1]) > (best[0], -best[1]):
             best = attempt
-        if ok:
+        if attempt[0]:
             break
+        starts.append((tag, start))
+    else:   # no candidate passes as-is: polish the distinct ones
+        for tag, start in starts:
+            if _has_close_pair(start, _DEGENERATE_TOL):
+                continue
+            refined, _, iterations = _newton_refine(p_list, start, cfg)
+            attempt = judge(refined, tag if iterations == 0 else "refined")
+            if (attempt[0], -attempt[1]) > (best[0], -best[1]):
+                best = attempt
+            if attempt[0]:
+                break
 
     if best is not None and (best[0] or not v_reduced):
         converged, r_robust, roots, source, energy = best
@@ -636,24 +582,12 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
         energy = oracle
         converged = r_robust <= cfg.tol
 
-    degenerate = _is_degenerate(roots, cfg.degenerate_tol)
+    degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
     r_bae = math.nan if (degenerate or reduced) else _scaled_bae(op, roots)
     return BetheSolution(
         level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
         residual_bae=r_bae, residual_robust=r_robust, source=source,
         degenerate=degenerate, reduced=reduced, converged=converged)
-
-
-def _is_degenerate(roots: np.ndarray, tol: float) -> bool:
-    n = roots.size
-    if n < 2:
-        return False
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < tol * scale:
-                return True
-    return False
 
 
 def _scaled_bae(op: DiffOpForm, roots: np.ndarray) -> float:
@@ -671,9 +605,7 @@ def _scaled_bae(op: DiffOpForm, roots: np.ndarray) -> float:
     for i in range(1, op.order + 1):
         if p_list[i].size == 0:
             continue
-        pv, pm = _scaled_values(p_list[i], roots)
-        dv, dm = _scaled_values(npoly.polyder(psi, m=i), roots)
-        scale += pm * dm
+        scale += _magnitudes(p_list[i], roots) * _magnitudes(npoly.polyder(psi, m=i), roots)
     dvals = np.abs(npoly.polyval(roots, dpsi))
     return float(np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0)))
 
@@ -681,14 +613,14 @@ def _scaled_bae(op: DiffOpForm, roots: np.ndarray) -> float:
 def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = None):
     """Solve for all N+1 levels of a sector through the root pipeline.
 
-    Pipeline: diagonalize the monomial block, pull the roots of each
-    eigenpolynomial from its coefficient vector, Newton-refine on the
-    robust residuals, evaluate the pole-residue residuals where the roots
-    are distinct, and recompute the energy from the closed form.  Levels
-    whose eigenpolynomial has near-multiple roots are flagged degenerate
-    and validated only through the robust form.  With ``config.direct``
-    the independent multi-start search runs as well and its solutions are
-    appended (tagged 'direct').
+    Pipeline: diagonalize the monomial block, take the roots of each
+    level's eigenpolynomial from the first candidate that passes as-is
+    (Newton polish only when none does), evaluate the pole-residue
+    residuals where the roots are distinct, and recompute the energy from
+    the closed form.  Levels whose eigenpolynomial has near-multiple roots
+    are flagged degenerate and validated only through the robust form.
+    With ``config.direct`` the independent multi-start search runs as well
+    and its solutions are appended (tagged 'direct').
     """
     cfg = config or SolverConfig()
     block = build_monomial_matrix(model, sector)
@@ -726,7 +658,7 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
     rng = np.random.default_rng(cfg.seed)
     found = []
     for _ in range(cfg.starts):
-        roots = cfg.start_radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         ok = False
         for _ in range(cfg.max_iter):
             try:
@@ -761,7 +693,7 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
             continue
         canon = canonicalize_roots(roots)
         scale = max(1.0, max(abs(a) for a in canon))
-        if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < cfg.dedup_tol * scale
+        if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
                for prev in found if len(prev.roots) == len(canon)):
             continue
         found.append(BetheSolution(

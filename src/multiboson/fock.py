@@ -195,25 +195,23 @@ class Sector:
 
     def s1(self) -> tuple:
         """Partial sums s_i^(1) = sum_{j>=i} l1_j, with s_r^(1) = 0."""
-        out = []
-        acc = Fraction(0)
-        for lj in reversed(self.l1):
-            acc = acc + lj
-            out.append(acc)
-        out.reverse()
-        out.append(Fraction(0))
-        return tuple(out)
+        return _suffix_sums(self.l1)
 
     def s2(self) -> tuple:
         """Partial sums s_i^(2) for the second group, with s_{r+s}^(2) = 0."""
-        out = []
-        acc = Fraction(0)
-        for lj in reversed(self.l2):
-            acc = acc + lj
-            out.append(acc)
-        out.reverse()
-        out.append(Fraction(0))
-        return tuple(out)
+        return _suffix_sums(self.l2)
+
+
+def _suffix_sums(values) -> tuple:
+    """(sum(values[i:]) for each i), then a closing 0, as exact Fractions."""
+    out = []
+    acc = Fraction(0)
+    for v in reversed(values):
+        acc = acc + v
+        out.append(acc)
+    out.reverse()
+    out.append(Fraction(0))
+    return tuple(out)
 
 
 def label_t(sector: Sector) -> Fraction:

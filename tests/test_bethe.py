@@ -7,7 +7,7 @@ from multiboson import (SolverConfig, bethe, bethe_residuals, canonicalize_roots
                         cross_validate, direct_search, energy_from_roots, expand_diffop,
                         make_model, occupations_at, preset, robust_residuals,
                         roots_from_eigenvector, sector_from_occupations, solve_bethe)
-from multiboson.bethe import _monic_from_roots, _tridiagonal_lu
+from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import subset_bae_residuals
 
@@ -244,109 +244,6 @@ def test_cross_validate_reports_failure_without_raising():
     assert report.failing_levels()
 
 
-def _dense(mp, lower, diag, upper):
-    n = len(diag)
-    mat = mp.zeros(n, n)
-    for m in range(n):
-        mat[m, m] = diag[m]
-    for m in range(n - 1):
-        mat[m + 1, m] = lower[m]
-        mat[m, m + 1] = upper[m]
-    return mat
-
-
-def _random_bands(mp, rng, n, kind):
-    """Sub-, main and superdiagonal of a seeded random tridiagonal matrix.
-
-    'pivoting' shrinks the diagonal down the rows so many columns swap
-    rows; 'integer' draws small integers, where pivot weights tie and
-    entries cancel to exact zeros.
-    """
-    if kind == "integer":
-        lower = [mp.mpf(int(x)) for x in rng.choice([-2, -1, 1, 2], n - 1)]
-        diag = [mp.mpf(int(x)) for x in rng.integers(-2, 3, n)]
-        upper = [mp.mpf(int(x)) for x in rng.integers(-2, 3, n - 1)]
-        return lower, diag, upper
-    decay = 3 if kind == "pivoting" else 1
-    lower = [mp.mpf(float(x)) for x in rng.standard_normal(n - 1)]
-    diag = [mp.mpf(float(x)) / decay ** k for k, x in enumerate(rng.standard_normal(n))]
-    upper = [mp.mpf(float(x)) for x in rng.standard_normal(n - 1)]
-    return lower, diag, upper
-
-
-@pytest.mark.parametrize("dps", [50, 190])
-def test_tridiagonal_lu_matches_mpmath_lu_solve(dps):
-    import mpmath as mp
-
-    rng = np.random.default_rng(dps)
-    cases = ([("plain", n) for n in (1, 2, 3, 7, 24)]
-             + [("pivoting", n) for n in (2, 3, 7, 24)]
-             + [("integer", int(n)) for n in rng.integers(1, 6, 40)] + [("integer", 24)])
-    # a near tie whose pivot follows from rounding 1/s * |a| as LU_decomp does
-    rounding_tie = ([-2, 1, 2, -2], [-3, 3, 0, -3, -3], [-3, -2, 1, -2])
-    swapped = False
-    with mp.workdps(dps):
-        systems = [_random_bands(mp, rng, n, kind) for kind, n in cases]
-        systems.append([[mp.mpf(x) for x in band] for band in rounding_tie])
-        for lower, diag, upper in systems:
-            n = len(diag)
-            dense = _dense(mp, lower, diag, upper)
-            try:
-                solve = _tridiagonal_lu(mp, lower, diag, upper)
-            except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    mp.lu_solve(dense, mp.matrix([1] * n))
-                continue
-            with mp.extraprec(10):
-                swapped |= any(p != j for j, p in enumerate(mp.mp.LU_decomp(dense.copy())[1]))
-            # one factorization serves several right-hand sides
-            for _ in range(2):
-                rhs = [mp.mpf(float(x)) for x in rng.standard_normal(n)]
-                assert solve(rhs) == list(mp.lu_solve(dense, rhs))
-    assert swapped
-
-
-@pytest.mark.parametrize("dps", [50, 190])
-def test_tridiagonal_lu_matches_lu_solve_near_an_eigenvalue(dps):
-    """The inverse-iteration setting: shift offset by 10**(-2*dps//3)."""
-    import mpmath as mp
-
-    rng = np.random.default_rng(7)
-    n = 12
-    with mp.workdps(dps):
-        off = [mp.mpf(float(x)) for x in rng.uniform(0.5, 2.0, n - 1)]
-        diag = [mp.mpf(float(x)) for x in rng.standard_normal(n)]
-        eigs = mp.eigsy(_dense(mp, off, diag, off), eigvals_only=True)
-        for lam in (eigs[0], eigs[n // 2]):
-            shift = lam + mp.mpf(10) ** (-2 * dps // 3) * max(mp.mpf(1), abs(lam))
-            shifted = [d - shift for d in diag]
-            solve = _tridiagonal_lu(mp, off, shifted, off)
-            dense = _dense(mp, off, shifted, off)
-            vec, ref = [mp.mpf(1)] * n, mp.matrix([mp.mpf(1)] * n)
-            for _ in range(2):
-                vec, ref = solve(vec), mp.lu_solve(dense, ref)
-                assert vec == list(ref)
-                peak = max(abs(x) for x in vec)
-                vec, ref = [x / peak for x in vec], ref / peak
-
-
-def test_tridiagonal_lu_rejects_singular_matrices():
-    import mpmath as mp
-
-    one = mp.mpf(1)
-    cases = [
-        ([one, 0], [one, one, one], [one, 0]),           # rows 0 and 1 coincide
-        ([0, 0], [one, 0, one], [one, 0]),               # row 1 is zero
-        ([one, mp.mpf("1e-60")], [one] * 3, [one, one]),  # determinant -1e-60
-    ]
-    with mp.workdps(50):
-        for lower, diag, upper in cases:
-            with pytest.raises(ZeroDivisionError):
-                mp.lu_solve(_dense(mp, lower, diag, upper), mp.matrix([1, 1, 1]))
-            with pytest.raises(ZeroDivisionError):
-                _tridiagonal_lu(mp, lower, diag, upper)
-
-
 def test_high_precision_route_passes_preset_a_at_n30(monkeypatch):
     """Every level of a sector that needs the high-precision route passes."""
     calls = []
@@ -364,3 +261,47 @@ def test_high_precision_route_passes_preset_a_at_n30(monkeypatch):
     assert len(report.levels) == 31
     assert report.passed, report.failing_levels()
     assert calls
+
+
+def test_candidates_pass_as_is_on_preset_a(monkeypatch):
+    """Where every level passes, no level needs a Newton polish."""
+    calls = []
+    polish = bethe._newton_refine
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(bethe, "_newton_refine", counted)
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    for n_top in (12, 20, 30):
+        sec = sector_from_occupations(model, (0, 3, n_top))
+        assert sec.n_top == n_top
+        report = cross_validate(model, sec)
+        assert report.passed, (n_top, report.failing_levels())
+    assert not calls
+
+
+def test_newton_polishes_when_no_candidate_passes(monkeypatch):
+    """A perturbed extracted root set and no recurrence: Newton still
+    recovers every level."""
+    model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
+    sec = sector_from_occupations(model, (0, 0, 6))
+    clean = solve_bethe(model, sec)
+    extract = bethe.roots_from_eigenvector
+
+    def perturbed(*args):
+        roots, reduced = extract(*args)
+        return roots * (1 + 1e-4), reduced
+
+    def no_recurrence(op, energy):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(bethe, "roots_from_eigenvector", perturbed)
+    monkeypatch.setattr(bethe, "_coefficients_at_energy", no_recurrence)
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
+    for sol, ref in zip(solve_bethe(model, sec), clean):
+        assert sol.source == "refined" and sol.converged
+        assert abs(sol.energy - sol.oracle_energy) <= 1e-8 * max(1.0, abs(sol.oracle_energy))
+        scale = max(abs(a) for a in ref.roots)
+        assert max(abs(x - y) for x, y in zip(sol.roots, ref.roots)) <= 1e-9 * scale
