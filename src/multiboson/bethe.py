@@ -18,14 +18,16 @@ matrix of an eigenpolynomial: first the monomial-basis eigenvector, then
 the coefficients rebuilt from the three-term recurrence in float64, then
 the same recurrence at high working precision.  The first root set that
 passes as-is is accepted; damped Newton on the robust residuals polishes
-the candidates only when none does.  An independent multi-start Newton
-search on the pole-residue equations is available as a confirmation mode.
+the candidates only when none does.  Each sector's block, spectrum and
+operator are built once, and one derivative list psi, psi', ... per root
+set feeds both residual forms.  An independent multi-start Newton search
+on the pole-residue equations is available as a confirmation mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +64,8 @@ _DAMPING = 0.5
 _START_RADIUS = 3.0
 # Relative distance below which two direct-search solutions are one.
 _DEDUP_TOL = 1e-7
+# Relative root separation the pole-residue form needs.
+_MIN_SEPARATION = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,33 +134,28 @@ def _float_polys(op: DiffOpForm):
     return [np.asarray([complex(c) for c in p.coeffs], dtype=complex) for p in op.p]
 
 
-def _apply_float(p_list, psi: np.ndarray) -> np.ndarray:
-    out = np.zeros(1, dtype=complex)
-    for i, p in enumerate(p_list):
-        if p.size == 0:
-            continue
-        term = np.convolve(p, npoly.polyder(psi, m=i) if i else psi)
-        if term.size > out.size:
-            term[: out.size] += out
-            out = term
-        else:
-            out[: term.size] += term
-    return out
+def _derivatives(psi: np.ndarray, order: int) -> list:
+    """[psi, psi', ..., psi^(order)]: one list feeds H psi, its magnitude
+    bound and the pole-residue components of a root set."""
+    derivs = [psi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order):
+            derivs.append(npoly.polyder(derivs[-1]))
+    return derivs
 
 
-def _apply_float_magnitude(p_list, psi: np.ndarray) -> np.ndarray:
-    """Coefficientwise magnitude bound of all terms entering H psi.
+def _apply_float(p_list, derivs) -> np.ndarray:
+    """Coefficients of sum_i P_i psi^(i), from psi's derivative list.
 
-    The residual scale must come from the term magnitudes, not from the
-    (possibly perfectly cancelled) result: an eigenvalue at zero makes
-    H psi the zero polynomial, and rounding junk would otherwise measure
-    as an O(1) relative error.
+    On magnitudes it bounds the terms entering H psi: the residual scale,
+    which must not come from the (possibly perfectly cancelled) result --
+    an eigenvalue at zero makes H psi the zero polynomial.
     """
-    out = np.zeros(1)
-    for i, p in enumerate(p_list):
+    out = np.zeros(1, dtype=derivs[0].dtype)
+    for p, deriv in zip(p_list, derivs):
         if p.size == 0:
             continue
-        term = np.convolve(np.abs(p), np.abs(npoly.polyder(psi, m=i) if i else psi))
+        term = np.convolve(p, deriv)
         if term.size > out.size:
             term[: out.size] += out
             out = term
@@ -196,7 +195,7 @@ def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
     return False
 
 
-def _scaled_robust(p_list, roots: np.ndarray) -> float:
+def _scaled_robust(p_list, roots: np.ndarray, derivs) -> float:
     """Backward-error style residual: max |H psi(a_p)| over the magnitude
     bound of the terms that built H psi at that point.
 
@@ -206,18 +205,43 @@ def _scaled_robust(p_list, roots: np.ndarray) -> float:
     if len(roots) == 0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi = _monic_from_roots(roots)
-        vals = npoly.polyval(roots, _apply_float(p_list, psi))
-        mags = npoly.polyval(np.abs(roots), _apply_float_magnitude(p_list, psi))
+        vals = npoly.polyval(roots, _apply_float(p_list, derivs))
+        bound = _apply_float([np.abs(p) for p in p_list], [np.abs(d) for d in derivs])
+        mags = npoly.polyval(np.abs(roots), bound)
         out = float(np.max(np.abs(np.atleast_1d(vals))
                            / np.maximum(np.atleast_1d(mags), 1e-300)))
     return out if math.isfinite(out) else math.inf
 
 
+def _pole_residues(p_list, roots: np.ndarray, derivs) -> np.ndarray:
+    """sum_{i>=1} P_i(a_p) psi^(i)(a_p) / psi'(a_p), one component per root."""
+    res = np.zeros(roots.size, dtype=complex)
+    for p, deriv in zip(p_list[1:], derivs[1:]):
+        if p.size:
+            res += npoly.polyval(roots, p) * npoly.polyval(roots, deriv)
+    return res / npoly.polyval(roots, derivs[1])
+
+
+def _scaled_bae(p_list, roots: np.ndarray, derivs) -> float:
+    """Scaled magnitude of the pole-residue components (NaN if unusable)."""
+    if roots.size == 0:
+        return 0.0
+    if _has_close_pair(roots, _MIN_SEPARATION):
+        return math.nan
+    res = _pole_residues(p_list, roots, derivs)
+    scale = np.zeros(roots.size)
+    for p, deriv in zip(p_list[1:], derivs[1:]):
+        if p.size:
+            scale += _magnitudes(p, roots) * _magnitudes(deriv, roots)
+    dvals = np.abs(npoly.polyval(roots, derivs[1]))
+    return float(np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0)))
+
+
 # ----------------------------------------------------------------------
 # residual forms
 
-def bethe_residuals(op: DiffOpForm, roots, min_separation: float = 1e-10) -> np.ndarray:
+def bethe_residuals(op: DiffOpForm, roots,
+                    min_separation: float = _MIN_SEPARATION) -> np.ndarray:
     """Pole-residue components, one per root, via derivatives of psi.
 
     Component p is  sum_{i=1..M} P_i(a_p) psi^(i)(a_p) / psi'(a_p), which
@@ -227,26 +251,12 @@ def bethe_residuals(op: DiffOpForm, roots, min_separation: float = 1e-10) -> np.
     relative to the root scale.
     """
     roots = np.asarray(roots, dtype=complex)
-    n = roots.size
-    if n == 0:
+    if roots.size == 0:
         return np.zeros(0, dtype=complex)
     if _has_close_pair(roots, min_separation):
         raise ValueError("coincident roots: use the robust residual form")
-    psi = _monic_from_roots(roots)
-    p_list = _float_polys(op)
-    res = np.zeros(n, dtype=complex)
-    dpsi = npoly.polyder(psi)
-    dvals = npoly.polyval(roots, dpsi)
-    deriv = psi
-    derivs = []
-    for i in range(1, op.order + 1):
-        deriv = npoly.polyder(deriv)
-        derivs.append(deriv)
-    for i in range(1, op.order + 1):
-        if p_list[i].size == 0:
-            continue
-        res += npoly.polyval(roots, p_list[i]) * npoly.polyval(roots, derivs[i - 1])
-    return res / dvals
+    derivs = _derivatives(_monic_from_roots(roots), op.order)
+    return _pole_residues(_float_polys(op), roots, derivs)
 
 
 def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
@@ -259,8 +269,8 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    hpsi = _apply_float(_float_polys(op), _monic_from_roots(roots))
-    return np.atleast_1d(npoly.polyval(roots, hpsi))
+    derivs = _derivatives(_monic_from_roots(roots), op.order)
+    return np.atleast_1d(npoly.polyval(roots, _apply_float(_float_polys(op), derivs)))
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +348,11 @@ def energy_from_roots(model: ModelSpec, sector: Sector, roots, imag_tol: float =
     leftovers are rejected.
     """
     hop_a, hop_b, _ = hop_coefficients(model, sector)
-    n_top = sector.n_top
+    return _energy(hop_a, hop_b, sector.n_top, roots, imag_tol)
+
+
+def _energy(hop_a, hop_b, n_top: int, roots, imag_tol: float):
+    """E = B(N) - A(N-1) * sum(alpha) from the sector's hop polynomials."""
     roots = tuple(roots)
     if len(roots) > n_top:
         raise ValueError(f"got {len(roots)} roots for a sector with N={n_top}")
@@ -436,29 +450,25 @@ def _high_precision_coefficients(op: DiffOpForm, energy: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Newton refinement on the robust residuals
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_refine(p_list, roots: np.ndarray, cfg: SolverConfig):
     """Polish a distinct root set until the scaled robust residual <= tol."""
     roots = np.array(roots, dtype=complex)
     n = roots.size
     if n == 0:
         return roots, True, 0
-    best = _scaled_robust(p_list, roots)
+    order = len(p_list) - 1
+    derivs = _derivatives(_monic_from_roots(roots), order)
+    best = _scaled_robust(p_list, roots, derivs)
     if best <= cfg.tol:
         return roots, True, 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _newton_loop(p_list, roots, best, cfg)
-
-
-def _newton_loop(p_list, roots, best, cfg):
-    n = roots.size
     for it in range(1, cfg.max_iter + 1):
-        psi = _monic_from_roots(roots)
-        hpsi = _apply_float(p_list, psi)
+        hpsi = _apply_float(p_list, derivs)
         f = npoly.polyval(roots, hpsi)
         dh = npoly.polyder(hpsi)
         jac = np.zeros((n, n), dtype=complex)
         for q in range(n):
-            hq = _apply_float(p_list, _deflate(psi, roots[q]))
+            hq = _apply_float(p_list, _derivatives(_deflate(derivs[0], roots[q]), order))
             jac[:, q] = -npoly.polyval(roots, hq)
         jac[np.diag_indices(n)] += npoly.polyval(roots, dh)
         # equilibrate rows: residual magnitudes span the coefficient growth
@@ -473,9 +483,10 @@ def _newton_loop(p_list, roots, best, cfg):
         factor = 1.0
         for _ in range(10):
             trial = roots + factor * step
-            resid = _scaled_robust(p_list, trial)
+            trial_derivs = _derivatives(_monic_from_roots(trial), order)
+            resid = _scaled_robust(p_list, trial, trial_derivs)
             if resid < best:
-                roots, best = trial, resid
+                roots, derivs, best = trial, trial_derivs, resid
                 break
             factor *= _DAMPING
         else:
@@ -485,15 +496,15 @@ def _newton_loop(p_list, roots, best, cfg):
     return roots, False, cfg.max_iter
 
 
-def _closed_form_energy(model, sector, roots, cfg) -> float:
+def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
     try:
-        return float(energy_from_roots(model, sector, tuple(roots),
-                                       imag_tol=math.sqrt(cfg.energy_tol)))
+        return float(_energy(op.hop_a, op.hop_b, op.n_top, roots,
+                             imag_tol=math.sqrt(cfg.energy_tol)))
     except ValueError:
         return math.nan
 
 
-def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
+def _solve_level(op, p_list, level, vector, oracle, cfg):
     """Root pipeline for one eigenlevel, in one pass down the candidates.
 
     Candidate full-degree root sets come in order of increasing cost --
@@ -513,10 +524,10 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
     only when every full-degree attempt fails, with the energy then taken
     from the oracle and validated through the robust form alone.
     """
-    n_full = sector.n_top
+    n_full = op.n_top
     if n_full == 0:
         return BetheSolution(
-            level=level, roots=(), energy=_closed_form_energy(model, sector, (), cfg),
+            level=level, roots=(), energy=_closed_form_energy(op, (), cfg),
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
     v_roots, v_reduced = roots_from_eigenvector(vector)
@@ -538,12 +549,13 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
     scale = max(1.0, abs(oracle))
 
     def judge(roots, tag):
-        resid = _scaled_robust(p_list, roots)
-        energy = _closed_form_energy(model, sector, roots, cfg)
+        derivs = _derivatives(_monic_from_roots(roots), op.order)
+        resid = _scaled_robust(p_list, roots, derivs)
+        energy = _closed_form_energy(op, roots, cfg)
         ok = (resid <= cfg.tol
               and math.isfinite(energy)
               and abs(energy - oracle) <= cfg.energy_tol * scale)
-        return ok, resid, roots, tag, energy
+        return ok, resid, roots, tag, energy, derivs
 
     best = None
     starts = []
@@ -568,7 +580,7 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
                 break
 
     if best is not None and (best[0] or not v_reduced):
-        converged, r_robust, roots, source, energy = best
+        converged, r_robust, roots, source, energy, derivs = best
         roots = np.asarray(roots)
         reduced = False
         if not math.isfinite(energy):
@@ -578,36 +590,17 @@ def _solve_level(model, sector, op, p_list, level, vector, oracle, cfg):
         roots = np.asarray(v_roots)
         reduced = True
         source = "extracted"
-        r_robust = _scaled_robust(p_list, roots)
+        derivs = _derivatives(_monic_from_roots(roots), op.order)
+        r_robust = _scaled_robust(p_list, roots, derivs)
         energy = oracle
         converged = r_robust <= cfg.tol
 
     degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
-    r_bae = math.nan if (degenerate or reduced) else _scaled_bae(op, roots)
+    r_bae = math.nan if (degenerate or reduced) else _scaled_bae(p_list, roots, derivs)
     return BetheSolution(
         level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
         residual_bae=r_bae, residual_robust=r_robust, source=source,
         degenerate=degenerate, reduced=reduced, converged=converged)
-
-
-def _scaled_bae(op: DiffOpForm, roots: np.ndarray) -> float:
-    """Scaled magnitude of the pole-residue components (NaN if unusable)."""
-    try:
-        res = bethe_residuals(op, roots)
-    except ValueError:
-        return math.nan
-    if res.size == 0:
-        return 0.0
-    p_list = _float_polys(op)
-    psi = _monic_from_roots(roots)
-    dpsi = npoly.polyder(psi)
-    scale = np.zeros(roots.size)
-    for i in range(1, op.order + 1):
-        if p_list[i].size == 0:
-            continue
-        scale += _magnitudes(p_list[i], roots) * _magnitudes(npoly.polyder(psi, m=i), roots)
-    dvals = np.abs(npoly.polyval(roots, dpsi))
-    return float(np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0)))
 
 
 def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = None):
@@ -623,17 +616,12 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     and its solutions are appended (tagged 'direct').
     """
     cfg = config or SolverConfig()
-    block = build_monomial_matrix(model, sector)
-    spec = diagonalize(block)
+    spec = diagonalize(build_monomial_matrix(model, sector))
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-
-    solutions = []
-    for level in range(sector.dim):
-        oracle = float(spec.energies[level])
-        solutions.append(_solve_level(model, sector, op, p_list, level,
-                                      spec.vectors[:, level], oracle, cfg))
-
+    solutions = [_solve_level(op, p_list, level, spec.vectors[:, level],
+                              float(spec.energies[level]), cfg)
+                 for level in range(sector.dim)]
     if cfg.direct:
         solutions.extend(direct_search(model, sector, cfg))
     return solutions
@@ -655,15 +643,21 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
         return [BetheSolution(level=0, roots=(), energy=float(energy_from_roots(model, sector, ())),
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
+
+    def residues(roots):
+        """Pole-residue components, or None for coincident roots."""
+        if _has_close_pair(roots, _MIN_SEPARATION):
+            return None
+        return _pole_residues(p_list, roots, _derivatives(_monic_from_roots(roots), op.order))
+
     rng = np.random.default_rng(cfg.seed)
     found = []
     for _ in range(cfg.starts):
         roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         ok = False
         for _ in range(cfg.max_iter):
-            try:
-                f = bethe_residuals(op, roots)
-            except ValueError:
+            f = residues(roots)
+            if f is None:
                 break
             if np.max(np.abs(f)) < 1e-30:
                 ok = True
@@ -673,10 +667,8 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
             for q in range(n):
                 shifted = roots.copy()
                 shifted[q] += h
-                try:
-                    jac[:, q] = (bethe_residuals(op, shifted) - f) / h
-                except ValueError:
-                    jac[:, q] = np.inf
+                column = residues(shifted)
+                jac[:, q] = np.inf if column is None else (column - f) / h
             if not np.all(np.isfinite(jac)):
                 break
             try:
@@ -689,18 +681,21 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
                 break
         if not ok:
             continue
-        if _scaled_robust(p_list, roots) > max(cfg.tol, 1e-10):
+        derivs = _derivatives(_monic_from_roots(roots), op.order)
+        if _scaled_robust(p_list, roots, derivs) > max(cfg.tol, 1e-10):
             continue
         canon = canonicalize_roots(roots)
         scale = max(1.0, max(abs(a) for a in canon))
         if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
                for prev in found if len(prev.roots) == len(canon)):
             continue
+        canon_roots = np.asarray(canon)
+        derivs = _derivatives(_monic_from_roots(canon_roots), op.order)
         found.append(BetheSolution(
             level=-1, roots=canon,
             energy=float(energy_from_roots(model, sector, canon)),
-            oracle_energy=math.nan, residual_bae=_scaled_bae(op, np.asarray(canon)),
-            residual_robust=_scaled_robust(p_list, np.asarray(canon)),
+            oracle_energy=math.nan, residual_bae=_scaled_bae(p_list, canon_roots, derivs),
+            residual_robust=_scaled_robust(p_list, canon_roots, derivs),
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found
@@ -711,23 +706,23 @@ def cross_validate(model: ModelSpec, sector: Sector, tol: float = 1e-8,
                    config: SolverConfig | None = None) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
-    Never raises on disagreement; the report carries per-level records and
-    an overall pass flag.  Energy errors are measured relative to the
+    One `solve_bethe` pass, with ``config.direct`` off, gives the level
+    solutions and, as their oracle energies, the monomial spectrum.  Never
+    raises on disagreement; the report carries per-level records and an
+    overall pass flag.  Energy errors are measured relative to the
     spectral scale max(1, max |E|).
     """
     cfg = config or SolverConfig()
     fock_spec = diagonalize(build_sector_matrix(model, sector))
-    mono_spec = diagonalize(build_monomial_matrix(model, sector))
-    solutions = [sol for sol in solve_bethe(model, sector, cfg) if sol.source != "direct"]
+    solutions = solve_bethe(model, sector, replace(cfg, direct=False))
 
     scale = max(1.0, float(np.max(np.abs(fock_spec.energies))))
     records = []
     worst = 0.0
     for level in range(sector.dim):
-        e_f = float(fock_spec.energies[level])
-        e_m = float(mono_spec.energies[level])
         sol = solutions[level]
-        e_b = sol.energy
+        e_f = float(fock_spec.energies[level])
+        e_m, e_b = sol.oracle_energy, sol.energy
         err = max(abs(e_f - e_m), abs(e_f - e_b), abs(e_m - e_b)) / scale
         worst = max(worst, err) if math.isfinite(err) else math.inf
         ok = (math.isfinite(err) and err <= tol

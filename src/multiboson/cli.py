@@ -52,11 +52,16 @@ def _parse_number(text: str):
         return float(text)
 
 
-def _parse_number_list(text: str, field: str):
+def _parse_field(text: str, field: str, parse=_parse_number):
     try:
-        return [_parse_number(part) for part in text.split(",") if part.strip() != ""]
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{field}: cannot parse {text!r} ({exc})") from None
+
+
+def _parse_number_list(text: str, field: str):
+    return _parse_field(
+        text, field, lambda t: [_parse_number(p) for p in t.split(",") if p.strip() != ""])
 
 
 def _read_config_file(path: str) -> dict:
@@ -97,8 +102,8 @@ def _build_model(args) -> "tuple":
     elif args.config is not None:
         kv = _read_config_file(args.config)
         try:
-            r = int(kv["model.r"])
-            s = int(kv["model.s"])
+            r = _parse_field(kv["model.r"], "model.r", int)
+            s = _parse_field(kv["model.s"], "model.s", int)
             k = _parse_number_list(kv["model.k"], "model.k")
         except KeyError as exc:
             raise ConfigError(f"config: missing key {exc.args[0]}") from None
@@ -114,8 +119,9 @@ def _build_model(args) -> "tuple":
                 if len(parts) != 4:
                     raise ConfigError(f"config: bad quadratic key {key!r} "
                                       "(expected model.wq.<i>.<j>)")
-                i, j = int(parts[2]) - 1, int(parts[3]) - 1
-                wq_entries[(i, j)] = _parse_number(value)
+                i = _parse_field(parts[2], key, int) - 1
+                j = _parse_field(parts[3], key, int) - 1
+                wq_entries[(i, j)] = _parse_field(value, key)
     else:
         if args.r is None or args.s is None or args.k is None:
             raise ConfigError("model: inline form needs --r, --s, and --k")
@@ -138,7 +144,7 @@ def _build_model(args) -> "tuple":
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"wq: cannot parse entry {item!r} "
                                   "(expected 'i,j=value;...')") from None
-    g = _parse_number(str(g_value)) if g_value is not None else 0
+    g = _parse_field(str(g_value), "g") if g_value is not None else 0
 
     try:
         model = make_model(r, s, k, w=w, wq=wq_entries, g=g)
@@ -357,7 +363,9 @@ def _add_solver_arguments(parser):
     parser.add_argument("--max-iter", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--direct", action="store_true",
-                        help="also run the independent multi-start search")
+                        help="roots: also run the independent multi-start search and "
+                             "print its 'direct' rows; solve accepts the flag but "
+                             "prints level rows only")
     parser.add_argument("--starts", type=int, default=64)
 
 

@@ -20,8 +20,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from .diffop import hop_coefficients
 from .fock import ModelSpec, Sector, occupations_at
-from .polyalg import _EXACT_OCCUPATION_LIMIT
 
+# Occupations above this use log-space factorial sums instead of exact
+# integer products, keeping matrix elements finite without overflow.
+_EXACT_OCCUPATION_LIMIT = 20
 # Blocks beyond this size with huge off-diagonal entries get a conditioning
 # warning: the entries are finite (log-space construction) but spectra of
 # matrices with ~1e12 entry spreads should be inspected, not trusted.
@@ -76,6 +78,21 @@ class SpectrumResult:
     residual_norm: float
 
 
+def _sqrt_product(factors, occupations) -> float:
+    """sqrt(prod(factors)) for the integer factors of a factorial ratio at
+    the given occupations; a negative factor is an inconsistent sector."""
+    if any(f < 0 for f in factors):
+        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
+    if any(f == 0 for f in factors):
+        return 0.0
+    if max(occupations) <= _EXACT_OCCUPATION_LIMIT:
+        prod = 1
+        for f in factors:
+            prod *= f
+        return math.sqrt(prod)
+    return math.exp(0.5 * sum(math.log(f) for f in factors))
+
+
 def transition_element(model: ModelSpec, occupations) -> float:
     """Matrix element of the raw interaction product between level n and n+1.
 
@@ -92,16 +109,7 @@ def transition_element(model: ModelSpec, occupations) -> float:
         m, k = occupations[i], model.k[i]
         for j in range(k):
             factors.append(m - j)
-    if any(f < 0 for f in factors):
-        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
-    if any(f == 0 for f in factors):
-        return 0.0
-    if max(occupations) <= _EXACT_OCCUPATION_LIMIT:
-        prod = 1
-        for f in factors:
-            prod *= f
-        return math.sqrt(prod)
-    return math.exp(0.5 * sum(math.log(f) for f in factors))
+    return _sqrt_product(factors, occupations)
 
 
 def _diagonal_energy(model: ModelSpec, occ) -> float:

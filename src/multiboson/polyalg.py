@@ -22,10 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import ModelSpec, Sector, occupations_at
-
-# Occupations above this use log-space factorial accumulation instead of
-# exact integer products, keeping matrix elements finite without overflow.
-_EXACT_OCCUPATION_LIMIT = 20
+from .hamiltonian import _sqrt_product, transition_element
 
 
 def casimir_value(k: int) -> Fraction:
@@ -183,25 +180,6 @@ class LadderCoefficients:
     down: np.ndarray
 
 
-def _sqrt_product(numer_factors, k_norm: int) -> float:
-    """sqrt(prod(factors) / k_norm), factors exact nonnegative integers.
-
-    Raises if any factor is negative (an inconsistent sector).  Switches
-    to log-space accumulation for large factors to avoid overflow.
-    """
-    if any(f < 0 for f in numer_factors):
-        raise ValueError("negative factor under square root: invalid sector")
-    if any(f == 0 for f in numer_factors):
-        return 0.0
-    if max(numer_factors, default=0) <= _EXACT_OCCUPATION_LIMIT + 1 and len(numer_factors) < 64:
-        prod = 1
-        for f in numer_factors:
-            prod *= f
-        return math.sqrt(prod / k_norm)
-    log_sum = sum(math.log(f) for f in numer_factors) - math.log(k_norm)
-    return math.exp(0.5 * log_sum)
-
-
 def _k_norm(model: ModelSpec) -> int:
     out = 1
     for ki in model.k:
@@ -210,16 +188,9 @@ def _k_norm(model: ModelSpec) -> int:
 
 
 def raising_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
-    """<n+1|P+|n>: double product of square roots over both groups."""
+    """<n+1|P+|n>: the Fock transition element over sqrt(prod_i k_i^k_i)."""
     occ = occupations_at(model, sector, n)
-    factors = []
-    for i in model.group1:
-        for j in range(1, model.k[i] + 1):
-            factors.append(occ[i] + j)
-    for i in model.group2:
-        for j in range(model.k[i]):
-            factors.append(occ[i] - j)
-    return _sqrt_product(factors, _k_norm(model))
+    return transition_element(model, occ) / math.sqrt(_k_norm(model))
 
 
 def lowering_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
@@ -232,7 +203,7 @@ def lowering_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
     for i in model.group2:
         for j in range(1, model.k[i] + 1):
             factors.append(occ[i] + j)
-    return _sqrt_product(factors, _k_norm(model))
+    return _sqrt_product(factors, occ) / math.sqrt(_k_norm(model))
 
 
 def ladder_coefficients(model: ModelSpec, sector: Sector) -> LadderCoefficients:

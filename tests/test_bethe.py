@@ -1,5 +1,7 @@
 """Root equations, energies, solver pipeline, and cross-validation."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -231,9 +233,10 @@ def test_adversarial_corruption_is_detected():
     e_clean = energy_from_roots(model, sec, clean)
     assert abs(e_clean - sols[2].oracle_energy) <= 1e-8
     # the corrupted set fails the acceptance residual threshold by far
-    from multiboson.bethe import _float_polys, _scaled_robust
+    from multiboson.bethe import _derivatives, _float_polys, _scaled_robust
 
-    assert _scaled_robust(_float_polys(op), corrupted) > 1e-8
+    derivs = _derivatives(_monic_from_roots(corrupted), op.order)
+    assert _scaled_robust(_float_polys(op), corrupted, derivs) > 1e-8
 
 
 def test_cross_validate_reports_failure_without_raising():
@@ -305,3 +308,40 @@ def test_newton_polishes_when_no_candidate_passes(monkeypatch):
         assert abs(sol.energy - sol.oracle_energy) <= 1e-8 * max(1.0, abs(sol.oracle_energy))
         scale = max(abs(a) for a in ref.roots)
         assert max(abs(x - y) for x, y in zip(sol.roots, ref.roots)) <= 1e-9 * scale
+
+
+def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
+    """One monomial block and spectrum, one operator and float form per
+    sector, no direct search, and level energies from the operator's own
+    hop polynomials."""
+    counts = collections.Counter()
+    in_level = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            if name != "hop_coefficients" or in_level:
+                counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_monomial_matrix", "diagonalize", "expand_diffop", "_float_polys",
+                 "direct_search", "hop_coefficients"):
+        monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
+    solve_level = bethe._solve_level
+
+    def level(*args, **kwargs):
+        in_level.append(True)
+        try:
+            return solve_level(*args, **kwargs)
+        finally:
+            in_level.pop()
+
+    monkeypatch.setattr(bethe, "_solve_level", level)
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 12))
+    for config in (None, SolverConfig(direct=True)):
+        counts.clear()
+        report = cross_validate(model, sec, config=config)
+        assert report.passed and len(report.solutions) == sec.dim
+        assert dict(counts) == {"build_monomial_matrix": 1, "diagonalize": 2,
+                                "expand_diffop": 1, "_float_polys": 1}

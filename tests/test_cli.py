@@ -139,8 +139,20 @@ def test_text_format(capsys):
     (["solve", "--preset", "A", "--wq", "oops", "--g", "1", "--occ", "0,0,1"], "wq"),
     (["scan", "--preset", "A", "--occ", "0,0,1"], "scan"),
     (["scan", "--preset", "A", "--g-range", "0:2", "--occ", "0,0,1"], "range"),
+    (["solve", "--preset", "A", "--g", "abc", "--occ", "0,0,1"], "g: cannot parse"),
+    (["solve", "--preset", "A", "--g", "1/0", "--occ", "0,0,1"], "g: cannot parse"),
+    (["solve", "--config", "model.r = x\nmodel.s = 1\nmodel.k = 1,1,1\n"
+      "model.g = 1\nsector.occ = 0,0,1\n"], "model.r: cannot parse"),
+    (["solve", "--config", "model.r = 2\nmodel.s = 1\nmodel.k = 1,1,1\n"
+      "model.wq.a.2 = 1\nmodel.g = 1\nsector.occ = 0,0,1\n"], "model.wq.a.2: cannot parse"),
 ])
-def test_malformed_config_exit_code(capsys, argv, needle):
+def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
+    # an argument holding newlines is the text of a config file
+    cfg = tmp_path / "run.cfg"
+    for i, arg in enumerate(argv):
+        if "\n" in arg:
+            cfg.write_text(arg)
+            argv = argv[:i] + [str(cfg)] + argv[i + 1:]
     code, _, err = _run(capsys, argv)
     assert code == 2
     assert needle in err
