@@ -16,16 +16,20 @@ E = B(N) - A(N-1) * sum(alpha), with A, B the hop polynomials.
 The production solve path takes each level's roots from the companion
 matrix of an eigenpolynomial: first the monomial-basis eigenvector, then
 the coefficients rebuilt from the three-term recurrence in float64, then
-the same recurrence at high working precision.  The first root set that
-passes as-is is accepted; damped Newton on the robust residuals polishes
-the candidates only when none does.  Each sector's block, spectrum and
-operator are built once, and one derivative list psi, psi', ... per root
-set feeds both residual forms.  An independent multi-start Newton search
-on the pole-residue equations is available as a confirmation mode.
+the same recurrence at high working precision in the standard library's
+`decimal`.  The first root set that passes as-is is accepted; damped
+Newton on the robust residuals polishes the candidates only when none
+does.  Each sector's block, spectrum, operator and hop values (as floats
+and at working precision) are built once, and one derivative list psi,
+psi', ... per root set feeds both residual forms.  An independent
+multi-start Newton search on the pole-residue equations, run on the same
+operator, is available as a confirmation mode.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -183,16 +187,17 @@ def _magnitudes(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
-    """Whether two roots lie within rel_tol * max(1, max|root|)."""
+    """Whether two roots lie within rel_tol * max(1, max|root|).
+
+    A NaN gap never counts as close and hides no other pair.
+    """
     n = roots.size
     if n < 2:
         return False
     scale = max(1.0, float(np.max(np.abs(roots))))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < rel_tol * scale:
-                return True
-    return False
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(np.any(gaps < rel_tol * scale))
 
 
 def _scaled_robust(p_list, roots: np.ndarray, derivs) -> float:
@@ -369,7 +374,53 @@ def _energy(hop_a, hop_b, n_top: int, roots, imag_tol: float):
     return energy
 
 
-def _coefficients_at_energy(op: DiffOpForm, energy: float) -> np.ndarray:
+class _HopTerms:
+    """One sector's hop values A(0..N-1), B(0..N), C(1..N), evaluated once.
+
+    Both forms are built on first use, so a sector whose levels all pass
+    on extraction pays for neither: `floats` feeds the float64 recurrence,
+    `working` the high-precision route.
+    """
+
+    def __init__(self, op: DiffOpForm):
+        self.op = op
+        self.n_top = op.n_top
+
+    @functools.cached_property
+    def _values(self):
+        op, n = self.op, self.n_top
+        return ([op.hop_a(m) for m in range(n)], [op.hop_b(m) for m in range(n + 1)],
+                [op.hop_c(m) for m in range(1, n + 1)])
+
+    @functools.cached_property
+    def floats(self):
+        """The hop values as floats."""
+        return tuple([float(x) for x in values] for values in self._values)
+
+    @functools.cached_property
+    def working(self):
+        """(context, A, B, C, A(m-1)C(m)) at the route's working precision.
+
+        Digits scale with the block size so the coefficient span never
+        eats the precision; the exponent range is unbounded, like
+        arbitrary-precision binary floats.  Fractions are divided at
+        working precision, every other value enters through float.
+        """
+        context = decimal.Context(prec=max(50, 30 + 4 * self.n_top),
+                                  Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+        def convert(x):
+            if isinstance(x, Fraction):
+                return decimal.Decimal(x.numerator) / x.denominator
+            return decimal.Decimal(float(x))
+
+        with decimal.localcontext(context):
+            hop_a, hop_b, hop_c = ([convert(x) for x in values] for values in self._values)
+            off = [a * c for a, c in zip(hop_a, hop_c)]
+        return context, hop_a, hop_b, hop_c, off
+
+
+def _coefficients_at_energy(terms: _HopTerms, energy: float) -> np.ndarray:
     """Eigenpolynomial coefficients rebuilt from the three-term recurrence.
 
     For an eigenvalue E of the monomial block the coefficients satisfy
@@ -379,22 +430,23 @@ def _coefficients_at_energy(op: DiffOpForm, energy: float) -> np.ndarray:
     roundoff can be too large for the roots to pass as-is; then the
     high-precision recurrence is the next candidate.
     """
-    n = op.n_top
+    hop_a, hop_b, hop_c = terms.floats
+    n = terms.n_top
     c = np.zeros(n + 1, dtype=complex)
     c[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(n):
-            rhs = (energy - float(op.hop_b(m))) * c[m]
+            rhs = (energy - hop_b[m]) * c[m]
             if m > 0:
-                rhs -= float(op.hop_a(m - 1)) * c[m - 1]
-            c[m + 1] = rhs / float(op.hop_c(m + 1))
+                rhs -= hop_a[m - 1] * c[m - 1]
+            c[m + 1] = rhs / hop_c[m]
             peak = np.max(np.abs(c[: m + 2]))
             if peak > 1e200:  # only coefficient ratios matter for the roots
                 c[: m + 2] /= peak
     return c
 
 
-def _high_precision_coefficients(op: DiffOpForm, energy: float) -> np.ndarray:
+def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
     """Eigenpolynomial coefficients from the recurrence at high precision.
 
     Working precision is the honest cure for hard levels: the eigenvalue
@@ -403,41 +455,35 @@ def _high_precision_coefficients(op: DiffOpForm, energy: float) -> np.ndarray:
     recurrence as `_coefficients_at_energy`, run at the working precision.
     That resolves every coefficient -- including components far below
     float64 visibility -- before the peak-normalized vector is rounded
-    back to float64.  Digits scale with the block size so the coefficient
-    span never eats the precision.  A vanishing C(m) raises
-    ZeroDivisionError: the interaction is off and there is no recurrence.
+    back to float64.  The arithmetic is the standard library's `decimal`
+    on the sector's hop values, converted once per sector (see
+    `_HopTerms.working`).  A vanishing C(m) raises ZeroDivisionError: the
+    interaction is off and there is no recurrence.
     """
-    import mpmath as mp
-
-    def to_mp(x):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / x.denominator
-        return mp.mpf(float(x))
-
-    n = op.n_top
-    dps = max(50, 30 + 4 * n)
-    with mp.workdps(dps):
-        hop_a = [to_mp(op.hop_a(m)) for m in range(max(n - 1, 0) + 1)]
-        hop_b = [to_mp(op.hop_b(m)) for m in range(n + 1)]
-        hop_c = [to_mp(op.hop_c(m)) for m in range(1, n + 1)]
-        e_val = mp.mpf(energy)
-        e_scale = max(mp.mpf(1), abs(e_val))
+    context, hop_a, hop_b, hop_c, off = terms.working
+    if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
+        raise ZeroDivisionError("C(m) vanishes: no recurrence")
+    n = terms.n_top
+    with decimal.localcontext(context):
+        one = decimal.Decimal(1)
+        e_val = decimal.Decimal(energy)
+        stop = decimal.Decimal(10) ** (8 - context.prec) * max(one, abs(e_val))
         for _ in range(80):
             # det(M - E) and its E-derivative via the minor recurrence
-            p_prev, p_cur = mp.mpf(1), hop_b[0] - e_val
-            d_prev, d_cur = mp.mpf(0), mp.mpf(-1)
+            p_prev, p_cur = one, hop_b[0] - e_val
+            d_prev, d_cur = decimal.Decimal(0), -one
             for m in range(1, n + 1):
-                off = hop_a[m - 1] * hop_c[m - 1]
-                p_new = (hop_b[m] - e_val) * p_cur - off * p_prev
-                d_new = -p_cur + (hop_b[m] - e_val) * d_cur - off * d_prev
+                diag = hop_b[m] - e_val
+                p_new = diag * p_cur - off[m - 1] * p_prev
+                d_new = -p_cur + diag * d_cur - off[m - 1] * d_prev
                 p_prev, p_cur, d_prev, d_cur = p_cur, p_new, d_cur, d_new
             if d_cur == 0:
                 break
             step = p_cur / d_cur
             e_val -= step
-            if abs(step) <= mp.mpf(10) ** (8 - dps) * e_scale:
+            if abs(step) <= stop:
                 break
-        vec = [mp.mpf(1)]
+        vec = [one]
         for m in range(n):
             rhs = (e_val - hop_b[m]) * vec[m]
             if m > 0:
@@ -504,7 +550,7 @@ def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
         return math.nan
 
 
-def _solve_level(op, p_list, level, vector, oracle, cfg):
+def _solve_level(op, p_list, terms, level, vector, oracle, cfg):
     """Root pipeline for one eigenlevel, in one pass down the candidates.
 
     Candidate full-degree root sets come in order of increasing cost --
@@ -540,7 +586,7 @@ def _solve_level(op, p_list, level, vector, oracle, cfg):
             yield "extracted", v_roots
         for build in (_coefficients_at_energy, _high_precision_coefficients):
             try:
-                coeffs = build(op, oracle)
+                coeffs = build(terms, oracle)
             except ZeroDivisionError:   # vanishing interaction: no recurrence
                 return
             if np.all(np.isfinite(coeffs)) and abs(coeffs[-1]) > 0:
@@ -612,18 +658,19 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     residuals where the roots are distinct, and recompute the energy from
     the closed form.  Levels whose eigenpolynomial has near-multiple roots
     are flagged degenerate and validated only through the robust form.
-    With ``config.direct`` the independent multi-start search runs as well
-    and its solutions are appended (tagged 'direct').
+    With ``config.direct`` the independent multi-start search runs as well,
+    on the same operator, and its solutions are appended (tagged 'direct').
     """
     cfg = config or SolverConfig()
     spec = diagonalize(build_monomial_matrix(model, sector))
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-    solutions = [_solve_level(op, p_list, level, spec.vectors[:, level],
+    terms = _HopTerms(op)
+    solutions = [_solve_level(op, p_list, terms, level, spec.vectors[:, level],
                               float(spec.energies[level]), cfg)
                  for level in range(sector.dim)]
     if cfg.direct:
-        solutions.extend(direct_search(model, sector, cfg))
+        solutions.extend(_direct_search(op, p_list, cfg))
     return solutions
 
 
@@ -635,12 +682,19 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
     solutions, and deduplicates by canonical ordering.  The result is a
     subset of the spectrum; completeness is not guaranteed.
     """
-    cfg = config or SolverConfig()
     op = expand_diffop(model, sector)
-    p_list = _float_polys(op)
-    n = sector.n_top
+    return _direct_search(op, _float_polys(op), config or SolverConfig())
+
+
+def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
+    """`direct_search` on a built operator and its float form."""
+
+    def energy(roots):
+        return float(_energy(op.hop_a, op.hop_b, op.n_top, roots, imag_tol=1e-8))
+
+    n = op.n_top
     if n == 0:
-        return [BetheSolution(level=0, roots=(), energy=float(energy_from_roots(model, sector, ())),
+        return [BetheSolution(level=0, roots=(), energy=energy(()),
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
 
@@ -693,7 +747,7 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
         derivs = _derivatives(_monic_from_roots(canon_roots), op.order)
         found.append(BetheSolution(
             level=-1, roots=canon,
-            energy=float(energy_from_roots(model, sector, canon)),
+            energy=energy(canon),
             oracle_energy=math.nan, residual_bae=_scaled_bae(p_list, canon_roots, derivs),
             residual_robust=_scaled_robust(p_list, canon_roots, derivs),
             source="direct", degenerate=False, reduced=False, converged=True))

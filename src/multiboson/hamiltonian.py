@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .diffop import hop_coefficients
 from .fock import ModelSpec, Sector, occupations_at
@@ -176,6 +175,9 @@ def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
     upper[i]/sqrt(upper[i]*lower[i]) (the Fock normalization ratios), then
     the eigenvectors are mapped back to monomial coordinates.
     """
+    # imported here: commands that never diagonalize skip scipy.linalg's import
+    from scipy.linalg import eigh_tridiagonal
+
     n = block.dim
     if block.basis == "fock":
         energies, vectors = eigh_tridiagonal(block.diag, block.upper)

@@ -2,8 +2,10 @@
 
 Everything here is deliberately brute force and shares no code path with
 the package: tower enumeration for mode labels, breadth-first state-graph
-enumeration for sectors, exact factorial ratios for matrix elements, and
-the literal nested subset sums for the root-equation residuals.
+enumeration for sectors, exact factorial ratios for matrix elements, the
+literal nested subset sums for the root-equation residuals, the mpmath
+form of the high-precision root route, and the pairwise double loop of
+the close-pair test.
 """
 
 from __future__ import annotations
@@ -97,6 +99,70 @@ def subset_bae_residuals(op, roots):
                 total += coeff / denom
         out.append(total)
     return out
+
+
+def high_precision_coefficients(op, energy):
+    """Eigenpolynomial coefficients of one level in mpmath: Newton on the
+    characteristic recurrence of the monomial block, then the three-term
+    recurrence, at max(50, 30 + 4N) digits, peak-normalized to float."""
+    import mpmath as mp
+    import numpy as np
+
+    def to_mp(x):
+        if isinstance(x, Fraction):
+            return mp.mpf(x.numerator) / x.denominator
+        return mp.mpf(float(x))
+
+    n = op.n_top
+    dps = max(50, 30 + 4 * n)
+    with mp.workdps(dps):
+        hop_a = [to_mp(op.hop_a(m)) for m in range(max(n - 1, 0) + 1)]
+        hop_b = [to_mp(op.hop_b(m)) for m in range(n + 1)]
+        hop_c = [to_mp(op.hop_c(m)) for m in range(1, n + 1)]
+        e_val = mp.mpf(energy)
+        e_scale = max(mp.mpf(1), abs(e_val))
+        for _ in range(80):
+            p_prev, p_cur = mp.mpf(1), hop_b[0] - e_val
+            d_prev, d_cur = mp.mpf(0), mp.mpf(-1)
+            for m in range(1, n + 1):
+                off = hop_a[m - 1] * hop_c[m - 1]
+                p_new = (hop_b[m] - e_val) * p_cur - off * p_prev
+                d_new = -p_cur + (hop_b[m] - e_val) * d_cur - off * d_prev
+                p_prev, p_cur, d_prev, d_cur = p_cur, p_new, d_cur, d_new
+            if d_cur == 0:
+                break
+            step = p_cur / d_cur
+            e_val -= step
+            if abs(step) <= mp.mpf(10) ** (8 - dps) * e_scale:
+                break
+        vec = [mp.mpf(1)]
+        for m in range(n):
+            rhs = (e_val - hop_b[m]) * vec[m]
+            if m > 0:
+                rhs -= hop_a[m - 1] * vec[m - 1]
+            vec.append(rhs / hop_c[m])
+        peak = max(abs(x) for x in vec)
+        return np.array([float(x / peak) for x in vec])
+
+
+def has_close_pair(roots, rel_tol):
+    """Whether any two roots lie within rel_tol * max(1, max|root|), pair by pair.
+
+    Gaps and scale share one modulus routine (numpy's), whose last bit can
+    differ from the scalar abs(); with two, the gap |a - 0| of roots {a, 0}
+    could fall below the scale |a| it equals.
+    """
+    import numpy as np
+
+    n = roots.size
+    if n < 2:
+        return False
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.abs(roots[i] - roots[j]) < rel_tol * scale:
+                return True
+    return False
 
 
 def occupations_below(n_modes: int, bound: int):

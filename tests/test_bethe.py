@@ -1,17 +1,23 @@
 """Root equations, energies, solver pipeline, and cross-validation."""
 
 import collections
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from multiboson import (SolverConfig, bethe, bethe_residuals, canonicalize_roots,
-                        cross_validate, direct_search, energy_from_roots, expand_diffop,
-                        make_model, occupations_at, preset, robust_residuals,
-                        roots_from_eigenvector, sector_from_occupations, solve_bethe)
+from multiboson import (SolverConfig, bethe, bethe_residuals, build_monomial_matrix,
+                        canonicalize_roots, cross_validate, diagonalize, direct_search,
+                        energy_from_roots, expand_diffop, make_model, occupations_at, preset,
+                        robust_residuals, roots_from_eigenvector, sector_from_occupations,
+                        solve_bethe)
+from multiboson import cli, diffop
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
-from oracles import subset_bae_residuals
+from oracles import has_close_pair, high_precision_coefficients, subset_bae_residuals
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -325,7 +331,7 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
         return wrapper
 
     for name in ("build_monomial_matrix", "diagonalize", "expand_diffop", "_float_polys",
-                 "direct_search", "hop_coefficients"):
+                 "direct_search", "_direct_search", "hop_coefficients"):
         monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
     solve_level = bethe._solve_level
 
@@ -345,3 +351,89 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
         assert report.passed and len(report.solutions) == sec.dim
         assert dict(counts) == {"build_monomial_matrix": 1, "diagonalize": 2,
                                 "expand_diffop": 1, "_float_polys": 1}
+
+
+def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):
+    """`roots --dump-diffop --direct`: the dump and the solver each build the
+    operator once, and the direct search reuses the solver's float form."""
+    counts = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    expand = counted("expand_diffop", diffop.expand_diffop)
+    monkeypatch.setattr(diffop, "expand_diffop", expand)
+    monkeypatch.setattr(bethe, "expand_diffop", expand)
+    monkeypatch.setattr(bethe, "_float_polys", counted("_float_polys", bethe._float_polys))
+    code = cli.main(["roots", "--preset", "A", "--g", "1", "--occ", "0,0,3",
+                     "--dump-diffop", "--direct"])
+    out = capsys.readouterr().out
+    assert code == 0 and "direct:" in out
+    assert dict(counts) == {"expand_diffop": 2, "_float_polys": 1}
+
+
+GRID_W = (0.4, -0.3, 0.2)
+ROUTE_SECTORS = {
+    "A-40": ("A", GRID_W, (0, 3, 40)),
+    "B-40": ("B", GRID_W, (0, 3, 80)),
+    "C-40": ("C", GRID_W + (0.1,), (0, 3, 40, 42)),
+    "A-30": ("A", GRID_W, (0, 3, 30)),
+}
+
+
+@pytest.mark.parametrize("name", [*ROUTE_SECTORS, "A-30-exact"])
+def test_high_precision_route_matches_mpmath_reference(name):
+    """The decimal route gives the mpmath route's float64 coefficients
+    exactly, on every level of the N=40 grid, of preset A at N=30, and of
+    one sector whose couplings (and so hop values) are exact fractions."""
+    if name.endswith("exact"):
+        model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
+                       wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
+        occ = (0, 3, 30)
+    else:
+        case, w, occ = ROUTE_SECTORS[name]
+        model = preset(case, w=list(w), wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, occ)
+    op = expand_diffop(model, sec)
+    if name.endswith("exact"):
+        assert all(isinstance(op.hop_c(m), Fraction) for m in range(1, sec.n_top + 1))
+    terms = bethe._HopTerms(op)
+    for energy in diagonalize(build_monomial_matrix(model, sec)).energies:
+        got = bethe._high_precision_coefficients(terms, float(energy))
+        assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
+
+
+def test_high_precision_route_raises_without_interaction():
+    """At g = 0 every C(m) vanishes; both routes raise ZeroDivisionError,
+    whether the first recurrence step divides x/0 or 0/0."""
+    model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
+    sec = sector_from_occupations(model, (0, 0, 4))
+    op = expand_diffop(model, sec)
+    terms = bethe._HopTerms(op)
+    for m in (0, 1):   # E = B(0): (E - B(0)) / C(1) is 0/0; E = B(1): x/0
+        energy = float(op.hop_b(m))
+        with pytest.raises(ZeroDivisionError):
+            high_precision_coefficients(op, energy)
+        with pytest.raises(ZeroDivisionError):
+            bethe._high_precision_coefficients(terms, energy)
+
+
+_SPECIAL_ROOTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+                  complex(-math.inf, 1.0), complex(0.0, math.inf), 0j, 1 + 0j, 1 + 1e-12j]
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(st.one_of(st.complex_numbers(), st.sampled_from(_SPECIAL_ROOTS)),
+                     max_size=10),
+       repeats=st.lists(st.integers(0, 9), max_size=3),
+       rel_tol=st.sampled_from([0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e300]))
+@example(base=[3.388438665504959e+16 + 4.512108963653434e+16j, 0j], repeats=[], rel_tol=1.0)
+def test_has_close_pair_matches_double_loop(base, repeats, rel_tol):
+    """NaN, infinite and exactly equal roots among the inputs."""
+    items = base + [base[i % len(base)] for i in repeats] if base else []
+    roots = np.array(items, dtype=complex)
+    with np.errstate(all="ignore"):
+        assert bethe._has_close_pair(roots, rel_tol) == has_close_pair(roots, rel_tol)

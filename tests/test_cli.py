@@ -1,9 +1,13 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multiboson
 from multiboson.cli import main
 
 
@@ -186,3 +190,14 @@ def test_scan_quadratic_coupling_sweep(capsys):
     # top level has occupations (2,2,0): energy = w11 * 4
     top = [float(r[3]) for r in rows if r[2] == "2"]
     assert top == pytest.approx([0.0, 2.0, 4.0])
+
+
+def test_import_leaves_scipy_linalg_and_mpmath_out():
+    """`import multiboson` pays for neither: scipy.linalg is imported at the
+    first diagonalization, and mpmath is not used at all."""
+    code = ("import sys, multiboson.cli; "
+            "print(sorted({'scipy.linalg', 'mpmath'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
