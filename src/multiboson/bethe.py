@@ -17,13 +17,15 @@ The production solve path takes each level's roots from the companion
 matrix of an eigenpolynomial: first the monomial-basis eigenvector, then
 the coefficients rebuilt from the three-term recurrence in float64, then
 the same recurrence at high working precision in the standard library's
-`decimal`.  The first root set that passes as-is is accepted; damped
-Newton on the robust residuals polishes the candidates only when none
-does.  Each sector's block, spectrum, operator and hop values (as floats
-and at working precision) are built once, and one derivative list psi,
-psi', ... per root set feeds both residual forms.  An independent
-multi-start Newton search on the pole-residue equations, run on the same
-operator, is available as a confirmation mode.
+`decimal`.  Each candidate is judged once, and the first root set that
+passes as-is is accepted.  When none does, the level is reported
+unconverged and keeps the attempt whose closed-form energy agrees with the
+oracle eigenvalue, the smaller residual breaking ties.  Each sector's
+block, spectrum, operator and hop values (as floats and at working
+precision) are built once, and one derivative list psi, psi', ... per
+root set feeds both residual forms.  An independent multi-start Newton
+search on the pole-residue equations, run on the same operator, is
+available as a confirmation mode.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
 class SolverConfig:
     """Settings for the Bethe solver.
 
-    `tol` bounds the scaled robust residual accepted after refinement;
+    `tol` bounds the scaled robust residual of an accepted root set;
     `energy_tol` the relative disagreement tolerated against the oracle
     eigenvalue.  `seed` feeds the multi-start generator of the direct
-    mode, which draws `starts` initial root sets.
+    mode, which draws `starts` initial root sets and runs at most
+    `max_iter` Newton steps from each.
     """
 
     tol: float = 1e-12
@@ -62,8 +65,6 @@ class SolverConfig:
 
 # Relative separation below which a root set counts as degenerate.
 _DEGENERATE_TOL = 1e-6
-# Step shrink factor of each damped Newton retry.
-_DAMPING = 0.5
 # Scale of the random starting root sets of the direct search.
 _START_RADIUS = 3.0
 # Relative distance below which two direct-search solutions are one.
@@ -79,8 +80,8 @@ class BetheSolution:
     `residual_bae` is NaN when the pole-residue form was not evaluated
     (degenerate or reduced root sets).  `source` tags how the roots were
     obtained: 'extracted' (roots of the eigenvector's coefficients),
-    'refined' (roots of a recurrence-built eigenpolynomial, or a Newton
-    polish of any candidate), or 'direct' (independent multi-start search).
+    'refined' (roots of a recurrence-built eigenpolynomial), or 'direct'
+    (independent multi-start search).
     """
 
     level: int
@@ -168,17 +169,6 @@ def _apply_float(p_list, derivs) -> np.ndarray:
     return out
 
 
-def _deflate(psi: np.ndarray, root: complex) -> np.ndarray:
-    """psi / (z - root) for monic-leading psi (remainder discarded)."""
-    n = psi.size - 1
-    q = np.zeros(n, dtype=complex)
-    acc = psi[n]
-    for j in range(n - 1, -1, -1):
-        q[j] = acc
-        acc = psi[j] + root * acc
-    return q
-
-
 def _magnitudes(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Magnitude scale of the polynomial's terms at `points`."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -204,8 +194,8 @@ def _scaled_robust(p_list, roots: np.ndarray, derivs) -> float:
     """Backward-error style residual: max |H psi(a_p)| over the magnitude
     bound of the terms that built H psi at that point.
 
-    Overflow in intermediate evaluations (wild trial steps during damping)
-    propagates as inf/NaN and simply fails the acceptance comparison.
+    Overflow in intermediate evaluations (roots far off the scale of a
+    badly conditioned eigenpolynomial) reads as inf and fails acceptance.
     """
     if len(roots) == 0:
         return 0.0
@@ -285,12 +275,12 @@ def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
     """Roots of the eigenpolynomial sum_n coeffs[n] z^n.
 
     Uses companion-matrix eigenvalues (balanced internally), which stay
-    accurate enough to pass as-is, or to start a Newton polish, even when
-    the leading coefficient sits twenty orders of magnitude below the
-    largest one -- strongly localized levels genuinely look like that in
-    the monomial basis.  Only when |coeffs[N]| <= deflation_tol *
-    max|coeffs| (default: an exact zero, the g = 0 situation) are trailing
-    coefficients trimmed and `reduced` returned True.
+    accurate enough to pass as-is even when the leading coefficient sits
+    twenty orders of magnitude below the largest one -- strongly localized
+    levels genuinely look like that in the monomial basis.  Only when
+    |coeffs[N]| <= deflation_tol * max|coeffs| (default: an exact zero,
+    the g = 0 situation) are trailing coefficients trimmed and `reduced`
+    returned True.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
@@ -493,55 +483,6 @@ def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
         return np.array([float(x / peak) for x in vec])
 
 
-# ----------------------------------------------------------------------
-# Newton refinement on the robust residuals
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton_refine(p_list, roots: np.ndarray, cfg: SolverConfig):
-    """Polish a distinct root set until the scaled robust residual <= tol."""
-    roots = np.array(roots, dtype=complex)
-    n = roots.size
-    if n == 0:
-        return roots, True, 0
-    order = len(p_list) - 1
-    derivs = _derivatives(_monic_from_roots(roots), order)
-    best = _scaled_robust(p_list, roots, derivs)
-    if best <= cfg.tol:
-        return roots, True, 0
-    for it in range(1, cfg.max_iter + 1):
-        hpsi = _apply_float(p_list, derivs)
-        f = npoly.polyval(roots, hpsi)
-        dh = npoly.polyder(hpsi)
-        jac = np.zeros((n, n), dtype=complex)
-        for q in range(n):
-            hq = _apply_float(p_list, _derivatives(_deflate(derivs[0], roots[q]), order))
-            jac[:, q] = -npoly.polyval(roots, hq)
-        jac[np.diag_indices(n)] += npoly.polyval(roots, dh)
-        # equilibrate rows: residual magnitudes span the coefficient growth
-        # of H psi across well-separated root scales, and an unscaled solve
-        # would ignore the small-root rows entirely
-        row_scale = np.maximum(np.max(np.abs(jac), axis=1), np.abs(f))
-        row_scale = np.maximum(row_scale, 1e-300)
-        try:
-            step = np.linalg.solve(jac / row_scale[:, None], -f / row_scale)
-        except np.linalg.LinAlgError:
-            return roots, False, it
-        factor = 1.0
-        for _ in range(10):
-            trial = roots + factor * step
-            trial_derivs = _derivatives(_monic_from_roots(trial), order)
-            resid = _scaled_robust(p_list, trial, trial_derivs)
-            if resid < best:
-                roots, derivs, best = trial, trial_derivs, resid
-                break
-            factor *= _DAMPING
-        else:
-            return roots, best <= cfg.tol, it
-        if best <= cfg.tol:
-            return roots, True, it
-    return roots, False, cfg.max_iter
-
-
 def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
     try:
         return float(_energy(op.hop_a, op.hop_b, op.n_top, roots,
@@ -555,13 +496,14 @@ def _solve_level(op, p_list, terms, level, vector, oracle, cfg):
 
     Candidate full-degree root sets come in order of increasing cost --
     eigenvector extraction, the float64 coefficient recurrence, and the
-    same recurrence at high working precision -- and each is judged as-is:
-    the first whose scaled residual meets `cfg.tol` and whose closed-form
-    energy agrees with the oracle eigenvalue to `cfg.energy_tol` is
-    accepted, and later candidates are never built.  Only when none
-    passes does damped Newton on the robust residuals polish the distinct
-    candidates, in the same order, until one passes; the best attempt of
-    either pass is kept otherwise.
+    same recurrence at high working precision -- and each is judged once,
+    as-is: the first whose scaled residual meets `cfg.tol` and whose
+    closed-form energy agrees with the oracle eigenvalue to
+    `cfg.energy_tol` is accepted, and later candidates are never built.
+    When none passes, the level is unconverged and keeps the attempt whose
+    energy agrees, the smaller residual breaking ties: the energy depends
+    on the roots only through their sum, so an agreeing candidate carries
+    the right physics even when its roots are too coarse for the residual.
 
     An eigenvector whose leading coefficient is exactly zero usually means
     the eigensolver flushed a negligible component (exact reduction cannot
@@ -595,38 +537,28 @@ def _solve_level(op, p_list, terms, level, vector, oracle, cfg):
     scale = max(1.0, abs(oracle))
 
     def judge(roots, tag):
+        """(rank, resid, roots, tag, energy, derivs) of one root set; the
+        rank puts a pass first, then an agreeing energy, then the smaller
+        residual."""
         derivs = _derivatives(_monic_from_roots(roots), op.order)
         resid = _scaled_robust(p_list, roots, derivs)
         energy = _closed_form_energy(op, roots, cfg)
-        ok = (resid <= cfg.tol
-              and math.isfinite(energy)
-              and abs(energy - oracle) <= cfg.energy_tol * scale)
-        return ok, resid, roots, tag, energy, derivs
+        agrees = math.isfinite(energy) and abs(energy - oracle) <= cfg.energy_tol * scale
+        ok = resid <= cfg.tol and agrees
+        return (ok, agrees, -resid), resid, roots, tag, energy, derivs
 
     best = None
-    starts = []
-    for tag, start in candidates():
-        if start.size != n_full or not np.all(np.isfinite(start)):
+    for tag, roots in candidates():
+        if roots.size != n_full or not np.all(np.isfinite(roots)):
             continue
-        attempt = judge(start, tag)
-        if best is None or (attempt[0], -attempt[1]) > (best[0], -best[1]):
+        attempt = judge(roots, tag)
+        if best is None or attempt[0] > best[0]:
             best = attempt
-        if attempt[0]:
+        if attempt[0][0]:
             break
-        starts.append((tag, start))
-    else:   # no candidate passes as-is: polish the distinct ones
-        for tag, start in starts:
-            if _has_close_pair(start, _DEGENERATE_TOL):
-                continue
-            refined, _, iterations = _newton_refine(p_list, start, cfg)
-            attempt = judge(refined, tag if iterations == 0 else "refined")
-            if (attempt[0], -attempt[1]) > (best[0], -best[1]):
-                best = attempt
-            if attempt[0]:
-                break
 
-    if best is not None and (best[0] or not v_reduced):
-        converged, r_robust, roots, source, energy, derivs = best
+    if best is not None and (best[0][0] or not v_reduced):
+        (converged, _, _), r_robust, roots, source, energy, derivs = best
         roots = np.asarray(roots)
         reduced = False
         if not math.isfinite(energy):
@@ -654,10 +586,11 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
 
     Pipeline: diagonalize the monomial block, take the roots of each
     level's eigenpolynomial from the first candidate that passes as-is
-    (Newton polish only when none does), evaluate the pole-residue
-    residuals where the roots are distinct, and recompute the energy from
-    the closed form.  Levels whose eigenpolynomial has near-multiple roots
-    are flagged degenerate and validated only through the robust form.
+    (the attempt whose energy agrees when none does), evaluate the
+    pole-residue residuals where the roots are distinct, and recompute the
+    energy from the closed form.  Levels whose eigenpolynomial has
+    near-multiple roots are flagged degenerate and validated only through
+    the robust form.
     With ``config.direct`` the independent multi-start search runs as well,
     on the same operator, and its solutions are appended (tagged 'direct').
     """

@@ -360,7 +360,8 @@ def _add_solver_arguments(parser):
                         help="scaled robust-residual tolerance for refinement")
     parser.add_argument("--energy-tol", type=float, default=1e-8,
                         help="relative energy agreement tolerance")
-    parser.add_argument("--max-iter", type=int, default=50)
+    parser.add_argument("--max-iter", type=int, default=50,
+                        help="Newton steps per start of the --direct search")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--direct", action="store_true",
                         help="roots: also run the independent multi-start search and "
