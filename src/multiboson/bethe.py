@@ -14,16 +14,19 @@ psi'(a_p).  The energy depends on the roots only through their sum:
 E = B(N) - A(N-1) * sum(alpha), with A, B the hop polynomials.
 
 The production solve path takes each level's roots from the companion
-matrix of an eigenpolynomial: first the monomial-basis eigenvector, then
-the coefficients rebuilt from the three-term recurrence in float64, then
-the same recurrence at high working precision in the standard library's
-`decimal`.  Each candidate is judged once, and the first root set that
+matrix of an eigenpolynomial, down a ladder of three rungs: first the
+monomial-basis eigenvector, then the coefficients rebuilt from the
+three-term recurrence in float64, then the same recurrence at high working
+precision in the standard library's `decimal`.  Each recurrence rung
+judges all of a sector's still unresolved levels at once, as one stack of
+root sets, and the pole-residue residuals of the kept sets are one stack
+too.  Each candidate is judged once, and a level's first root set that
 passes as-is is accepted.  When none does, the level is reported
 unconverged and keeps the attempt whose closed-form energy agrees with the
 oracle eigenvalue, the smaller residual breaking ties.  Each sector's
 block, spectrum, operator and hop values (as floats and at working
 precision) are built once, and one derivative list psi, psi', ... per
-root set feeds both residual forms.  An independent multi-start Newton
+stack feeds both residual forms.  An independent multi-start Newton
 search on the pole-residue equations, run on the same operator, is
 available as a confirmation mode.
 """
@@ -126,54 +129,83 @@ class ValidationReport:
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers on plain complex arrays (ascending coefficients)
+# residual kernels on stacks of root sets
+#
+# Every kernel takes an (L, N) stack of root sets, one per row, with the
+# derivative list of their monic polynomials as (L, K) coefficient rows;
+# a single root set is a stack of one.  The kernels let overflow read as
+# inf and undefined values as NaN: their callers run them under `_quiet`.
+
+def _quiet(func):
+    """Run `func` with numpy's overflow, invalid and divide warnings off."""
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return func(*args, **kwargs)
+    return wrapper
+
 
 def _monic_from_roots(roots) -> np.ndarray:
-    c = np.array([1.0 + 0.0j])
-    for a in roots:
-        c = np.convolve(c, np.array([-a, 1.0 + 0.0j]))
-    return c
+    """Coefficients of prod_p (z - a_p), one row per root set: (L, N) ->
+    (L, N + 1), or (N,) -> (N + 1,) for a single set."""
+    roots = np.asarray(roots, dtype=complex)
+    rows = np.atleast_2d(roots)
+    out = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=complex)
+    for row, root_set in zip(out, rows):
+        c = np.array([1.0 + 0.0j])
+        for a in root_set:
+            c = np.convolve(c, np.array([-a, 1.0 + 0.0j]))
+        row[:] = c
+    return out if roots.ndim == 2 else out[0]
 
 
 def _float_polys(op: DiffOpForm):
     return [np.asarray([complex(c) for c in p.coeffs], dtype=complex) for p in op.p]
 
 
-def _derivatives(psi: np.ndarray, order: int) -> list:
-    """[psi, psi', ..., psi^(order)]: one list feeds H psi, its magnitude
-    bound and the pole-residue components of a root set."""
-    derivs = [psi]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(order):
-            derivs.append(npoly.polyder(derivs[-1]))
+def _derivatives(roots: np.ndarray, order: int) -> list:
+    """[psi, psi', ..., psi^(order)] of each root set's monic psi, as (L, K)
+    rows: one list feeds H psi, its magnitude bound and the pole-residue
+    components of the stack."""
+    derivs = [_monic_from_roots(roots)]
+    for _ in range(order):
+        derivs.append(npoly.polyder(derivs[-1], axis=-1))
     return derivs
 
 
+def _at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Polynomial values at an (L, N) array of points: one shared
+    coefficient vector, or one (L, K) row of coefficients per row of points
+    in a single Horner sweep."""
+    if coeffs.ndim == 1:
+        return npoly.polyval(points, coeffs)
+    return npoly.polyval(points, coeffs.T[:, :, None], tensor=False)
+
+
 def _apply_float(p_list, derivs) -> np.ndarray:
-    """Coefficients of sum_i P_i psi^(i), from psi's derivative list.
+    """Coefficient rows of sum_i P_i psi^(i), from each row's derivative list.
 
     On magnitudes it bounds the terms entering H psi: the residual scale,
     which must not come from the (possibly perfectly cancelled) result --
-    an eigenvalue at zero makes H psi the zero polynomial.
+    an eigenvalue at zero makes H psi the zero polynomial.  The products
+    stay one `np.convolve` per row.
     """
-    out = np.zeros(1, dtype=derivs[0].dtype)
+    out = np.zeros((derivs[0].shape[0], 1), dtype=derivs[0].dtype)
     for p, deriv in zip(p_list, derivs):
         if p.size == 0:
             continue
-        term = np.convolve(p, deriv)
-        if term.size > out.size:
-            term[: out.size] += out
+        term = np.array([np.convolve(p, row) for row in deriv])
+        if term.shape[1] > out.shape[1]:
+            term[:, : out.shape[1]] += out
             out = term
         else:
-            out[: term.size] += term
+            out[:, : term.shape[1]] += term
     return out
 
 
 def _magnitudes(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Magnitude scale of the polynomial's terms at `points`."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mags = npoly.polyval(np.abs(points), np.abs(coeffs))
-    return np.maximum(np.atleast_1d(mags), 1e-300)
+    """Magnitude scale of the polynomials' terms at `points`."""
+    return np.maximum(_at(np.abs(coeffs), np.abs(points)), 1e-300)
 
 
 def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
@@ -190,51 +222,50 @@ def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
     return bool(np.any(gaps < rel_tol * scale))
 
 
-def _scaled_robust(p_list, roots: np.ndarray, derivs) -> float:
-    """Backward-error style residual: max |H psi(a_p)| over the magnitude
-    bound of the terms that built H psi at that point.
+def _scaled_robust(p_list, roots: np.ndarray, derivs) -> np.ndarray:
+    """Backward-error style residual per root set: max |H psi(a_p)| over
+    the magnitude bound of the terms that built H psi at that point.
 
     Overflow in intermediate evaluations (roots far off the scale of a
     badly conditioned eigenpolynomial) reads as inf and fails acceptance.
     """
-    if len(roots) == 0:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = npoly.polyval(roots, _apply_float(p_list, derivs))
-        bound = _apply_float([np.abs(p) for p in p_list], [np.abs(d) for d in derivs])
-        mags = npoly.polyval(np.abs(roots), bound)
-        out = float(np.max(np.abs(np.atleast_1d(vals))
-                           / np.maximum(np.atleast_1d(mags), 1e-300)))
-    return out if math.isfinite(out) else math.inf
+    if roots.shape[1] == 0:
+        return np.zeros(roots.shape[0])
+    vals = _at(_apply_float(p_list, derivs), roots)
+    bound = _apply_float([np.abs(p) for p in p_list], [np.abs(d) for d in derivs])
+    out = np.max(np.abs(vals) / np.maximum(_at(bound, np.abs(roots)), 1e-300), axis=1)
+    out[~np.isfinite(out)] = math.inf
+    return out
 
 
 def _pole_residues(p_list, roots: np.ndarray, derivs) -> np.ndarray:
     """sum_{i>=1} P_i(a_p) psi^(i)(a_p) / psi'(a_p), one component per root."""
-    res = np.zeros(roots.size, dtype=complex)
+    res = np.zeros(roots.shape, dtype=complex)
     for p, deriv in zip(p_list[1:], derivs[1:]):
         if p.size:
-            res += npoly.polyval(roots, p) * npoly.polyval(roots, deriv)
-    return res / npoly.polyval(roots, derivs[1])
+            res += _at(p, roots) * _at(deriv, roots)
+    return res / _at(derivs[1], roots)
 
 
-def _scaled_bae(p_list, roots: np.ndarray, derivs) -> float:
-    """Scaled magnitude of the pole-residue components (NaN if unusable)."""
-    if roots.size == 0:
-        return 0.0
-    if _has_close_pair(roots, _MIN_SEPARATION):
-        return math.nan
+def _scaled_bae(p_list, roots: np.ndarray, derivs) -> np.ndarray:
+    """Scaled magnitude of the pole-residue components per root set.
+
+    Meaningful only for pairwise-separated roots (`_MIN_SEPARATION`): the
+    caller checks that first.
+    """
     res = _pole_residues(p_list, roots, derivs)
-    scale = np.zeros(roots.size)
+    scale = np.zeros(roots.shape)
     for p, deriv in zip(p_list[1:], derivs[1:]):
         if p.size:
             scale += _magnitudes(p, roots) * _magnitudes(deriv, roots)
-    dvals = np.abs(npoly.polyval(roots, derivs[1]))
-    return float(np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0)))
+    dvals = np.abs(_at(derivs[1], roots))
+    return np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0), axis=1)
 
 
 # ----------------------------------------------------------------------
 # residual forms
 
+@_quiet
 def bethe_residuals(op: DiffOpForm, roots,
                     min_separation: float = _MIN_SEPARATION) -> np.ndarray:
     """Pole-residue components, one per root, via derivatives of psi.
@@ -250,10 +281,11 @@ def bethe_residuals(op: DiffOpForm, roots,
         return np.zeros(0, dtype=complex)
     if _has_close_pair(roots, min_separation):
         raise ValueError("coincident roots: use the robust residual form")
-    derivs = _derivatives(_monic_from_roots(roots), op.order)
-    return _pole_residues(_float_polys(op), roots, derivs)
+    stack = roots[None]
+    return _pole_residues(_float_polys(op), stack, _derivatives(stack, op.order))[0]
 
 
+@_quiet
 def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
     """(H psi)(a_p) for the monic psi built from the roots.
 
@@ -264,8 +296,8 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    derivs = _derivatives(_monic_from_roots(roots), op.order)
-    return np.atleast_1d(npoly.polyval(roots, _apply_float(_float_polys(op), derivs)))
+    stack = roots[None]
+    return _at(_apply_float(_float_polys(op), _derivatives(stack, op.order)), stack)[0]
 
 
 # ----------------------------------------------------------------------
@@ -424,15 +456,14 @@ def _coefficients_at_energy(terms: _HopTerms, energy: float) -> np.ndarray:
     n = terms.n_top
     c = np.zeros(n + 1, dtype=complex)
     c[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in range(n):
-            rhs = (energy - hop_b[m]) * c[m]
-            if m > 0:
-                rhs -= hop_a[m - 1] * c[m - 1]
-            c[m + 1] = rhs / hop_c[m]
-            peak = np.max(np.abs(c[: m + 2]))
-            if peak > 1e200:  # only coefficient ratios matter for the roots
-                c[: m + 2] /= peak
+    for m in range(n):
+        rhs = (energy - hop_b[m]) * c[m]
+        if m > 0:
+            rhs -= hop_a[m - 1] * c[m - 1]
+        c[m + 1] = rhs / hop_c[m]
+        peak = np.max(np.abs(c[: m + 2]))
+        if peak > 1e200:  # only coefficient ratios matter for the roots
+            c[: m + 2] /= peak
     return c
 
 
@@ -491,19 +522,23 @@ def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
         return math.nan
 
 
-def _solve_level(op, p_list, terms, level, vector, oracle, cfg):
-    """Root pipeline for one eigenlevel, in one pass down the candidates.
+@_quiet
+def _solve_levels(op, p_list, vectors, oracles, cfg):
+    """Root pipeline for all levels of a sector, in one pass down the ladder.
 
-    Candidate full-degree root sets come in order of increasing cost --
+    Candidate full-degree root sets come in rungs of increasing cost --
     eigenvector extraction, the float64 coefficient recurrence, and the
-    same recurrence at high working precision -- and each is judged once,
-    as-is: the first whose scaled residual meets `cfg.tol` and whose
+    same recurrence at high working precision.  Extracted root sets are
+    judged level by level; at each recurrence rung the levels still
+    unresolved are judged together, as one stack.  Each root set is judged
+    once, as-is: the first whose scaled residual meets `cfg.tol` and whose
     closed-form energy agrees with the oracle eigenvalue to
-    `cfg.energy_tol` is accepted, and later candidates are never built.
-    When none passes, the level is unconverged and keeps the attempt whose
-    energy agrees, the smaller residual breaking ties: the energy depends
-    on the roots only through their sum, so an agreeing candidate carries
-    the right physics even when its roots are too coarse for the residual.
+    `cfg.energy_tol` is accepted, and later candidates of that level are
+    never built.  When none passes, the level is unconverged and keeps the
+    attempt whose energy agrees, the smaller residual breaking ties: the
+    energy depends on the roots only through their sum, so an agreeing
+    candidate carries the right physics even when its roots are too coarse
+    for the residual.
 
     An eigenvector whose leading coefficient is exactly zero usually means
     the eigensolver flushed a negligible component (exact reduction cannot
@@ -514,71 +549,94 @@ def _solve_level(op, p_list, terms, level, vector, oracle, cfg):
     """
     n_full = op.n_top
     if n_full == 0:
-        return BetheSolution(
+        return [BetheSolution(
             level=level, roots=(), energy=_closed_form_energy(op, (), cfg),
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
-    v_roots, v_reduced = roots_from_eigenvector(vector)
-    if v_roots.size and not np.all(np.isfinite(v_roots)):
-        # leading coefficient at underflow scale: retreat to the trimmed set
-        v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
+            for level, oracle in enumerate(oracles)]
+    terms = _HopTerms(op)
+    extracted = []
+    for vector in vectors.T:
+        v_roots, v_reduced = roots_from_eigenvector(vector)
+        if v_roots.size and not np.all(np.isfinite(v_roots)):
+            # leading coefficient at underflow scale: retreat to the trimmed set
+            v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
+        extracted.append((v_roots, v_reduced))
 
-    def candidates():
+    # per level: (rank, resid, roots, tag, energy, derivs) of the best
+    # attempt; the rank puts a pass first, then an agreeing energy, then
+    # the smaller residual
+    best = [None] * len(oracles)
+
+    def judge(tag, candidates):
+        rows = [(level, roots) for level, roots in candidates
+                if roots.size == n_full and np.all(np.isfinite(roots))]
+        if not rows:
+            return
+        stack = np.array([roots for _, roots in rows], dtype=complex)
+        derivs = _derivatives(stack, op.order)
+        resids = _scaled_robust(p_list, stack, derivs).tolist()
+        for row, ((level, roots), resid) in enumerate(zip(rows, resids)):
+            oracle = oracles[level]
+            energy = _closed_form_energy(op, roots, cfg)
+            agrees = (math.isfinite(energy)
+                      and abs(energy - oracle) <= cfg.energy_tol * max(1.0, abs(oracle)))
+            rank = (resid <= cfg.tol and agrees, agrees, -resid)
+            if best[level] is None or rank > best[level][0]:
+                best[level] = (rank, resid, roots, tag, energy, [d[row] for d in derivs])
+
+    def unresolved(levels):
+        return [level for level in levels if best[level] is None or not best[level][0][0]]
+
+    # The extraction rung judges each level as a stack of one.  Stacking it
+    # too is faster still, but the benchmark keeps every solution a run
+    # returns, so its peak RSS grows with throughput and then passes its
+    # 10% bound on `small_sectors` (ROADMAP item 3).
+    for level, (v_roots, v_reduced) in enumerate(extracted):
         if not v_reduced:
-            yield "extracted", v_roots
-        for build in (_coefficients_at_energy, _high_precision_coefficients):
+            judge("extracted", [(level, v_roots)])
+    live = unresolved(range(len(oracles)))
+    for build in (_coefficients_at_energy, _high_precision_coefficients):
+        rung, live, candidates = live, [], []
+        for level in rung:
             try:
-                coeffs = build(terms, oracle)
+                coeffs = build(terms, oracles[level])
             except ZeroDivisionError:   # vanishing interaction: no recurrence
-                return
+                continue
+            live.append(level)
             if np.all(np.isfinite(coeffs)) and abs(coeffs[-1]) > 0:
-                yield "refined", np.roots(coeffs[::-1])
+                candidates.append((level, np.roots(coeffs[::-1])))
+        judge("refined", candidates)
+        live = unresolved(live)
 
-    scale = max(1.0, abs(oracle))
-
-    def judge(roots, tag):
-        """(rank, resid, roots, tag, energy, derivs) of one root set; the
-        rank puts a pass first, then an agreeing energy, then the smaller
-        residual."""
-        derivs = _derivatives(_monic_from_roots(roots), op.order)
-        resid = _scaled_robust(p_list, roots, derivs)
-        energy = _closed_form_energy(op, roots, cfg)
-        agrees = math.isfinite(energy) and abs(energy - oracle) <= cfg.energy_tol * scale
-        ok = resid <= cfg.tol and agrees
-        return (ok, agrees, -resid), resid, roots, tag, energy, derivs
-
-    best = None
-    for tag, roots in candidates():
-        if roots.size != n_full or not np.all(np.isfinite(roots)):
-            continue
-        attempt = judge(roots, tag)
-        if best is None or attempt[0] > best[0]:
-            best = attempt
-        if attempt[0][0]:
-            break
-
-    if best is not None and (best[0][0] or not v_reduced):
-        (converged, _, _), r_robust, roots, source, energy, derivs = best
-        roots = np.asarray(roots)
-        reduced = False
-        if not math.isfinite(energy):
-            energy, converged = oracle, False
-    else:
-        # reduced-degree fallback: trimmed roots, oracle energy
-        roots = np.asarray(v_roots)
-        reduced = True
-        source = "extracted"
-        derivs = _derivatives(_monic_from_roots(roots), op.order)
-        r_robust = _scaled_robust(p_list, roots, derivs)
-        energy = oracle
-        converged = r_robust <= cfg.tol
-
-    degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
-    r_bae = math.nan if (degenerate or reduced) else _scaled_bae(p_list, roots, derivs)
-    return BetheSolution(
-        level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
-        residual_bae=r_bae, residual_robust=r_robust, source=source,
-        degenerate=degenerate, reduced=reduced, converged=converged)
+    solutions, separated = [], []
+    for level, ((v_roots, v_reduced), attempt, oracle) in enumerate(
+            zip(extracted, best, oracles)):
+        if attempt is not None and (attempt[0][0] or not v_reduced):
+            (converged, _, _), r_robust, roots, source, energy, derivs = attempt
+            reduced = False
+            if not math.isfinite(energy):
+                energy, converged = oracle, False
+        else:
+            # reduced-degree fallback: trimmed roots, oracle energy
+            roots, reduced, source, energy = v_roots, True, "extracted", oracle
+            stack = v_roots[None]
+            r_robust = float(_scaled_robust(p_list, stack, _derivatives(stack, op.order))[0])
+            converged = r_robust <= cfg.tol
+        degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
+        if not (degenerate or reduced):
+            separated.append((level, roots, derivs))
+        solutions.append(BetheSolution(
+            level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
+            residual_bae=math.nan, residual_robust=r_robust, source=source,
+            degenerate=degenerate, reduced=reduced, converged=converged))
+    if separated:
+        # pairwise separated at _DEGENERATE_TOL, so the pole-residue form applies
+        stack = np.array([roots for _, roots, _ in separated], dtype=complex)
+        derivs = [np.array(rows) for rows in zip(*(d for _, _, d in separated))]
+        for (level, _, _), r_bae in zip(separated, _scaled_bae(p_list, stack, derivs).tolist()):
+            solutions[level] = replace(solutions[level], residual_bae=r_bae)
+    return solutions
 
 
 def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = None):
@@ -588,7 +646,10 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     level's eigenpolynomial from the first candidate that passes as-is
     (the attempt whose energy agrees when none does), evaluate the
     pole-residue residuals where the roots are distinct, and recompute the
-    energy from the closed form.  Levels whose eigenpolynomial has
+    energy from the closed form.  Each recurrence rung of the candidate
+    ladder judges all of the sector's unresolved levels at once, as one
+    stack of root sets, and the pole-residue residuals of the kept sets
+    are evaluated as one stack.  Levels whose eigenpolynomial has
     near-multiple roots are flagged degenerate and validated only through
     the robust form.
     With ``config.direct`` the independent multi-start search runs as well,
@@ -598,10 +659,8 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     spec = diagonalize(build_monomial_matrix(model, sector))
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-    terms = _HopTerms(op)
-    solutions = [_solve_level(op, p_list, terms, level, spec.vectors[:, level],
-                              float(spec.energies[level]), cfg)
-                 for level in range(sector.dim)]
+    solutions = _solve_levels(op, p_list, spec.vectors,
+                              [float(e) for e in spec.energies], cfg)
     if cfg.direct:
         solutions.extend(_direct_search(op, p_list, cfg))
     return solutions
@@ -619,6 +678,7 @@ def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None 
     return _direct_search(op, _float_polys(op), config or SolverConfig())
 
 
+@_quiet
 def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
     """`direct_search` on a built operator and its float form."""
 
@@ -635,7 +695,8 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
         """Pole-residue components, or None for coincident roots."""
         if _has_close_pair(roots, _MIN_SEPARATION):
             return None
-        return _pole_residues(p_list, roots, _derivatives(_monic_from_roots(roots), op.order))
+        stack = roots[None]
+        return _pole_residues(p_list, stack, _derivatives(stack, op.order))[0]
 
     rng = np.random.default_rng(cfg.seed)
     found = []
@@ -668,21 +729,24 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
                 break
         if not ok:
             continue
-        derivs = _derivatives(_monic_from_roots(roots), op.order)
-        if _scaled_robust(p_list, roots, derivs) > max(cfg.tol, 1e-10):
+        stack = roots[None]
+        if _scaled_robust(p_list, stack, _derivatives(stack, op.order))[0] > max(cfg.tol, 1e-10):
             continue
         canon = canonicalize_roots(roots)
         scale = max(1.0, max(abs(a) for a in canon))
         if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
                for prev in found if len(prev.roots) == len(canon)):
             continue
-        canon_roots = np.asarray(canon)
-        derivs = _derivatives(_monic_from_roots(canon_roots), op.order)
+        stack = np.asarray(canon)[None]
+        derivs = _derivatives(stack, op.order)
+        # snapping conjugate pairs onto the axis can make two roots coincide
+        r_bae = (math.nan if _has_close_pair(stack[0], _MIN_SEPARATION)
+                 else float(_scaled_bae(p_list, stack, derivs)[0]))
         found.append(BetheSolution(
             level=-1, roots=canon,
             energy=energy(canon),
-            oracle_energy=math.nan, residual_bae=_scaled_bae(p_list, canon_roots, derivs),
-            residual_robust=_scaled_robust(p_list, canon_roots, derivs),
+            oracle_energy=math.nan, residual_bae=r_bae,
+            residual_robust=float(_scaled_robust(p_list, stack, derivs)[0]),
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -241,8 +242,8 @@ def test_adversarial_corruption_is_detected():
     # the corrupted set fails the acceptance residual threshold by far
     from multiboson.bethe import _derivatives, _float_polys, _scaled_robust
 
-    derivs = _derivatives(_monic_from_roots(corrupted), op.order)
-    assert _scaled_robust(_float_polys(op), corrupted, derivs) > 1e-8
+    stack = corrupted[None]
+    assert _scaled_robust(_float_polys(op), stack, _derivatives(stack, op.order))[0] > 1e-8
 
 
 def test_cross_validate_reports_failure_without_raising():
@@ -280,6 +281,84 @@ def test_candidates_pass_as_is_on_preset_a():
         assert sec.n_top == n_top
         report = cross_validate(model, sec)
         assert report.passed, (n_top, report.failing_levels())
+
+
+def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
+    """Preset A at N=30, judged a rung at a time: no recurrence sees a level
+    kept as extracted and converged, and the high-precision route sees no
+    level that passes on the float64 recurrence."""
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 30))
+    seen = collections.defaultdict(list)
+
+    def recorded(name, route):
+        def wrapper(terms, energy):
+            seen[name].append(energy)
+            return route(terms, energy)
+        return wrapper
+
+    for name in ("_coefficients_at_energy", "_high_precision_coefficients"):
+        monkeypatch.setattr(bethe, name, recorded(name, getattr(bethe, name)))
+    sols = solve_bethe(model, sec)
+    extracted = {sol.oracle_energy for sol in sols
+                 if sol.source == "extracted" and sol.converged}
+    float64_route, decimal_route = (set(seen[name]) for name in (
+        "_coefficients_at_energy", "_high_precision_coefficients"))
+    assert extracted and decimal_route
+    assert not extracted & (float64_route | decimal_route)
+    assert decimal_route <= float64_route
+
+    def no_recurrence(terms, energy):
+        raise ZeroDivisionError
+
+    # the levels that pass on the float64 recurrence, with the next rung off
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
+    float64_passes = {sol.oracle_energy for sol in solve_bethe(model, sec)
+                      if sol.source == "refined" and sol.converged}
+    assert float64_passes and not float64_passes & decimal_route
+
+
+def test_stacked_kernels_match_each_row_alone():
+    """The residual kernels on a stack of root sets give each row exactly
+    what they give that row alone; a row that overflows (inf robust
+    residual) and one with a coincident pair (NaN pole-residue residual)
+    leave their neighbours untouched."""
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    op = expand_diffop(model, sector_from_occupations(model, (0, 3, 9)))
+    assert op.order >= 2
+    p_list = bethe._float_polys(op)
+    rng = np.random.default_rng(5)
+    stack = 3.0 * (rng.standard_normal((6, op.n_top)) + 1j * rng.standard_normal((6, op.n_top)))
+    stack[2] *= 1e200
+    stack[4, :2] = 0.0
+
+    def kernels(roots):
+        derivs = bethe._derivatives(roots, op.order)
+        return [*derivs, bethe._scaled_robust(p_list, roots, derivs),
+                bethe._pole_residues(p_list, roots, derivs),
+                bethe._scaled_bae(p_list, roots, derivs)]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        together = kernels(stack)
+        for row in range(len(stack)):
+            alone = kernels(stack[row:row + 1])
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[row], want[0], equal_nan=True), row
+    robust, bae = together[-3], together[-1]
+    assert robust[2] == math.inf and math.isnan(bae[4])
+    neighbours = [0, 1, 3, 5]
+    assert np.all(np.isfinite(robust[neighbours])) and np.all(np.isfinite(bae[neighbours]))
+
+
+def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
+    """Overflow in the residual kernels at N=100 reads as inf silently."""
+    model = preset("B", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 200))
+    assert sec.n_top == 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cross_validate(model, sec)
+    assert len(report.levels) == 101
 
 
 def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
@@ -338,16 +417,16 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
     for name in ("build_monomial_matrix", "diagonalize", "expand_diffop", "_float_polys",
                  "direct_search", "_direct_search", "hop_coefficients"):
         monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
-    solve_level = bethe._solve_level
+    solve_levels = bethe._solve_levels
 
-    def level(*args, **kwargs):
+    def levels(*args, **kwargs):
         in_level.append(True)
         try:
-            return solve_level(*args, **kwargs)
+            return solve_levels(*args, **kwargs)
         finally:
             in_level.pop()
 
-    monkeypatch.setattr(bethe, "_solve_level", level)
+    monkeypatch.setattr(bethe, "_solve_levels", levels)
     model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
     sec = sector_from_occupations(model, (0, 3, 12))
     for config in (None, SolverConfig(direct=True)):
