@@ -17,11 +17,11 @@ The production solve path takes each level's roots from the companion
 matrix of an eigenpolynomial, down a ladder of three rungs: first the
 monomial-basis eigenvector, then the coefficients rebuilt from the
 three-term recurrence in float64, then the same recurrence at high working
-precision in the standard library's `decimal`.  Each recurrence rung
-judges all of a sector's still unresolved levels at once, as one stack of
-root sets, and the pole-residue residuals of the kept sets are one stack
-too.  Each candidate is judged once, and a level's first root set that
-passes as-is is accepted.  When none does, the level is reported
+precision in the standard library's `decimal`.  Each rung judges all of
+a sector's still unresolved levels at once, as one stack of root sets, and
+the pole-residue residuals of the kept sets are one stack too.  Each
+candidate is judged once, and a level's first root set that passes as-is
+is accepted.  When none does, the level is reported
 unconverged and keeps the attempt whose closed-form energy agrees with the
 oracle eigenvalue, the smaller residual breaking ties.  Each sector's
 block, spectrum, operator and hop values (as floats and at working
@@ -528,11 +528,10 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
 
     Candidate full-degree root sets come in rungs of increasing cost --
     eigenvector extraction, the float64 coefficient recurrence, and the
-    same recurrence at high working precision.  Extracted root sets are
-    judged level by level; at each recurrence rung the levels still
-    unresolved are judged together, as one stack.  Each root set is judged
-    once, as-is: the first whose scaled residual meets `cfg.tol` and whose
-    closed-form energy agrees with the oracle eigenvalue to
+    same recurrence at high working precision.  At each rung the levels
+    still unresolved are judged together, as one stack.  Each root set is
+    judged once, as-is: the first whose scaled residual meets `cfg.tol`
+    and whose closed-form energy agrees with the oracle eigenvalue to
     `cfg.energy_tol` is accepted, and later candidates of that level are
     never built.  When none passes, the level is unconverged and keeps the
     attempt whose energy agrees, the smaller residual breaking ties: the
@@ -588,13 +587,8 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
     def unresolved(levels):
         return [level for level in levels if best[level] is None or not best[level][0][0]]
 
-    # The extraction rung judges each level as a stack of one.  Stacking it
-    # too is faster still, but the benchmark keeps every solution a run
-    # returns, so its peak RSS grows with throughput and then passes its
-    # 10% bound on `small_sectors` (ROADMAP item 3).
-    for level, (v_roots, v_reduced) in enumerate(extracted):
-        if not v_reduced:
-            judge("extracted", [(level, v_roots)])
+    judge("extracted", [(level, v_roots) for level, (v_roots, v_reduced)
+                        in enumerate(extracted) if not v_reduced])
     live = unresolved(range(len(oracles)))
     for build in (_coefficients_at_energy, _high_precision_coefficients):
         rung, live, candidates = live, [], []
@@ -646,8 +640,8 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     level's eigenpolynomial from the first candidate that passes as-is
     (the attempt whose energy agrees when none does), evaluate the
     pole-residue residuals where the roots are distinct, and recompute the
-    energy from the closed form.  Each recurrence rung of the candidate
-    ladder judges all of the sector's unresolved levels at once, as one
+    energy from the closed form.  Each rung of the candidate ladder
+    judges all of the sector's unresolved levels at once, as one
     stack of root sets, and the pole-residue residuals of the kept sets
     are evaluated as one stack.  Levels whose eigenpolynomial has
     near-multiple roots are flagged degenerate and validated only through

@@ -6,7 +6,8 @@ monomial-basis block whose entries are the hop polynomials evaluated at
 integer levels.  The two are related by an explicit diagonal similarity
 (ratios of Fock normalization constants), so their spectra agree by
 construction; diagonalizing the Fock block is the ground-truth oracle the
-root-based solver is checked against.
+root-based solver is checked against.  Both blocks are diagonalized with
+numpy alone, as dense symmetric matrices of size N+1.
 """
 
 from __future__ import annotations
@@ -170,23 +171,22 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
     """Full eigendecomposition of a sector block.
 
-    The Fock block goes straight to the symmetric tridiagonal solver.  The
-    monomial block is symmetrized by the diagonal similarity with ratios
-    upper[i]/sqrt(upper[i]*lower[i]) (the Fock normalization ratios), then
-    the eigenvectors are mapped back to monomial coordinates.
+    The Fock block goes straight to numpy's symmetric eigensolver, as a
+    dense matrix holding its diagonal and lower band (`np.linalg.eigh`
+    reads the lower triangle only).  The monomial block is symmetrized by
+    the diagonal similarity with ratios upper[i]/sqrt(upper[i]*lower[i])
+    (the Fock normalization ratios), then the eigenvectors are mapped back
+    to monomial coordinates.
     """
-    # imported here: commands that never diagonalize skip scipy.linalg's import
-    from scipy.linalg import eigh_tridiagonal
-
     n = block.dim
     if block.basis == "fock":
-        energies, vectors = eigh_tridiagonal(block.diag, block.upper)
+        energies, vectors = np.linalg.eigh(np.diag(block.diag) + np.diag(block.upper, -1))
     else:
         prod = block.upper * block.lower
         if n > 1 and np.min(prod) < -1e-12 * max(1.0, float(np.max(np.abs(prod)))):
             raise ValueError("monomial block has upper*lower < 0; cannot symmetrize")
         sym_off = np.sqrt(np.maximum(prod, 0.0))
-        energies, sym_vectors = eigh_tridiagonal(block.diag, sym_off)
+        energies, sym_vectors = np.linalg.eigh(np.diag(block.diag) + np.diag(sym_off, -1))
         scale = np.ones(n)
         for i in range(n - 1):
             scale[i + 1] = scale[i] * (block.upper[i] / sym_off[i] if sym_off[i] > 0 else 1.0)

@@ -192,12 +192,21 @@ def test_scan_quadratic_coupling_sweep(capsys):
     assert top == pytest.approx([0.0, 2.0, 4.0])
 
 
-def test_import_leaves_scipy_linalg_and_mpmath_out():
-    """`import multiboson` pays for neither: scipy.linalg is imported at the
-    first diagonalization, and mpmath is not used at all."""
-    code = ("import sys, multiboson.cli; "
-            "print(sorted({'scipy.linalg', 'mpmath'} & set(sys.modules)))")
+def test_solve_and_scan_load_neither_scipy_nor_mpmath():
+    """A `solve` that reaches the high-precision root route, then a `scan`,
+    run in one fresh process: blocks are diagonalized with numpy alone, and
+    the route runs on the standard library's `decimal`."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from multiboson.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['solve', '--preset', 'A', '--w=0.4,-0.3,0.2',\n"
+        "                   '--wq=1,2=0.5', '--g=0.8', '--occ=0,3,30']),\n"
+        "             main(['scan', '--preset', 'C', '--g-range', '0:1:0.5',\n"
+        "                   '--occ', '2,1,1,3'])]\n"
+        "print(codes, sorted(name for name in sys.modules\n"
+        "                    if name.split('.')[0] in ('scipy', 'mpmath')))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "[]"
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[0, 0] []"
