@@ -11,7 +11,8 @@ psi(z) = prod_p (z - alpha_p) whose roots make every simple pole of
 
 For pairwise-distinct roots the two differ exactly by the factor
 psi'(a_p).  The energy depends on the roots only through their sum:
-E = B(N) - A(N-1) * sum(alpha), with A, B the hop polynomials.
+E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
+`diffop.hop_values`.
 
 The production solve path takes each level's roots from the companion
 matrix of an eigenpolynomial, down a ladder of three rungs: first the
@@ -42,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .diffop import DiffOpForm, expand_diffop, hop_coefficients
+from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
 from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
 
@@ -368,26 +369,24 @@ def canonicalize_roots(roots, pair_tol: float = 1e-8) -> tuple:
 def energy_from_roots(model: ModelSpec, sector: Sector, roots, imag_tol: float = 1e-8):
     """Closed-form energy of the level with the given root set.
 
-    The coupling-dependent constant is the diagonal energy of the top
-    state (level N); the only root dependence is linear in sum(alpha)
-    with prefactor A(N-1).  Exact inputs give an exact result; complex
-    float roots must have a conjugate-symmetric sum or the imaginary
-    leftovers are rejected.
+    The coupling-dependent constant is B(N), the diagonal energy of the
+    top state (level N); the only root dependence is linear in sum(alpha)
+    with prefactor A(N-1).  Both come from `diffop.hop_values`.  Exact
+    inputs give an exact result; complex float roots must have a
+    conjugate-symmetric sum or the imaginary leftovers are rejected.
     """
-    hop_a, hop_b, _ = hop_coefficients(model, sector)
-    return _energy(hop_a, hop_b, sector.n_top, roots, imag_tol)
+    return _energy(hop_values(model, sector), roots, imag_tol)
 
 
-def _energy(hop_a, hop_b, n_top: int, roots, imag_tol: float):
-    """E = B(N) - A(N-1) * sum(alpha) from the sector's hop polynomials."""
+def _energy(values, roots, imag_tol: float):
+    """E = B(N) - A(N-1) * sum(alpha) from a sector's hop values."""
+    hop_a, hop_b, _ = values   # A(0..N-1), B(0..N)
     roots = tuple(roots)
-    if len(roots) > n_top:
-        raise ValueError(f"got {len(roots)} roots for a sector with N={n_top}")
-    const = hop_b(n_top)
+    if len(roots) > len(hop_a):
+        raise ValueError(f"got {len(roots)} roots for a sector with N={len(hop_a)}")
     if not roots:
-        return const
-    ssum = sum(roots)
-    energy = const - hop_a(n_top - 1) * ssum
+        return hop_b[-1]
+    energy = hop_b[-1] - hop_a[-1] * sum(roots)
     if isinstance(energy, complex):
         scale = max(1.0, abs(energy.real))
         if abs(energy.imag) > imag_tol * scale:
@@ -397,27 +396,23 @@ def _energy(hop_a, hop_b, n_top: int, roots, imag_tol: float):
 
 
 class _HopTerms:
-    """One sector's hop values A(0..N-1), B(0..N), C(1..N), evaluated once.
+    """One sector's hop values A(0..N-1), B(0..N), C(1..N) in the two
+    arithmetics of the recurrences.
 
-    Both forms are built on first use, so a sector whose levels all pass
-    on extraction pays for neither: `floats` feeds the float64 recurrence,
-    `working` the high-precision route.
+    Built from `DiffOpForm.hop_values`.  Both forms are converted on first
+    use, so a sector whose levels all pass on extraction pays for neither:
+    `floats` feeds the float64 recurrence, `working` the high-precision
+    route.
     """
 
-    def __init__(self, op: DiffOpForm):
-        self.op = op
-        self.n_top = op.n_top
-
-    @functools.cached_property
-    def _values(self):
-        op, n = self.op, self.n_top
-        return ([op.hop_a(m) for m in range(n)], [op.hop_b(m) for m in range(n + 1)],
-                [op.hop_c(m) for m in range(1, n + 1)])
+    def __init__(self, values):
+        self.values = values
+        self.n_top = len(values[1]) - 1
 
     @functools.cached_property
     def floats(self):
         """The hop values as floats."""
-        return tuple([float(x) for x in values] for values in self._values)
+        return tuple([float(x) for x in values] for values in self.values)
 
     @functools.cached_property
     def working(self):
@@ -437,7 +432,7 @@ class _HopTerms:
             return decimal.Decimal(float(x))
 
         with decimal.localcontext(context):
-            hop_a, hop_b, hop_c = ([convert(x) for x in values] for values in self._values)
+            hop_a, hop_b, hop_c = ([convert(x) for x in values] for values in self.values)
             off = [a * c for a, c in zip(hop_a, hop_c)]
         return context, hop_a, hop_b, hop_c, off
 
@@ -516,8 +511,7 @@ def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
 
 def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
     try:
-        return float(_energy(op.hop_a, op.hop_b, op.n_top, roots,
-                             imag_tol=math.sqrt(cfg.energy_tol)))
+        return float(_energy(op.hop_values, roots, imag_tol=math.sqrt(cfg.energy_tol)))
     except ValueError:
         return math.nan
 
@@ -553,7 +547,7 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
             for level, oracle in enumerate(oracles)]
-    terms = _HopTerms(op)
+    terms = _HopTerms(op.hop_values)
     extracted = []
     for vector in vectors.T:
         v_roots, v_reduced = roots_from_eigenvector(vector)
@@ -677,7 +671,7 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
     """`direct_search` on a built operator and its float form."""
 
     def energy(roots):
-        return float(_energy(op.hop_a, op.hop_b, op.n_top, roots, imag_tol=1e-8))
+        return float(_energy(op.hop_values, roots, imag_tol=1e-8))
 
     n = op.n_top
     if n == 0:

@@ -18,6 +18,7 @@ output.  Exit status: 0 all checks passed, 2 malformed configuration,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -226,6 +227,8 @@ def _grid(spec_text: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"range: cannot parse {spec_text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"range: start, stop and step must be finite, got {spec_text!r}")
     if step <= 0:
         raise ConfigError("range: step must be positive")
     count = int(round((stop - start) / step))

@@ -12,6 +12,11 @@ M = max(sum k_i over group 1, sum k_i over group 2, 2).  Quasi-exact
 solvability is the pair of exact zeros A(N) = 0 and C(0) = 0, which trap
 the polynomial subspace of degree <= N.
 
+The expanded polynomials (`hop_coefficients`) serve only to build the
+P_i.  Every value at a level n = 0..N -- the monomial block, the
+recurrences and the closed-form energy -- comes from `hop_values`, which
+reads the products of falling factorials straight off the occupations.
+
 Coefficients stay exact rationals whenever the model couplings are
 rational; float couplings flow through the identical code path.
 """
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import ModelSpec, Sector
+from .fock import ModelSpec, Sector, occupations_at
 
 
 def _exact(x) -> bool:
@@ -147,7 +152,9 @@ def hop_coefficients(model: ModelSpec, sector: Sector):
     A(n) collects the annihilation-group falling factorials (the z^{n+1}
     part), C(n) the creation-group ones (z^{n-1}), and B(n) is the
     diagonal energy sum over occupations at level n.  A(N) and C(0) vanish
-    identically: an exact integer zero factor, not a cancellation.
+    identically: an exact integer zero factor, not a cancellation.  The
+    polynomials build the P_i of `expand_diffop`; values at the levels
+    come from `hop_values`.
     """
     hop_a = Polynomial((1,))
     for i in model.group2:
@@ -175,21 +182,57 @@ def hop_coefficients(model: ModelSpec, sector: Sector):
     return hop_a, hop_b, hop_c
 
 
+def _number_energy(model: ModelSpec, occ):
+    """Diagonal energy sum_i w_i m_i + sum_{i<=j} w_ij m_i m_j of one state.
+
+    Exact for exact couplings.  The terms are added left to right in this
+    order (w_i m_i first, then w_ij m_i m_j), which fixes the float sum.
+    """
+    e = 0
+    for i in range(model.n_modes):
+        e += model.w[i] * occ[i]
+    for i in range(model.n_modes):
+        for j in range(i, model.n_modes):
+            wij = model.wq[i][j]
+            if wij != 0:
+                e += wij * occ[i] * occ[j]
+    return e
+
+
+def hop_values(model: ModelSpec, sector: Sector):
+    """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels.
+
+    Read from the occupations, not from the expanded polynomials:
+    A(n) = g * prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1) at
+    level n, and C(n) is the same product over group 1.  Each product is
+    an exact integer, multiplied by g once, so a float g rounds it once
+    and no sum can cancel near the exact zeros A(N) = C(0) = 0.  B(n) is
+    `_number_energy` at level n.
+    """
+    levels = [occupations_at(model, sector, n) for n in range(sector.n_top + 1)]
+
+    def hops(group, states):
+        return tuple(model.g * math.prod(occ[i] - d for i in group for d in range(model.k[i]))
+                     for occ in states)
+
+    return (hops(model.group2, levels[:-1]),
+            tuple(_number_energy(model, occ) for occ in levels),
+            hops(model.group1, levels[1:]))
+
+
 @dataclass(frozen=True)
 class DiffOpForm:
     """Expanded operator sum_i p[i] (d/dz)^i acting on degree <= n_top.
 
     `order` is M = max(sum k over each group, 2); entries of `p` may be
-    zero polynomials (e.g. P_2 when the diagonal is linear).  The hop
-    polynomials are retained because the root equations and energies are
-    naturally written in terms of them.
+    zero polynomials (e.g. P_2 when the diagonal is linear).  `hop_values`
+    holds the sector's (A, B, C) values from `hop_values`: the recurrences
+    and the closed-form energy read them, never the expanded polynomials.
     """
 
     order: int
     p: tuple
-    hop_a: Polynomial
-    hop_b: Polynomial
-    hop_c: Polynomial
+    hop_values: tuple
     n_top: int
 
 
@@ -216,7 +259,7 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
         if i > 0:
             grids[i][i - 1] = grids[i][i - 1] + c
     return DiffOpForm(order=order, p=tuple(Polynomial(gr) for gr in grids),
-                      hop_a=hop_a, hop_b=hop_b, hop_c=hop_c, n_top=sector.n_top)
+                      hop_values=hop_values(model, sector), n_top=sector.n_top)
 
 
 def apply_to_polynomial(op: DiffOpForm, psi: Polynomial) -> Polynomial:

@@ -94,16 +94,29 @@ class ModelSpec:
         return self.wq[i][j]
 
 
+def _as_power(ki) -> int:
+    """An interaction power as an int; a non-integral value is rejected,
+    never truncated."""
+    try:
+        if int(ki) == ki:
+            return int(ki)
+    except (TypeError, ValueError, OverflowError):   # None, text, nan, inf
+        pass
+    raise ValueError(f"interaction powers k must be integers, got {ki!r}")
+
+
 def make_model(r, s, k, w=None, wq=None, g=0) -> ModelSpec:
     """Build a :class:`ModelSpec`, normalizing coupling containers.
 
-    `w` may be None (all zero) or a sequence of length r+s.  `wq` may be
-    None, a dict keyed by (i, j) with 0-based i <= j, or a full square
-    matrix.  Exact (int / Fraction) couplings are kept exact so downstream
-    polynomial coefficients stay rational.
+    `k` holds integral values (int, or a float or Fraction equal to one);
+    anything else raises ValueError.  `w` may be None (all zero) or a
+    sequence of length r+s.  `wq` may be None, a dict keyed by (i, j) with
+    0-based i <= j, or a full square matrix.  Exact (int / Fraction)
+    couplings are kept exact so downstream polynomial coefficients stay
+    rational.
     """
     n = r + s
-    kt = tuple(int(ki) for ki in k)
+    kt = tuple(_as_power(ki) for ki in k)
     wt = tuple(_as_coupling(x) for x in (w if w is not None else [0] * n))
     if wq is None:
         rows = [[0] * n for _ in range(n)]

@@ -2,12 +2,14 @@
 
 Two equivalent tridiagonal forms are built: the symmetric Fock-basis block
 with square-root factorial matrix elements, and the non-symmetric
-monomial-basis block whose entries are the hop polynomials evaluated at
-integer levels.  The two are related by an explicit diagonal similarity
-(ratios of Fock normalization constants), so their spectra agree by
-construction; diagonalizing the Fock block is the ground-truth oracle the
-root-based solver is checked against.  Both blocks are diagonalized with
-numpy alone, as dense symmetric matrices of size N+1.
+monomial-basis block whose entries are the hop values A(n), B(n), C(n) of
+`diffop.hop_values`.  Both share that helper's diagonal B(n); the Fock
+off-diagonal stays an independent construction (`transition_element`).
+The two are related by an explicit diagonal similarity (ratios of Fock
+normalization constants), so their spectra agree by construction;
+diagonalizing the Fock block is the ground-truth oracle the root-based
+solver is checked against.  Both blocks are diagonalized with numpy
+alone, as dense symmetric matrices of size N+1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import hop_coefficients
+from .diffop import hop_values
 from .fock import ModelSpec, Sector, occupations_at
 
 # Occupations above this use log-space factorial sums instead of exact
@@ -112,18 +114,6 @@ def transition_element(model: ModelSpec, occupations) -> float:
     return _sqrt_product(factors, occupations)
 
 
-def _diagonal_energy(model: ModelSpec, occ) -> float:
-    e = 0.0
-    for i in range(model.n_modes):
-        e += float(model.w[i]) * occ[i]
-    for i in range(model.n_modes):
-        for j in range(i, model.n_modes):
-            wij = model.wq[i][j]
-            if wij != 0:
-                e += float(wij) * occ[i] * occ[j]
-    return e
-
-
 def _maybe_warn_conditioning(block: TridiagonalBlock):
     if block.dim > _WARN_DIM and block.dim > 1:
         peak = max(np.max(np.abs(block.upper)), np.max(np.abs(block.lower)), 0.0)
@@ -137,24 +127,22 @@ def _maybe_warn_conditioning(block: TridiagonalBlock):
 def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     """Symmetric Fock-basis block: diagonal number energies, g times the
     factorial-ratio interaction elements off the diagonal."""
-    n_top = sector.n_top
-    diag = np.array([_diagonal_energy(model, occupations_at(model, sector, n))
-                     for n in range(n_top + 1)])
+    _, hop_b, _ = hop_values(model, sector)
+    diag = np.array([float(b) for b in hop_b])
     off = np.array([float(model.g) * transition_element(model, occupations_at(model, sector, n))
-                    for n in range(n_top)])
+                    for n in range(sector.n_top)])
     block = TridiagonalBlock(basis="fock", diag=diag, upper=off, lower=off.copy())
     _maybe_warn_conditioning(block)
     return block
 
 
 def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
-    """Non-symmetric monomial-basis block from the hop polynomials."""
-    hop_a, hop_b, hop_c = hop_coefficients(model, sector)
-    n_top = sector.n_top
-    diag = np.array([float(hop_b(n)) for n in range(n_top + 1)])
-    upper = np.array([float(hop_a(n)) for n in range(n_top)])
-    lower = np.array([float(hop_c(n + 1)) for n in range(n_top)])
-    block = TridiagonalBlock(basis="monomial", diag=diag, upper=upper, lower=lower)
+    """Non-symmetric monomial-basis block: upper A(0..N-1), diagonal
+    B(0..N) and lower C(1..N), the hop values of `diffop.hop_values`,
+    each rounded to float once."""
+    hop_a, hop_b, hop_c = (np.array([float(x) for x in values], dtype=float)
+                           for values in hop_values(model, sector))
+    block = TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c)
     _maybe_warn_conditioning(block)
     return block
 

@@ -116,9 +116,8 @@ def high_precision_coefficients(op, energy):
     n = op.n_top
     dps = max(50, 30 + 4 * n)
     with mp.workdps(dps):
-        hop_a = [to_mp(op.hop_a(m)) for m in range(max(n - 1, 0) + 1)]
-        hop_b = [to_mp(op.hop_b(m)) for m in range(n + 1)]
-        hop_c = [to_mp(op.hop_c(m)) for m in range(1, n + 1)]
+        # A(0..N-1), B(0..N), C(1..N)
+        hop_a, hop_b, hop_c = ([to_mp(x) for x in values] for values in op.hop_values)
         e_val = mp.mpf(energy)
         e_scale = max(mp.mpf(1), abs(e_val))
         for _ in range(80):

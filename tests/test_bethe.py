@@ -15,7 +15,7 @@ from multiboson import (SolverConfig, bethe, bethe_residuals, build_monomial_mat
                         energy_from_roots, expand_diffop, make_model, occupations_at, preset,
                         robust_residuals, roots_from_eigenvector, sector_from_occupations,
                         solve_bethe)
-from multiboson import cli, diffop
+from multiboson import cli, diffop, hamiltonian
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import has_close_pair, high_precision_coefficients, subset_bae_residuals
@@ -246,6 +246,51 @@ def test_adversarial_corruption_is_detected():
     assert _scaled_robust(_float_polys(op), stack, _derivatives(stack, op.order))[0] > 1e-8
 
 
+# Random sectors whose monomial block was off the Fock one while the hop
+# values came from float Horner on the expanded polynomials: two
+# near-degenerate levels each missed by about 2e-8 of the spectral scale.
+HORNER_CANCELLATION_SECTORS = {
+    "r3s3-N13": dict(
+        r=3, s=3, k=(2, 1, 1, 3, 3, 3), g=0.7315158295827009,
+        w=(0.7306592932889147, 0.10691843470258999, 0.30699414688069937,
+           0.04876785537993422, 0.7991587383609648, 0.9144583104475823),
+        wq={(0, 0): 0.29075010994844197, (0, 1): 0.9065942704396837,
+            (0, 2): 0.5442283085560178, (0, 3): 0.24507507103772208,
+            (0, 4): -0.826147740341787, (0, 5): 0.9638990732146153,
+            (1, 1): -0.7046714769439906, (1, 2): -0.3416114611971879,
+            (1, 3): -0.35018035361318334, (1, 4): 0.7209088295424553,
+            (1, 5): 0.22725009363625537, (2, 2): -0.18818379567225252,
+            (2, 3): -0.19170958447698694, (2, 4): 0.13275889312661615,
+            (2, 5): 0.0015041462311460307, (3, 3): 0.4299680340610086,
+            (3, 4): 0.09262691497950915, (3, 5): -0.8588729954074039,
+            (4, 4): 0.1256324145769785, (4, 5): 0.22517670372842824,
+            (5, 5): -0.6435119541137506},
+        occ=(4, 0, 1, 39, 40, 40), n_top=13),
+    "r1s3-N15": dict(
+        r=1, s=3, k=(3, 3, 3, 3), g=0.8438533153507192,
+        w=(-0.4702696738563672, -0.06510655124702458, 0.4906457046277881,
+           -0.7814729665539346),
+        wq={(0, 0): -0.8160679583241348, (0, 1): -0.04248340017612828,
+            (0, 2): -0.32717752829862556, (0, 3): -0.5650952572713415,
+            (1, 1): 0.5968343047245848, (1, 2): 0.6644026217990402,
+            (1, 3): 0.07486321829715759, (2, 2): 0.6938455675038098,
+            (2, 3): 0.08313483404115973, (3, 3): 0.24668081463884484},
+        occ=(34, 12, 17, 12), n_top=15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORNER_CANCELLATION_SECTORS))
+def test_cross_validate_passes_where_horner_cancelled(name):
+    case = HORNER_CANCELLATION_SECTORS[name]
+    model = make_model(case["r"], case["s"], case["k"], w=list(case["w"]), wq=case["wq"],
+                       g=case["g"])
+    sec = sector_from_occupations(model, case["occ"])
+    assert sec.n_top == case["n_top"]
+    report = cross_validate(model, sec)
+    assert report.passed, report.failing_levels()
+    assert report.max_energy_error <= 1e-12
+
+
 def test_cross_validate_reports_failure_without_raising():
     model = make_model(2, 1, (1, 1, 1), w=[0.37, -0.21, 0.11], g=0.9)
     sec = sector_from_occupations(model, (1, 0, 5))
@@ -402,21 +447,27 @@ def test_kept_attempt_is_the_one_whose_energy_agrees_on_preset_b_at_n60():
 
 def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
     """One monomial block and spectrum, one operator and float form per
-    sector, no direct search, and level energies from the operator's own
-    hop polynomials."""
+    sector, no direct search, and level energies and recurrences from the
+    operator's own hop values: the level pass computes none afresh."""
     counts = collections.Counter()
     in_level = []
+    hop_helpers = ("hop_values", "hop_coefficients")
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
-            if name != "hop_coefficients" or in_level:
+            if name not in hop_helpers or in_level:
                 counts[name] += 1
             return func(*args, **kwargs)
         return wrapper
 
     for name in ("build_monomial_matrix", "diagonalize", "expand_diffop", "_float_polys",
-                 "direct_search", "_direct_search", "hop_coefficients"):
+                 "direct_search", "_direct_search"):
         monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
+    for name in hop_helpers:
+        wrapper = counted(name, getattr(diffop, name))
+        for module in (diffop, hamiltonian, bethe):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     solve_levels = bethe._solve_levels
 
     def levels(*args, **kwargs):
@@ -483,8 +534,8 @@ def test_high_precision_route_matches_mpmath_reference(name):
     sec = sector_from_occupations(model, occ)
     op = expand_diffop(model, sec)
     if name.endswith("exact"):
-        assert all(isinstance(op.hop_c(m), Fraction) for m in range(1, sec.n_top + 1))
-    terms = bethe._HopTerms(op)
+        assert all(isinstance(c, Fraction) for c in op.hop_values[2])
+    terms = bethe._HopTerms(op.hop_values)
     for energy in diagonalize(build_monomial_matrix(model, sec)).energies:
         got = bethe._high_precision_coefficients(terms, float(energy))
         assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
@@ -496,9 +547,9 @@ def test_high_precision_route_raises_without_interaction():
     model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
     sec = sector_from_occupations(model, (0, 0, 4))
     op = expand_diffop(model, sec)
-    terms = bethe._HopTerms(op)
+    terms = bethe._HopTerms(op.hop_values)
     for m in (0, 1):   # E = B(0): (E - B(0)) / C(1) is 0/0; E = B(1): x/0
-        energy = float(op.hop_b(m))
+        energy = float(op.hop_values[1][m])
         with pytest.raises(ZeroDivisionError):
             high_precision_coefficients(op, energy)
         with pytest.raises(ZeroDivisionError):

@@ -149,6 +149,15 @@ def test_text_format(capsys):
       "model.g = 1\nsector.occ = 0,0,1\n"], "model.r: cannot parse"),
     (["solve", "--config", "model.r = 2\nmodel.s = 1\nmodel.k = 1,1,1\n"
       "model.wq.a.2 = 1\nmodel.g = 1\nsector.occ = 0,0,1\n"], "model.wq.a.2: cannot parse"),
+    # a non-integral power is rejected, not truncated to k=(1, 1, 1)
+    (["solve", "--r", "2", "--s", "1", "--k", "1.5,1,1", "--g", "1", "--occ", "0,3,4"],
+     "k must be integers"),
+    (["solve", "--r", "2", "--s", "1", "--k", "3/2,1,1", "--g", "1", "--occ", "0,3,4"],
+     "k must be integers"),
+    (["scan", "--preset", "A", "--g-range", "0:inf:0.1", "--occ", "0,0,2"], "must be finite"),
+    (["scan", "--preset", "A", "--g-range", "0:nan:0.1", "--occ", "0,0,2"], "must be finite"),
+    (["scan", "--preset", "A", "--sweep", "w1", "--range", "nan:1:0.5", "--occ", "0,0,2"],
+     "must be finite"),
 ])
 def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     # an argument holding newlines is the text of a config file

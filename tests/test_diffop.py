@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiboson import (Polynomial, apply_to_polynomial, expand_diffop,
-                        falling_factorial_coefficients, hop_coefficients, make_model,
-                        sector_from_occupations)
+                        falling_factorial_coefficients, hop_coefficients, hop_values,
+                        make_model, sector_from_occupations)
 from multiboson.fock import Sector
 
 
@@ -44,6 +46,43 @@ def test_falling_factorial_reconstruction():
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
 SEC_A = sector_from_occupations(MODEL_A, (0, 0, 1))
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def _exact_models_and_sectors(draw):
+    """A model with r, s, k_i in 1..3 and Fraction couplings, and a sector
+    anchored at occupations m_i < 7 k_i, so that N <= 6 + 6 = 12."""
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = r + s
+    k = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    w = draw(st.lists(_FRACTIONS, min_size=n, max_size=n))
+    wq = {(i, j): draw(_FRACTIONS) for i in range(n) for j in range(i, n)}
+    g = draw(_FRACTIONS)
+    model = make_model(r, s, k, w=w, wq=wq, g=g)
+    occ = [draw(st.integers(0, 7 * ki - 1)) for ki in k]
+    return model, sector_from_occupations(model, occ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_exact_models_and_sectors())
+def test_hop_values_are_the_hop_polynomials_at_the_levels(case):
+    """The occupation products equal the expanded polynomials, evaluated
+    exactly, at every level; the polynomials vanish exactly at A(N) and
+    C(0).  So the polynomials, which feed only the P_i, stay checked."""
+    model, sec = case
+    n_top = sec.n_top
+    assert n_top <= 12
+    hop_a, hop_b, hop_c = hop_coefficients(model, sec)
+    values = hop_values(model, sec)
+    assert values == (tuple(hop_a(n) for n in range(n_top)),
+                      tuple(hop_b(n) for n in range(n_top + 1)),
+                      tuple(hop_c(n) for n in range(1, n_top + 1)))
+    assert all(type(x) in (int, Fraction) for part in values for x in part)
+    assert hop_a(n_top) == 0
+    assert hop_c(0) == 0
 
 
 def test_hop_micro_example():

@@ -163,6 +163,19 @@ def test_model_validation():
         sector_from_occupations(MODEL_B, (1, 2, -1))
 
 
+@pytest.mark.parametrize("k", [(1.5, 1, 1), (Fraction(3, 2), 1, 1), (1, float("nan"), 1),
+                               (1, 1, float("inf"))])
+def test_make_model_rejects_non_integral_powers(k):
+    """A non-integral power is an error, never truncated to k=(1, 1, 1)."""
+    with pytest.raises(ValueError, match="k must be integers"):
+        make_model(2, 1, k, g=1)
+
+
+def test_make_model_keeps_integral_powers_of_any_type():
+    k = make_model(2, 1, (2.0, Fraction(3), 1), g=1).k
+    assert k == (2, 3, 1) and all(type(ki) is int for ki in k)
+
+
 def test_mode_q_values_in_allowed_set():
     from oracles import allowed_q_values
 

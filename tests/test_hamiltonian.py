@@ -42,13 +42,11 @@ def test_monomial_block_micro_example():
     assert block.lower.tolist() == [1.0]   # C(1)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the expanded hop polynomial A(n) is evaluated by float Horner, which "
-    "cancels near its zero at n=N; off by up to 5.5e-4 relative here"))
 def test_monomial_upper_matches_falling_factorial_product():
-    # a float g makes the hop coefficients floats; on this sector levels 6
-    # and 7 of the monomial spectrum end up off the Fock one by 1.7e-8 of
-    # the spectral scale, and fail `cross_validate`
+    # with a float g, float Horner on the expanded hop polynomial A(n)
+    # cancels near its zero at n=N: off by up to 5.5e-4 relative on this
+    # sector, enough to move levels 6 and 7 of the monomial spectrum off
+    # the Fock ones by 1.7e-8 of the spectral scale
     g = 0.7315158295827009
     model = make_model(3, 3, (2, 1, 1, 3, 3, 3), g=g)
     sec = sector_from_occupations(model, (4, 0, 1, 39, 40, 40))
@@ -67,7 +65,24 @@ def test_monomial_and_fock_share_diagonal():
     sec = sector_from_occupations(model, (3, 4, 6, 2))
     fock = build_sector_matrix(model, sec)
     mono = build_monomial_matrix(model, sec)
-    assert np.allclose(fock.diag, mono.diag, rtol=0, atol=1e-12)
+    assert np.array_equal(fock.diag, mono.diag)   # one helper builds both
+
+
+@pytest.mark.parametrize("rska,occ", [
+    ((2, 1, (1, 1, 2)), (2, 1, 30)),
+    ((3, 3, (2, 1, 1, 3, 3, 3)), (4, 0, 1, 39, 40, 40)),
+    ((1, 3, (3, 3, 3, 3)), (34, 12, 17, 12)),
+    ((2, 1, (2, 2, 3)), (0, 1, 120)),      # occupations past the exact-product cutoff
+])
+def test_fock_off_diagonal_squares_to_hop_product(rska, occ):
+    """The factorial-ratio square roots of the Fock block, built on their
+    own, square to A(n) C(n+1): the similarity that ties the two blocks."""
+    r, s, k = rska
+    model = make_model(r, s, k, w=[0.5] * (r + s), g=0.7315158295827009)
+    sec = sector_from_occupations(model, occ)
+    fock = build_sector_matrix(model, sec)
+    mono = build_monomial_matrix(model, sec)
+    assert fock.upper ** 2 == pytest.approx(mono.upper * mono.lower, rel=1e-12)
 
 
 def test_diagonalize_two_by_two():
