@@ -19,17 +19,18 @@ matrix of an eigenpolynomial, down a ladder of three rungs: first the
 monomial-basis eigenvector, then the coefficients rebuilt from the
 three-term recurrence in float64, then the same recurrence at high working
 precision in the standard library's `decimal`.  Each rung judges all of
-a sector's still unresolved levels at once, as one stack of root sets, and
-the pole-residue residuals of the kept sets are one stack too.  Each
-candidate is judged once, and a level's first root set that passes as-is
-is accepted.  When none does, the level is reported
+a sector's still unresolved levels at once, as one stack of root sets.
+Each candidate is judged once, and a level's first root set that passes
+as-is is accepted.  When none does, the level is reported
 unconverged and keeps the attempt whose closed-form energy agrees with the
 oracle eigenvalue, the smaller residual breaking ties.  Each sector's
 block, spectrum, operator and hop values (as floats and at working
-precision) are built once, and one derivative list psi, psi', ... per
-stack feeds both residual forms.  An independent multi-start Newton
-search on the pole-residue equations, run on the same operator, is
-available as a confirmation mode.
+precision) are built once.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
+their magnitude bounds are evaluated once per stack of root sets
+(`_terms_at_roots`), and both residual forms read that one evaluation;
+an overflowed bound reads as an infinite residual.  An independent
+multi-start Newton search on the pole-residue equations, run on the same
+operator, is available as a confirmation mode.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ _DEDUP_TOL = 1e-7
 _MIN_SEPARATION = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)   # slots: callers keep one per level
 class BetheSolution:
     """One eigenlevel: canonical roots, energy, and residual diagnostics.
 
@@ -132,10 +133,11 @@ class ValidationReport:
 # ----------------------------------------------------------------------
 # residual kernels on stacks of root sets
 #
-# Every kernel takes an (L, N) stack of root sets, one per row, with the
-# derivative list of their monic polynomials as (L, K) coefficient rows;
-# a single root set is a stack of one.  The kernels let overflow read as
-# inf and undefined values as NaN: their callers run them under `_quiet`.
+# Every kernel works on an (L, N) stack of root sets, one per row; a single
+# root set is a stack of one.  `_terms_at_roots` evaluates the terms of
+# H psi at the roots once, and both residual forms read that evaluation.
+# The kernels let overflow read as inf and undefined values as NaN: their
+# callers run them under `_quiet`.
 
 def _quiet(func):
     """Run `func` with numpy's overflow, invalid and divide warnings off."""
@@ -148,30 +150,24 @@ def _quiet(func):
 
 def _monic_from_roots(roots) -> np.ndarray:
     """Coefficients of prod_p (z - a_p), one row per root set: (L, N) ->
-    (L, N + 1), or (N,) -> (N + 1,) for a single set."""
+    (L, N + 1), or (N,) -> (N + 1,) for a single set.
+
+    Step j multiplies every row by (z - a_j) at once: the partial product
+    of degree j fills the top j + 1 entries, so widening its window by one
+    entry multiplies it by z.
+    """
     roots = np.asarray(roots, dtype=complex)
     rows = np.atleast_2d(roots)
-    out = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=complex)
-    for row, root_set in zip(out, rows):
-        c = np.array([1.0 + 0.0j])
-        for a in root_set:
-            c = np.convolve(c, np.array([-a, 1.0 + 0.0j]))
-        row[:] = c
+    n = rows.shape[1]
+    out = np.zeros((rows.shape[0], n + 1), dtype=complex)
+    out[:, n] = 1.0
+    for j in range(n):
+        out[:, n - j - 1:n] -= rows[:, j, None] * out[:, n - j:]
     return out if roots.ndim == 2 else out[0]
 
 
 def _float_polys(op: DiffOpForm):
     return [np.asarray([complex(c) for c in p.coeffs], dtype=complex) for p in op.p]
-
-
-def _derivatives(roots: np.ndarray, order: int) -> list:
-    """[psi, psi', ..., psi^(order)] of each root set's monic psi, as (L, K)
-    rows: one list feeds H psi, its magnitude bound and the pole-residue
-    components of the stack."""
-    derivs = [_monic_from_roots(roots)]
-    for _ in range(order):
-        derivs.append(npoly.polyder(derivs[-1], axis=-1))
-    return derivs
 
 
 def _at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -183,30 +179,28 @@ def _at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return npoly.polyval(points, coeffs.T[:, :, None], tensor=False)
 
 
-def _apply_float(p_list, derivs) -> np.ndarray:
-    """Coefficient rows of sum_i P_i psi^(i), from each row's derivative list.
+def _terms_at_roots(p_list, roots: np.ndarray):
+    """The terms of H psi = sum_i P_i psi^(i) at every root of the stack.
 
-    On magnitudes it bounds the terms entering H psi: the residual scale,
-    which must not come from the (possibly perfectly cancelled) result --
-    an eigenvalue at zero makes H psi the zero polynomial.  The products
-    stay one `np.convolve` per row.
+    Returns (terms, bounds, dpsi): terms[i] = P_i(a_p) psi^(i)(a_p) and
+    bounds[i] = |P_i|(|a_p|) |psi^(i)|(|a_p|), each (M + 1, L, N), where
+    |q| is q with its coefficients' magnitudes; dpsi = psi'(a_p) is (L, N).
+    The bounds are the residual scale, which must not come from the
+    (possibly perfectly cancelled) sum: an eigenvalue at zero makes H psi
+    the zero polynomial.
     """
-    out = np.zeros((derivs[0].shape[0], 1), dtype=derivs[0].dtype)
-    for p, deriv in zip(p_list, derivs):
-        if p.size == 0:
-            continue
-        term = np.array([np.convolve(p, row) for row in deriv])
-        if term.shape[1] > out.shape[1]:
-            term[:, : out.shape[1]] += out
-            out = term
-        else:
-            out[:, : term.shape[1]] += term
-    return out
-
-
-def _magnitudes(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Magnitude scale of the polynomials' terms at `points`."""
-    return np.maximum(_at(np.abs(coeffs), np.abs(points)), 1e-300)
+    derivs = [_monic_from_roots(roots)]
+    for _ in range(len(p_list) - 1):
+        derivs.append(npoly.polyder(derivs[-1], axis=-1))
+    points = np.abs(roots)
+    terms = np.zeros((len(derivs),) + roots.shape, dtype=complex)
+    bounds = np.zeros(terms.shape)
+    values = [_at(deriv, roots) for deriv in derivs]
+    for i, (p, deriv) in enumerate(zip(p_list, derivs)):
+        if p.size:
+            terms[i] = _at(p, roots) * values[i]
+            bounds[i] = _at(np.abs(p), points) * _at(np.abs(deriv), points)
+    return terms, bounds, values[1]
 
 
 def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
@@ -223,44 +217,41 @@ def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
     return bool(np.any(gaps < rel_tol * scale))
 
 
-def _scaled_robust(p_list, roots: np.ndarray, derivs) -> np.ndarray:
-    """Backward-error style residual per root set: max |H psi(a_p)| over
-    the magnitude bound of the terms that built H psi at that point.
+def _scaled_robust(at) -> np.ndarray:
+    """Backward-error style residual per root set: max_p |H psi(a_p)| over
+    the bound of the terms that built it at a_p, from `_terms_at_roots`.
 
-    Overflow in intermediate evaluations (roots far off the scale of a
-    badly conditioned eigenpolynomial) reads as inf and fails acceptance.
+    Overflow (roots far off the scale of a badly conditioned
+    eigenpolynomial) reads as inf and fails acceptance, in the bound as
+    well as in the value: a finite value over an overflowed bound is no
+    certificate.
     """
-    if roots.shape[1] == 0:
-        return np.zeros(roots.shape[0])
-    vals = _at(_apply_float(p_list, derivs), roots)
-    bound = _apply_float([np.abs(p) for p in p_list], [np.abs(d) for d in derivs])
-    out = np.max(np.abs(vals) / np.maximum(_at(bound, np.abs(roots)), 1e-300), axis=1)
-    out[~np.isfinite(out)] = math.inf
-    return out
+    terms, bounds, _ = at
+    bound = bounds.sum(axis=0)
+    ratio = np.abs(terms.sum(axis=0)) / np.maximum(bound, 1e-300)
+    ratio[~np.isfinite(ratio) | ~np.isfinite(bound)] = math.inf
+    return np.max(ratio, axis=1, initial=0.0)
 
 
-def _pole_residues(p_list, roots: np.ndarray, derivs) -> np.ndarray:
+def _pole_residues(at) -> np.ndarray:
     """sum_{i>=1} P_i(a_p) psi^(i)(a_p) / psi'(a_p), one component per root."""
-    res = np.zeros(roots.shape, dtype=complex)
-    for p, deriv in zip(p_list[1:], derivs[1:]):
-        if p.size:
-            res += _at(p, roots) * _at(deriv, roots)
-    return res / _at(derivs[1], roots)
+    terms, _, dpsi = at
+    return terms[1:].sum(axis=0) / dpsi
 
 
-def _scaled_bae(p_list, roots: np.ndarray, derivs) -> np.ndarray:
+def _scaled_bae(at) -> np.ndarray:
     """Scaled magnitude of the pole-residue components per root set.
 
     Meaningful only for pairwise-separated roots (`_MIN_SEPARATION`): the
-    caller checks that first.
+    caller checks that first, and a coincident pair reads NaN.  An
+    overflowed bound reads inf, as in `_scaled_robust`.
     """
-    res = _pole_residues(p_list, roots, derivs)
-    scale = np.zeros(roots.shape)
-    for p, deriv in zip(p_list[1:], derivs[1:]):
-        if p.size:
-            scale += _magnitudes(p, roots) * _magnitudes(deriv, roots)
-    dvals = np.abs(_at(derivs[1], roots))
-    return np.max(np.abs(res) / np.maximum(scale / np.maximum(dvals, 1e-300), 1.0), axis=1)
+    _, bounds, dpsi = at
+    bound = bounds[1:].sum(axis=0)
+    scale = np.maximum(bound / np.maximum(np.abs(dpsi), 1e-300), 1.0)
+    ratio = np.abs(_pole_residues(at)) / scale
+    ratio[~np.isfinite(bound)] = math.inf
+    return np.max(ratio, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +273,7 @@ def bethe_residuals(op: DiffOpForm, roots,
         return np.zeros(0, dtype=complex)
     if _has_close_pair(roots, min_separation):
         raise ValueError("coincident roots: use the robust residual form")
-    stack = roots[None]
-    return _pole_residues(_float_polys(op), stack, _derivatives(stack, op.order))[0]
+    return _pole_residues(_terms_at_roots(_float_polys(op), roots[None]))[0]
 
 
 @_quiet
@@ -297,8 +287,8 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    stack = roots[None]
-    return _at(_apply_float(_float_polys(op), _derivatives(stack, op.order)), stack)[0]
+    terms, _, _ = _terms_at_roots(_float_polys(op), roots[None])
+    return terms.sum(axis=0)[0]
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +546,7 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
             v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
         extracted.append((v_roots, v_reduced))
 
-    # per level: (rank, resid, roots, tag, energy, derivs) of the best
+    # per level: (rank, resid, r_bae, roots, tag, energy) of the best
     # attempt; the rank puts a pass first, then an agreeing energy, then
     # the smaller residual
     best = [None] * len(oracles)
@@ -566,17 +556,16 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
                 if roots.size == n_full and np.all(np.isfinite(roots))]
         if not rows:
             return
-        stack = np.array([roots for _, roots in rows], dtype=complex)
-        derivs = _derivatives(stack, op.order)
-        resids = _scaled_robust(p_list, stack, derivs).tolist()
-        for row, ((level, roots), resid) in enumerate(zip(rows, resids)):
+        at = _terms_at_roots(p_list, np.array([roots for _, roots in rows], dtype=complex))
+        for (level, roots), resid, r_bae in zip(rows, _scaled_robust(at).tolist(),
+                                                _scaled_bae(at).tolist()):
             oracle = oracles[level]
             energy = _closed_form_energy(op, roots, cfg)
             agrees = (math.isfinite(energy)
                       and abs(energy - oracle) <= cfg.energy_tol * max(1.0, abs(oracle)))
             rank = (resid <= cfg.tol and agrees, agrees, -resid)
             if best[level] is None or rank > best[level][0]:
-                best[level] = (rank, resid, roots, tag, energy, [d[row] for d in derivs])
+                best[level] = (rank, resid, r_bae, roots, tag, energy)
 
     def unresolved(levels):
         return [level for level in levels if best[level] is None or not best[level][0][0]]
@@ -597,33 +586,26 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
         judge("refined", candidates)
         live = unresolved(live)
 
-    solutions, separated = [], []
+    solutions = []
     for level, ((v_roots, v_reduced), attempt, oracle) in enumerate(
             zip(extracted, best, oracles)):
         if attempt is not None and (attempt[0][0] or not v_reduced):
-            (converged, _, _), r_robust, roots, source, energy, derivs = attempt
+            (converged, _, _), r_robust, r_bae, roots, source, energy = attempt
             reduced = False
             if not math.isfinite(energy):
                 energy, converged = oracle, False
         else:
             # reduced-degree fallback: trimmed roots, oracle energy
             roots, reduced, source, energy = v_roots, True, "extracted", oracle
-            stack = v_roots[None]
-            r_robust = float(_scaled_robust(p_list, stack, _derivatives(stack, op.order))[0])
+            r_robust = float(_scaled_robust(_terms_at_roots(p_list, v_roots[None]))[0])
             converged = r_robust <= cfg.tol
         degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
-        if not (degenerate or reduced):
-            separated.append((level, roots, derivs))
         solutions.append(BetheSolution(
             level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
-            residual_bae=math.nan, residual_robust=r_robust, source=source,
+            # the pole-residue form needs full-degree, pairwise separated roots
+            residual_bae=math.nan if degenerate or reduced else r_bae,
+            residual_robust=r_robust, source=source,
             degenerate=degenerate, reduced=reduced, converged=converged))
-    if separated:
-        # pairwise separated at _DEGENERATE_TOL, so the pole-residue form applies
-        stack = np.array([roots for _, roots, _ in separated], dtype=complex)
-        derivs = [np.array(rows) for rows in zip(*(d for _, _, d in separated))]
-        for (level, _, _), r_bae in zip(separated, _scaled_bae(p_list, stack, derivs).tolist()):
-            solutions[level] = replace(solutions[level], residual_bae=r_bae)
     return solutions
 
 
@@ -632,12 +614,12 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
 
     Pipeline: diagonalize the monomial block, take the roots of each
     level's eigenpolynomial from the first candidate that passes as-is
-    (the attempt whose energy agrees when none does), evaluate the
+    (the attempt whose energy agrees when none does), report the
     pole-residue residuals where the roots are distinct, and recompute the
     energy from the closed form.  Each rung of the candidate ladder
     judges all of the sector's unresolved levels at once, as one
-    stack of root sets, and the pole-residue residuals of the kept sets
-    are evaluated as one stack.  Levels whose eigenpolynomial has
+    stack of root sets, and one evaluation of that stack gives both
+    residual forms.  Levels whose eigenpolynomial has
     near-multiple roots are flagged degenerate and validated only through
     the robust form.
     With ``config.direct`` the independent multi-start search runs as well,
@@ -679,12 +661,9 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
 
-    def residues(roots):
-        """Pole-residue components, or None for coincident roots."""
-        if _has_close_pair(roots, _MIN_SEPARATION):
-            return None
-        stack = roots[None]
-        return _pole_residues(p_list, stack, _derivatives(stack, op.order))[0]
+    def residues(stack):
+        """Pole-residue components of each root set in the stack."""
+        return _pole_residues(_terms_at_roots(p_list, stack))
 
     rng = np.random.default_rng(cfg.seed)
     found = []
@@ -692,19 +671,17 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
         roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         ok = False
         for _ in range(cfg.max_iter):
-            f = residues(roots)
-            if f is None:
+            if _has_close_pair(roots, _MIN_SEPARATION):
                 break
+            f = residues(roots[None])[0]
             if np.max(np.abs(f)) < 1e-30:
                 ok = True
                 break
             h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
-            jac = np.zeros((n, n), dtype=complex)
-            for q in range(n):
-                shifted = roots.copy()
-                shifted[q] += h
-                column = residues(shifted)
-                jac[:, q] = np.inf if column is None else (column - f) / h
+            shifted = roots + h * np.eye(n)   # row q moves root q by h
+            if any(_has_close_pair(row, _MIN_SEPARATION) for row in shifted):
+                break
+            jac = ((residues(shifted) - f) / h).T
             if not np.all(np.isfinite(jac)):
                 break
             try:
@@ -717,8 +694,7 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
                 break
         if not ok:
             continue
-        stack = roots[None]
-        if _scaled_robust(p_list, stack, _derivatives(stack, op.order))[0] > max(cfg.tol, 1e-10):
+        if _scaled_robust(_terms_at_roots(p_list, roots[None]))[0] > max(cfg.tol, 1e-10):
             continue
         canon = canonicalize_roots(roots)
         scale = max(1.0, max(abs(a) for a in canon))
@@ -726,15 +702,15 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
                for prev in found if len(prev.roots) == len(canon)):
             continue
         stack = np.asarray(canon)[None]
-        derivs = _derivatives(stack, op.order)
+        at = _terms_at_roots(p_list, stack)
         # snapping conjugate pairs onto the axis can make two roots coincide
         r_bae = (math.nan if _has_close_pair(stack[0], _MIN_SEPARATION)
-                 else float(_scaled_bae(p_list, stack, derivs)[0]))
+                 else float(_scaled_bae(at)[0]))
         found.append(BetheSolution(
             level=-1, roots=canon,
             energy=energy(canon),
             oracle_energy=math.nan, residual_bae=r_bae,
-            residual_robust=float(_scaled_robust(p_list, stack, derivs)[0]),
+            residual_robust=float(_scaled_robust(at)[0]),
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found

@@ -63,13 +63,6 @@ class TridiagonalBlock:
             mat[i, i + 1] = self.lower[i]
         return mat
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = self.diag * vec
-        if self.dim > 1:
-            out[1:] += self.upper * vec[:-1]
-            out[:-1] += self.lower * vec[1:]
-        return out
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -77,7 +70,6 @@ class SpectrumResult:
 
     energies: np.ndarray
     vectors: np.ndarray
-    residual_norm: float
 
 
 def _sqrt_product(factors, occupations) -> float:
@@ -180,11 +172,5 @@ def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
             scale[i + 1] = scale[i] * (block.upper[i] / sym_off[i] if sym_off[i] > 0 else 1.0)
         vectors = sym_vectors * scale[:, None]
         vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    vectors = _fix_phases(np.ascontiguousarray(vectors))
-
-    resid = 0.0
-    for j in range(n):
-        v = vectors[:, j]
-        resid = max(resid, float(np.linalg.norm(block.apply(v) - energies[j] * v)
-                                 / np.linalg.norm(v)))
-    return SpectrumResult(energies=energies, vectors=vectors, residual_norm=resid)
+    return SpectrumResult(energies=energies,
+                          vectors=_fix_phases(np.ascontiguousarray(vectors)))

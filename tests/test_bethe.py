@@ -15,7 +15,7 @@ from multiboson import (SolverConfig, bethe, bethe_residuals, build_monomial_mat
                         energy_from_roots, expand_diffop, make_model, occupations_at, preset,
                         robust_residuals, roots_from_eigenvector, sector_from_occupations,
                         solve_bethe)
-from multiboson import cli, diffop, hamiltonian
+from multiboson import Polynomial, apply_to_polynomial, cli, diffop, hamiltonian
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import has_close_pair, high_precision_coefficients, subset_bae_residuals
@@ -71,6 +71,51 @@ def test_residual_forms_equivalent_and_match_subset_oracle():
         scale2 = max(1.0, float(np.max(np.abs(res_subset))))
         assert np.max(np.abs(res_bae - res_subset)) <= 1e-10 * scale2
         done += 1
+
+
+_FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+
+
+@st.composite
+def _exact_ops_and_roots(draw):
+    """An operator of a model with r, s, k_i in 1..2 and Fraction
+    couplings, on a sector anchored at m_i < 5 k_i (so N <= 4 + 4 = 8), and
+    N small rational roots, repeats allowed."""
+    r, s = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n = r + s
+    k = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    w = draw(st.lists(_FRACTIONS, min_size=n, max_size=n))
+    wq = {(i, j): draw(_FRACTIONS) for i in range(n) for j in range(i, n)}
+    model = make_model(r, s, k, w=w, wq=wq, g=draw(_FRACTIONS))
+    sec = sector_from_occupations(model, [draw(st.integers(0, 5 * ki - 1)) for ki in k])
+    roots = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          min_size=sec.n_top, max_size=sec.n_top))
+    return expand_diffop(model, sec), roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_exact_ops_and_roots())
+def test_robust_residuals_match_exact_h_psi_at_the_roots(case):
+    """The float robust form equals (H psi)(a_p) of the exact psi, evaluated
+    exactly, to 1e-12 of the exact magnitude bound sum_i |P_i| |psi^(i)| at
+    |a_p|: a check of the robust form on its own, apart from the
+    pole-residue form that reads the same evaluation."""
+    op, roots = case
+    assert op.n_top <= 8
+    psi = Polynomial((1,))
+    for a in roots:
+        psi = psi * Polynomial((-a, 1))
+    h_psi = apply_to_polynomial(op, psi)
+
+    def magnitude(poly, x):
+        return Polynomial([abs(c) for c in poly.coeffs])(abs(x))
+
+    got = robust_residuals(op, [float(a) for a in roots])
+    assert len(got) == len(roots)
+    for value, a in zip(got, roots):
+        bound = sum(magnitude(p, a) * magnitude(psi.derivative(i), a)
+                    for i, p in enumerate(op.p))
+        assert abs(value - complex(h_psi(a))) <= 1e-12 * float(bound)
 
 
 def test_residuals_reject_coincident_roots():
@@ -240,10 +285,9 @@ def test_adversarial_corruption_is_detected():
     e_clean = energy_from_roots(model, sec, clean)
     assert abs(e_clean - sols[2].oracle_energy) <= 1e-8
     # the corrupted set fails the acceptance residual threshold by far
-    from multiboson.bethe import _derivatives, _float_polys, _scaled_robust
+    from multiboson.bethe import _float_polys, _scaled_robust, _terms_at_roots
 
-    stack = corrupted[None]
-    assert _scaled_robust(_float_polys(op), stack, _derivatives(stack, op.order))[0] > 1e-8
+    assert _scaled_robust(_terms_at_roots(_float_polys(op), corrupted[None]))[0] > 1e-8
 
 
 # Random sectors whose monomial block was off the Fock one while the hop
@@ -378,21 +422,44 @@ def test_stacked_kernels_match_each_row_alone():
     stack[4, :2] = 0.0
 
     def kernels(roots):
-        derivs = bethe._derivatives(roots, op.order)
-        return [*derivs, bethe._scaled_robust(p_list, roots, derivs),
-                bethe._pole_residues(p_list, roots, derivs),
-                bethe._scaled_bae(p_list, roots, derivs)]
+        at = bethe._terms_at_roots(p_list, roots)
+        return [bethe._monic_from_roots(roots), *at, bethe._scaled_robust(at),
+                bethe._pole_residues(at), bethe._scaled_bae(at)]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         together = kernels(stack)
         for row in range(len(stack)):
             alone = kernels(stack[row:row + 1])
             for got, want in zip(together, alone):
-                assert np.array_equal(got[row], want[0], equal_nan=True), row
+                # the (M + 1, L, N) term arrays hold the root sets on axis 1
+                got, want = (got[:, row], want[:, 0]) if got.ndim == 3 else (got[row], want[0])
+                assert np.array_equal(got, want, equal_nan=True), row
     robust, bae = together[-3], together[-1]
     assert robust[2] == math.inf and math.isnan(bae[4])
     neighbours = [0, 1, 3, 5]
     assert np.all(np.isfinite(robust[neighbours])) and np.all(np.isfinite(bae[neighbours]))
+
+
+_ZERO = np.zeros(0, dtype=complex)
+
+
+@pytest.mark.parametrize("p_list, roots, bae", [
+    # P_0 = 1: psi = z^2 - 1e308 vanishes exactly at +-1e154, where |psi|
+    # overflows; P_0 stays out of the pole-residue form
+    ([np.array([1.0 + 0j]), _ZERO, _ZERO], [1e154, -1e154], 0.0),
+    # P_1 = z^2 - 1e308 vanishes exactly at the root, where |P_1| overflows
+    ([_ZERO, np.array([-1e308, 0.0, 1.0 + 0j]), _ZERO], [1e154], math.inf),
+], ids=["psi", "p1"])
+def test_overflowed_bound_reads_as_infinite_residual(p_list, roots, bae):
+    """A finite H psi over a magnitude bound that overflowed is no
+    certificate: the scaled forms read inf, not 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = bethe._terms_at_roots(p_list, np.array([roots], dtype=complex))
+        got_robust, got_bae = bethe._scaled_robust(at), bethe._scaled_bae(at)
+    terms, bounds, _ = at
+    assert np.all(np.isfinite(terms.sum(axis=0))) and not np.all(np.isfinite(bounds.sum(axis=0)))
+    assert got_robust[0] == math.inf
+    assert got_bae[0] == bae
 
 
 def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
