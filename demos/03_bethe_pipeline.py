@@ -40,6 +40,6 @@ for sol in solve_bethe(model, sector):
           f"(oracle {sol.oracle_energy:+.10f}, residual {sol.residual_robust:.1e})")
     print(f"           roots: {roots}")
 
-report = cross_validate(model, sector, tol=1e-8)
+report = cross_validate(model, sector)
 print(f"\nThree-way validation: {'PASS' if report.passed else 'FAIL'} "
       f"(max energy error {report.max_energy_error:.2e})")

@@ -17,15 +17,15 @@ E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 The production solve path takes each level's roots from the companion
 matrix of an eigenpolynomial, down a ladder of three rungs: first the
 monomial-basis eigenvector, then the coefficients rebuilt from the
-three-term recurrence in float64, then the same recurrence at high working
-precision in the standard library's `decimal`.  Each rung judges all of
-a sector's still unresolved levels at once, as one stack of root sets.
-Each candidate is judged once, and a level's first root set that passes
-as-is is accepted.  When none does, the level is reported
-unconverged and keeps the attempt whose closed-form energy agrees with the
-oracle eigenvalue, the smaller residual breaking ties.  Each sector's
-block, spectrum, operator and hop values (as floats and at working
-precision) are built once.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
+three-term recurrence (`_recurrence`) in float64 on the monomial block,
+then the same recurrence at high working precision in the standard
+library's `decimal`.  Each rung judges all of a sector's still unresolved
+levels at once, as one stack of root sets.  Each candidate is
+canonicalized once, and that one set is both scored and returned; a
+level's first set that passes is accepted.  When none does, the level is
+reported unconverged and keeps the attempt whose closed-form energy agrees
+with the oracle eigenvalue, the smaller residual and then the smaller
+energy error breaking ties.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
 their magnitude bounds are evaluated once per stack of root sets
 (`_terms_at_roots`), and both residual forms read that one evaluation;
 an overflowed bound reads as an infinite residual.  An independent
@@ -76,6 +76,10 @@ _START_RADIUS = 3.0
 _DEDUP_TOL = 1e-7
 # Relative root separation the pole-residue form needs.
 _MIN_SEPARATION = 1e-10
+# Relative distance within which `canonicalize_roots` snaps conjugate pairs.
+_PAIR_TOL = 1e-11
+# Scaled robust residual of a level's returned roots in `cross_validate`.
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, slots=True)   # slots: callers keep one per level
@@ -258,20 +262,19 @@ def _scaled_bae(at) -> np.ndarray:
 # residual forms
 
 @_quiet
-def bethe_residuals(op: DiffOpForm, roots,
-                    min_separation: float = _MIN_SEPARATION) -> np.ndarray:
+def bethe_residuals(op: DiffOpForm, roots) -> np.ndarray:
     """Pole-residue components, one per root, via derivatives of psi.
 
     Component p is  sum_{i=1..M} P_i(a_p) psi^(i)(a_p) / psi'(a_p), which
     equals the nested subset sum over the other roots; all components
     vanish exactly when every a_p is a removable singularity of
-    (H psi)/psi.  Requires pairwise separations above `min_separation`
+    (H psi)/psi.  Requires pairwise separations above `_MIN_SEPARATION`
     relative to the root scale.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    if _has_close_pair(roots, min_separation):
+    if _has_close_pair(roots, _MIN_SEPARATION):
         raise ValueError("coincident roots: use the robust residual form")
     return _pole_residues(_terms_at_roots(_float_polys(op), roots[None]))[0]
 
@@ -321,18 +324,19 @@ def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
     return np.roots(c[::-1]).astype(complex), reduced
 
 
-def canonicalize_roots(roots, pair_tol: float = 1e-8) -> tuple:
+def canonicalize_roots(roots) -> tuple:
     """Sort roots by (re, im) after snapping conjugate pairs.
 
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of
-    a real-coefficient polynomial serializes deterministically.
+    a real-coefficient polynomial serializes deterministically.  The solver
+    scores and returns this set, never the one it came from.
     """
     items = [complex(a) for a in roots]
     if not items:
         return ()
     scale = max(1.0, max(abs(a) for a in items))
-    tol = pair_tol * scale
+    tol = _PAIR_TOL * scale
     reals = [a.real + 0.0j for a in items if abs(a.imag) <= tol]
     upper = sorted((a for a in items if a.imag > tol), key=lambda z: (z.real, z.imag))
     lower = sorted((a for a in items if a.imag < -tol), key=lambda z: (z.real, -z.imag))
@@ -385,74 +389,65 @@ def _energy(values, roots, imag_tol: float):
     return energy
 
 
-class _HopTerms:
-    """One sector's hop values A(0..N-1), B(0..N), C(1..N) in the two
-    arithmetics of the recurrences.
+def _working_hops(values):
+    """(context, A, B, C, A(m-1)C(m)) at the high-precision route's working
+    precision, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
 
-    Built from `DiffOpForm.hop_values`.  Both forms are converted on first
-    use, so a sector whose levels all pass on extraction pays for neither:
-    `floats` feeds the float64 recurrence, `working` the high-precision
-    route.
+    Digits scale with the block size so the coefficient span never eats
+    the precision; the exponent range is unbounded, like arbitrary-precision
+    binary floats.  Fractions are divided at working precision, every other
+    value enters through float.
     """
+    n_top = len(values[1]) - 1
+    context = decimal.Context(prec=max(50, 30 + 4 * n_top),
+                              Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
-    def __init__(self, values):
-        self.values = values
-        self.n_top = len(values[1]) - 1
+    def convert(x):
+        if isinstance(x, Fraction):
+            return decimal.Decimal(x.numerator) / x.denominator
+        return decimal.Decimal(float(x))
 
-    @functools.cached_property
-    def floats(self):
-        """The hop values as floats."""
-        return tuple([float(x) for x in values] for values in self.values)
-
-    @functools.cached_property
-    def working(self):
-        """(context, A, B, C, A(m-1)C(m)) at the route's working precision.
-
-        Digits scale with the block size so the coefficient span never
-        eats the precision; the exponent range is unbounded, like
-        arbitrary-precision binary floats.  Fractions are divided at
-        working precision, every other value enters through float.
-        """
-        context = decimal.Context(prec=max(50, 30 + 4 * self.n_top),
-                                  Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-        def convert(x):
-            if isinstance(x, Fraction):
-                return decimal.Decimal(x.numerator) / x.denominator
-            return decimal.Decimal(float(x))
-
-        with decimal.localcontext(context):
-            hop_a, hop_b, hop_c = ([convert(x) for x in values] for values in self.values)
-            off = [a * c for a, c in zip(hop_a, hop_c)]
-        return context, hop_a, hop_b, hop_c, off
+    with decimal.localcontext(context):
+        hop_a, hop_b, hop_c = ([convert(x) for x in row] for row in values)
+        off = [a * c for a, c in zip(hop_a, hop_c)]
+    return context, hop_a, hop_b, hop_c, off
 
 
-def _coefficients_at_energy(terms: _HopTerms, energy: float) -> np.ndarray:
-    """Eigenpolynomial coefficients rebuilt from the three-term recurrence.
+def _recurrence(hop_a, hop_b, hop_c, energy, c, peak_limit=None):
+    """Fill c[1..N] from c[0] by C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}.
 
-    For an eigenvalue E of the monomial block the coefficients satisfy
-    C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1} with c_0 = 1, which
-    is structurally nonzero.  This route survives the exact-zero flushing
-    dense eigensolvers apply to negligible vector components.  Its float64
-    roundoff can be too large for the roots to pass as-is; then the
-    high-precision recurrence is the next candidate.
+    With `peak_limit`, a new coefficient above it rescales the ones built so
+    far by its magnitude: each earlier one is already at most the limit, so
+    the newest is the peak, and only coefficient ratios matter for the roots.
     """
-    hop_a, hop_b, hop_c = terms.floats
-    n = terms.n_top
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    for m in range(n):
+    for m in range(len(c) - 1):
         rhs = (energy - hop_b[m]) * c[m]
         if m > 0:
             rhs -= hop_a[m - 1] * c[m - 1]
         c[m + 1] = rhs / hop_c[m]
-        peak = np.max(np.abs(c[: m + 2]))
-        if peak > 1e200:  # only coefficient ratios matter for the roots
-            c[: m + 2] /= peak
+        if peak_limit is not None and abs(c[m + 1]) > peak_limit:
+            c[: m + 2] /= abs(c[m + 1])
     return c
 
 
-def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
+def _coefficients_at_energy(hops, energy: float) -> np.ndarray:
+    """Eigenpolynomial coefficients rebuilt from the three-term recurrence.
+
+    `hops` holds the float hop values A(0..N-1), B(0..N), C(1..N) of the
+    monomial block.  For an eigenvalue E of that block the coefficients
+    satisfy the recurrence of `_recurrence` with c_0 = 1, which is
+    structurally nonzero.  This route survives the exact-zero flushing
+    dense eigensolvers apply to negligible vector components.  Its float64
+    roundoff can be too large for the roots to pass as-is; then the
+    high-precision recurrence is the next candidate.
+    """
+    hop_a, hop_b, hop_c = hops
+    c = np.zeros(len(hop_b), dtype=complex)
+    c[0] = 1.0
+    return _recurrence(hop_a, hop_b, hop_c, energy, c, peak_limit=1e200)
+
+
+def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
     """Eigenpolynomial coefficients from the recurrence at high precision.
 
     Working precision is the honest cure for hard levels: the eigenvalue
@@ -462,14 +457,14 @@ def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
     That resolves every coefficient -- including components far below
     float64 visibility -- before the peak-normalized vector is rounded
     back to float64.  The arithmetic is the standard library's `decimal`
-    on the sector's hop values, converted once per sector (see
-    `_HopTerms.working`).  A vanishing C(m) raises ZeroDivisionError: the
-    interaction is off and there is no recurrence.
+    on the sector's hop values, converted once per sector by
+    `_working_hops`, which gives `hops`.  A vanishing C(m) raises
+    ZeroDivisionError: the interaction is off and there is no recurrence.
     """
-    context, hop_a, hop_b, hop_c, off = terms.working
+    context, hop_a, hop_b, hop_c, off = hops
     if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
         raise ZeroDivisionError("C(m) vanishes: no recurrence")
-    n = terms.n_top
+    n = len(hop_b) - 1
     with decimal.localcontext(context):
         one = decimal.Decimal(1)
         e_val = decimal.Decimal(energy)
@@ -489,12 +484,7 @@ def _high_precision_coefficients(terms: _HopTerms, energy: float) -> np.ndarray:
             e_val -= step
             if abs(step) <= stop:
                 break
-        vec = [one]
-        for m in range(n):
-            rhs = (e_val - hop_b[m]) * vec[m]
-            if m > 0:
-                rhs -= hop_a[m - 1] * vec[m - 1]
-            vec.append(rhs / hop_c[m])
+        vec = _recurrence(hop_a, hop_b, hop_c, e_val, [one] * (n + 1))
         peak = max(abs(x) for x in vec)
         return np.array([float(x / peak) for x in vec])
 
@@ -507,18 +497,21 @@ def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
 
 
 @_quiet
-def _solve_levels(op, p_list, vectors, oracles, cfg):
+def _solve_levels(op, p_list, block, spec, cfg):
     """Root pipeline for all levels of a sector, in one pass down the ladder.
 
     Candidate full-degree root sets come in rungs of increasing cost --
-    eigenvector extraction, the float64 coefficient recurrence, and the
-    same recurrence at high working precision.  At each rung the levels
-    still unresolved are judged together, as one stack.  Each root set is
-    judged once, as-is: the first whose scaled residual meets `cfg.tol`
-    and whose closed-form energy agrees with the oracle eigenvalue to
-    `cfg.energy_tol` is accepted, and later candidates of that level are
-    never built.  When none passes, the level is unconverged and keeps the
-    attempt whose energy agrees, the smaller residual breaking ties: the
+    eigenvector extraction, the float64 coefficient recurrence on the
+    monomial block's hop values, and the same recurrence at high working
+    precision, whose hop values are converted only if a level reaches it.
+    At each rung the levels still unresolved are judged together, as one
+    stack.  Each candidate is canonicalized once, and its residuals,
+    energy and degenerate flag are those of the canonical set it returns.
+    The first set whose scaled residual meets `cfg.tol` and whose energy
+    agrees with the oracle eigenvalue to `cfg.energy_tol` is accepted, and
+    later candidates of that level are never built.  When none passes, the
+    level is unconverged and keeps the attempt whose energy agrees, the
+    smaller residual and then the smaller energy error breaking ties: the
     energy depends on the roots only through their sum, so an agreeing
     candidate carries the right physics even when its roots are too coarse
     for the residual.
@@ -526,10 +519,11 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
     An eigenvector whose leading coefficient is exactly zero usually means
     the eigensolver flushed a negligible component (exact reduction cannot
     happen for a nonzero interaction), so the recurrence candidates still
-    run at full degree; the trimmed reduced-degree interpretation is kept
+    run at full degree; the trimmed (canonical) reduced-degree set is kept
     only when every full-degree attempt fails, with the energy then taken
     from the oracle and validated through the robust form alone.
     """
+    oracles = spec.energies.tolist()
     n_full = op.n_top
     if n_full == 0:
         return [BetheSolution(
@@ -537,9 +531,8 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
             for level, oracle in enumerate(oracles)]
-    terms = _HopTerms(op.hop_values)
     extracted = []
-    for vector in vectors.T:
+    for vector in spec.vectors.T:
         v_roots, v_reduced = roots_from_eigenvector(vector)
         if v_roots.size and not np.all(np.isfinite(v_roots)):
             # leading coefficient at underflow scale: retreat to the trimmed set
@@ -548,11 +541,11 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
 
     # per level: (rank, resid, r_bae, roots, tag, energy) of the best
     # attempt; the rank puts a pass first, then an agreeing energy, then
-    # the smaller residual
+    # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
 
     def judge(tag, candidates):
-        rows = [(level, roots) for level, roots in candidates
+        rows = [(level, canonicalize_roots(roots)) for level, roots in candidates
                 if roots.size == n_full and np.all(np.isfinite(roots))]
         if not rows:
             return
@@ -561,9 +554,9 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
                                                 _scaled_bae(at).tolist()):
             oracle = oracles[level]
             energy = _closed_form_energy(op, roots, cfg)
-            agrees = (math.isfinite(energy)
-                      and abs(energy - oracle) <= cfg.energy_tol * max(1.0, abs(oracle)))
-            rank = (resid <= cfg.tol and agrees, agrees, -resid)
+            error = abs(energy - oracle) if math.isfinite(energy) else math.inf
+            agrees = error <= cfg.energy_tol * max(1.0, abs(oracle))
+            rank = (resid <= cfg.tol and agrees, agrees, -resid, -error)
             if best[level] is None or rank > best[level][0]:
                 best[level] = (rank, resid, r_bae, roots, tag, energy)
 
@@ -573,11 +566,17 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
     judge("extracted", [(level, v_roots) for level, (v_roots, v_reduced)
                         in enumerate(extracted) if not v_reduced])
     live = unresolved(range(len(oracles)))
-    for build in (_coefficients_at_energy, _high_precision_coefficients):
+    float_hops = [x.tolist() for x in (block.upper, block.diag, block.lower)]
+    rungs = ((_coefficients_at_energy, lambda: float_hops),
+             (_high_precision_coefficients, lambda: _working_hops(op.hop_values)))
+    for build, hops_of in rungs:
+        if not live:
+            break
+        hops = hops_of()
         rung, live, candidates = live, [], []
         for level in rung:
             try:
-                coeffs = build(terms, oracles[level])
+                coeffs = build(hops, oracles[level])
             except ZeroDivisionError:   # vanishing interaction: no recurrence
                 continue
             live.append(level)
@@ -590,18 +589,19 @@ def _solve_levels(op, p_list, vectors, oracles, cfg):
     for level, ((v_roots, v_reduced), attempt, oracle) in enumerate(
             zip(extracted, best, oracles)):
         if attempt is not None and (attempt[0][0] or not v_reduced):
-            (converged, _, _), r_robust, r_bae, roots, source, energy = attempt
+            (converged, _, _, _), r_robust, r_bae, roots, source, energy = attempt
             reduced = False
             if not math.isfinite(energy):
                 energy, converged = oracle, False
         else:
             # reduced-degree fallback: trimmed roots, oracle energy
-            roots, reduced, source, energy = v_roots, True, "extracted", oracle
-            r_robust = float(_scaled_robust(_terms_at_roots(p_list, v_roots[None]))[0])
+            roots, reduced, source, energy = canonicalize_roots(v_roots), True, "extracted", oracle
+            stack = np.array(roots, dtype=complex)[None]
+            r_robust = float(_scaled_robust(_terms_at_roots(p_list, stack))[0])
             converged = r_robust <= cfg.tol
-        degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
+        degenerate = _has_close_pair(np.array(roots, dtype=complex), _DEGENERATE_TOL)
         solutions.append(BetheSolution(
-            level=level, roots=canonicalize_roots(roots), energy=energy, oracle_energy=oracle,
+            level=level, roots=roots, energy=energy, oracle_energy=oracle,
             # the pole-residue form needs full-degree, pairwise separated roots
             residual_bae=math.nan if degenerate or reduced else r_bae,
             residual_robust=r_robust, source=source,
@@ -626,11 +626,10 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     on the same operator, and its solutions are appended (tagged 'direct').
     """
     cfg = config or SolverConfig()
-    spec = diagonalize(build_monomial_matrix(model, sector))
+    block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-    solutions = _solve_levels(op, p_list, spec.vectors,
-                              [float(e) for e in spec.energies], cfg)
+    solutions = _solve_levels(op, p_list, block, diagonalize(block), cfg)
     if cfg.direct:
         solutions.extend(_direct_search(op, p_list, cfg))
     return solutions
@@ -694,38 +693,38 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
                 break
         if not ok:
             continue
-        if _scaled_robust(_terms_at_roots(p_list, roots[None]))[0] > max(cfg.tol, 1e-10):
-            continue
         canon = canonicalize_roots(roots)
+        stack = np.asarray(canon)[None]
+        at = _terms_at_roots(p_list, stack)
+        r_robust = float(_scaled_robust(at)[0])
+        if r_robust > max(cfg.tol, _RESIDUAL_TOL):
+            continue
         scale = max(1.0, max(abs(a) for a in canon))
         if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
                for prev in found if len(prev.roots) == len(canon)):
             continue
-        stack = np.asarray(canon)[None]
-        at = _terms_at_roots(p_list, stack)
         # snapping conjugate pairs onto the axis can make two roots coincide
         r_bae = (math.nan if _has_close_pair(stack[0], _MIN_SEPARATION)
                  else float(_scaled_bae(at)[0]))
         found.append(BetheSolution(
-            level=-1, roots=canon,
-            energy=energy(canon),
-            oracle_energy=math.nan, residual_bae=r_bae,
-            residual_robust=float(_scaled_robust(at)[0]),
+            level=-1, roots=canon, energy=energy(canon),
+            oracle_energy=math.nan, residual_bae=r_bae, residual_robust=r_robust,
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found
 
 
-def cross_validate(model: ModelSpec, sector: Sector, tol: float = 1e-8,
-                   residual_tol: float = 1e-10,
+def cross_validate(model: ModelSpec, sector: Sector,
                    config: SolverConfig | None = None) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
     One `solve_bethe` pass, with ``config.direct`` off, gives the level
     solutions and, as their oracle energies, the monomial spectrum.  Never
     raises on disagreement; the report carries per-level records and an
-    overall pass flag.  Energy errors are measured relative to the
-    spectral scale max(1, max |E|).
+    overall pass flag.  A level passes when its energy error, relative to
+    the spectral scale max(1, max |E|), is within ``config.energy_tol`` and
+    the scaled robust residual of its returned roots within
+    `_RESIDUAL_TOL`.
     """
     cfg = config or SolverConfig()
     fock_spec = diagonalize(build_sector_matrix(model, sector))
@@ -740,8 +739,8 @@ def cross_validate(model: ModelSpec, sector: Sector, tol: float = 1e-8,
         e_m, e_b = sol.oracle_energy, sol.energy
         err = max(abs(e_f - e_m), abs(e_f - e_b), abs(e_m - e_b)) / scale
         worst = max(worst, err) if math.isfinite(err) else math.inf
-        ok = (math.isfinite(err) and err <= tol
-              and sol.residual_robust <= residual_tol)
+        ok = (math.isfinite(err) and err <= cfg.energy_tol
+              and sol.residual_robust <= _RESIDUAL_TOL)
         records.append(LevelRecord(
             level=level, energy_fock=e_f, energy_monomial=e_m, energy_bethe=e_b,
             energy_error=err, residual_robust=sol.residual_robust,

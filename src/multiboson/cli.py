@@ -191,7 +191,7 @@ def _emit(fh, fmt: str, header, rows):
 def _cmd_solve(args) -> int:
     model, sector = _build_model(args)
     cfg = _solver_config(args)
-    report = bethe.cross_validate(model, sector, tol=args.energy_tol, config=cfg)
+    report = bethe.cross_validate(model, sector, config=cfg)
     n_top = sector.n_top
     header = ["level", "energy_oracle", "energy_bethe", "abs_diff",
               "residual_robust", "residual_bae", "n_roots", "degenerate"]

@@ -4,8 +4,8 @@ Everything here is deliberately brute force and shares no code path with
 the package: tower enumeration for mode labels, breadth-first state-graph
 enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
-form of the high-precision root route, and the pairwise double loop of
-the close-pair test.
+form of the high-precision root route, the float64 recurrence written
+out step by step, and the pairwise double loop of the close-pair test.
 """
 
 from __future__ import annotations
@@ -142,6 +142,28 @@ def high_precision_coefficients(op, energy):
             vec.append(rhs / hop_c[m])
         peak = max(abs(x) for x in vec)
         return np.array([float(x / peak) for x in vec])
+
+
+def float64_coefficients(op, energy):
+    """Eigenpolynomial coefficients of one level from the three-term
+    recurrence C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}, c_0 = 1,
+    in complex128 on the float hop values: after every step, the whole
+    vector so far is divided by its peak magnitude once that exceeds 1e200."""
+    import numpy as np
+
+    hop_a, hop_b, hop_c = ([float(x) for x in values] for values in op.hop_values)
+    n = op.n_top
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = 1.0
+    for m in range(n):
+        rhs = (energy - hop_b[m]) * c[m]
+        if m > 0:
+            rhs -= hop_a[m - 1] * c[m - 1]
+        c[m + 1] = rhs / hop_c[m]
+        peak = np.max(np.abs(c[: m + 2]))
+        if peak > 1e200:
+            c[: m + 2] /= peak
+    return c
 
 
 def has_close_pair(roots, rel_tol):

@@ -109,7 +109,7 @@ def test_criterion_3_threeway_spectral_agreement():
     for index in range(100):
         model, sec = _random_threeway_case(rng, index)
         assert sec.n_top <= 20
-        report = cross_validate(model, sec, tol=1e-8, residual_tol=1e-10)
+        report = cross_validate(model, sec)
         assert report.passed, (model, sec.base_occupations, report.failing_levels())
         worst_energy = max(worst_energy, report.max_energy_error)
         worst_residual = max(worst_residual, max(rec.residual_robust for rec in report.levels))

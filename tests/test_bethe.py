@@ -18,7 +18,8 @@ from multiboson import (SolverConfig, bethe, bethe_residuals, build_monomial_mat
 from multiboson import Polynomial, apply_to_polynomial, cli, diffop, hamiltonian
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
-from oracles import has_close_pair, high_precision_coefficients, subset_bae_residuals
+from oracles import (float64_coefficients, has_close_pair, high_precision_coefficients,
+                     subset_bae_residuals)
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -194,7 +195,7 @@ def test_completeness_random_models(seed):
                        g=rng.uniform(0.1, 2.0))
     sec = sector_from_occupations(model, (int(rng.integers(0, 3)), 0, n_top))
     assert sec.n_top == n_top
-    report = cross_validate(model, sec, tol=1e-8)
+    report = cross_validate(model, sec)
     assert report.passed, report.failing_levels()
     sols = [s for s in solve_bethe(model, sec) if s.source != "direct"]
     assert len(sols) == n_top + 1
@@ -338,7 +339,7 @@ def test_cross_validate_passes_where_horner_cancelled(name):
 def test_cross_validate_reports_failure_without_raising():
     model = make_model(2, 1, (1, 1, 1), w=[0.37, -0.21, 0.11], g=0.9)
     sec = sector_from_occupations(model, (1, 0, 5))
-    report = cross_validate(model, sec, tol=0.0)
+    report = cross_validate(model, sec, config=SolverConfig(energy_tol=0.0))
     assert not report.passed
     assert report.failing_levels()
 
@@ -381,9 +382,9 @@ def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
     seen = collections.defaultdict(list)
 
     def recorded(name, route):
-        def wrapper(terms, energy):
+        def wrapper(hops, energy):
             seen[name].append(energy)
-            return route(terms, energy)
+            return route(hops, energy)
         return wrapper
 
     for name in ("_coefficients_at_energy", "_high_precision_coefficients"):
@@ -397,7 +398,7 @@ def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
     assert not extracted & (float64_route | decimal_route)
     assert decimal_route <= float64_route
 
-    def no_recurrence(terms, energy):
+    def no_recurrence(hops, energy):
         raise ZeroDivisionError
 
     # the levels that pass on the float64 recurrence, with the next rung off
@@ -463,7 +464,10 @@ def test_overflowed_bound_reads_as_infinite_residual(p_list, roots, bae):
 
 
 def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
-    """Overflow in the residual kernels at N=100 reads as inf silently."""
+    """Overflow in the residual kernels at N=100 reads as inf silently.
+    Where every attempt reads inf, the ties break on the energy error: the
+    level keeps the attempt closest to the oracle eigenvalue, not the
+    first one judged, which is off by up to 6.8e-9 here."""
     model = preset("B", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
     sec = sector_from_occupations(model, (0, 3, 200))
     assert sec.n_top == 100
@@ -471,6 +475,9 @@ def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
         warnings.simplefilter("error")
         report = cross_validate(model, sec)
     assert len(report.levels) == 101
+    tied = [rec.energy_error for rec in report.levels if rec.residual_robust == math.inf]
+    assert tied and max(tied) <= 1e-14
+    assert report.max_energy_error <= 1e-9
 
 
 def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
@@ -484,7 +491,7 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
         roots, reduced = extract(*args)
         return roots * (1 + 1e-4), reduced
 
-    def no_recurrence(terms, energy):
+    def no_recurrence(hops, energy):
         raise ZeroDivisionError
 
     monkeypatch.setattr(bethe, "roots_from_eigenvector", perturbed)
@@ -579,33 +586,109 @@ def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):
 
 GRID_W = (0.4, -0.3, 0.2)
 ROUTE_SECTORS = {
-    "A-40": ("A", GRID_W, (0, 3, 40)),
-    "B-40": ("B", GRID_W, (0, 3, 80)),
-    "C-40": ("C", GRID_W + (0.1,), (0, 3, 40, 42)),
-    "A-30": ("A", GRID_W, (0, 3, 30)),
+    "A-40": ("A", GRID_W, (0, 3, 40), 0.8),
+    "B-40": ("B", GRID_W, (0, 3, 80), 0.8),
+    "C-40": ("C", GRID_W + (0.1,), (0, 3, 40, 42), 0.8),
+    "A-30": ("A", GRID_W, (0, 3, 30), 0.8),
+    "A-60": ("A", GRID_W, (0, 3, 60), 0.8),
+    "B-60": ("B", GRID_W, (0, 3, 120), 0.8),
+    "C-60": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 0.8),
+    "B-100": ("B", GRID_W, (0, 3, 200), 0.8),
+    "C-100": ("C", GRID_W + (0.1,), (0, 3, 100, 102), 0.8),
+    # C(m) ~ 1e-12: the float64 recurrence's coefficients pass 1e200 and
+    # are rescaled
+    "A-30-weak": ("A", GRID_W, (0, 3, 30), 1e-12),
 }
+N40_GRID = ("A-40", "B-40", "C-40")
 
 
-@pytest.mark.parametrize("name", [*ROUTE_SECTORS, "A-30-exact"])
+def _route_sector(name):
+    case, w, occ, g = ROUTE_SECTORS[name]
+    model = preset(case, w=list(w), wq={(0, 1): 0.5}, g=g)
+    return model, sector_from_occupations(model, occ)
+
+
+@pytest.mark.parametrize("name", [*N40_GRID, "A-30", "A-60", "B-100", "C-100", "A-30-exact"])
 def test_high_precision_route_matches_mpmath_reference(name):
     """The decimal route gives the mpmath route's float64 coefficients
-    exactly, on every level of the N=40 grid, of preset A at N=30, and of
-    one sector whose couplings (and so hop values) are exact fractions."""
+    exactly, on every level of the N=40 grid, of preset A at N=30 and N=60,
+    of one sector whose couplings (and so hop values) are exact fractions,
+    and on every 4th level of presets B and C at N=100."""
     if name.endswith("exact"):
         model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
                        wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
-        occ = (0, 3, 30)
+        sec = sector_from_occupations(model, (0, 3, 30))
     else:
-        case, w, occ = ROUTE_SECTORS[name]
-        model = preset(case, w=list(w), wq={(0, 1): 0.5}, g=0.8)
-    sec = sector_from_occupations(model, occ)
+        model, sec = _route_sector(name)
     op = expand_diffop(model, sec)
     if name.endswith("exact"):
         assert all(isinstance(c, Fraction) for c in op.hop_values[2])
-    terms = bethe._HopTerms(op.hop_values)
-    for energy in diagonalize(build_monomial_matrix(model, sec)).energies:
-        got = bethe._high_precision_coefficients(terms, float(energy))
+    stride = 4 if name.endswith("100") else 1
+    hops = bethe._working_hops(op.hop_values)
+    for energy in diagonalize(build_monomial_matrix(model, sec)).energies[::stride]:
+        got = bethe._high_precision_coefficients(hops, float(energy))
         assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
+
+
+@pytest.mark.parametrize("name", [*N40_GRID, "A-60", "B-60", "C-60", "A-30-weak"])
+def test_float64_route_matches_reference_recurrence(name):
+    """The float64 route, on the monomial block's hop values, gives the
+    reference recurrence's coefficients exactly on every level of the N=40
+    grid, of presets A, B and C at N=60, and of a weakly coupled sector
+    whose coefficients are rescaled on the way."""
+    model, sec = _route_sector(name)
+    op = expand_diffop(model, sec)
+    block = build_monomial_matrix(model, sec)
+    hops = [x.tolist() for x in (block.upper, block.diag, block.lower)]
+    for energy in diagonalize(block).energies.tolist():
+        got = bethe._coefficients_at_energy(hops, energy)
+        assert np.array_equal(got, float64_coefficients(op, energy)), energy
+
+
+def _assert_returned_roots_are_scored(model, sec):
+    """Each level's reported robust residual is that of the roots it
+    returns, and a passing level's returned roots meet the 1e-10 gate."""
+    p_list = bethe._float_polys(expand_diffop(model, sec))
+    report = cross_validate(model, sec)
+    for rec, sol in zip(report.levels, report.solutions):
+        stack = np.array(sol.roots, dtype=complex)[None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            resid = float(bethe._scaled_robust(bethe._terms_at_roots(p_list, stack))[0])
+        assert resid == sol.residual_robust, rec
+        if rec.ok:
+            assert resid <= 1e-10, rec
+
+
+@pytest.mark.parametrize("name", N40_GRID)
+def test_passing_levels_certify_their_returned_roots_on_the_n40_grid(name):
+    """Snapping conjugate pairs onto the axis can move passing roots off
+    their certificate: on preset A at N=40, levels 34-37 and 39 read up to
+    1e-9 once snapped at 1e-8 of the root scale."""
+    _assert_returned_roots_are_scored(*_route_sector(name))
+
+
+@st.composite
+def _float_models_and_sectors(draw):
+    """A model with r, s, k_i in 1..3, couplings drawn as in the acceptance
+    suite's three-way check, and a sector anchored at m_i < 7 k_i, so that
+    N <= 12."""
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = r + s
+    k = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    coupling = st.floats(-1.0, 1.0)
+    w = draw(st.lists(coupling, min_size=n, max_size=n))
+    wq = {(i, j): draw(coupling) for i in range(n) for j in range(i, n)}
+    model = make_model(r, s, k, w=w, wq=wq, g=draw(st.floats(0.1, 2.0)))
+    return model, sector_from_occupations(model, [draw(st.integers(0, 7 * ki - 1)) for ki in k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_float_models_and_sectors())
+def test_passing_levels_certify_their_returned_roots(case):
+    """The rule of the N=40 grid test, over random sectors with N <= 12."""
+    model, sec = case
+    assert sec.n_top <= 12
+    _assert_returned_roots_are_scored(model, sec)
 
 
 def test_high_precision_route_raises_without_interaction():
@@ -614,13 +697,13 @@ def test_high_precision_route_raises_without_interaction():
     model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
     sec = sector_from_occupations(model, (0, 0, 4))
     op = expand_diffop(model, sec)
-    terms = bethe._HopTerms(op.hop_values)
+    hops = bethe._working_hops(op.hop_values)
     for m in (0, 1):   # E = B(0): (E - B(0)) / C(1) is 0/0; E = B(1): x/0
         energy = float(op.hop_values[1][m])
         with pytest.raises(ZeroDivisionError):
             high_precision_coefficients(op, energy)
         with pytest.raises(ZeroDivisionError):
-            bethe._high_precision_coefficients(terms, energy)
+            bethe._high_precision_coefficients(hops, energy)
 
 
 _SPECIAL_ROOTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
