@@ -22,15 +22,19 @@ then the same recurrence at high working precision in the standard
 library's `decimal`.  Each rung judges all of a sector's still unresolved
 levels at once, as one stack of root sets.  Each candidate is
 canonicalized once, and that one set is both scored and returned; a
-level's first set that passes is accepted.  When none does, the level is
-reported unconverged and keeps the attempt whose closed-form energy agrees
-with the oracle eigenvalue, the smaller residual and then the smaller
-energy error breaking ties.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
-their magnitude bounds are evaluated once per stack of root sets
-(`_terms_at_roots`), and both residual forms read that one evaluation;
-an overflowed bound reads as an infinite residual.  An independent
+level's first set that passes is accepted: its scaled robust residual is
+within a fixed 1e-12 and its closed-form energy agrees with the oracle
+eigenvalue to `energy_tol`, the one tolerance a caller sets.  When none
+passes, the level is reported unconverged and keeps the attempt whose
+energy agrees, the smaller residual and then the smaller energy error
+breaking ties.  `cross_validate` certifies a level whose returned roots'
+scaled robust residual is within a fixed 1e-10.  The terms P_i(a_p)
+psi^(i)(a_p) of H psi and their magnitude bounds are evaluated once per
+stack of root sets (`_terms_at_roots`), and both residual forms read that
+one evaluation; an overflowed bound reads as an infinite residual.  An independent
 multi-start Newton search on the pole-residue equations, run on the same
-operator, is available as a confirmation mode.
+operator, is available as a confirmation mode (`direct_search`, or
+`solve_bethe` with `starts` > 0).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,25 +51,6 @@ from numpy.polynomial import polynomial as npoly
 from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
 from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings for the Bethe solver.
-
-    `tol` bounds the scaled robust residual of an accepted root set;
-    `energy_tol` the relative disagreement tolerated against the oracle
-    eigenvalue.  `seed` feeds the multi-start generator of the direct
-    mode, which draws `starts` initial root sets and runs at most
-    `max_iter` Newton steps from each.
-    """
-
-    tol: float = 1e-12
-    max_iter: int = 50
-    seed: int = 0
-    direct: bool = False
-    starts: int = 64
-    energy_tol: float = 1e-8
 
 
 # Relative separation below which a root set counts as degenerate.
@@ -80,6 +65,16 @@ _MIN_SEPARATION = 1e-10
 _PAIR_TOL = 1e-11
 # Scaled robust residual of a level's returned roots in `cross_validate`.
 _RESIDUAL_TOL = 1e-10
+# Scaled robust residual that ends a level's climb down the ladder.  It is
+# tighter than `_RESIDUAL_TOL` on purpose: at 1e-10 no pass flag moves, but
+# levels stop at coarser roots.  On preset A, anchor (0, 3, N), w = (0.4,
+# -0.3, 0.2), w12 = 0.5, g = 0.8, the worst energy error then rises from
+# 2.0e-10 to 3.9e-9 at N = 60 and from 1.8e-11 to 5.1e-9 at N = 80.
+_SEARCH_TOL = 1e-12
+# Relative disagreement with the oracle eigenvalue a level's energy may have.
+_ENERGY_TOL = 1e-8
+# Newton steps from each start of the direct search.
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True, slots=True)   # slots: callers keep one per level
@@ -489,15 +484,15 @@ def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
         return np.array([float(x / peak) for x in vec])
 
 
-def _closed_form_energy(op: DiffOpForm, roots, cfg) -> float:
+def _closed_form_energy(op: DiffOpForm, roots, energy_tol: float) -> float:
     try:
-        return float(_energy(op.hop_values, roots, imag_tol=math.sqrt(cfg.energy_tol)))
+        return float(_energy(op.hop_values, roots, imag_tol=math.sqrt(energy_tol)))
     except ValueError:
         return math.nan
 
 
 @_quiet
-def _solve_levels(op, p_list, block, spec, cfg):
+def _solve_levels(op, p_list, block, spec, energy_tol: float):
     """Root pipeline for all levels of a sector, in one pass down the ladder.
 
     Candidate full-degree root sets come in rungs of increasing cost --
@@ -507,8 +502,8 @@ def _solve_levels(op, p_list, block, spec, cfg):
     At each rung the levels still unresolved are judged together, as one
     stack.  Each candidate is canonicalized once, and its residuals,
     energy and degenerate flag are those of the canonical set it returns.
-    The first set whose scaled residual meets `cfg.tol` and whose energy
-    agrees with the oracle eigenvalue to `cfg.energy_tol` is accepted, and
+    The first set whose scaled residual meets `_SEARCH_TOL` and whose energy
+    agrees with the oracle eigenvalue to `energy_tol` is accepted, and
     later candidates of that level are never built.  When none passes, the
     level is unconverged and keeps the attempt whose energy agrees, the
     smaller residual and then the smaller energy error breaking ties: the
@@ -527,7 +522,7 @@ def _solve_levels(op, p_list, block, spec, cfg):
     n_full = op.n_top
     if n_full == 0:
         return [BetheSolution(
-            level=level, roots=(), energy=_closed_form_energy(op, (), cfg),
+            level=level, roots=(), energy=_closed_form_energy(op, (), energy_tol),
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
             for level, oracle in enumerate(oracles)]
@@ -553,10 +548,10 @@ def _solve_levels(op, p_list, block, spec, cfg):
         for (level, roots), resid, r_bae in zip(rows, _scaled_robust(at).tolist(),
                                                 _scaled_bae(at).tolist()):
             oracle = oracles[level]
-            energy = _closed_form_energy(op, roots, cfg)
+            energy = _closed_form_energy(op, roots, energy_tol)
             error = abs(energy - oracle) if math.isfinite(energy) else math.inf
-            agrees = error <= cfg.energy_tol * max(1.0, abs(oracle))
-            rank = (resid <= cfg.tol and agrees, agrees, -resid, -error)
+            agrees = error <= energy_tol * max(1.0, abs(oracle))
+            rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
             if best[level] is None or rank > best[level][0]:
                 best[level] = (rank, resid, r_bae, roots, tag, energy)
 
@@ -598,7 +593,7 @@ def _solve_levels(op, p_list, block, spec, cfg):
             roots, reduced, source, energy = canonicalize_roots(v_roots), True, "extracted", oracle
             stack = np.array(roots, dtype=complex)[None]
             r_robust = float(_scaled_robust(_terms_at_roots(p_list, stack))[0])
-            converged = r_robust <= cfg.tol
+            converged = r_robust <= _SEARCH_TOL
         degenerate = _has_close_pair(np.array(roots, dtype=complex), _DEGENERATE_TOL)
         solutions.append(BetheSolution(
             level=level, roots=roots, energy=energy, oracle_energy=oracle,
@@ -609,7 +604,8 @@ def _solve_levels(op, p_list, block, spec, cfg):
     return solutions
 
 
-def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = None):
+def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY_TOL,
+                starts: int = 0, seed: int = 0):
     """Solve for all N+1 levels of a sector through the root pipeline.
 
     Pipeline: diagonalize the monomial block, take the roots of each
@@ -621,34 +617,38 @@ def solve_bethe(model: ModelSpec, sector: Sector, config: SolverConfig | None = 
     stack of root sets, and one evaluation of that stack gives both
     residual forms.  Levels whose eigenpolynomial has
     near-multiple roots are flagged degenerate and validated only through
-    the robust form.
-    With ``config.direct`` the independent multi-start search runs as well,
-    on the same operator, and its solutions are appended (tagged 'direct').
+    the robust form.  A level's climb stops at the first root set whose
+    scaled residual is within a fixed 1e-12 and whose energy agrees with
+    the oracle eigenvalue to `energy_tol`.
+    With `starts` > 0 the independent multi-start search (`direct_search`)
+    runs as well, from that many starts drawn with `seed`, on the same
+    operator, and its solutions are appended (tagged 'direct').
     """
-    cfg = config or SolverConfig()
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-    solutions = _solve_levels(op, p_list, block, diagonalize(block), cfg)
-    if cfg.direct:
-        solutions.extend(_direct_search(op, p_list, cfg))
+    solutions = _solve_levels(op, p_list, block, diagonalize(block), energy_tol)
+    if starts:
+        solutions.extend(_direct_search(op, p_list, starts, seed))
     return solutions
 
 
-def direct_search(model: ModelSpec, sector: Sector, config: SolverConfig | None = None):
+def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: int = 0):
     """Multi-start Newton on the pole-residue equations, no oracle input.
 
-    Draws random root sets, iterates Newton with a forward-difference
-    Jacobian of the pole-residue components, keeps converged distinct
-    solutions, and deduplicates by canonical ordering.  The result is a
+    Draws `starts` random root sets from a generator seeded with `seed`,
+    runs at most 50 Newton steps from each with a forward-difference
+    Jacobian of the pole-residue components, keeps the converged distinct
+    solutions whose canonical roots' scaled robust residual is within
+    1e-10, and deduplicates them by canonical ordering.  The result is a
     subset of the spectrum; completeness is not guaranteed.
     """
     op = expand_diffop(model, sector)
-    return _direct_search(op, _float_polys(op), config or SolverConfig())
+    return _direct_search(op, _float_polys(op), starts, seed)
 
 
 @_quiet
-def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
+def _direct_search(op: DiffOpForm, p_list, starts: int, seed: int):
     """`direct_search` on a built operator and its float form."""
 
     def energy(roots):
@@ -664,12 +664,12 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
         """Pole-residue components of each root set in the stack."""
         return _pole_residues(_terms_at_roots(p_list, stack))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     found = []
-    for _ in range(cfg.starts):
+    for _ in range(starts):
         roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         ok = False
-        for _ in range(cfg.max_iter):
+        for _ in range(_NEWTON_STEPS):
             if _has_close_pair(roots, _MIN_SEPARATION):
                 break
             f = residues(roots[None])[0]
@@ -697,7 +697,7 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
         stack = np.asarray(canon)[None]
         at = _terms_at_roots(p_list, stack)
         r_robust = float(_scaled_robust(at)[0])
-        if r_robust > max(cfg.tol, _RESIDUAL_TOL):
+        if r_robust > _RESIDUAL_TOL:
             continue
         scale = max(1.0, max(abs(a) for a in canon))
         if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
@@ -714,21 +714,20 @@ def _direct_search(op: DiffOpForm, p_list, cfg: SolverConfig):
     return found
 
 
-def cross_validate(model: ModelSpec, sector: Sector,
-                   config: SolverConfig | None = None) -> ValidationReport:
+def cross_validate(model: ModelSpec, sector: Sector, *,
+                   energy_tol: float = _ENERGY_TOL) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
-    One `solve_bethe` pass, with ``config.direct`` off, gives the level
+    One `solve_bethe` pass, without the direct search, gives the level
     solutions and, as their oracle energies, the monomial spectrum.  Never
     raises on disagreement; the report carries per-level records and an
     overall pass flag.  A level passes when its energy error, relative to
-    the spectral scale max(1, max |E|), is within ``config.energy_tol`` and
-    the scaled robust residual of its returned roots within
-    `_RESIDUAL_TOL`.
+    the spectral scale max(1, max |E|), is within `energy_tol` and the
+    scaled robust residual of its returned roots within a fixed 1e-10
+    (`_RESIDUAL_TOL`).
     """
-    cfg = config or SolverConfig()
     fock_spec = diagonalize(build_sector_matrix(model, sector))
-    solutions = solve_bethe(model, sector, replace(cfg, direct=False))
+    solutions = solve_bethe(model, sector, energy_tol=energy_tol)
 
     scale = max(1.0, float(np.max(np.abs(fock_spec.energies))))
     records = []
@@ -739,7 +738,7 @@ def cross_validate(model: ModelSpec, sector: Sector,
         e_m, e_b = sol.oracle_energy, sol.energy
         err = max(abs(e_f - e_m), abs(e_f - e_b), abs(e_m - e_b)) / scale
         worst = max(worst, err) if math.isfinite(err) else math.inf
-        ok = (math.isfinite(err) and err <= cfg.energy_tol
+        ok = (math.isfinite(err) and err <= energy_tol
               and sol.residual_robust <= _RESIDUAL_TOL)
         records.append(LevelRecord(
             level=level, energy_fock=e_f, energy_monomial=e_m, energy_bethe=e_b,

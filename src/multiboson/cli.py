@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bethe, models, polyalg
+from . import bethe, diffop, hamiltonian, models, polyalg
 from .fock import make_model, sector_from_occupations
 
 EXIT_OK = 0
@@ -161,22 +161,6 @@ def _build_model(args) -> "tuple":
     return model, sector
 
 
-def _solver_config(args) -> bethe.SolverConfig:
-    return bethe.SolverConfig(
-        tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-        direct=args.direct, starts=args.starts, energy_tol=args.energy_tol)
-
-
-def _open_output(args):
-    if args.output is None:
-        return sys.stdout, False
-    path = args.output
-    outdir = os.environ.get("MULTIBOSON_OUTPUT_DIR")
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _emit(fh, fmt: str, header, rows):
     if fmt == "csv":
         fh.write(",".join(header) + "\n")
@@ -188,10 +172,22 @@ def _emit(fh, fmt: str, header, rows):
                 fh.write(f"row.{idx}.{name} = {value}\n")
 
 
+def _write(args, header, rows):
+    """Emit the rows to `--output` (default stdout) in `--format`."""
+    if args.output is None:
+        _emit(sys.stdout, args.format, header, rows)
+        return
+    path = args.output
+    outdir = os.environ.get("MULTIBOSON_OUTPUT_DIR")
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _emit(fh, args.format, header, rows)
+
+
 def _cmd_solve(args) -> int:
     model, sector = _build_model(args)
-    cfg = _solver_config(args)
-    report = bethe.cross_validate(model, sector, config=cfg)
+    report = bethe.cross_validate(model, sector, energy_tol=args.energy_tol)
     n_top = sector.n_top
     header = ["level", "energy_oracle", "energy_bethe", "abs_diff",
               "residual_robust", "residual_bae", "n_roots", "degenerate"]
@@ -210,12 +206,7 @@ def _cmd_solve(args) -> int:
             else:
                 row += ["", ""]
         rows.append(row)
-    fh, close = _open_output(args)
-    try:
-        _emit(fh, args.format, header, rows)
-    finally:
-        if close:
-            fh.close()
+    _write(args, header, rows)
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
@@ -269,21 +260,14 @@ def _cmd_scan(args) -> int:
         name, grid = args.sweep, _grid(args.range)
     else:
         raise ConfigError("scan: supply --g-range or --sweep NAME --range START:STOP:STEP")
-    from .hamiltonian import build_sector_matrix, diagonalize
-
     header = ["param", "value", "level", "energy"]
     rows = []
     for value in grid:
         swept = _with_coupling(model, name, value)
-        spec = diagonalize(build_sector_matrix(swept, sector))
+        spec = hamiltonian.diagonalize(hamiltonian.build_sector_matrix(swept, sector))
         for level, energy in enumerate(spec.energies):
             rows.append([name, _fmt(value), _fmt(level), _fmt(float(energy))])
-    fh, close = _open_output(args)
-    try:
-        _emit(fh, args.format, header, rows)
-    finally:
-        if close:
-            fh.close()
+    _write(args, header, rows)
     return EXIT_OK
 
 
@@ -322,16 +306,14 @@ def _cmd_verify_presets(args) -> int:
 
 def _cmd_roots(args) -> int:
     model, sector = _build_model(args)
-    cfg = _solver_config(args)
-    from .diffop import expand_diffop
-
     lines = []
     if args.dump_diffop:
-        op = expand_diffop(model, sector)
+        op = diffop.expand_diffop(model, sector)
         for i, poly in enumerate(op.p):
             coeffs = " ".join(_fmt(float(c)) for c in poly.coeffs) or "0"
             lines.append(f"P{i}: {coeffs}")
-    solutions = bethe.solve_bethe(model, sector, cfg)
+    solutions = bethe.solve_bethe(model, sector, energy_tol=args.energy_tol,
+                                  starts=args.starts if args.direct else 0, seed=args.seed)
     for sol in solutions:
         if sol.source == "direct":
             tag = "direct"
@@ -359,18 +341,16 @@ def _add_model_arguments(parser):
 
 
 def _add_solver_arguments(parser):
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="scaled robust-residual tolerance for refinement")
     parser.add_argument("--energy-tol", type=float, default=1e-8,
                         help="relative energy agreement tolerance")
-    parser.add_argument("--max-iter", type=int, default=50,
-                        help="Newton steps per start of the --direct search")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the --direct search's starts")
     parser.add_argument("--direct", action="store_true",
                         help="roots: also run the independent multi-start search and "
                              "print its 'direct' rows; solve accepts the flag but "
                              "prints level rows only")
-    parser.add_argument("--starts", type=int, default=64)
+    parser.add_argument("--starts", type=int, default=64,
+                        help="starts of the --direct search (0: none)")
 
 
 def _add_output_arguments(parser):

@@ -24,8 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bethe import bethe_residuals, energy_from_roots
 from .diffop import Polynomial, expand_diffop
-from .fock import ModelSpec, Sector, label_t, make_model
+from .fock import ModelSpec, Sector, label_t, make_model, sector_from_occupations
 
 PRESET_SHAPES = {
     "A": (2, 1, (1, 1, 1)),
@@ -290,44 +291,42 @@ def random_case_inputs(case: str, rng):
     else:
         l3 = int(rng.integers(0, 5))
         anchor = (b1, 0, n_top + l3, n_top)
-    from .fock import sector_from_occupations
-
     return model, sector_from_occupations(model, anchor)
 
 
-def _general_coefficient_map(case: str, op) -> dict:
-    """Where each table symbol lives in the general expansion."""
-    def pc(i, power):
-        cs = op.p[i].coeffs
-        return cs[power] if power < len(cs) else 0
+def _coefficient(op, i, power):
+    """The z**power coefficient of the operator polynomial P_i."""
+    cs = op.p[i].coeffs
+    return cs[power] if power < len(cs) else 0
 
-    if case == "A":
-        return {"A11": pc(2, 2), "B11": pc(1, 1)}
-    if case == "B":
-        return {"A21": pc(2, 2), "B21": pc(1, 2), "D21": pc(1, 1),
-                "F21": pc(0, 1), "G21": pc(0, 0)}
-    return {"A22": pc(2, 2), "B22": pc(1, 2), "D22": pc(1, 1), "G22": pc(0, 0)}
+
+# where each table symbol lives in the general expansion: (i, power) of P_i
+_SYMBOL_SLOTS = {
+    "A": {"A11": (2, 2), "B11": (1, 1)},
+    "B": {"A21": (2, 2), "B21": (1, 2), "D21": (1, 1), "F21": (0, 1), "G21": (0, 0)},
+    "C": {"A22": (2, 2), "B22": (1, 2), "D22": (1, 1), "G22": (0, 0)},
+}
+
+
+def _general_coefficient_map(case: str, op) -> dict:
+    """Each table symbol's value in the general expansion."""
+    return {name: _coefficient(op, *slot) for name, slot in _SYMBOL_SLOTS[case].items()}
 
 
 def _structural_checks(case: str, op, model, sector) -> list:
     """Table entries that are plain structure, not named symbols."""
     g = model.g
     l1 = sector.l1[0]
-    def pc(i, power):
-        cs = op.p[i].coeffs
-        return cs[power] if power < len(cs) else 0
-
-    checks = [("P2-linear", pc(2, 1), g), ("P1-constant", pc(1, 0), g * (l1 + 1))]
+    checks = [("P2-linear", (2, 1), g), ("P1-constant", (1, 0), g * (l1 + 1))]
     if case == "A":
-        checks += [("P1-quadratic", pc(1, 2), -g), ("P2-cubic", pc(2, 3), 0)]
+        checks += [("P1-quadratic", (1, 2), -g), ("P2-cubic", (2, 3), 0)]
     elif case == "B":
-        checks += [("P2-cubic", pc(2, 3), 4 * g)]
+        checks += [("P2-cubic", (2, 3), 4 * g)]
     else:
         n_top = sector.n_top
         l3 = sector.l2[0]
-        checks += [("P2-cubic", pc(2, 3), g),
-                   ("P0-linear", pc(0, 1), g * n_top * (n_top + l3))]
-    return checks
+        checks += [("P2-cubic", (2, 3), g), ("P0-linear", (0, 1), g * n_top * (n_top + l3))]
+    return [(name, _coefficient(op, *slot), want) for name, slot, want in checks]
 
 
 def verify_case(case: str, draws: int = 50, seed: int = 0,
@@ -385,8 +384,6 @@ def verify_case(case: str, draws: int = 50, seed: int = 0,
         # obscure the structural comparison
         n_roots = sector.n_top
         roots = rng.standard_normal(n_roots) + 1j * rng.standard_normal(n_roots)
-        from .bethe import bethe_residuals
-
         got = tabulated_bae_residuals(case, model, sector, roots, p2=op.p[2], p1=op.p[1])
         want = bethe_residuals(op, roots)
         scale = max(1.0, float(np.max(np.abs(want))) if want.size else 1.0)
@@ -396,8 +393,6 @@ def verify_case(case: str, draws: int = 50, seed: int = 0,
 
         # tabulated energy versus general closed form, exact rational roots
         exact_roots = tuple(_random_fraction(rng) for _ in range(n_roots))
-        from .bethe import energy_from_roots
-
         e_general = energy_from_roots(model, sector, exact_roots)
         e_table = tabulated_energy(case, model, sector, exact_roots)
         if e_general == e_table:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiboson import (SolverConfig, bethe, bethe_residuals, build_monomial_matrix,
+from multiboson import (bethe, bethe_residuals, build_monomial_matrix,
                         canonicalize_roots, cross_validate, diagonalize, direct_search,
                         energy_from_roots, expand_diffop, make_model, occupations_at, preset,
                         robust_residuals, roots_from_eigenvector, sector_from_occupations,
@@ -263,9 +263,8 @@ def test_degenerate_and_reduced_levels_at_g_zero():
 def test_direct_mode_is_subset_of_extracted():
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 2))
-    cfg = SolverConfig(seed=4, starts=40)
-    extracted = solve_bethe(model, sec, cfg)
-    direct = direct_search(model, sec, cfg)
+    extracted = solve_bethe(model, sec)
+    direct = direct_search(model, sec, starts=40, seed=4)
     assert direct, "multi-start search found nothing"
     for sol in direct:
         dists = [max(abs(x - y) for x, y in zip(sol.roots, ex.roots))
@@ -339,7 +338,7 @@ def test_cross_validate_passes_where_horner_cancelled(name):
 def test_cross_validate_reports_failure_without_raising():
     model = make_model(2, 1, (1, 1, 1), w=[0.37, -0.21, 0.11], g=0.9)
     sec = sector_from_occupations(model, (1, 0, 5))
-    report = cross_validate(model, sec, config=SolverConfig(energy_tol=0.0))
+    report = cross_validate(model, sec, energy_tol=0.0)
     assert not report.passed
     assert report.failing_levels()
 
@@ -554,12 +553,10 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
     monkeypatch.setattr(bethe, "_solve_levels", levels)
     model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
     sec = sector_from_occupations(model, (0, 3, 12))
-    for config in (None, SolverConfig(direct=True)):
-        counts.clear()
-        report = cross_validate(model, sec, config=config)
-        assert report.passed and len(report.solutions) == sec.dim
-        assert dict(counts) == {"build_monomial_matrix": 1, "diagonalize": 2,
-                                "expand_diffop": 1, "_float_polys": 1}
+    report = cross_validate(model, sec)
+    assert report.passed and len(report.solutions) == sec.dim
+    assert dict(counts) == {"build_monomial_matrix": 1, "diagonalize": 2,
+                            "expand_diffop": 1, "_float_polys": 1}
 
 
 def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):

@@ -178,6 +178,21 @@ def test_numerical_failure_exit_code(capsys):
     assert code == 3
 
 
+A40_SOLVE = ["solve", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5", "--g=0.8",
+             "--occ=0,3,40"]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--max-iter", "5"]])
+def test_removed_search_settings_are_rejected(capsys, flag):
+    """The ladder's search target and the Newton step count are fixed: a
+    looser target once stopped levels 19-22 of this sector at roots that
+    fail the 1e-10 certificate, turning a pass into exit 3."""
+    with pytest.raises(SystemExit) as exc:
+        main(A40_SOLVE + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_inline_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

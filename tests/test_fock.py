@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiboson import (label_t, make_model, occupations_at, q_from_occupation,
                         sector_from_occupations)
@@ -131,6 +133,28 @@ def test_partition_every_state_in_exactly_one_sector():
         assert orbit.count(occ) == 1
         for state in orbit:
             assert sector_from_occupations(model, state) == sec
+
+
+@st.composite
+def _models_and_occupations(draw):
+    r = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 3))
+    k = draw(st.lists(st.integers(1, 3), min_size=r + s, max_size=r + s))
+    occ = draw(st.lists(st.integers(0, 8), min_size=r + s, max_size=r + s))
+    return make_model(r, s, k, g=1), tuple(occ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_models_and_occupations())
+def test_sector_map_is_total(case):
+    """Every occupation vector lies in exactly one sector: it appears once
+    in its sector's orbit, and every orbit state maps back to that sector."""
+    model, occ = case
+    sec = sector_from_occupations(model, occ)
+    orbit = [occupations_at(model, sec, n) for n in range(sec.dim)]
+    assert orbit.count(occ) == 1
+    for state in orbit:
+        assert sector_from_occupations(model, state) == sec
 
 
 def test_label_t_detects_nonreference_anchors():
