@@ -20,7 +20,8 @@ monomial-basis eigenvector, then the coefficients rebuilt from the
 three-term recurrence (`_recurrence`) in float64 on the monomial block,
 then the same recurrence at high working precision in the standard
 library's `decimal`.  Each rung judges all of a sector's still unresolved
-levels at once, as one stack of root sets.  Each candidate is
+levels at once, as one stack of root sets, whose roots come from one
+stacked companion-matrix eigensolve (`_roots_of_rows`).  Each candidate is
 canonicalized once, and that one set is both scored and returned; a
 level's first set that passes is accepted: its scaled robust residual is
 within a fixed 1e-12 and its closed-form energy agrees with the oracle
@@ -292,6 +293,36 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
 # ----------------------------------------------------------------------
 # root extraction and bookkeeping
 
+def _roots_of_rows(rows) -> list:
+    """Roots of each polynomial sum_n row[n] z^n, one complex array per row,
+    each bit for bit `numpy.roots(row[::-1])` cast to complex.
+
+    As in `numpy.roots`, a row's zero top coefficients are dropped, each zero
+    constant term gives a root at 0 appended after the eigenvalues, and the
+    companion matrix of what is left keeps the row's dtype (complex rows stay
+    on LAPACK's zgeev).  The companion matrices of one (degree, dtype) are
+    stacked into a single `np.linalg.eigvals` call, which runs geev on each
+    in turn: a rung of the ladder makes one call for all of its levels.
+    Every row needs a nonzero coefficient.
+    """
+    roots = [None] * len(rows)
+    groups = {}
+    for index, row in enumerate(rows):
+        row = np.asarray(row)
+        nonzero = np.flatnonzero(row)
+        low, high = int(nonzero[0]), int(nonzero[-1])
+        p = row[low:high + 1][::-1]
+        groups.setdefault((p.size, p.dtype), []).append((index, p, low))
+    for (size, dtype), members in groups.items():
+        coeffs = np.array([p for _, p, _ in members])
+        companion = np.zeros((len(members), size - 1, size - 1), dtype=dtype)
+        companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
+        companion[:, range(1, size - 1), range(size - 2)] = 1
+        for (index, _, zeros), values in zip(members, np.linalg.eigvals(companion)):
+            roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
+    return roots
+
+
 def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
     """Roots of the eigenpolynomial sum_n coeffs[n] z^n.
 
@@ -301,7 +332,9 @@ def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
     levels genuinely look like that in the monomial basis.  Only when
     |coeffs[N]| <= deflation_tol * max|coeffs| (default: an exact zero,
     the g = 0 situation) are trailing coefficients trimmed and `reduced`
-    returned True.
+    returned True.  The roots are those of `_roots_of_rows`, the one root
+    routine of the package, on a single row; the solver's rungs call it on
+    all of their levels at once, one stacked companion eigensolve per rung.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
@@ -314,9 +347,7 @@ def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
         while last > 0 and abs(c[last]) <= deflation_tol * scale:
             last -= 1
         c = c[: last + 1]
-    if c.size == 1:
-        return np.zeros(0, dtype=complex), reduced
-    return np.roots(c[::-1]).astype(complex), reduced
+    return _roots_of_rows([c])[0], reduced
 
 
 def canonicalize_roots(roots) -> tuple:
@@ -388,13 +419,16 @@ def _working_hops(values):
     """(context, A, B, C, A(m-1)C(m)) at the high-precision route's working
     precision, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
 
-    Digits scale with the block size so the coefficient span never eats
-    the precision; the exponent range is unbounded, like arbitrary-precision
-    binary floats.  Fractions are divided at working precision, every other
-    value enters through float.
+    The working precision is max(40, 20 + 2N) digits: it scales with the
+    block size so the coefficient span never eats the precision, and it is
+    gated by `np.array_equal` of the rounded float64 coefficients against an
+    independent mpmath reference at max(50, 30 + 4N) digits.  The exponent
+    range is unbounded, like arbitrary-precision binary floats.  Fractions
+    are divided at working precision, every other value enters through
+    float.
     """
     n_top = len(values[1]) - 1
-    context = decimal.Context(prec=max(50, 30 + 4 * n_top),
+    context = decimal.Context(prec=max(40, 20 + 2 * n_top),
                               Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
     def convert(x):
@@ -527,8 +561,8 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
             source="extracted", degenerate=False, reduced=False, converged=True)
             for level, oracle in enumerate(oracles)]
     extracted = []
-    for vector in spec.vectors.T:
-        v_roots, v_reduced = roots_from_eigenvector(vector)
+    for vector, v_roots in zip(spec.vectors.T, _roots_of_rows(spec.vectors.T)):
+        v_reduced = bool(vector[-1] == 0.0)
         if v_roots.size and not np.all(np.isfinite(v_roots)):
             # leading coefficient at underflow scale: retreat to the trimmed set
             v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
@@ -568,7 +602,7 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
         if not live:
             break
         hops = hops_of()
-        rung, live, candidates = live, [], []
+        rung, live, built, rows = live, [], [], []
         for level in rung:
             try:
                 coeffs = build(hops, oracles[level])
@@ -576,8 +610,9 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
                 continue
             live.append(level)
             if np.all(np.isfinite(coeffs)) and abs(coeffs[-1]) > 0:
-                candidates.append((level, np.roots(coeffs[::-1])))
-        judge("refined", candidates)
+                built.append(level)
+                rows.append(coeffs)
+        judge("refined", zip(built, _roots_of_rows(rows)))
         live = unresolved(live)
 
     solutions = []
@@ -622,8 +657,11 @@ def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY
     the oracle eigenvalue to `energy_tol`.
     With `starts` > 0 the independent multi-start search (`direct_search`)
     runs as well, from that many starts drawn with `seed`, on the same
-    operator, and its solutions are appended (tagged 'direct').
+    operator, and its solutions are appended (tagged 'direct').  A
+    negative `starts` raises ValueError.
     """
+    if starts < 0:
+        raise ValueError(f"starts must be >= 0, got {starts}")
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
@@ -641,8 +679,12 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
     Jacobian of the pole-residue components, keeps the converged distinct
     solutions whose canonical roots' scaled robust residual is within
     1e-10, and deduplicates them by canonical ordering.  The result is a
-    subset of the spectrum; completeness is not guaranteed.
+    subset of the spectrum; completeness is not guaranteed.  No start
+    finds nothing, even the empty root set of an N = 0 sector, and a
+    negative `starts` raises ValueError.
     """
+    if starts < 0:
+        raise ValueError(f"starts must be >= 0, got {starts}")
     op = expand_diffop(model, sector)
     return _direct_search(op, _float_polys(op), starts, seed)
 
@@ -655,7 +697,7 @@ def _direct_search(op: DiffOpForm, p_list, starts: int, seed: int):
         return float(_energy(op.hop_values, roots, imag_tol=1e-8))
 
     n = op.n_top
-    if n == 0:
+    if n == 0 and starts:   # every start finds the empty root set at once
         return [BetheSolution(level=0, roots=(), energy=energy(()),
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]

@@ -326,6 +326,12 @@ def _cmd_roots(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_model_arguments(parser):
     parser.add_argument("--preset", choices=sorted(models.PRESET_SHAPES), default=None,
                         help="use a tabulated case shape")
@@ -349,7 +355,7 @@ def _add_solver_arguments(parser):
                         help="roots: also run the independent multi-start search and "
                              "print its 'direct' rows; solve accepts the flag but "
                              "prints level rows only")
-    parser.add_argument("--starts", type=int, default=64,
+    parser.add_argument("--starts", type=_count, default=64,
                         help="starts of the --direct search (0: none)")
 
 

@@ -142,6 +142,71 @@ def test_roots_from_eigenvector_examples():
         roots_from_eigenvector([0.0, 0.0])
 
 
+@st.composite
+def _coefficient_rows(draw):
+    """One polynomial's coefficients, low to high: degree 1..59 (often a
+    shared one, so rows stack), magnitudes 1e-20..1e20 of either sign, up
+    to two exact-zero constant and top coefficients, float64 or complex128
+    with a zero imaginary part."""
+    degree = draw(st.one_of(st.sampled_from((1, 2, 12)), st.integers(1, 59)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.choice((-1.0, 1.0), degree + 1) * 10.0 ** rng.uniform(-20, 20, degree + 1)
+    row[:draw(st.integers(0, 2))] = 0.0
+    row[degree + 1 - draw(st.integers(0, 2)):] = 0.0
+    if not np.any(row):
+        row[degree // 2] = 1.0
+    return row.astype(complex) if draw(st.booleans()) else row
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_coefficient_rows(), min_size=1, max_size=8))
+def test_roots_of_rows_match_numpy_roots_bit_for_bit(rows):
+    """The stacked companion eigensolve gives each row exactly what
+    `np.roots` gives it alone, down to the dtype and every bit."""
+    got = bethe._roots_of_rows(rows)
+    assert len(got) == len(rows)
+    for row, roots in zip(rows, got):
+        want = np.roots(row[::-1]).astype(complex)
+        assert np.array_equal(roots, want)
+        assert roots.dtype == want.dtype and roots.tobytes() == want.tobytes()
+
+
+def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
+    """Preset A at N=40 reaches all three rungs, and each rung finds the
+    roots of all of its levels in one `np.linalg.eigvals` call; no level
+    gets an `np.roots` call of its own (104 of them on this sector once)."""
+    calls = collections.Counter()
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigvals")
+    counted(np, "roots")
+    counted(bethe, "_high_precision_coefficients")
+    model, sec = _route_sector("A-40")
+    solve_bethe(model, sec)
+    assert calls["_high_precision_coefficients"] > 0
+    assert calls["roots"] == 0 and 1 <= calls["eigvals"] <= 3
+
+
+def test_direct_search_finds_nothing_without_starts():
+    """Zero starts find no root set, even the empty one of an N = 0 sector,
+    and a negative count is an error, not zero starts."""
+    model = make_model(2, 1, (1, 1, 1), w=[0.4, 0.1, -0.2], g=1)
+    sec = sector_from_occupations(model, (3, 0, 0))
+    assert sec.n_top == 0
+    assert direct_search(model, sec, starts=0) == []
+    assert [sol.source for sol in direct_search(model, sec, starts=3)] == ["direct"]
+    for search in (direct_search, solve_bethe):
+        with pytest.raises(ValueError, match="starts"):
+            search(model, sec, starts=-2)
+
+
 def test_canonicalize_roots():
     canon = canonicalize_roots([1 + 1e-12j, -2.0, 0.5 + 0.25j, 0.5 - 0.25j + 1e-13j])
     assert canon[0] == -2.0
@@ -484,16 +549,16 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
     back unconverged with the extracted roots, and the report fails it."""
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
-    extract = bethe.roots_from_eigenvector
+    roots_of_rows = bethe._roots_of_rows
 
-    def perturbed(*args):
-        roots, reduced = extract(*args)
-        return roots * (1 + 1e-4), reduced
+    def perturbed(rows):
+        return [roots * (1 + 1e-4) for roots in roots_of_rows(rows)]
 
     def no_recurrence(hops, energy):
         raise ZeroDivisionError
 
-    monkeypatch.setattr(bethe, "roots_from_eigenvector", perturbed)
+    # with both recurrences off, only the extraction rung finds roots
+    monkeypatch.setattr(bethe, "_roots_of_rows", perturbed)
     monkeypatch.setattr(bethe, "_coefficients_at_energy", no_recurrence)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
     sols = solve_bethe(model, sec)
@@ -605,26 +670,52 @@ def _route_sector(name):
     return model, sector_from_occupations(model, occ)
 
 
-@pytest.mark.parametrize("name", [*N40_GRID, "A-30", "A-60", "B-100", "C-100", "A-30-exact"])
+def _general_sectors(seed, count):
+    """`count` sectors with N in 16..24 of general models with r, s, k_i in
+    1..3 and couplings drawn as in the acceptance suite's three-way check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r, s = (int(x) for x in rng.integers(1, 4, 2))
+        k = [int(x) for x in rng.integers(1, 4, r + s)]
+        w = rng.uniform(-1, 1, r + s)
+        wq = {(i, j): rng.uniform(-1, 1) for i in range(r + s) for j in range(i, r + s)}
+        model = make_model(r, s, k, w=w, wq=wq, g=rng.uniform(0.1, 2.0))
+        # N is the lowest tower level of group 1 plus that of group 2
+        n_top = int(rng.integers(16, 25))
+        down = int(rng.integers(0, n_top + 1))
+        levels = [down] * r + [n_top - down] * s
+        sec = sector_from_occupations(
+            model, [ki * level + int(rng.integers(0, ki)) for ki, level in zip(k, levels)])
+        assert sec.n_top == n_top
+        yield model, sec
+
+
+@pytest.mark.parametrize("name", [*N40_GRID, "A-30", "A-60", "B-100", "C-100", "A-30-exact",
+                                  "general"])
 def test_high_precision_route_matches_mpmath_reference(name):
-    """The decimal route gives the mpmath route's float64 coefficients
-    exactly, on every level of the N=40 grid, of preset A at N=30 and N=60,
-    of one sector whose couplings (and so hop values) are exact fractions,
-    and on every 4th level of presets B and C at N=100."""
+    """The decimal route, at its max(40, 20 + 2N) digits, gives the float64
+    coefficients of the mpmath route at max(50, 30 + 4N) digits exactly, on
+    every level of the N=40 grid, of preset A at N=30 and N=60, of one
+    sector whose couplings (and so hop values) are exact fractions, of
+    three general-model sectors with N in 16..24, and on every 4th level of
+    presets B and C at N=100."""
     if name.endswith("exact"):
         model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
                        wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
-        sec = sector_from_occupations(model, (0, 3, 30))
+        sectors = [(model, sector_from_occupations(model, (0, 3, 30)))]
+    elif name == "general":
+        sectors = list(_general_sectors(13, 3))
     else:
-        model, sec = _route_sector(name)
-    op = expand_diffop(model, sec)
-    if name.endswith("exact"):
-        assert all(isinstance(c, Fraction) for c in op.hop_values[2])
+        sectors = [_route_sector(name)]
     stride = 4 if name.endswith("100") else 1
-    hops = bethe._working_hops(op.hop_values)
-    for energy in diagonalize(build_monomial_matrix(model, sec)).energies[::stride]:
-        got = bethe._high_precision_coefficients(hops, float(energy))
-        assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
+    for model, sec in sectors:
+        op = expand_diffop(model, sec)
+        if name.endswith("exact"):
+            assert all(isinstance(c, Fraction) for c in op.hop_values[2])
+        hops = bethe._working_hops(op.hop_values)
+        for energy in diagonalize(build_monomial_matrix(model, sec)).energies[::stride]:
+            got = bethe._high_precision_coefficients(hops, float(energy))
+            assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
 
 
 @pytest.mark.parametrize("name", [*N40_GRID, "A-60", "B-60", "C-60", "A-30-weak"])

@@ -193,6 +193,16 @@ def test_removed_search_settings_are_rejected(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_negative_starts_are_rejected(capsys):
+    """A negative start count once printed a 'direct:' row for this N = 0
+    sector, as if a search had run, and exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--preset", "A", "--g", "1", "--occ", "0,0,0", "--direct",
+              "--starts", "-3"])
+    assert exc.value.code == 2
+    assert "--starts" in capsys.readouterr().err
+
+
 def test_inline_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
