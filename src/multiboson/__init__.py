@@ -13,7 +13,7 @@ from .bethe import (BetheSolution, ValidationReport, bethe_residuals, canonicali
                     cross_validate, direct_search, energy_from_roots, robust_residuals,
                     roots_from_eigenvector, solve_bethe)
 from .diffop import (DiffOpForm, Polynomial, apply_to_polynomial, expand_diffop,
-                     falling_factorial_coefficients, hop_coefficients, hop_values)
+                     falling_factorial_coefficients, hop_values)
 from .fock import (ModeLabel, ModelSpec, Sector, base_number_values, label_t, make_model,
                    occupations_at, q_from_occupation, sector_from_occupations)
 from .hamiltonian import (ConditioningWarning, SpectrumResult, TridiagonalBlock,

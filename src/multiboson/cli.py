@@ -326,10 +326,14 @@ def _cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+def _count(text: str, least: int = 0) -> int:
+    if not text.strip().isdigit() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= {least}, got {text!r}")
     return int(text)
+
+
+def _positive_count(text: str) -> int:
+    return _count(text, least=1)
 
 
 def _add_model_arguments(parser):
@@ -387,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_alg = sub.add_parser("verify-algebra", help="single-mode algebra identity suite")
-    p_alg.add_argument("--kmax", type=int, default=4)
+    p_alg.add_argument("--kmax", type=_positive_count, default=4)
     p_alg.add_argument("--trunc", type=int, default=None,
                        help="Fock cutoff (default 6k per power)")
     p_alg.set_defaults(func=_cmd_verify_algebra)
 
     p_pre = sub.add_parser("verify-presets", help="closed-form table fixtures")
     p_pre.add_argument("--case", choices=sorted(models.PRESET_SHAPES), default=None)
-    p_pre.add_argument("--draws", type=int, default=50)
+    p_pre.add_argument("--draws", type=_positive_count, default=50)
     p_pre.add_argument("--seed", type=int, default=0)
     p_pre.set_defaults(func=_cmd_verify_presets)
 

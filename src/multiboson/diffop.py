@@ -12,10 +12,14 @@ M = max(sum k_i over group 1, sum k_i over group 2, 2).  Quasi-exact
 solvability is the pair of exact zeros A(N) = 0 and C(0) = 0, which trap
 the polynomial subspace of degree <= N.
 
-The expanded polynomials (`hop_coefficients`) serve only to build the
-P_i.  Every value at a level n = 0..N -- the monomial block, the
-recurrences and the closed-form energy -- comes from `hop_values`, which
-reads the products of falling factorials straight off the occupations.
+Every hop term is a coupling times an integer product of the occupations
+m_i(n): A(n) = g * prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1),
+C(n) the same product over group 1, and B(n) = sum_i w_i m_i +
+sum_{i<=j} w_ij m_i m_j.  `_hop_factors` reads the integer products off
+the occupations once.  `hop_values` multiplies them by the couplings at
+the levels n = 0..N; the P_i take exact forward differences of them
+first (B's with the couplings scaled to integers), so each operator
+coefficient is exact up to the rounding of its last product or quotient.
 
 Coefficients stay exact rationals whenever the model couplings are
 rational; float couplings flow through the identical code path.
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import ModelSpec, Sector, occupations_at
+from .fock import ModelSpec, Sector, _occupations
 
 
 def _exact(x) -> bool:
@@ -115,109 +119,75 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def falling_factorial_coefficients(poly: Polynomial) -> tuple:
-    """Coefficients c_i with poly(n) = sum_i c_i * n(n-1)...(n-i+1).
-
-    Computed via forward differences at n = 0, 1, 2, ...: c_i equals the
-    i-th difference divided by i!, exactly when the coefficients are
-    exact.
-    """
-    d = poly.degree
-    if d < 0:
-        return ()
-    row = [poly(n) for n in range(d + 1)]
-    out = []
-    for i in range(d + 1):
-        head = row[0]
-        fact = math.factorial(i)
-        if _exact(head):
-            c = Fraction(head, fact)
-            out.append(int(c) if c.denominator == 1 else c)
-        else:
+def _differences(values) -> list:
+    """c_i = (Delta^i f)(0) / i! for f(n) = values[n], n = 0, 1, ...: the
+    falling-factorial coefficients of f, exact when the values are."""
+    out, row = [], list(values)
+    for i in range(len(row)):
+        head, fact = row[0], math.factorial(i)
+        if not _exact(head):
             out.append(head / fact)
-        row = [row[j + 1] - row[j] for j in range(len(row) - 1)]
-    return tuple(out)
+        else:
+            out.append(head // fact if head % fact == 0 else Fraction(head, fact))
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
-def _mode_occupation_poly(model: ModelSpec, sector: Sector, i: int) -> Polynomial:
-    """m_i(n) as a polynomial in the level index n."""
-    b = sector.base_occupations[i]
-    step = model.k[i] if i < model.r else -model.k[i]
-    return Polynomial((b, step))
+def falling_factorial_coefficients(poly: Polynomial) -> tuple:
+    """Coefficients c_i with poly(n) = sum_i c_i * n(n-1)...(n-i+1), from
+    the forward differences of poly at n = 0 .. deg poly."""
+    return tuple(_differences([poly(n) for n in range(poly.degree + 1)]))
 
 
-def hop_coefficients(model: ModelSpec, sector: Sector):
-    """Hop polynomials (A, B, C) of the three-term action H z^n.
+def _hop_factors(model: ModelSpec, sector: Sector, count: int):
+    """Occupation rows m(n) for n = 0 .. count - 1, with the integer products
+    A(n)/g = prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1) and C(n)/g,
+    the same over group 1.  Past N the rows continue as polynomials in n."""
+    rows = [_occupations(model, sector, n) for n in range(count)]
 
-    A(n) collects the annihilation-group falling factorials (the z^{n+1}
-    part), C(n) the creation-group ones (z^{n-1}), and B(n) is the
-    diagonal energy sum over occupations at level n.  A(N) and C(0) vanish
-    identically: an exact integer zero factor, not a cancellation.  The
-    polynomials build the P_i of `expand_diffop`; values at the levels
-    come from `hop_values`.
-    """
-    hop_a = Polynomial((1,))
-    for i in model.group2:
-        m = _mode_occupation_poly(model, sector, i)
-        for d in range(model.k[i]):
-            hop_a = hop_a * (m - Polynomial((d,)))
-    hop_a = model.g * hop_a
+    def falling(group):
+        return [math.prod(occ[i] - d for i in group for d in range(model.k[i])) for occ in rows]
 
-    hop_c = Polynomial((1,))
-    for i in model.group1:
-        m = _mode_occupation_poly(model, sector, i)
-        for d in range(model.k[i]):
-            hop_c = hop_c * (m - Polynomial((d,)))
-    hop_c = model.g * hop_c
-
-    hop_b = Polynomial()
-    occ = [_mode_occupation_poly(model, sector, i) for i in range(model.n_modes)]
-    for i in range(model.n_modes):
-        hop_b = hop_b + model.w[i] * occ[i]
-    for i in range(model.n_modes):
-        for j in range(i, model.n_modes):
-            wij = model.wq[i][j]
-            if wij != 0:
-                hop_b = hop_b + wij * (occ[i] * occ[j])
-    return hop_a, hop_b, hop_c
+    return rows, falling(model.group2), falling(model.group1)
 
 
-def _number_energy(model: ModelSpec, occ):
-    """Diagonal energy sum_i w_i m_i + sum_{i<=j} w_ij m_i m_j of one state.
+def _number_terms(model: ModelSpec) -> list:
+    """B's terms (coupling, modes) in summation order: w_i m_i for every
+    mode, then w_ij m_i m_j for each nonzero w_ij, i <= j."""
+    n = model.n_modes
+    return ([(model.w[i], (i,)) for i in range(n)]
+            + [(model.wq[i][j], (i, j)) for i in range(n) for j in range(i, n)
+               if model.wq[i][j] != 0])
 
-    Exact for exact couplings.  The terms are added left to right in this
-    order (w_i m_i first, then w_ij m_i m_j), which fixes the float sum.
-    """
+
+def _number_energy(terms, occ):
+    """B = sum_i w_i m_i + sum_{i<=j} w_ij m_i m_j of one state, exact for
+    exact couplings.  Each term multiplies its coupling by the occupations
+    left to right, and the terms add in order: that fixes the float sum."""
     e = 0
-    for i in range(model.n_modes):
-        e += model.w[i] * occ[i]
-    for i in range(model.n_modes):
-        for j in range(i, model.n_modes):
-            wij = model.wq[i][j]
-            if wij != 0:
-                e += wij * occ[i] * occ[j]
+    for x, modes in terms:
+        for i in modes:
+            x = x * occ[i]
+        e += x
     return e
+
+
+def _level_values(model: ModelSpec, n_top: int, factors):
+    rows, hop_a, hop_c = factors
+    terms = _number_terms(model)
+    return (tuple(model.g * x for x in hop_a[:n_top]),
+            tuple(_number_energy(terms, occ) for occ in rows[:n_top + 1]),
+            tuple(model.g * x for x in hop_c[1:n_top + 1]))
 
 
 def hop_values(model: ModelSpec, sector: Sector):
     """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels.
 
-    Read from the occupations, not from the expanded polynomials:
-    A(n) = g * prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1) at
-    level n, and C(n) is the same product over group 1.  Each product is
-    an exact integer, multiplied by g once, so a float g rounds it once
-    and no sum can cancel near the exact zeros A(N) = C(0) = 0.  B(n) is
-    `_number_energy` at level n.
+    A(n) and C(n) are g times the integer products of `_hop_factors`, so a
+    float g rounds each once and no sum can cancel near the exact zeros
+    A(N) = C(0) = 0.  B(n) is `_number_energy` at level n.
     """
-    levels = [occupations_at(model, sector, n) for n in range(sector.n_top + 1)]
-
-    def hops(group, states):
-        return tuple(model.g * math.prod(occ[i] - d for i in group for d in range(model.k[i]))
-                     for occ in states)
-
-    return (hops(model.group2, levels[:-1]),
-            tuple(_number_energy(model, occ) for occ in levels),
-            hops(model.group1, levels[1:]))
+    return _level_values(model, sector.n_top, _hop_factors(model, sector, sector.n_top + 1))
 
 
 @dataclass(frozen=True)
@@ -242,24 +212,36 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
     Writing each hop polynomial in the falling-factorial basis, the
     coefficient c_i of n(n-1)...(n-i+1) lands in P_i: on z^{i+1} for the
     raising part, z^i for the diagonal, z^{i-1} for the lowering part.
-    The lowering part has no i = 0 term because C(0) = 0 exactly.
+    One `_hop_factors` evaluation at n = 0 .. max(M, N) gives them all, and
+    `hop_values` too.  The c_i of A and C are exact integer differences of
+    the products, each multiplied by g once.  B's are the exact differences
+    of `_number_energy` with the couplings scaled to integers by their
+    common denominator, divided by it once.  The lowering part has no i = 0
+    term because C(0) = 0 exactly.
     """
-    hop_a, hop_b, hop_c = hop_coefficients(model, sector)
     order = max(sum(model.k[i] for i in model.group1),
                 sum(model.k[i] for i in model.group2), 2)
-    grids = [[0] * (i + 2) for i in range(order + 1)]
-    for i, c in enumerate(falling_factorial_coefficients(hop_a)):
-        grids[i][i + 1] = grids[i][i + 1] + c
-    for i, c in enumerate(falling_factorial_coefficients(hop_b)):
-        grids[i][i] = grids[i][i] + c
-    cs = falling_factorial_coefficients(hop_c)
-    if cs and cs[0] != 0:
+    factors = _hop_factors(model, sector, max(order, sector.n_top) + 1)
+    rows, hop_a, hop_c = factors
+    lower = _differences(hop_c[:order + 1])
+    if lower[0] != 0:
         raise ValueError("lowering part carries a 1/z term: sector is inconsistent")
-    for i, c in enumerate(cs):
-        if i > 0:
-            grids[i][i - 1] = grids[i][i - 1] + c
+    grids = [[0] * (i + 2) for i in range(order + 1)]
+    for i, (a, c) in enumerate(zip(_differences(hop_a[:order + 1]), lower)):
+        if a:
+            grids[i][i + 1] = model.g * a
+        if c:
+            grids[i][i - 1] = model.g * c
+    terms = _number_terms(model)
+    ratios = [x.as_integer_ratio() for x, _ in terms]
+    den = math.lcm(*(q for _, q in ratios))
+    scaled = [(num * (den // q), modes) for (num, q), (_, modes) in zip(ratios, terms)]
+    exact = all(_exact(x) for x, _ in terms)
+    for i, b in enumerate(_differences([_number_energy(scaled, occ) for occ in rows[:3]])):
+        grids[i][i] = Fraction(b, den) if exact else b / den
     return DiffOpForm(order=order, p=tuple(Polynomial(gr) for gr in grids),
-                      hop_values=hop_values(model, sector), n_top=sector.n_top)
+                      hop_values=_level_values(model, sector.n_top, factors),
+                      n_top=sector.n_top)
 
 
 def apply_to_polynomial(op: DiffOpForm, psi: Polynomial) -> Polynomial:

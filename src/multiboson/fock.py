@@ -19,16 +19,21 @@ floating-point tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 
 def _as_coupling(x):
-    """Keep exact coupling types exact; coerce anything else to float."""
+    """Keep exact coupling types exact; coerce anything else to a float,
+    which must be finite."""
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
-    return float(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"couplings must be finite, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ def make_model(r, s, k, w=None, wq=None, g=0) -> ModelSpec:
     sequence of length r+s.  `wq` may be None, a dict keyed by (i, j) with
     0-based i <= j, or a full square matrix.  Exact (int / Fraction)
     couplings are kept exact so downstream polynomial coefficients stay
-    rational.
+    rational; any other coupling becomes a float, and a non-finite one
+    raises ValueError.
     """
     n = r + s
     kt = tuple(_as_power(ki) for ki in k)
@@ -289,6 +295,12 @@ def occupations_at(model: ModelSpec, sector: Sector, n: int) -> tuple:
     """
     if not 0 <= n <= sector.n_top:
         raise ValueError(f"internal index n={n} outside 0..{sector.n_top}")
+    return _occupations(model, sector, n)
+
+
+def _occupations(model: ModelSpec, sector: Sector, n: int) -> tuple:
+    """m_i(n) = b_i + k_i n on group 1 and b_i - k_i n on group 2, at any
+    integer n: past N it continues the occupations as polynomials in n."""
     return tuple(
         b + model.k[i] * n if i < model.r else b - model.k[i] * n
         for i, b in enumerate(sector.base_occupations)

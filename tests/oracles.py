@@ -5,7 +5,8 @@ the package: tower enumeration for mode labels, breadth-first state-graph
 enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
 form of the high-precision root route, the float64 recurrence written
-out step by step, and the pairwise double loop of the close-pair test.
+out step by step, the pairwise double loop of the close-pair test, and the
+hop polynomials and operator expanded as plain Fraction coefficient lists.
 """
 
 from __future__ import annotations
@@ -194,3 +195,89 @@ def occupations_below(n_modes: int, bound: int):
     for first in range(bound + 1):
         for rest in occupations_below(n_modes - 1, bound - first):
             yield (first,) + rest
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + (q[i] if i < len(q) else 0) for i, a in enumerate(p)]
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_value(p, x):
+    """Value at x of an ascending coefficient list, term by term."""
+    return sum((c * x ** i for i, c in enumerate(p)), Fraction(0))
+
+
+def hop_polynomials(model, sector):
+    """Exact hop polynomials (A, B, C) in the level index n, as ascending
+    Fraction coefficient lists with trailing zeros trimmed.
+
+    Mode i's occupation is the list [b_i, k_i] on group 1 and [b_i, -k_i]
+    on group 2; A = g * prod over group 2 of m_i (m_i - 1) ... (m_i - k_i + 1),
+    C is the same product over group 1, and B = sum_i w_i m_i +
+    sum_{i<=j} w_ij m_i m_j.  Couplings enter as Fraction(x), which is the
+    exact value of a float x.
+    """
+    r, n = model.r, len(model.k)
+    occ = [[Fraction(b), Fraction(model.k[i] if i < r else -model.k[i])]
+           for i, b in enumerate(sector.base_occupations)]
+
+    def falling(modes):
+        p = [Fraction(model.g)]
+        for i in modes:
+            for d in range(model.k[i]):
+                p = _poly_mul(p, [occ[i][0] - d, occ[i][1]])
+        return _trim(p)
+
+    hop_b = [Fraction(0)]
+    for i in range(n):
+        hop_b = _poly_add(hop_b, [Fraction(model.w[i]) * c for c in occ[i]])
+        for j in range(i, n):
+            hop_b = _poly_add(hop_b, [Fraction(model.wq[i][j]) * c
+                                      for c in _poly_mul(occ[i], occ[j])])
+    return falling(range(r, n)), _trim(hop_b), falling(range(r))
+
+
+def operator_polynomials(model, sector):
+    """Exact P_0 .. P_M of H = sum_i P_i(z) (d/dz)^i, as trimmed Fraction
+    lists, M = max(sum k over each group, 2).
+
+    The coefficient of n(n-1)...(n-i+1) in a hop polynomial sum_j p_j n^j is
+    sum_j p_j S(j, i), with S the Stirling numbers of the second kind; A's
+    lands on z^(i+1) of P_i, B's on z^i and C's on z^(i-1).
+    """
+    hop_a, hop_b, hop_c = hop_polynomials(model, sector)
+    order = max(sum(model.k[:model.r]), sum(model.k[model.r:]), 2)
+    stirling = [[1] + [0] * order]
+    for j in range(1, order + 1):
+        prev = stirling[-1]
+        stirling.append([0] + [i * prev[i] + prev[i - 1] for i in range(1, order + 1)])
+
+    def falling(p):
+        return [sum((c * stirling[j][i] for j, c in enumerate(p)), Fraction(0))
+                for i in range(order + 1)]
+
+    grids = [[Fraction(0)] * (i + 2) for i in range(order + 1)]
+    for i, (a, b, c) in enumerate(zip(falling(hop_a), falling(hop_b), falling(hop_c))):
+        grids[i][i + 1] += a
+        grids[i][i] += b
+        if i:
+            grids[i][i - 1] += c
+        else:
+            assert c == 0, "C(0) must vanish"
+    return [_trim(grid) for grid in grids]

@@ -19,7 +19,7 @@ from multiboson import Polynomial, apply_to_polynomial, cli, diffop, hamiltonian
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import (float64_coefficients, has_close_pair, high_precision_coefficients,
-                     subset_bae_residuals)
+                     hop_polynomials, poly_value, subset_bae_residuals)
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -275,10 +275,8 @@ def test_energy_linearity_in_root_sum():
     rng = np.random.default_rng(77)
     model = make_model(2, 1, (1, 1, 2), w=rng.uniform(-1, 1, 3), g=0.8)
     sec = sector_from_occupations(model, (1, 0, 12))
-    from multiboson import hop_coefficients
-
-    hop_a, _, _ = hop_coefficients(model, sec)
-    pref = float(hop_a(sec.n_top - 1))
+    hop_a, _, _ = hop_polynomials(model, sec)
+    pref = float(poly_value(hop_a, sec.n_top - 1))
     sols = solve_bethe(model, sec)
     scale = max(1.0, max(abs(s.energy) for s in sols))
     for a in sols:
@@ -589,7 +587,7 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
     operator's own hop values: the level pass computes none afresh."""
     counts = collections.Counter()
     in_level = []
-    hop_helpers = ("hop_values", "hop_coefficients")
+    hop_helpers = ("hop_values", "_hop_factors")
 
     def counted(name, func):
         def wrapper(*args, **kwargs):

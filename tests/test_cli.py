@@ -158,6 +158,8 @@ def test_text_format(capsys):
     (["scan", "--preset", "A", "--g-range", "0:nan:0.1", "--occ", "0,0,2"], "must be finite"),
     (["scan", "--preset", "A", "--sweep", "w1", "--range", "nan:1:0.5", "--occ", "0,0,2"],
      "must be finite"),
+    # an infinite coupling once reached the eigensolver and exited 3
+    (["solve", "--preset", "A", "--w=inf,0,0", "--occ=0,0,3"], "couplings must be finite"),
 ])
 def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     # an argument holding newlines is the text of a config file
@@ -201,6 +203,21 @@ def test_negative_starts_are_rejected(capsys):
               "--starts", "-3"])
     assert exc.value.code == 2
     assert "--starts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-presets", "--case", "A", "--draws", "0"],
+    ["verify-presets", "--case", "A", "--draws", "-2"],
+    ["verify-algebra", "--kmax", "0"],
+    ["verify-algebra", "--kmax", "-1"],
+])
+def test_verification_that_checks_nothing_is_rejected(capsys, argv):
+    """No draw or no power checks nothing: --draws 0 once printed
+    'match=0 ... mismatch=0' and --kmax 0 printed nothing, and both exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_inline_flags_override_config_file(tmp_path, capsys):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiboson import (Polynomial, apply_to_polynomial, expand_diffop,
-                        falling_factorial_coefficients, hop_coefficients, hop_values,
-                        make_model, sector_from_occupations)
+                        falling_factorial_coefficients, hop_values, make_model,
+                        sector_from_occupations)
 from multiboson.fock import Sector
+from oracles import hop_polynomials, operator_polynomials, poly_value
 
 
 def test_polynomial_basics():
@@ -69,26 +70,111 @@ def _exact_models_and_sectors(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_exact_models_and_sectors())
 def test_hop_values_are_the_hop_polynomials_at_the_levels(case):
-    """The occupation products equal the expanded polynomials, evaluated
-    exactly, at every level; the polynomials vanish exactly at A(N) and
-    C(0).  So the polynomials, which feed only the P_i, stay checked."""
+    """The occupation products equal the oracle's expanded polynomials,
+    evaluated exactly, at every level; the polynomials vanish exactly at
+    A(N) and C(0); and the operator is the oracle's, coefficient for
+    coefficient."""
     model, sec = case
     n_top = sec.n_top
     assert n_top <= 12
-    hop_a, hop_b, hop_c = hop_coefficients(model, sec)
+    hop_a, hop_b, hop_c = hop_polynomials(model, sec)
     values = hop_values(model, sec)
-    assert values == (tuple(hop_a(n) for n in range(n_top)),
-                      tuple(hop_b(n) for n in range(n_top + 1)),
-                      tuple(hop_c(n) for n in range(1, n_top + 1)))
+    assert values == (tuple(poly_value(hop_a, n) for n in range(n_top)),
+                      tuple(poly_value(hop_b, n) for n in range(n_top + 1)),
+                      tuple(poly_value(hop_c, n) for n in range(1, n_top + 1)))
     assert all(type(x) in (int, Fraction) for part in values for x in part)
-    assert hop_a(n_top) == 0
-    assert hop_c(0) == 0
+    assert poly_value(hop_a, n_top) == 0
+    assert poly_value(hop_c, 0) == 0
+    assert [list(p.coeffs) for p in expand_diffop(model, sec).p] == \
+        operator_polynomials(model, sec)
+
+
+_FLOATS = st.floats(min_value=-3, max_value=3, allow_subnormal=False)
+
+
+@st.composite
+def _float_models_and_sectors(draw):
+    """`_exact_models_and_sectors` with float couplings in [-3, 3]."""
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = r + s
+    k = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    w = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    wq = {(i, j): draw(_FLOATS) for i in range(n) for j in range(i, n)}
+    model = make_model(r, s, k, w=w, wq=wq, g=draw(_FLOATS))
+    occ = [draw(st.integers(0, 7 * ki - 1)) for ki in k]
+    return model, sector_from_occupations(model, occ)
+
+
+def _float_case(r, s, k, w, wq, g, anchor):
+    model = make_model(r, s, k, w=w, wq={(i, j): x for i, j, x in wq}, g=g)
+    return model, sector_from_occupations(model, anchor)
+
+
+# two random sectors of the benchmark's small-sector stream where
+# differencing float values of the hop polynomials gave a P_i a coefficient
+# the exact operator lacks: P_4 a z^5 term of -1.8e-10, P_3 a z^4 term of 2.8e-14
+_SPURIOUS_COEFFICIENT_SECTORS = (
+    _float_case(3, 3, (2, 1, 2, 3, 1, 3),
+                (-0.9342405486664163, -0.6079969916617927, -0.3802985665478349,
+                 0.0613104804795388, -0.20404408530220164, -0.9091693608205427),
+                [(0, 0, -0.7111932284319498), (0, 1, -0.9631800316029815),
+                 (0, 2, -0.9191493654752723), (0, 3, -0.40508787085722453),
+                 (0, 4, 0.27704722313504937), (0, 5, -0.693351703941756),
+                 (1, 1, 0.7671614014455796), (1, 2, 0.9746411538001827),
+                 (1, 3, 0.2300932282919419), (1, 4, -0.9033491071411028),
+                 (1, 5, -0.6368499225201751), (2, 2, 0.021982084425782533),
+                 (2, 3, 0.8697960946902181), (2, 4, 0.9638105652289575),
+                 (2, 5, 0.47361950995291324), (3, 3, 0.7806463288292933),
+                 (3, 4, -0.8057425058218943), (3, 5, 0.014455703639635331),
+                 (4, 4, -0.0434750217897244), (4, 5, -0.5667496456077878),
+                 (5, 5, 0.12815575958406944)],
+                1.1696041437660127, (0, 1, 0, 6, 2, 8)),
+    _float_case(2, 2, (1, 1, 3, 1),
+                (-0.20810656040897824, -0.6977733080998014, 0.7041254248450604,
+                 0.8370693160098455),
+                [(0, 0, -0.42098046489361085), (0, 1, 0.7447985892959317),
+                 (0, 2, -0.6439287344787066), (0, 3, 0.4222794426055345),
+                 (1, 1, -0.4986694770016429), (1, 2, -0.1089528397623003),
+                 (1, 3, 0.22201735660789268), (2, 2, -0.2977013892816025),
+                 (2, 3, -0.604309726282392), (3, 3, 0.17571263240890134)],
+                1.6085176324490345, (0, 0, 6, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_float_models_and_sectors())
+@example(case=_SPURIOUS_COEFFICIENT_SECTORS[0])
+@example(case=_SPURIOUS_COEFFICIENT_SECTORS[1])
+def test_float_operator_matches_the_exact_expansion(case):
+    """With float couplings every P_i is within 1e-12 of its largest
+    coefficient of the exact expansion of the same couplings as Fractions,
+    and has the same coefficient count: no coefficient the exact operator
+    lacks, none it has dropped."""
+    model, sec = case
+    op = expand_diffop(model, sec)
+    exact = operator_polynomials(model, sec)
+    assert len(op.p) == len(exact)
+    for i, (got, want) in enumerate(zip(op.p, exact)):
+        assert len(got.coeffs) == len(want), (i, got, want)
+        scale = max((abs(c) for c in want), default=0)
+        assert all(abs(Fraction(x) - c) <= Fraction(1e-12) * scale
+                   for x, c in zip(got.coeffs, want)), (i, got, want)
+
+
+def test_operator_coefficient_is_an_integer_times_g_exactly():
+    """P_8's z^9 coefficient is exactly 2916 g: the top falling-factorial
+    coefficient of A, prod over group 2 of (-k_i)^k_i, multiplied by g once
+    (differencing float values of A put it 8.3e-9 off)."""
+    g = 1.6631419323448537
+    model = make_model(1, 3, (2, 3, 2, 3), g=g)
+    sec = sector_from_occupations(model, (36, 16, 14, 15))
+    assert expand_diffop(model, sec).p[8].coeffs[9] == 2916 * g
 
 
 def test_hop_micro_example():
-    hop_a, hop_b, hop_c = hop_coefficients(MODEL_A, SEC_A)
-    assert hop_a == Polynomial((1, -1))      # 1 - n
-    assert hop_c == Polynomial((0, 0, 1))    # n^2
+    hop_a, hop_b, hop_c = hop_polynomials(MODEL_A, SEC_A)
+    assert hop_a == [1, -1]      # 1 - n
+    assert hop_c == [0, 0, 1]    # n^2
     assert not hop_b
 
 
@@ -105,11 +191,11 @@ def test_qes_zeros_random_sectors():
         levels = [int(rng.integers(0, 8)) for _ in range(n)]
         anchor = [k[i] * levels[i] + int(rng.integers(0, k[i])) for i in range(n)]
         sec = sector_from_occupations(model, anchor)
-        hop_a, _, hop_c = hop_coefficients(model, sec)
-        assert hop_a(sec.n_top) == 0     # exact rational zero
-        assert hop_c(0) == 0
-        assert hop_a.degree == sum(k[:r]) * 0 + sum(k[r:])
-        assert hop_c.degree == sum(k[:r])
+        hop_a, _, hop_c = hop_polynomials(model, sec)
+        assert poly_value(hop_a, sec.n_top) == 0     # exact rational zero
+        assert poly_value(hop_c, 0) == 0
+        assert len(hop_a) - 1 == sum(k[:r]) * 0 + sum(k[r:])
+        assert len(hop_c) - 1 == sum(k[:r])
 
 
 def test_expand_micro_example():
@@ -137,7 +223,7 @@ def test_reassembly_exactness():
     model = make_model(2, 2, (1, 2, 2, 1), w=[Fraction(1, 3), -2, Fraction(3, 7), 1],
                        wq={(0, 0): Fraction(1, 2), (1, 3): Fraction(-2, 3)}, g=Fraction(5, 4))
     sec = sector_from_occupations(model, (3, 4, 6, 2))
-    hop_a, hop_b, hop_c = hop_coefficients(model, sec)
+    hop_a, hop_b, hop_c = hop_polynomials(model, sec)
     op = expand_diffop(model, sec)
     for n in range(sec.n_top + 3):
         # apply sum_i P_i (d/dz)^i to z^n directly, no subspace guard
@@ -145,12 +231,12 @@ def test_reassembly_exactness():
         out = op.p[0] * zn
         for i in range(1, op.order + 1):
             out = out + op.p[i] * zn.derivative(i)
-        want = Polynomial([0] * (n + 1) + [hop_a(n)])
-        want = want + Polynomial([0] * n + [hop_b(n)])
+        want = Polynomial([0] * (n + 1) + [poly_value(hop_a, n)])
+        want = want + Polynomial([0] * n + [poly_value(hop_b, n)])
         if n >= 1:
-            want = want + Polynomial([0] * (n - 1) + [hop_c(n)])
+            want = want + Polynomial([0] * (n - 1) + [poly_value(hop_c, n)])
         else:
-            assert hop_c(0) == 0
+            assert poly_value(hop_c, 0) == 0
         assert out == want
 
 
@@ -196,13 +282,13 @@ def test_monomial_matrix_consistency():
     model = make_model(2, 1, (1, 1, 2), w=[Fraction(1, 2), 1, -1],
                        wq={(1, 2): Fraction(3, 4)}, g=2)
     sec = sector_from_occupations(model, (2, 1, 4))
-    hop_a, hop_b, hop_c = hop_coefficients(model, sec)
+    hop_a, hop_b, hop_c = hop_polynomials(model, sec)
     block = build_monomial_matrix(model, sec)
     for n in range(sec.dim):
-        assert block.diag[n] == float(hop_b(n))
+        assert block.diag[n] == float(poly_value(hop_b, n))
     for n in range(sec.dim - 1):
-        assert block.upper[n] == float(hop_a(n))
-        assert block.lower[n] == float(hop_c(n + 1))
+        assert block.upper[n] == float(poly_value(hop_a, n))
+        assert block.lower[n] == float(poly_value(hop_c, n + 1))
 
 
 def test_inconsistent_sector_rejected():
@@ -218,10 +304,10 @@ def test_hop_degree_bounds_and_order():
     model = make_model(2, 2, (2, 1, 1, 3), w=[1, 1, 1, 1],
                        wq={(0, 3): Fraction(1, 2)}, g=1)
     sec = sector_from_occupations(model, (4, 2, 3, 6))
-    hop_a, hop_b, hop_c = hop_coefficients(model, sec)
-    assert hop_c.degree == 2 + 1          # sum of creation-group powers
-    assert hop_a.degree == 1 + 3          # sum of annihilation-group powers
-    assert hop_b.degree <= 2
+    hop_a, hop_b, hop_c = hop_polynomials(model, sec)
+    assert len(hop_c) - 1 == 2 + 1        # sum of creation-group powers
+    assert len(hop_a) - 1 == 1 + 3        # sum of annihilation-group powers
+    assert len(hop_b) - 1 <= 2
     op = expand_diffop(model, sec)
     assert op.order == max(3, 4, 2)
     assert len(op.p) == op.order + 1

@@ -195,6 +195,15 @@ def test_make_model_rejects_non_integral_powers(k):
         make_model(2, 1, k, g=1)
 
 
+@pytest.mark.parametrize("couplings", [{"g": float("inf")}, {"w": [0, float("nan"), 0]},
+                                       {"wq": {(0, 2): -float("inf")}}])
+def test_make_model_rejects_non_finite_couplings(couplings):
+    """A non-finite coupling defines no Hamiltonian; the operator's exact
+    coefficient sums have no value for it."""
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        make_model(2, 1, (1, 1, 1), **couplings)
+
+
 def test_make_model_keeps_integral_powers_of_any_type():
     k = make_model(2, 1, (2.0, Fraction(3), 1), g=1).k
     assert k == (2, 3, 1) and all(type(ki) is int for ki in k)
