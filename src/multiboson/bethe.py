@@ -34,8 +34,7 @@ psi^(i)(a_p) of H psi and their magnitude bounds are evaluated once per
 stack of root sets (`_terms_at_roots`), and both residual forms read that
 one evaluation; an overflowed bound reads as an infinite residual.  An independent
 multi-start Newton search on the pole-residue equations, run on the same
-operator, is available as a confirmation mode (`direct_search`, or
-`solve_bethe` with `starts` > 0).
+operator, is available as a confirmation mode (`direct_search`).
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ _SEARCH_TOL = 1e-12
 _ENERGY_TOL = 1e-8
 # Newton steps from each start of the direct search.
 _NEWTON_STEPS = 50
+# Imaginary part of a closed-form energy, relative to max(1, |Re E|), above
+# which its root set is rejected as not conjugate-symmetric.
+_IMAG_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True)   # slots: callers keep one per level
@@ -323,31 +325,25 @@ def _roots_of_rows(rows) -> list:
     return roots
 
 
-def roots_from_eigenvector(coeffs, deflation_tol: float = 0.0):
-    """Roots of the eigenpolynomial sum_n coeffs[n] z^n.
+def roots_from_eigenvector(coeffs):
+    """Roots of the eigenpolynomial sum_n coeffs[n] z^n, and whether its
+    degree is reduced.
 
     Uses companion-matrix eigenvalues (balanced internally), which stay
     accurate enough to pass as-is even when the leading coefficient sits
     twenty orders of magnitude below the largest one -- strongly localized
-    levels genuinely look like that in the monomial basis.  Only when
-    |coeffs[N]| <= deflation_tol * max|coeffs| (default: an exact zero,
-    the g = 0 situation) are trailing coefficients trimmed and `reduced`
-    returned True.  The roots are those of `_roots_of_rows`, the one root
-    routine of the package, on a single row; the solver's rungs call it on
-    all of their levels at once, one stacked companion eigensolve per rung.
+    levels genuinely look like that in the monomial basis.  Only an exact
+    zero leading coefficient (the g = 0 situation) reduces the degree:
+    exact-zero top coefficients are dropped, as `numpy.roots` does, and
+    `reduced` is True.  The roots are those of `_roots_of_rows`, the one
+    root routine of the package, on a single row; the solver's rungs call it
+    on all of their levels at once, one stacked companion eigensolve per
+    rung.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
         raise ValueError("eigenvector is identically zero")
-    scale = float(np.max(np.abs(c)))
-    reduced = False
-    if abs(c[-1]) <= deflation_tol * scale:
-        reduced = True
-        last = c.size - 1
-        while last > 0 and abs(c[last]) <= deflation_tol * scale:
-            last -= 1
-        c = c[: last + 1]
-    return _roots_of_rows([c])[0], reduced
+    return _roots_of_rows([c])[0], bool(c[-1] == 0.0)
 
 
 def canonicalize_roots(roots) -> tuple:
@@ -386,19 +382,20 @@ def canonicalize_roots(roots) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def energy_from_roots(model: ModelSpec, sector: Sector, roots, imag_tol: float = 1e-8):
+def energy_from_roots(model: ModelSpec, sector: Sector, roots):
     """Closed-form energy of the level with the given root set.
 
     The coupling-dependent constant is B(N), the diagonal energy of the
     top state (level N); the only root dependence is linear in sum(alpha)
     with prefactor A(N-1).  Both come from `diffop.hop_values`.  Exact
     inputs give an exact result; complex float roots must have a
-    conjugate-symmetric sum or the imaginary leftovers are rejected.
+    conjugate-symmetric sum: an imaginary leftover above 1e-8 of
+    max(1, |Re E|) raises ValueError.
     """
-    return _energy(hop_values(model, sector), roots, imag_tol)
+    return _energy(hop_values(model, sector), roots)
 
 
-def _energy(values, roots, imag_tol: float):
+def _energy(values, roots):
     """E = B(N) - A(N-1) * sum(alpha) from a sector's hop values."""
     hop_a, hop_b, _ = values   # A(0..N-1), B(0..N)
     roots = tuple(roots)
@@ -409,7 +406,7 @@ def _energy(values, roots, imag_tol: float):
     energy = hop_b[-1] - hop_a[-1] * sum(roots)
     if isinstance(energy, complex):
         scale = max(1.0, abs(energy.real))
-        if abs(energy.imag) > imag_tol * scale:
+        if abs(energy.imag) > _IMAG_TOL * scale:
             raise ValueError(f"energy has imaginary part {energy.imag:.3e}: invalid root set")
         return float(energy.real)
     return energy
@@ -518,9 +515,9 @@ def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
         return np.array([float(x / peak) for x in vec])
 
 
-def _closed_form_energy(op: DiffOpForm, roots, energy_tol: float) -> float:
+def _closed_form_energy(op: DiffOpForm, roots) -> float:
     try:
-        return float(_energy(op.hop_values, roots, imag_tol=math.sqrt(energy_tol)))
+        return float(_energy(op.hop_values, roots))
     except ValueError:
         return math.nan
 
@@ -556,17 +553,12 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
     n_full = op.n_top
     if n_full == 0:
         return [BetheSolution(
-            level=level, roots=(), energy=_closed_form_energy(op, (), energy_tol),
+            level=level, roots=(), energy=_closed_form_energy(op, ()),
             oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
             source="extracted", degenerate=False, reduced=False, converged=True)
             for level, oracle in enumerate(oracles)]
-    extracted = []
-    for vector, v_roots in zip(spec.vectors.T, _roots_of_rows(spec.vectors.T)):
-        v_reduced = bool(vector[-1] == 0.0)
-        if v_roots.size and not np.all(np.isfinite(v_roots)):
-            # leading coefficient at underflow scale: retreat to the trimmed set
-            v_roots, v_reduced = roots_from_eigenvector(vector, 1e-12)
-        extracted.append((v_roots, v_reduced))
+    extracted = [(v_roots, bool(vector[-1] == 0.0)) for vector, v_roots
+                 in zip(spec.vectors.T, _roots_of_rows(spec.vectors.T))]
 
     # per level: (rank, resid, r_bae, roots, tag, energy) of the best
     # attempt; the rank puts a pass first, then an agreeing energy, then
@@ -582,7 +574,7 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
         for (level, roots), resid, r_bae in zip(rows, _scaled_robust(at).tolist(),
                                                 _scaled_bae(at).tolist()):
             oracle = oracles[level]
-            energy = _closed_form_energy(op, roots, energy_tol)
+            energy = _closed_form_energy(op, roots)
             error = abs(energy - oracle) if math.isfinite(energy) else math.inf
             agrees = error <= energy_tol * max(1.0, abs(oracle))
             rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
@@ -639,8 +631,7 @@ def _solve_levels(op, p_list, block, spec, energy_tol: float):
     return solutions
 
 
-def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY_TOL,
-                starts: int = 0, seed: int = 0):
+def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY_TOL):
     """Solve for all N+1 levels of a sector through the root pipeline.
 
     Pipeline: diagonalize the monomial block, take the roots of each
@@ -654,23 +645,15 @@ def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY
     near-multiple roots are flagged degenerate and validated only through
     the robust form.  A level's climb stops at the first root set whose
     scaled residual is within a fixed 1e-12 and whose energy agrees with
-    the oracle eigenvalue to `energy_tol`.
-    With `starts` > 0 the independent multi-start search (`direct_search`)
-    runs as well, from that many starts drawn with `seed`, on the same
-    operator, and its solutions are appended (tagged 'direct').  A
-    negative `starts` raises ValueError.
+    the oracle eigenvalue to `energy_tol`.  The independent multi-start
+    search is `direct_search`, a separate call.
     """
-    if starts < 0:
-        raise ValueError(f"starts must be >= 0, got {starts}")
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
-    p_list = _float_polys(op)
-    solutions = _solve_levels(op, p_list, block, diagonalize(block), energy_tol)
-    if starts:
-        solutions.extend(_direct_search(op, p_list, starts, seed))
-    return solutions
+    return _solve_levels(op, _float_polys(op), block, diagonalize(block), energy_tol)
 
 
+@_quiet
 def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: int = 0):
     """Multi-start Newton on the pole-residue equations, no oracle input.
 
@@ -678,23 +661,19 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
     runs at most 50 Newton steps from each with a forward-difference
     Jacobian of the pole-residue components, keeps the converged distinct
     solutions whose canonical roots' scaled robust residual is within
-    1e-10, and deduplicates them by canonical ordering.  The result is a
-    subset of the spectrum; completeness is not guaranteed.  No start
-    finds nothing, even the empty root set of an N = 0 sector, and a
-    negative `starts` raises ValueError.
+    1e-10, and deduplicates them by canonical ordering.  Energies come
+    from the closed form, under the rule of `energy_from_roots`.  The
+    result is a subset of the spectrum; completeness is not guaranteed.
+    No start finds nothing, even the empty root set of an N = 0 sector,
+    and a negative `starts` raises ValueError.
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
     op = expand_diffop(model, sector)
-    return _direct_search(op, _float_polys(op), starts, seed)
-
-
-@_quiet
-def _direct_search(op: DiffOpForm, p_list, starts: int, seed: int):
-    """`direct_search` on a built operator and its float form."""
+    p_list = _float_polys(op)
 
     def energy(roots):
-        return float(_energy(op.hop_values, roots, imag_tol=1e-8))
+        return float(_energy(op.hop_values, roots))
 
     n = op.n_top
     if n == 0 and starts:   # every start finds the empty root set at once

@@ -272,6 +272,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify_algebra(args) -> int:
+    if args.trunc is not None and args.trunc < 3 * args.kmax:
+        raise ConfigError(f"trunc: expected at least 3 * kmax = {3 * args.kmax}, "
+                          f"got {args.trunc}")
     ok = True
     lines = []
     for k in range(1, args.kmax + 1):
@@ -312,8 +315,9 @@ def _cmd_roots(args) -> int:
         for i, poly in enumerate(op.p):
             coeffs = " ".join(_fmt(float(c)) for c in poly.coeffs) or "0"
             lines.append(f"P{i}: {coeffs}")
-    solutions = bethe.solve_bethe(model, sector, energy_tol=args.energy_tol,
-                                  starts=args.starts if args.direct else 0, seed=args.seed)
+    solutions = bethe.solve_bethe(model, sector, energy_tol=args.energy_tol)
+    if args.direct:
+        solutions += bethe.direct_search(model, sector, starts=args.starts, seed=args.seed)
     for sol in solutions:
         if sol.source == "direct":
             tag = "direct"
@@ -353,7 +357,7 @@ def _add_model_arguments(parser):
 def _add_solver_arguments(parser):
     parser.add_argument("--energy-tol", type=float, default=1e-8,
                         help="relative energy agreement tolerance")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_count, default=0,
                         help="seed of the --direct search's starts")
     parser.add_argument("--direct", action="store_true",
                         help="roots: also run the independent multi-start search and "
@@ -393,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg = sub.add_parser("verify-algebra", help="single-mode algebra identity suite")
     p_alg.add_argument("--kmax", type=_positive_count, default=4)
     p_alg.add_argument("--trunc", type=int, default=None,
-                       help="Fock cutoff (default 6k per power)")
+                       help="Fock cutoff, at least 3 * kmax (default 6k per power)")
     p_alg.set_defaults(func=_cmd_verify_algebra)
 
     p_pre = sub.add_parser("verify-presets", help="closed-form table fixtures")
     p_pre.add_argument("--case", choices=sorted(models.PRESET_SHAPES), default=None)
     p_pre.add_argument("--draws", type=_positive_count, default=50)
-    p_pre.add_argument("--seed", type=int, default=0)
+    p_pre.add_argument("--seed", type=_count, default=0)
     p_pre.set_defaults(func=_cmd_verify_presets)
 
     p_roots = sub.add_parser("roots", help="print Bethe roots for one sector")

@@ -28,6 +28,10 @@ from .bethe import bethe_residuals, energy_from_roots
 from .diffop import Polynomial, expand_diffop
 from .fock import ModelSpec, Sector, label_t, make_model, sector_from_occupations
 
+# Agreement of the tabulated root-equation form with the derivative-based
+# residuals, relative to max(1, max |residual|).
+_BAE_TOL = 1e-10
+
 PRESET_SHAPES = {
     "A": (2, 1, (1, 1, 1)),
     "B": (2, 1, (1, 1, 2)),
@@ -144,20 +148,15 @@ def tabulated_operator_polys(case: str, model: ModelSpec, sector: Sector) -> tup
     return p2, p1, p0
 
 
-def tabulated_bae_residuals(case: str, model: ModelSpec, sector: Sector, roots,
-                            p2: Polynomial | None = None,
-                            p1: Polynomial | None = None) -> np.ndarray:
+def tabulated_bae_residuals(roots, p2: Polynomial, p1: Polynomial) -> np.ndarray:
     """Root-equation residuals in the tabulated two-derivative form.
 
     Component p is  P1(a_p) + 2 P2(a_p) * sum_{m != p} 1/(a_p - a_m);
-    the tabulated equations set this to zero.  Pass `p2`/`p1` to override
-    the coefficient polynomials (e.g. with corrected values when checking
-    the structural form independently of a registered table typo).
+    the tabulated equations set this to zero.  The caller supplies the
+    coefficient polynomials -- the general expansion's `P_2` and `P_1` in
+    `verify_case`, so a registered table typo does not obscure the check
+    of the structural form.
     """
-    if p2 is None or p1 is None:
-        t2, t1, _ = tabulated_operator_polys(case, model, sector)
-        p2 = p2 if p2 is not None else t2
-        p1 = p1 if p1 is not None else t1
     roots = np.asarray(roots, dtype=complex)
     out = np.zeros(roots.size, dtype=complex)
     for p in range(roots.size):
@@ -329,16 +328,16 @@ def _structural_checks(case: str, op, model, sector) -> list:
     return [(name, _coefficient(op, *slot), want) for name, slot, want in checks]
 
 
-def verify_case(case: str, draws: int = 50, seed: int = 0,
-                bae_tol: float = 1e-10) -> CaseFixtureReport:
+def verify_case(case: str, draws: int = 50, seed: int = 0) -> CaseFixtureReport:
     """Diff the tabulated closed forms against the general machinery.
 
     For each draw of random exact couplings and a random sector: compare
     every tabulated coefficient with its general-expansion counterpart in
     exact rational arithmetic; check the tabulated root-equation form
-    against the derivative-based residuals at random root sets; and check
-    the tabulated energy against the general closed form with exact
-    rational roots.  A mismatch is accepted only when it is registered in
+    against the derivative-based residuals at random root sets, within a
+    fixed 1e-10 of their scale (`_BAE_TOL`); and check the tabulated
+    energy against the general closed form with exact rational roots.
+    A mismatch is accepted only when it is registered in
     ``KNOWN_DISCREPANCIES`` and equals the registered delta exactly.
     """
     rng = np.random.default_rng(seed)
@@ -384,10 +383,10 @@ def verify_case(case: str, draws: int = 50, seed: int = 0,
         # obscure the structural comparison
         n_roots = sector.n_top
         roots = rng.standard_normal(n_roots) + 1j * rng.standard_normal(n_roots)
-        got = tabulated_bae_residuals(case, model, sector, roots, p2=op.p[2], p1=op.p[1])
+        got = tabulated_bae_residuals(roots, op.p[2], op.p[1])
         want = bethe_residuals(op, roots)
         scale = max(1.0, float(np.max(np.abs(want))) if want.size else 1.0)
-        ok = bool(np.all(np.abs(got - want) <= bae_tol * scale))
+        ok = bool(np.all(np.abs(got - want) <= _BAE_TOL * scale))
         items.append(FixtureItem(draw, "bae-form", "match" if ok else "MISMATCH",
                                  "" if ok else f"max diff {np.max(np.abs(got - want)):.3e}"))
 

@@ -24,6 +24,9 @@ import numpy as np
 from .fock import ModelSpec, Sector, occupations_at
 from .hamiltonian import _sqrt_product, transition_element
 
+# Largest float error the truncated-matrix identities may show.
+_ALGEBRA_TOL = 1e-12
+
 
 def casimir_value(k: int) -> Fraction:
     """Casimir eigenvalue shared by all occupation towers of power k."""
@@ -98,16 +101,17 @@ class AlgebraReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_single_mode_algebra(k: int, trunc: int | None = None,
-                               tol: float = 1e-12) -> AlgebraReport:
+def verify_single_mode_algebra(k: int, trunc: int | None = None) -> AlgebraReport:
     """Check the defining relations of the power-k algebra.
 
     Matrix identities are verified on basis states with occupation
     m <= trunc - 2k; the excluded top window is where truncation breaks
-    the products, not a tolerance fudge.  Ladder and closure relations are
-    additionally recomputed in exact rational arithmetic (the commutators
-    are diagonal with rational entries), so "exact" checks carry error 0.0
-    or fail outright.
+    the products, not a tolerance fudge.  `trunc` defaults to 6k and must
+    be at least 3k.  The float checks pass within a fixed 1e-12
+    (`_ALGEBRA_TOL`).  Ladder and closure relations are additionally
+    recomputed in exact rational arithmetic (the commutators are diagonal
+    with rational entries), so "exact" checks carry error 0.0 or fail
+    outright.
     """
     if trunc is None:
         trunc = 6 * k
@@ -123,19 +127,19 @@ def verify_single_mode_algebra(k: int, trunc: int | None = None,
     comm_0m = q0 @ qm - qm @ q0
     err_p = float(np.max(np.abs((comm_0p - qp)[:, :interior])))
     err_m = float(np.max(np.abs((comm_0m + qm)[:, :interior])))
-    checks.append(AlgebraCheck("ladder-plus", err_p, err_p <= tol))
-    checks.append(AlgebraCheck("ladder-minus", err_m, err_m <= tol))
+    checks.append(AlgebraCheck("ladder-plus", err_p, err_p <= _ALGEBRA_TOL))
+    checks.append(AlgebraCheck("ladder-minus", err_m, err_m <= _ALGEBRA_TOL))
 
     diag_m = [(m + Fraction(1, k)) / k for m in range(trunc)]
     rhs = np.diag([float(phi_polynomial(k, x) - phi_polynomial(k, x - 1)) for x in diag_m])
     comm_pm = qp @ qm - qm @ qp
     err_c = float(np.max(np.abs((comm_pm - rhs)[:, :interior])))
-    checks.append(AlgebraCheck("closure", err_c, err_c <= tol))
+    checks.append(AlgebraCheck("closure", err_c, err_c <= _ALGEBRA_TOL))
 
     cas = float(casimir_value(k))
     err_cas = float(np.max(np.abs((qm @ qp + np.diag([float(phi_polynomial(k, x)) for x in diag_m])
                                    - cas * np.eye(trunc))[:, :interior])))
-    checks.append(AlgebraCheck("casimir", err_cas, err_cas <= tol))
+    checks.append(AlgebraCheck("casimir", err_cas, err_cas <= _ALGEBRA_TOL))
 
     # Exact rational recomputation: both commutators are diagonal, so the
     # square roots cancel pairwise and everything reduces to integer

@@ -30,7 +30,7 @@ def test_criterion_1_algebra_identities():
     start = time.perf_counter()
     worst = 0.0
     for k in range(1, 5):
-        report = verify_single_mode_algebra(k, trunc=6 * k, tol=1e-12)
+        report = verify_single_mode_algebra(k, trunc=6 * k)
         assert report.passed, [c for c in report.checks if not c.passed]
         worst = max(worst, max(c.max_error for c in report.checks))
     assert casimir_value(2) == Fraction(3, 16)

@@ -15,7 +15,8 @@ from multiboson import (bethe, bethe_residuals, build_monomial_matrix,
                         energy_from_roots, expand_diffop, make_model, occupations_at, preset,
                         robust_residuals, roots_from_eigenvector, sector_from_occupations,
                         solve_bethe)
-from multiboson import Polynomial, apply_to_polynomial, cli, diffop, hamiltonian
+from multiboson import (Polynomial, apply_to_polynomial, cli, diffop, hamiltonian,
+                        verify_case, verify_single_mode_algebra)
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import (float64_coefficients, has_close_pair, high_precision_coefficients,
@@ -131,13 +132,15 @@ def test_roots_from_eigenvector_examples():
     assert roots.tolist() == [1.0]
     roots, reduced = roots_from_eigenvector([0.0, 0.0, 0.0, 1.0])
     assert not reduced and np.allclose(roots, 0.0)
-    # exact trailing zeros trim by default; tiny-but-nonzero need a threshold
+    # only exact-zero top coefficients reduce the degree
     roots, reduced = roots_from_eigenvector([1.0, 1.0, 0.0])
-    assert reduced and len(roots) == 1
-    roots, reduced = roots_from_eigenvector([1.0, 1.0, 1e-18], deflation_tol=1e-12)
     assert reduced and len(roots) == 1
     roots, reduced = roots_from_eigenvector([1.0, 1.0, 1e-18])
     assert not reduced and len(roots) == 2
+    # an exact-zero tail gives bit for bit what the solver's root routine gives
+    row = [0.5, -2.0, 3.0, 0.0, 0.0]
+    roots, reduced = roots_from_eigenvector(row)
+    assert reduced and roots.tobytes() == bethe._roots_of_rows([np.array(row)])[0].tobytes()
     with pytest.raises(ValueError):
         roots_from_eigenvector([0.0, 0.0])
 
@@ -202,9 +205,47 @@ def test_direct_search_finds_nothing_without_starts():
     assert sec.n_top == 0
     assert direct_search(model, sec, starts=0) == []
     assert [sol.source for sol in direct_search(model, sec, starts=3)] == ["direct"]
-    for search in (direct_search, solve_bethe):
-        with pytest.raises(ValueError, match="starts"):
-            search(model, sec, starts=-2)
+    with pytest.raises(ValueError, match="starts"):
+        direct_search(model, sec, starts=-2)
+
+
+@pytest.mark.parametrize("func, args, setting", [
+    (solve_bethe, (MODEL_A, SEC_A), {"starts": 8}),
+    (solve_bethe, (MODEL_A, SEC_A), {"seed": 1}),
+    (roots_from_eigenvector, ([1.0, 1.0, 1e-18],), {"deflation_tol": 1e-12}),
+    (energy_from_roots, (MODEL_A, SEC_A, (1.0,)), {"imag_tol": 1e-4}),
+    (verify_case, ("A",), {"bae_tol": 1e-6}),
+    (verify_single_mode_algebra, (2,), {"tol": 1e-6}),
+], ids=["solve_bethe-starts", "solve_bethe-seed", "roots_from_eigenvector-deflation_tol",
+        "energy_from_roots-imag_tol", "verify_case-bae_tol", "verify_single_mode_algebra-tol"])
+def test_removed_settings_are_rejected(func, args, setting):
+    """The direct search is its own call, and the imaginary-part, deflation,
+    table-form and algebra tolerances are fixed: no caller sets them."""
+    with pytest.raises(TypeError, match=next(iter(setting))):
+        func(*args, **setting)
+
+
+def test_closed_form_energy_has_one_imaginary_part_rule():
+    """An imaginary leftover above 1e-8 of max(1, |Re E|) rejects a root
+    set, in `energy_from_roots` and in the ladder alike; one below it is
+    dropped.  The ladder's rule takes no tolerance: it once allowed
+    sqrt(energy_tol), 1e-4 at the default."""
+    model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
+    sec = sector_from_occupations(model, (0, 0, 2))
+    op = expand_diffop(model, sec)
+    real = tuple(complex(a) for a in solve_bethe(model, sec)[0].roots)
+    energy = energy_from_roots(model, sec, real)
+    # shifting one root by i*delta gives the energy an imaginary part A(N-1)*delta
+    step = 1e-8 * max(1.0, abs(energy)) / abs(float(op.hop_values[0][-1]))
+    for factor, accepted in ((0.5, True), (2.0, False)):
+        roots = (real[0] + 1j * factor * step,) + real[1:]
+        if accepted:
+            assert energy_from_roots(model, sec, roots) == energy
+            assert bethe._closed_form_energy(op, roots) == energy
+        else:
+            with pytest.raises(ValueError, match="imaginary part"):
+                energy_from_roots(model, sec, roots)
+            assert math.isnan(bethe._closed_form_energy(op, roots))
 
 
 def test_canonicalize_roots():
@@ -597,7 +638,7 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
         return wrapper
 
     for name in ("build_monomial_matrix", "diagonalize", "expand_diffop", "_float_polys",
-                 "direct_search", "_direct_search"):
+                 "direct_search"):
         monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
     for name in hop_helpers:
         wrapper = counted(name, getattr(diffop, name))
@@ -623,8 +664,9 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
 
 
 def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):
-    """`roots --dump-diffop --direct`: the dump and the solver each build the
-    operator once, and the direct search reuses the solver's float form."""
+    """`roots --dump-diffop --direct`: the dump, the solver's ladder and the
+    direct search each build the operator once, and the ladder and the
+    search each build its float form once."""
     counts = collections.Counter()
 
     def counted(name, func):
@@ -641,7 +683,7 @@ def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):
                      "--dump-diffop", "--direct"])
     out = capsys.readouterr().out
     assert code == 0 and "direct:" in out
-    assert dict(counts) == {"expand_diffop": 2, "_float_polys": 1}
+    assert dict(counts) == {"expand_diffop": 3, "_float_polys": 2}
 
 
 GRID_W = (0.4, -0.3, 0.2)

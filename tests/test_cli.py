@@ -220,6 +220,26 @@ def test_verification_that_checks_nothing_is_rejected(capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["verify-presets", "--case", "A", "--seed", "-1"], "--seed"),
+    (["roots", "--preset", "A", "--g", "1", "--occ", "0,0,3", "--direct", "--seed", "-1"],
+     "--seed"),
+    (["solve", "--preset", "A", "--g", "1", "--occ", "0,0,3", "--seed", "-1"], "--seed"),
+    (["verify-algebra", "--trunc", "0"], "trunc"),
+    (["verify-algebra", "--kmax", "4", "--trunc", "5"], "trunc"),
+])
+def test_usage_errors_exit_2(capsys, argv, needle):
+    """A negative seed and a Fock cutoff below 3 * kmax are usage errors:
+    the first two once exited 3 (numerical failure), as did both cutoffs,
+    and solve ignored the seed and exited 0."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_inline_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -117,7 +117,7 @@ def test_tabulated_bae_matches_general_residuals():
         op = expand_diffop(model, sec)
         n = sec.n_top
         roots = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = tabulated_bae_residuals(case, model, sec, roots, p2=op.p[2], p1=op.p[1])
+        got = tabulated_bae_residuals(roots, op.p[2], op.p[1])
         want = bethe_residuals(op, roots)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
