@@ -14,27 +14,30 @@ psi'(a_p).  The energy depends on the roots only through their sum:
 E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 `diffop.hop_values`.
 
-The production solve path takes each level's roots from the companion
-matrix of an eigenpolynomial, down a ladder of three rungs: first the
-monomial-basis eigenvector, then the coefficients rebuilt from the
-three-term recurrence (`_recurrence`) in float64 on the monomial block,
-then the same recurrence at high working precision in the standard
-library's `decimal`.  Each rung judges all of a sector's still unresolved
-levels at once, as one stack of root sets, whose roots come from one
-stacked companion-matrix eigensolve (`_roots_of_rows`).  Each candidate is
-canonicalized once, and that one set is both scored and returned; a
-level's first set that passes is accepted: its scaled robust residual is
-within a fixed 1e-12 and its closed-form energy agrees with the oracle
-eigenvalue to `energy_tol`, the one tolerance a caller sets.  When none
-passes, the level is reported unconverged and keeps the attempt whose
-energy agrees, the smaller residual and then the smaller energy error
-breaking ties.  `cross_validate` certifies a level whose returned roots'
-scaled robust residual is within a fixed 1e-10.  The terms P_i(a_p)
+The production solve path solves a diagonal block (g = 0, or N = 0)
+exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
+each level's roots from the companion matrix of an eigenpolynomial, down
+one ladder of three rungs: the monomial-basis eigenvector's coefficients,
+then the coefficients rebuilt from the three-term recurrence
+(`_recurrence`) in float64 on the monomial block, then the same recurrence
+at high working precision in the standard library's `decimal`.  Each rung
+builds one row per still unresolved level, drops the rows that are
+non-finite or have a zero top coefficient, and judges the rest at once, as
+one stack of root sets, whose roots come from one stacked companion-matrix
+eigensolve (`_roots_of_rows`).  Each candidate is canonicalized once, and
+that one set is both scored and returned; a level's first set that passes
+is accepted: its scaled robust residual is within a fixed 1e-12 and its
+closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
+max(1, |E|).  When none passes, the level is reported unconverged and
+keeps the attempt whose energy agrees, the smaller residual and then the
+smaller energy error breaking ties.  `cross_validate` certifies a level
+whose returned roots' scaled robust residual is within a fixed 1e-10 and
+whose energy is within 1e-8 of the spectral scale.  The terms P_i(a_p)
 psi^(i)(a_p) of H psi and their magnitude bounds are evaluated once per
 stack of root sets (`_terms_at_roots`), and both residual forms read that
-one evaluation; an overflowed bound reads as an infinite residual.  An independent
-multi-start Newton search on the pole-residue equations, run on the same
-operator, is available as a confirmation mode (`direct_search`).
+one evaluation; an overflowed bound reads as an infinite residual.  An
+independent multi-start Newton search on the pole-residue equations, run on
+the same operator, is available as a confirmation mode (`direct_search`).
 """
 
 from __future__ import annotations
@@ -84,11 +87,13 @@ _IMAG_TOL = 1e-8
 class BetheSolution:
     """One eigenlevel: canonical roots, energy, and residual diagnostics.
 
-    `residual_bae` is NaN when the pole-residue form was not evaluated
-    (degenerate or reduced root sets).  `source` tags how the roots were
-    obtained: 'extracted' (roots of the eigenvector's coefficients),
-    'refined' (roots of a recurrence-built eigenpolynomial), or 'direct'
-    (independent multi-start search).
+    `residual_bae` is NaN when the pole-residue form does not apply
+    (degenerate or reduced root sets).  `reduced` is set only on a level
+    of a g = 0 block below the top one: its eigenfunction z^n has fewer
+    than N roots.  `source` tags how the roots were obtained: 'extracted'
+    (the eigenvector's coefficients, or the exact monomial of a diagonal
+    block), 'refined' (roots of a recurrence-built eigenpolynomial), or
+    'direct' (independent multi-start search).
     """
 
     level: int
@@ -485,7 +490,8 @@ def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
     back to float64.  The arithmetic is the standard library's `decimal`
     on the sector's hop values, converted once per sector by
     `_working_hops`, which gives `hops`.  A vanishing C(m) raises
-    ZeroDivisionError: the interaction is off and there is no recurrence.
+    ZeroDivisionError: the interaction is off and there is no recurrence
+    (the ladder solves such a diagonal block exactly and never gets here).
     """
     context, hop_a, hop_b, hop_c, off = hops
     if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
@@ -523,115 +529,91 @@ def _closed_form_energy(op: DiffOpForm, roots) -> float:
 
 
 @_quiet
-def _solve_levels(op, p_list, block, spec, energy_tol: float):
+def _solve_levels(op, p_list, block, spec):
     """Root pipeline for all levels of a sector, in one pass down the ladder.
 
-    Candidate full-degree root sets come in rungs of increasing cost --
-    eigenvector extraction, the float64 coefficient recurrence on the
-    monomial block's hop values, and the same recurrence at high working
-    precision, whose hop values are converted only if a level reaches it.
-    At each rung the levels still unresolved are judged together, as one
-    stack.  Each candidate is canonicalized once, and its residuals,
-    energy and degenerate flag are those of the canonical set it returns.
-    The first set whose scaled residual meets `_SEARCH_TOL` and whose energy
-    agrees with the oracle eigenvalue to `energy_tol` is accepted, and
-    later candidates of that level are never built.  When none passes, the
-    level is unconverged and keeps the attempt whose energy agrees, the
-    smaller residual and then the smaller energy error breaking ties: the
-    energy depends on the roots only through their sum, so an agreeing
-    candidate carries the right physics even when its roots are too coarse
-    for the residual.
-
-    An eigenvector whose leading coefficient is exactly zero usually means
-    the eigensolver flushed a negligible component (exact reduction cannot
-    happen for a nonzero interaction), so the recurrence candidates still
-    run at full degree; the trimmed (canonical) reduced-degree set is kept
-    only when every full-degree attempt fails, with the energy then taken
-    from the oracle and validated through the robust form alone.
+    A diagonal block (g = 0, or N = 0) is solved exactly: level l is
+    z^n(l), n(l) the l-th index of B(0..N) in stable ascending order, as
+    `diagonalize` orders it, with energy B(n) and zero residuals; it is
+    `reduced` when n < N.  Otherwise the rungs come in increasing cost --
+    the eigenvector's coefficients, the float64 recurrence on the monomial
+    block's hop values, and the decimal recurrence, whose hop values are
+    converted only if a level reaches it.  Each rung builds one row per
+    unresolved level, drops every row that is non-finite or has a zero top
+    coefficient (an eigensolver flushes negligible components to exact
+    zeros), and judges the rest as one stack.  Each candidate is
+    canonicalized once, and its residuals, energy and degenerate flag are
+    those of the canonical set it returns.  The first set whose scaled
+    residual meets `_SEARCH_TOL` and whose energy agrees with the oracle
+    eigenvalue to `_ENERGY_TOL` is accepted, and later candidates of that
+    level are never built.  When none passes, the level is unconverged and
+    keeps the attempt whose energy agrees, the smaller residual and then
+    the smaller energy error breaking ties: the energy depends on the roots
+    only through their sum, so an agreeing candidate carries the right
+    physics even when its roots are too coarse for the residual.  A level
+    no rung gives a row is unconverged, with no roots and a NaN energy.
     """
     oracles = spec.energies.tolist()
-    n_full = op.n_top
-    if n_full == 0:
-        return [BetheSolution(
-            level=level, roots=(), energy=_closed_form_energy(op, ()),
-            oracle_energy=oracle, residual_bae=0.0, residual_robust=0.0,
-            source="extracted", degenerate=False, reduced=False, converged=True)
-            for level, oracle in enumerate(oracles)]
-    extracted = [(v_roots, bool(vector[-1] == 0.0)) for vector, v_roots
-                 in zip(spec.vectors.T, _roots_of_rows(spec.vectors.T))]
+    if not block.lower.any():
+        n_top = block.dim - 1
+        solutions = []
+        for level, n in enumerate(np.argsort(block.diag, kind="stable").tolist()):
+            degenerate, reduced = n >= 2, n < n_top
+            solutions.append(BetheSolution(
+                level=level, roots=(0j,) * n, energy=float(block.diag[n]),
+                oracle_energy=oracles[level],
+                residual_bae=math.nan if degenerate or reduced else 0.0, residual_robust=0.0,
+                source="extracted", degenerate=degenerate, reduced=reduced, converged=True))
+        return solutions
 
     # per level: (rank, resid, r_bae, roots, tag, energy) of the best
     # attempt; the rank puts a pass first, then an agreeing energy, then
     # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
-
-    def judge(tag, candidates):
-        rows = [(level, canonicalize_roots(roots)) for level, roots in candidates
-                if roots.size == n_full and np.all(np.isfinite(roots))]
-        if not rows:
-            return
-        at = _terms_at_roots(p_list, np.array([roots for _, roots in rows], dtype=complex))
-        for (level, roots), resid, r_bae in zip(rows, _scaled_robust(at).tolist(),
-                                                _scaled_bae(at).tolist()):
-            oracle = oracles[level]
-            energy = _closed_form_energy(op, roots)
-            error = abs(energy - oracle) if math.isfinite(energy) else math.inf
-            agrees = error <= energy_tol * max(1.0, abs(oracle))
-            rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
-            if best[level] is None or rank > best[level][0]:
-                best[level] = (rank, resid, r_bae, roots, tag, energy)
-
-    def unresolved(levels):
-        return [level for level in levels if best[level] is None or not best[level][0][0]]
-
-    judge("extracted", [(level, v_roots) for level, (v_roots, v_reduced)
-                        in enumerate(extracted) if not v_reduced])
-    live = unresolved(range(len(oracles)))
     float_hops = [x.tolist() for x in (block.upper, block.diag, block.lower)]
-    rungs = ((_coefficients_at_energy, lambda: float_hops),
-             (_high_precision_coefficients, lambda: _working_hops(op.hop_values)))
-    for build, hops_of in rungs:
+    rungs = (("extracted", lambda: spec.vectors, lambda vectors, level: vectors[:, level]),
+             ("refined", lambda: float_hops,
+              lambda hops, level: _coefficients_at_energy(hops, oracles[level])),
+             ("refined", lambda: _working_hops(op.hop_values),
+              lambda hops, level: _high_precision_coefficients(hops, oracles[level])))
+    live = range(len(oracles))
+    for tag, inputs_of, build in rungs:
         if not live:
             break
-        hops = hops_of()
-        rung, live, built, rows = live, [], [], []
-        for level in rung:
-            try:
-                coeffs = build(hops, oracles[level])
-            except ZeroDivisionError:   # vanishing interaction: no recurrence
-                continue
-            live.append(level)
-            if np.all(np.isfinite(coeffs)) and abs(coeffs[-1]) > 0:
-                built.append(level)
-                rows.append(coeffs)
-        judge("refined", zip(built, _roots_of_rows(rows)))
-        live = unresolved(live)
+        inputs = inputs_of()
+        kept = [(level, row) for level, row in ((level, build(inputs, level)) for level in live)
+                if np.all(np.isfinite(row)) and row[-1] != 0]
+        if kept:
+            levels, rows = zip(*kept)
+            stack = [canonicalize_roots(roots) for roots in _roots_of_rows(rows)]
+            at = _terms_at_roots(p_list, np.array(stack, dtype=complex))
+            for level, roots, resid, r_bae in zip(levels, stack, _scaled_robust(at).tolist(),
+                                                  _scaled_bae(at).tolist()):
+                oracle = oracles[level]
+                energy = _closed_form_energy(op, roots)
+                error = abs(energy - oracle) if math.isfinite(energy) else math.inf
+                agrees = error <= _ENERGY_TOL * max(1.0, abs(oracle))
+                rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
+                if best[level] is None or rank > best[level][0]:
+                    best[level] = (rank, resid, r_bae, roots, tag, energy)
+        live = [level for level in live if best[level] is None or not best[level][0][0]]
 
     solutions = []
-    for level, ((v_roots, v_reduced), attempt, oracle) in enumerate(
-            zip(extracted, best, oracles)):
-        if attempt is not None and (attempt[0][0] or not v_reduced):
-            (converged, _, _, _), r_robust, r_bae, roots, source, energy = attempt
-            reduced = False
-            if not math.isfinite(energy):
-                energy, converged = oracle, False
-        else:
-            # reduced-degree fallback: trimmed roots, oracle energy
-            roots, reduced, source, energy = canonicalize_roots(v_roots), True, "extracted", oracle
-            stack = np.array(roots, dtype=complex)[None]
-            r_robust = float(_scaled_robust(_terms_at_roots(p_list, stack))[0])
-            converged = r_robust <= _SEARCH_TOL
+    for level, (attempt, oracle) in enumerate(zip(best, oracles)):
+        if attempt is None:
+            attempt = ((False,), math.inf, math.nan, (), "extracted", math.nan)
+        (converged, *_), r_robust, r_bae, roots, source, energy = attempt
         degenerate = _has_close_pair(np.array(roots, dtype=complex), _DEGENERATE_TOL)
         solutions.append(BetheSolution(
             level=level, roots=roots, energy=energy, oracle_energy=oracle,
-            # the pole-residue form needs full-degree, pairwise separated roots
-            residual_bae=math.nan if degenerate or reduced else r_bae,
+            # the pole-residue form needs pairwise separated roots
+            residual_bae=math.nan if degenerate else r_bae,
             residual_robust=r_robust, source=source,
-            degenerate=degenerate, reduced=reduced, converged=converged))
+            degenerate=degenerate, reduced=False, converged=converged))
     return solutions
 
 
-def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY_TOL):
+def solve_bethe(model: ModelSpec, sector: Sector):
     """Solve for all N+1 levels of a sector through the root pipeline.
 
     Pipeline: diagonalize the monomial block, take the roots of each
@@ -645,12 +627,13 @@ def solve_bethe(model: ModelSpec, sector: Sector, *, energy_tol: float = _ENERGY
     near-multiple roots are flagged degenerate and validated only through
     the robust form.  A level's climb stops at the first root set whose
     scaled residual is within a fixed 1e-12 and whose energy agrees with
-    the oracle eigenvalue to `energy_tol`.  The independent multi-start
-    search is `direct_search`, a separate call.
+    the oracle eigenvalue to a fixed 1e-8 of max(1, |E|).  A g = 0 block
+    is diagonal and solved exactly.  The independent multi-start search
+    is `direct_search`, a separate call.
     """
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
-    return _solve_levels(op, _float_polys(op), block, diagonalize(block), energy_tol)
+    return _solve_levels(op, _float_polys(op), block, diagonalize(block))
 
 
 @_quiet
@@ -735,20 +718,19 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
     return found
 
 
-def cross_validate(model: ModelSpec, sector: Sector, *,
-                   energy_tol: float = _ENERGY_TOL) -> ValidationReport:
+def cross_validate(model: ModelSpec, sector: Sector) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
     One `solve_bethe` pass, without the direct search, gives the level
     solutions and, as their oracle energies, the monomial spectrum.  Never
     raises on disagreement; the report carries per-level records and an
     overall pass flag.  A level passes when its energy error, relative to
-    the spectral scale max(1, max |E|), is within `energy_tol` and the
-    scaled robust residual of its returned roots within a fixed 1e-10
-    (`_RESIDUAL_TOL`).
+    the spectral scale max(1, max |E|), is within a fixed 1e-8
+    (`_ENERGY_TOL`) and the scaled robust residual of its returned roots
+    within a fixed 1e-10 (`_RESIDUAL_TOL`).
     """
     fock_spec = diagonalize(build_sector_matrix(model, sector))
-    solutions = solve_bethe(model, sector, energy_tol=energy_tol)
+    solutions = solve_bethe(model, sector)
 
     scale = max(1.0, float(np.max(np.abs(fock_spec.energies))))
     records = []
@@ -757,10 +739,12 @@ def cross_validate(model: ModelSpec, sector: Sector, *,
         sol = solutions[level]
         e_f = float(fock_spec.energies[level])
         e_m, e_b = sol.oracle_energy, sol.energy
-        err = max(abs(e_f - e_m), abs(e_f - e_b), abs(e_m - e_b)) / scale
-        worst = max(worst, err) if math.isfinite(err) else math.inf
-        ok = (math.isfinite(err) and err <= energy_tol
-              and sol.residual_robust <= _RESIDUAL_TOL)
+        # the spread of the three energies; a NaN one is an infinite error
+        energies = (e_f, e_m, e_b)
+        err = ((max(energies) - min(energies)) / scale
+               if all(map(math.isfinite, energies)) else math.inf)
+        worst = max(worst, err)
+        ok = err <= _ENERGY_TOL and sol.residual_robust <= _RESIDUAL_TOL
         records.append(LevelRecord(
             level=level, energy_fock=e_f, energy_monomial=e_m, energy_bethe=e_b,
             energy_error=err, residual_robust=sol.residual_robust,

@@ -7,7 +7,8 @@ Subcommands:
 * ``verify-algebra`` -- run the single-mode algebra identity suite;
 * ``verify-presets`` -- run the closed-form table fixtures;
 * ``roots``          -- print Bethe roots (and optionally the operator
-  polynomials) for one sector.
+  polynomials) for one sector; a level with no passing root set is
+  tagged ``unconverged`` and makes the exit status 3.
 
 All numbers are printed with 17 significant digits so output round-trips
 64-bit values; identical configuration and seed give byte-identical
@@ -187,7 +188,7 @@ def _write(args, header, rows):
 
 def _cmd_solve(args) -> int:
     model, sector = _build_model(args)
-    report = bethe.cross_validate(model, sector, energy_tol=args.energy_tol)
+    report = bethe.cross_validate(model, sector)
     n_top = sector.n_top
     header = ["level", "energy_oracle", "energy_bethe", "abs_diff",
               "residual_robust", "residual_bae", "n_roots", "degenerate"]
@@ -315,19 +316,19 @@ def _cmd_roots(args) -> int:
         for i, poly in enumerate(op.p):
             coeffs = " ".join(_fmt(float(c)) for c in poly.coeffs) or "0"
             lines.append(f"P{i}: {coeffs}")
-    solutions = bethe.solve_bethe(model, sector, energy_tol=args.energy_tol)
+    solutions = bethe.solve_bethe(model, sector)
     if args.direct:
         solutions += bethe.direct_search(model, sector, starts=args.starts, seed=args.seed)
     for sol in solutions:
         if sol.source == "direct":
             tag = "direct"
         else:
-            tag = f"level {sol.level}"
+            tag = f"level {sol.level}" + ("" if sol.converged else " unconverged")
         root_text = " ".join(f"{_fmt(a.real)}{'+' if a.imag >= 0 else '-'}{_fmt(abs(a.imag))}j"
                              for a in sol.roots) or "-"
         lines.append(f"{tag}: E={_fmt(sol.energy)} roots: {root_text}")
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK if all(sol.converged for sol in solutions) else EXIT_NUMERIC
 
 
 def _count(text: str, least: int = 0) -> int:
@@ -355,8 +356,6 @@ def _add_model_arguments(parser):
 
 
 def _add_solver_arguments(parser):
-    parser.add_argument("--energy-tol", type=float, default=1e-8,
-                        help="relative energy agreement tolerance")
     parser.add_argument("--seed", type=_count, default=0,
                         help="seed of the --direct search's starts")
     parser.add_argument("--direct", action="store_true",

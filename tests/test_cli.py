@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import multiboson
+from multiboson import bethe
 from multiboson.cli import main
 
 
@@ -173,10 +174,11 @@ def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     assert needle in err
 
 
-def test_numerical_failure_exit_code(capsys):
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(bethe, "_ENERGY_TOL", 0.0)
     code, _, _ = _run(capsys, [
         "solve", "--preset", "B", "--w", "0.3,0.2,-0.1", "--g", "0.9",
-        "--occ", "2,1,4", "--energy-tol", "0"])
+        "--occ", "2,1,4"])
     assert code == 3
 
 
@@ -193,6 +195,35 @@ def test_removed_search_settings_are_rejected(capsys, flag):
         main(A40_SOLVE + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "roots"])
+def test_energy_tolerance_is_not_a_flag(capsys, command):
+    """The energy agreement tolerance is a fixed 1e-8, like the residual
+    targets: `--energy-tol` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main([command] + A40_SOLVE[1:] + ["--energy-tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_roots_tags_unconverged_levels_and_exits_3(capsys):
+    """At g = 1e-2 some levels of preset A at N=40 have no root set that
+    passes: `roots` tags their lines and exits 3, as `solve` does.  It
+    once exited 0 with energies off by up to 1.66 of the spectral scale.
+    Converged lines keep their form, and every line keeps `E=` and
+    `roots:`."""
+    code, out, _ = _run(capsys, ["roots", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5",
+                                 "--g=0.01", "--occ=0,3,40"])
+    assert code == 3
+    lines = out.strip().splitlines()
+    model = multiboson.preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.01)
+    sols = bethe.solve_bethe(model, multiboson.sector_from_occupations(model, (0, 3, 40)))
+    assert len(lines) == len(sols) == 41
+    assert 0 < sum(not sol.converged for sol in sols) < len(sols)
+    for line, sol in zip(lines, sols):
+        tag = f"level {sol.level}" + ("" if sol.converged else " unconverged")
+        assert line.startswith(f"{tag}: E={multiboson.cli._fmt(sol.energy)} roots: ")
 
 
 def test_negative_starts_are_rejected(capsys):
