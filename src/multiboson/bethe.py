@@ -19,25 +19,28 @@ exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
 each level's roots from the companion matrix of an eigenpolynomial, down
 one ladder of three rungs: the monomial-basis eigenvector's coefficients,
 then the coefficients rebuilt from the three-term recurrence
-(`_recurrence`) in float64 on the monomial block, then the same recurrence
-at high working precision in the standard library's `decimal`.  Each rung
+(`_recurrence`) at high working precision in the standard library's
+`decimal`, then, as the last resort, the same recurrence in float64 on the
+monomial block, whose complex rows cost the most to solve.  Each rung
 builds one row per still unresolved level, drops the rows that are
 non-finite or have a zero top coefficient, and judges the rest at once, as
 one stack of root sets, whose roots come from one stacked companion-matrix
-eigensolve (`_roots_of_rows`).  Each candidate is canonicalized once, and
-that one set is both scored and returned; a level's first set that passes
-is accepted: its scaled robust residual is within a fixed 1e-12 and its
-closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
-max(1, |E|).  When none passes, the level is reported unconverged and
-keeps the attempt whose energy agrees, the smaller residual and then the
-smaller energy error breaking ties.  `cross_validate` certifies a level
-whose returned roots' scaled robust residual is within a fixed 1e-10 and
-whose energy is within 1e-8 of the spectral scale.  The terms P_i(a_p)
-psi^(i)(a_p) of H psi and their magnitude bounds are evaluated once per
-stack of root sets (`_terms_at_roots`), and both residual forms read that
-one evaluation; an overflowed bound reads as an infinite residual.  An
-independent multi-start Newton search on the pole-residue equations, run on
-the same operator, is available as a confirmation mode (`direct_search`).
+eigensolve (`_roots_of_rows`); a row LAPACK does not converge on is
+dropped too.  Each candidate is canonicalized once, and that one set is
+both scored and returned; a level's first set that passes is accepted: its
+scaled robust residual is within a fixed 1e-12 and its closed-form energy
+agrees with the oracle eigenvalue to a fixed 1e-8 of max(1, |E|).  When
+none passes, the level is reported unconverged and keeps the attempt whose
+energy agrees, the smaller residual and then the smaller energy error
+breaking ties.  `cross_validate` certifies a level whose returned roots'
+scaled robust residual is within a fixed 1e-10 and whose energy is within
+1e-8 of the spectral scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
+their magnitude bounds are evaluated once per stack of root sets
+(`_terms_at_roots`, with numpy.polynomial's Horner sweep and derivative
+written out), and both residual forms read that one evaluation; an
+overflowed bound reads as an infinite residual.  An independent
+multi-start Newton search on the pole-residue equations, run on the same
+operator, is available as a confirmation mode (`direct_search`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
@@ -180,10 +182,30 @@ def _float_polys(op: DiffOpForm):
 def _at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Polynomial values at an (L, N) array of points: one shared
     coefficient vector, or one (L, K) row of coefficients per row of points
-    in a single Horner sweep."""
-    if coeffs.ndim == 1:
-        return npoly.polyval(points, coeffs)
-    return npoly.polyval(points, coeffs.T[:, :, None], tensor=False)
+    in a single Horner sweep.
+
+    The sweep is `numpy.polynomial.polynomial.polyval`'s, operation for
+    operation, so the values are its values bit for bit.
+    """
+    c = coeffs[:, None, None] if coeffs.ndim == 1 else coeffs.T[:, :, None]
+    value = c[-1] + points * 0
+    for k in range(2, len(c) + 1):
+        value = c[-k] + value * points
+    return value
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """d/dz of each (L, K) row of coefficients, low to high, bit for bit
+    `numpy.polynomial.polynomial.polyder(coeffs, axis=-1)`.
+
+    Its steps are kept: the rows are first scaled by 1, which is not a
+    no-op for complex specials (inf + 0j times 1 + 0j is inf + nanj), then
+    coefficient j is multiplied by j; a constant's derivative is c * 0.
+    """
+    k = coeffs.shape[-1]
+    if k == 1:
+        return coeffs[..., :1] * 0
+    return np.arange(1, k) * (coeffs * 1)[..., 1:]
 
 
 def _terms_at_roots(p_list, roots: np.ndarray):
@@ -198,7 +220,7 @@ def _terms_at_roots(p_list, roots: np.ndarray):
     """
     derivs = [_monic_from_roots(roots)]
     for _ in range(len(p_list) - 1):
-        derivs.append(npoly.polyder(derivs[-1], axis=-1))
+        derivs.append(_derivative(derivs[-1]))
     points = np.abs(roots)
     terms = np.zeros((len(derivs),) + roots.shape, dtype=complex)
     bounds = np.zeros(terms.shape)
@@ -310,6 +332,9 @@ def _roots_of_rows(rows) -> list:
     on LAPACK's zgeev).  The companion matrices of one (degree, dtype) are
     stacked into a single `np.linalg.eigvals` call, which runs geev on each
     in turn: a rung of the ladder makes one call for all of its levels.
+    One matrix LAPACK does not converge on makes that call raise
+    LinAlgError for the whole stack; the group is then redone one matrix
+    at a time, and a row whose own eigensolve fails gets None, not roots.
     Every row needs a nonzero coefficient.
     """
     roots = [None] * len(rows)
@@ -325,9 +350,22 @@ def _roots_of_rows(rows) -> list:
         companion = np.zeros((len(members), size - 1, size - 1), dtype=dtype)
         companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
         companion[:, range(1, size - 1), range(size - 2)] = 1
-        for (index, _, zeros), values in zip(members, np.linalg.eigvals(companion)):
-            roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
+        try:
+            stack = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            stack = [_eigvals_or_none(matrix) for matrix in companion]
+        for (index, _, zeros), values in zip(members, stack):
+            if values is not None:
+                roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
     return roots
+
+
+def _eigvals_or_none(matrix):
+    """Eigenvalues of one matrix, or None where LAPACK does not converge."""
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def roots_from_eigenvector(coeffs):
@@ -348,7 +386,10 @@ def roots_from_eigenvector(coeffs):
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
         raise ValueError("eigenvector is identically zero")
-    return _roots_of_rows([c])[0], bool(c[-1] == 0.0)
+    roots = _roots_of_rows([c])[0]
+    if roots is None:
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    return roots, bool(c[-1] == 0.0)
 
 
 def canonicalize_roots(roots) -> tuple:
@@ -468,9 +509,10 @@ def _coefficients_at_energy(hops, energy: float) -> np.ndarray:
     monomial block.  For an eigenvalue E of that block the coefficients
     satisfy the recurrence of `_recurrence` with c_0 = 1, which is
     structurally nonzero.  This route survives the exact-zero flushing
-    dense eigensolvers apply to negligible vector components.  Its float64
-    roundoff can be too large for the roots to pass as-is; then the
-    high-precision recurrence is the next candidate.
+    dense eigensolvers apply to negligible vector components.  It is the
+    ladder's last rung: a level gets here only when neither the eigenvector
+    nor the high-precision recurrence gave a root set that passes, and its
+    float64 roundoff still rescues a few such levels.
     """
     hop_a, hop_b, hop_c = hops
     c = np.zeros(len(hop_b), dtype=complex)
@@ -535,13 +577,18 @@ def _solve_levels(op, p_list, block, spec):
     A diagonal block (g = 0, or N = 0) is solved exactly: level l is
     z^n(l), n(l) the l-th index of B(0..N) in stable ascending order, as
     `diagonalize` orders it, with energy B(n) and zero residuals; it is
-    `reduced` when n < N.  Otherwise the rungs come in increasing cost --
-    the eigenvector's coefficients, the float64 recurrence on the monomial
-    block's hop values, and the decimal recurrence, whose hop values are
-    converted only if a level reaches it.  Each rung builds one row per
-    unresolved level, drops every row that is non-finite or has a zero top
-    coefficient (an eigensolver flushes negligible components to exact
-    zeros), and judges the rest as one stack.  Each candidate is
+    `reduced` when n < N.  Otherwise the rungs are the eigenvector's
+    coefficients, the decimal recurrence, whose hop values are converted
+    only if a level reaches it, and last the float64 recurrence on the
+    monomial block's hop values.  The decimal rung comes second because it
+    passes most of the levels the eigenvector does not, and its real rows
+    are cheaper to solve than the float64 rung's complex ones.  The order
+    moves no `converged` flag: a level converges iff one of its candidates
+    passes, and a level none passes ranks the same three attempts.  Each
+    rung builds one row per unresolved level, drops every row that is
+    non-finite or has a zero top coefficient (an eigensolver flushes
+    negligible components to exact zeros) or whose eigensolve does not
+    converge, and judges the rest as one stack.  Each candidate is
     canonicalized once, and its residuals, energy and degenerate flag are
     those of the canonical set it returns.  The first set whose scaled
     residual meets `_SEARCH_TOL` and whose energy agrees with the oracle
@@ -570,25 +617,26 @@ def _solve_levels(op, p_list, block, spec):
     # attempt; the rank puts a pass first, then an agreeing energy, then
     # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
-    float_hops = [x.tolist() for x in (block.upper, block.diag, block.lower)]
     rungs = (("extracted", lambda: spec.vectors, lambda vectors, level: vectors[:, level]),
-             ("refined", lambda: float_hops,
-              lambda hops, level: _coefficients_at_energy(hops, oracles[level])),
              ("refined", lambda: _working_hops(op.hop_values),
-              lambda hops, level: _high_precision_coefficients(hops, oracles[level])))
+              lambda hops, level: _high_precision_coefficients(hops, oracles[level])),
+             ("refined", lambda: [x.tolist() for x in (block.upper, block.diag, block.lower)],
+              lambda hops, level: _coefficients_at_energy(hops, oracles[level])))
     live = range(len(oracles))
     for tag, inputs_of, build in rungs:
         if not live:
             break
         inputs = inputs_of()
-        kept = [(level, row) for level, row in ((level, build(inputs, level)) for level in live)
-                if np.all(np.isfinite(row)) and row[-1] != 0]
-        if kept:
-            levels, rows = zip(*kept)
-            stack = [canonicalize_roots(roots) for roots in _roots_of_rows(rows)]
-            at = _terms_at_roots(p_list, np.array(stack, dtype=complex))
-            for level, roots, resid, r_bae in zip(levels, stack, _scaled_robust(at).tolist(),
-                                                  _scaled_bae(at).tolist()):
+        rows = {level: row for level, row in ((level, build(inputs, level)) for level in live)
+                if np.all(np.isfinite(row)) and row[-1] != 0}
+        # a row whose eigensolve failed has no roots and is dropped too
+        found = {level: canonicalize_roots(roots)
+                 for level, roots in zip(rows, _roots_of_rows(list(rows.values())))
+                 if roots is not None}
+        if found:
+            at = _terms_at_roots(p_list, np.array(list(found.values()), dtype=complex))
+            for (level, roots), resid, r_bae in zip(found.items(), _scaled_robust(at).tolist(),
+                                                    _scaled_bae(at).tolist()):
                 oracle = oracles[level]
                 energy = _closed_form_energy(op, roots)
                 error = abs(energy - oracle) if math.isfinite(energy) else math.inf
@@ -620,12 +668,13 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     level's eigenpolynomial from the first candidate that passes as-is
     (the attempt whose energy agrees when none does), report the
     pole-residue residuals where the roots are distinct, and recompute the
-    energy from the closed form.  Each rung of the candidate ladder
-    judges all of the sector's unresolved levels at once, as one
-    stack of root sets, and one evaluation of that stack gives both
-    residual forms.  Levels whose eigenpolynomial has
-    near-multiple roots are flagged degenerate and validated only through
-    the robust form.  A level's climb stops at the first root set whose
+    energy from the closed form.  The candidate ladder runs the
+    eigenvector's coefficients, then the high-precision recurrence, then
+    the float64 recurrence as the last resort; each rung judges all of the
+    sector's unresolved levels at once, as one stack of root sets, and one
+    evaluation of that stack gives both residual forms.  Levels whose
+    eigenpolynomial has near-multiple roots are flagged degenerate and
+    validated only through the robust form.  A level's climb stops at the first root set whose
     scaled residual is within a fixed 1e-12 and whose energy agrees with
     the oracle eigenvalue to a fixed 1e-8 of max(1, |E|).  A g = 0 block
     is diagonal and solved exactly.  The independent multi-start search

@@ -177,26 +177,85 @@ def _coefficient_rows(draw):
 @example(rows=[_coefficient_row(3998, 12, 0, 0, True), _coefficient_row(7, 12, 0, 0, True)])
 def test_roots_of_rows_match_numpy_roots_bit_for_bit(rows):
     """The stacked companion eigensolve gives each row exactly what
-    `np.roots` gives it alone, down to the dtype and every bit; where
+    `np.roots` gives it alone, down to the dtype and every bit.  Where
     LAPACK does not converge on a row, and `np.roots` raises LinAlgError on
-    it, the stacked call raises LinAlgError for the whole stack."""
-    try:
-        for row in rows:
-            np.roots(row[::-1])
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
-            bethe._roots_of_rows(rows)
-        return
+    it, that row gets None and every other row of the stack still gets
+    `np.roots` bit for bit."""
     got = bethe._roots_of_rows(rows)
     assert len(got) == len(rows)
     for row, roots in zip(rows, got):
-        want = np.roots(row[::-1]).astype(complex)
+        try:
+            want = np.roots(row[::-1]).astype(complex)
+        except np.linalg.LinAlgError:
+            assert roots is None
+            continue
         assert np.array_equal(roots, want)
         assert roots.dtype == want.dtype and roots.tobytes() == want.tobytes()
 
 
+@st.composite
+def _horner_cases(draw):
+    """(L, K) coefficients and (L, N) points, both float64 or both
+    complex128, as the residual kernels pass them: any floats, signed
+    zeros, infinities and NaNs included."""
+    rows, size, count = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    real = draw(st.booleans())
+    value, dtype = (st.floats(), float) if real else (st.complex_numbers(), complex)
+
+    def array(shape):
+        n = shape[0] * shape[1]
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=dtype).reshape(shape)
+
+    return array((rows, size)), array((rows, count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_horner_cases())
+def test_horner_and_derivative_match_numpy_polynomial_bit_for_bit(case):
+    """`_at` and `_derivative` are `npoly.polyval` (shared and per-row
+    coefficients) and `npoly.polyder(..., axis=-1)`, down to every bit."""
+    coeffs, points = case
+    with np.errstate(all="ignore"):
+        pairs = [(bethe._at(coeffs, points),
+                  npoly.polyval(points, coeffs.T[:, :, None], tensor=False)),
+                 (bethe._at(coeffs[0], points), npoly.polyval(points, coeffs[0])),
+                 (bethe._derivative(coeffs), npoly.polyder(coeffs, axis=-1))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
+    """An eigensolver that does not converge on one level's companion
+    matrix costs that level its candidate, not the whole rung: the stack is
+    redone a matrix at a time, the level climbs to the next rung, every
+    other level keeps its roots bit for bit, and `cross_validate` reports."""
+    model, sec = _route_sector("A-30")
+    clean = solve_bethe(model, sec)
+    level = next(sol.level for sol in clean if sol.source == "extracted")
+    p = diagonalize(build_monomial_matrix(model, sec)).vectors[::-1, level]
+    assert p[0] != 0 and p[-1] != 0
+    top_row = -p[1:] / p[0]   # the first row of the level's companion matrix
+    eigvals = np.linalg.eigvals
+
+    def flaky(a):
+        if any(np.array_equal(m[0], top_row) for m in (a if a.ndim == 3 else [a])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    report = cross_validate(model, sec)
+    assert len(report.levels) == sec.dim
+    moved = [sol.level for sol, want in zip(report.solutions, clean) if repr(sol) != repr(want)]
+    assert moved == [level]
+    assert report.solutions[level].source == "refined" and report.solutions[level].converged
+    # the one-row entry point raises on that matrix, as `np.roots` does
+    with pytest.raises(np.linalg.LinAlgError):
+        roots_from_eigenvector(p[::-1])
+
+
 def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
-    """Preset A at N=40 reaches all three rungs, and each rung finds the
+    """Preset A at N=40 reaches the decimal rung, and each rung finds the
     roots of all of its levels in one `np.linalg.eigvals` call; no level
     gets an `np.roots` call of its own (104 of them on this sector once)."""
     calls = collections.Counter()
@@ -518,12 +577,8 @@ def test_candidates_pass_as_is_on_preset_a():
         assert report.passed, (n_top, report.failing_levels())
 
 
-def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
-    """Preset A at N=30, judged a rung at a time: no recurrence sees a level
-    kept as extracted and converged, and the high-precision route sees no
-    level that passes on the float64 recurrence."""
-    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
-    sec = sector_from_occupations(model, (0, 3, 30))
+def _recorded_routes(monkeypatch):
+    """Record the energy each recurrence route is called with, by route."""
     seen = collections.defaultdict(list)
 
     def recorded(name, route):
@@ -534,24 +589,54 @@ def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
 
     for name in ("_coefficients_at_energy", "_high_precision_coefficients"):
         monkeypatch.setattr(bethe, name, recorded(name, getattr(bethe, name)))
+    return seen
+
+
+def _nan_rows(hops, energy):
+    """A recurrence rung switched off: its rows are NaN, and the ladder
+    drops every non-finite row."""
+    return np.array([math.nan])
+
+
+def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
+    """Preset B at N=45, where levels stop on each of the three rungs,
+    judged a rung at a time: no recurrence sees a level kept as extracted
+    and converged, every float64-recurrence energy was first tried on the
+    decimal rung, and the float64 rung, the last resort, sees no level that
+    passes on the decimal recurrence."""
+    model, sec = _route_sector("B-45")
+    seen = _recorded_routes(monkeypatch)
     sols = solve_bethe(model, sec)
     extracted = {sol.oracle_energy for sol in sols
                  if sol.source == "extracted" and sol.converged}
     float64_route, decimal_route = (set(seen[name]) for name in (
         "_coefficients_at_energy", "_high_precision_coefficients"))
-    assert extracted and decimal_route
+    assert extracted and decimal_route and float64_route
     assert not extracted & (float64_route | decimal_route)
-    assert decimal_route <= float64_route
+    assert float64_route <= decimal_route
 
-    def no_recurrence(hops, energy):
-        return np.full(sec.dim, math.nan)
-
-    # the levels that pass on the float64 recurrence, with the next rung
-    # off: its rows are NaN, and the ladder drops every non-finite row
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
-    float64_passes = {sol.oracle_energy for sol in solve_bethe(model, sec)
+    # the levels that pass on the decimal recurrence, with the float64 rung off
+    monkeypatch.setattr(bethe, "_coefficients_at_energy", _nan_rows)
+    decimal_passes = {sol.oracle_energy for sol in solve_bethe(model, sec)
                       if sol.source == "refined" and sol.converged}
-    assert float64_passes and not float64_passes & decimal_route
+    assert decimal_passes and not decimal_passes & float64_route
+
+
+def test_float64_rung_rescues_levels_the_decimal_rung_fails(monkeypatch):
+    """Preset A at N=60: levels 57 and 58 fail the decimal rung and pass
+    only on the float64 recurrence, so the last-resort rung still earns its
+    place; with it off, both come back unconverged."""
+    model, sec = _route_sector("A-60")
+    seen = _recorded_routes(monkeypatch)
+    sols = solve_bethe(model, sec)
+    oracles = [sol.oracle_energy for sol in sols]
+    rescued = [oracles.index(energy) for energy in seen["_coefficients_at_energy"]
+               if sols[oracles.index(energy)].converged]
+    assert rescued == [57, 58]
+    monkeypatch.setattr(bethe, "_coefficients_at_energy", _nan_rows)
+    without = solve_bethe(model, sec)
+    assert [sol.level for sol in without if not sol.converged] == [57, 58, 59, 60]
+    assert all(repr(a) == repr(b) for a, b in zip(sols[:57], without[:57]))
 
 
 def test_stacked_kernels_match_each_row_alone():
@@ -828,6 +913,7 @@ ROUTE_SECTORS = {
     "B-40": ("B", GRID_W, (0, 3, 80), 0.8),
     "C-40": ("C", GRID_W + (0.1,), (0, 3, 40, 42), 0.8),
     "A-30": ("A", GRID_W, (0, 3, 30), 0.8),
+    "B-45": ("B", GRID_W, (0, 3, 90), 0.8),
     "A-60": ("A", GRID_W, (0, 3, 60), 0.8),
     "B-60": ("B", GRID_W, (0, 3, 120), 0.8),
     "C-60": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 0.8),
@@ -929,6 +1015,17 @@ def test_passing_levels_certify_their_returned_roots_on_the_n40_grid(name):
     their certificate: on preset A at N=40, levels 34-37 and 39 read up to
     1e-9 once snapped at 1e-8 of the root scale."""
     _assert_returned_roots_are_scored(*_route_sector(name))
+
+
+@pytest.mark.parametrize("name", N40_GRID)
+def test_n40_grid_never_reaches_the_float64_rung(monkeypatch, name):
+    """Every level of the N=40 grid passes as extracted or on the decimal
+    rung, so the complex float64 recurrence builds no row there (21 per
+    sector while it came before the decimal rung)."""
+    seen = _recorded_routes(monkeypatch)
+    report = cross_validate(*_route_sector(name))
+    assert report.passed and seen["_high_precision_coefficients"]
+    assert not seen["_coefficients_at_energy"]
 
 
 @st.composite

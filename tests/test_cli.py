@@ -312,3 +312,20 @@ def test_solve_and_scan_load_neither_scipy_nor_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[0, 0] []"
+
+
+def test_package_loads_no_numpy_polynomial():
+    """The residual kernels write out `numpy.polynomial`'s Horner sweep and
+    derivative, so importing the package and its CLI, and solving a
+    sector, leave that subpackage unloaded (about 0.75 MB of RSS)."""
+    code = (
+        "import sys\n"
+        "import multiboson, multiboson.cli\n"
+        "model = multiboson.preset('A', w=[0.4, -0.3, 0.2], g=0.8)\n"
+        "sector = multiboson.sector_from_occupations(model, (0, 3, 12))\n"
+        "assert multiboson.cross_validate(model, sector).passed\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
