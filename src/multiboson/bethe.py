@@ -17,24 +17,27 @@ E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 The production solve path solves a diagonal block (g = 0, or N = 0)
 exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
 each level's roots from the companion matrix of an eigenpolynomial, down
-one ladder of three rungs: the monomial-basis eigenvector's coefficients,
-then the coefficients rebuilt from the three-term recurrence
-(`_recurrence`) at high working precision in the standard library's
-`decimal`, then, as the last resort, the same recurrence in float64 on the
-monomial block, whose complex rows cost the most to solve.  Each rung
-builds one row per still unresolved level, drops the rows that are
-non-finite or have a zero top coefficient, and judges the rest at once, as
-one stack of root sets, whose roots come from one stacked companion-matrix
-eigensolve (`_roots_of_rows`); a row LAPACK does not converge on is
-dropped too.  Each candidate is canonicalized once, and that one set is
-both scored and returned; a level's first set that passes is accepted: its
-scaled robust residual is within a fixed 1e-12 and its closed-form energy
-agrees with the oracle eigenvalue to a fixed 1e-8 of max(1, |E|).  When
-none passes, the level is reported unconverged and keeps the attempt whose
-energy agrees, the smaller residual and then the smaller energy error
-breaking ties.  `cross_validate` certifies a level whose returned roots'
-scaled robust residual is within a fixed 1e-10 and whose energy is within
-1e-8 of the spectral scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
+one ladder of four rungs.  The first two read the block's eigenvector at
+each level's eigenvalue: from a twisted factorization of the monomial
+block minus that eigenvalue (`_twisted_rows`), which keeps the small
+components an eigensolver flushes to zero, then from `diagonalize`'s
+eigenvectors.  The last two rebuild the coefficients from the three-term
+recurrence (`_recurrence`): at high working precision in the standard
+library's `decimal`, then, as the last resort, in float64 on the monomial
+block, whose complex rows cost the most to solve.  Each rung builds one row
+per still unresolved level, drops the rows that are non-finite or have a
+zero top coefficient, and judges the rest at once, as one stack of root
+sets, whose roots come from one stacked companion-matrix eigensolve
+(`_roots_of_rows`); a row LAPACK does not converge on is dropped too.  Each
+candidate is canonicalized once, and that one set is both scored and
+returned, as a read-only complex array; a level's first set that passes is
+accepted: its scaled robust residual is within a fixed 1e-12 and its
+closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
+max(1, |E|).  When none passes, the level is reported unconverged and
+keeps the attempt whose energy agrees, the smaller residual and then the
+smaller energy error breaking ties.  `cross_validate` certifies a level
+whose returned roots' scaled robust residual is within a fixed 1e-10 and
+whose energy is within 1e-8 of the spectral scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
 their magnitude bounds are evaluated once per stack of root sets
 (`_terms_at_roots`, with numpy.polynomial's Horner sweep and derivative
 written out), and both residual forms read that one evaluation; an
@@ -48,7 +51,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -85,21 +88,23 @@ _NEWTON_STEPS = 50
 _IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)   # slots: callers keep one per level
+@dataclass(frozen=True, slots=True, eq=False)   # slots: callers keep one per level
 class BetheSolution:
     """One eigenlevel: canonical roots, energy, and residual diagnostics.
 
-    `residual_bae` is NaN when the pole-residue form does not apply
+    `roots` is a read-only complex128 array, empty when the level has no
+    roots.  `residual_bae` is NaN when the pole-residue form does not apply
     (degenerate or reduced root sets).  `reduced` is set only on a level
     of a g = 0 block below the top one: its eigenfunction z^n has fewer
     than N roots.  `source` tags how the roots were obtained: 'extracted'
-    (the eigenvector's coefficients, or the exact monomial of a diagonal
-    block), 'refined' (roots of a recurrence-built eigenpolynomial), or
-    'direct' (independent multi-start search).
+    (the block's eigenvector, from the twisted factorization or from the
+    eigensolver, or the exact monomial of a diagonal block), 'refined'
+    (roots of a recurrence-built eigenpolynomial), or 'direct'
+    (independent multi-start search).
     """
 
     level: int
-    roots: tuple
+    roots: np.ndarray
     energy: float
     oracle_energy: float
     residual_bae: float
@@ -108,6 +113,20 @@ class BetheSolution:
     degenerate: bool
     reduced: bool
     converged: bool
+
+    # an array has no truth value: solutions compare and hash their roots'
+    # bytes, so equal solutions stay equal and hashable
+    def _key(self):
+        return tuple(self.roots.tobytes() if f.name == "roots" else getattr(self, f.name)
+                     for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -428,6 +447,14 @@ def canonicalize_roots(roots) -> tuple:
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
+def _frozen(roots) -> np.ndarray:
+    """A root set as the read-only complex128 array a `BetheSolution` keeps:
+    16 bytes a root, where a tuple of Python complex costs about 40."""
+    array = np.array(roots, dtype=complex)
+    array.flags.writeable = False
+    return array
+
+
 def energy_from_roots(model: ModelSpec, sector: Sector, roots):
     """Closed-form energy of the level with the given root set.
 
@@ -502,6 +529,48 @@ def _recurrence(hop_a, hop_b, hop_c, energy, c, peak_limit=None):
     return c
 
 
+@_quiet
+def _twisted_rows(block, energies) -> np.ndarray:
+    """Eigenpolynomial coefficients of every level at once, from a twisted
+    factorization of the monomial block M minus each energy.
+
+    With the block's rows M[i, i-1] = upper[i-1], M[i, i] = diag[i] and
+    M[i, i+1] = lower[i], and d = diag - E, the top-down pivots are
+    D+_0 = d_0, D+_i = d_i - upper[i-1] lower[i-1] / D+_{i-1}, the
+    bottom-up ones D-_N = d_N, D-_i = d_i - upper[i] lower[i] / D-_{i+1}.
+    A level's twist k minimizes |D+_k + D-_k - d_k|, the reciprocal of the
+    resolvent's k-th diagonal entry, so z_k = 1 sits on a large component
+    of the eigenvector.  From it the vector follows outward, one product
+    each way: z_i = -lower[i] z_{i+1} / D+_i above the twist and
+    z_i = -upper[i-1] z_{i-1} / D-_i below it (Fernando 1997; Parlett &
+    Dhillon 1997).  Each entry is a product of ratios, not what is left of
+    a forward recurrence's cancelling terms, so components far below the
+    peak, which an eigensolver flushes to zero, come out in float64 with a
+    relative error set by the pivots' and the energy's.  Rows are
+    (L, N + 1), one per energy, peak-normalized; a zero pivot or an
+    overflow leaves the row non-finite.
+    """
+    shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
+    couplings = (block.upper * block.lower).tolist()
+    plus, minus = [shift[0]], [shift[-1]]
+    for d, c in zip(shift[1:], couplings):
+        plus.append(d - c / plus[-1])
+    for d, c in zip(shift[-2::-1], couplings[::-1]):
+        minus.append(d - c / minus[-1])
+    plus, minus = np.array(plus), np.array(minus[::-1])
+    gamma = np.abs(plus + minus - shift)
+    twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
+    index = np.arange(len(shift) - 1)[:, None]
+    # ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it; 1
+    # elsewhere, so each cumulative product runs outward from z_k = 1
+    up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1.0)
+    down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1.0)
+    rows = np.ones_like(shift)
+    rows[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
+    rows[1:] *= np.cumprod(down, axis=0)
+    return (rows / np.max(np.abs(rows), axis=0)).T
+
+
 def _coefficients_at_energy(hops, energy: float) -> np.ndarray:
     """Eigenpolynomial coefficients rebuilt from the three-term recurrence.
 
@@ -510,9 +579,9 @@ def _coefficients_at_energy(hops, energy: float) -> np.ndarray:
     satisfy the recurrence of `_recurrence` with c_0 = 1, which is
     structurally nonzero.  This route survives the exact-zero flushing
     dense eigensolvers apply to negligible vector components.  It is the
-    ladder's last rung: a level gets here only when neither the eigenvector
-    nor the high-precision recurrence gave a root set that passes, and its
-    float64 roundoff still rescues a few such levels.
+    ladder's last rung: a level gets here only when neither eigenvector
+    rung nor the high-precision recurrence gave a root set that passes,
+    and its float64 roundoff still rescues a few such levels.
     """
     hop_a, hop_b, hop_c = hops
     c = np.zeros(len(hop_b), dtype=complex)
@@ -577,28 +646,30 @@ def _solve_levels(op, p_list, block, spec):
     A diagonal block (g = 0, or N = 0) is solved exactly: level l is
     z^n(l), n(l) the l-th index of B(0..N) in stable ascending order, as
     `diagonalize` orders it, with energy B(n) and zero residuals; it is
-    `reduced` when n < N.  Otherwise the rungs are the eigenvector's
-    coefficients, the decimal recurrence, whose hop values are converted
-    only if a level reaches it, and last the float64 recurrence on the
-    monomial block's hop values.  The decimal rung comes second because it
-    passes most of the levels the eigenvector does not, and its real rows
-    are cheaper to solve than the float64 rung's complex ones.  The order
-    moves no `converged` flag: a level converges iff one of its candidates
-    passes, and a level none passes ranks the same three attempts.  Each
-    rung builds one row per unresolved level, drops every row that is
-    non-finite or has a zero top coefficient (an eigensolver flushes
-    negligible components to exact zeros) or whose eigensolve does not
-    converge, and judges the rest as one stack.  Each candidate is
-    canonicalized once, and its residuals, energy and degenerate flag are
-    those of the canonical set it returns.  The first set whose scaled
-    residual meets `_SEARCH_TOL` and whose energy agrees with the oracle
-    eigenvalue to `_ENERGY_TOL` is accepted, and later candidates of that
-    level are never built.  When none passes, the level is unconverged and
+    `reduced` when n < N.  Otherwise the rungs are the twisted rows of
+    every level at once (`_twisted_rows`), the eigenvector's coefficients,
+    the decimal recurrence, whose hop values are converted only if a level
+    reaches it, and last the float64 recurrence on the monomial block's hop
+    values.  The first two are the block's eigenvector, computed two ways,
+    and are both tagged 'extracted'.  The twisted rows come first because
+    they pass the most levels (every level of the N=40 grid, where the
+    eigenvector passes 60 of 123), and the decimal rung comes before the
+    float64 one because its real rows are cheaper to solve than the
+    float64 rung's complex ones.  Each rung builds one row per unresolved
+    level, drops every row that is non-finite or has a zero top coefficient
+    (an eigensolver flushes negligible components to exact zeros) or whose
+    eigensolve does not converge, and judges the rest as one stack.  Each
+    candidate is canonicalized once, and its residuals, energy and
+    degenerate flag are those of the canonical set it returns.  The first
+    set whose scaled residual meets `_SEARCH_TOL` and whose energy agrees
+    with the oracle eigenvalue to `_ENERGY_TOL` is accepted, and later
+    candidates of that level are never built.  When none passes, the level is unconverged and
     keeps the attempt whose energy agrees, the smaller residual and then
     the smaller energy error breaking ties: the energy depends on the roots
     only through their sum, so an agreeing candidate carries the right
     physics even when its roots are too coarse for the residual.  A level
     no rung gives a row is unconverged, with no roots and a NaN energy.
+    Each level's roots are kept as a read-only complex array.
     """
     oracles = spec.energies.tolist()
     if not block.lower.any():
@@ -607,7 +678,7 @@ def _solve_levels(op, p_list, block, spec):
         for level, n in enumerate(np.argsort(block.diag, kind="stable").tolist()):
             degenerate, reduced = n >= 2, n < n_top
             solutions.append(BetheSolution(
-                level=level, roots=(0j,) * n, energy=float(block.diag[n]),
+                level=level, roots=_frozen(np.zeros(n)), energy=float(block.diag[n]),
                 oracle_energy=oracles[level],
                 residual_bae=math.nan if degenerate or reduced else 0.0, residual_robust=0.0,
                 source="extracted", degenerate=degenerate, reduced=reduced, converged=True))
@@ -617,7 +688,9 @@ def _solve_levels(op, p_list, block, spec):
     # attempt; the rank puts a pass first, then an agreeing energy, then
     # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
-    rungs = (("extracted", lambda: spec.vectors, lambda vectors, level: vectors[:, level]),
+    rungs = (("extracted", lambda: _twisted_rows(block, spec.energies),
+              lambda rows, level: rows[level]),
+             ("extracted", lambda: spec.vectors, lambda vectors, level: vectors[:, level]),
              ("refined", lambda: _working_hops(op.hop_values),
               lambda hops, level: _high_precision_coefficients(hops, oracles[level])),
              ("refined", lambda: [x.tolist() for x in (block.upper, block.diag, block.lower)],
@@ -651,7 +724,8 @@ def _solve_levels(op, p_list, block, spec):
         if attempt is None:
             attempt = ((False,), math.inf, math.nan, (), "extracted", math.nan)
         (converged, *_), r_robust, r_bae, roots, source, energy = attempt
-        degenerate = _has_close_pair(np.array(roots, dtype=complex), _DEGENERATE_TOL)
+        roots = _frozen(roots)
+        degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
         solutions.append(BetheSolution(
             level=level, roots=roots, energy=energy, oracle_energy=oracle,
             # the pole-residue form needs pairwise separated roots
@@ -669,16 +743,18 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     (the attempt whose energy agrees when none does), report the
     pole-residue residuals where the roots are distinct, and recompute the
     energy from the closed form.  The candidate ladder runs the
-    eigenvector's coefficients, then the high-precision recurrence, then
-    the float64 recurrence as the last resort; each rung judges all of the
+    eigenvector's coefficients from a twisted factorization, then those of
+    the eigensolver, then the high-precision recurrence, then the float64
+    recurrence as the last resort; each rung judges all of the
     sector's unresolved levels at once, as one stack of root sets, and one
     evaluation of that stack gives both residual forms.  Levels whose
     eigenpolynomial has near-multiple roots are flagged degenerate and
-    validated only through the robust form.  A level's climb stops at the first root set whose
-    scaled residual is within a fixed 1e-12 and whose energy agrees with
-    the oracle eigenvalue to a fixed 1e-8 of max(1, |E|).  A g = 0 block
-    is diagonal and solved exactly.  The independent multi-start search
-    is `direct_search`, a separate call.
+    validated only through the robust form.  A level's climb stops at the
+    first root set whose scaled residual is within a fixed 1e-12 and whose
+    energy agrees with the oracle eigenvalue to a fixed 1e-8 of
+    max(1, |E|).  A g = 0 block is diagonal and solved exactly.  Each
+    level's roots come back as a read-only complex128 array.  The
+    independent multi-start search is `direct_search`, a separate call.
     """
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)
@@ -709,7 +785,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
 
     n = op.n_top
     if n == 0 and starts:   # every start finds the empty root set at once
-        return [BetheSolution(level=0, roots=(), energy=energy(()),
+        return [BetheSolution(level=0, roots=_frozen(()), energy=energy(()),
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
 
@@ -760,7 +836,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
         r_bae = (math.nan if _has_close_pair(stack[0], _MIN_SEPARATION)
                  else float(_scaled_bae(at)[0]))
         found.append(BetheSolution(
-            level=-1, roots=canon, energy=energy(canon),
+            level=-1, roots=_frozen(canon), energy=energy(canon),
             oracle_energy=math.nan, residual_bae=r_bae, residual_robust=r_robust,
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)

@@ -171,6 +171,14 @@ def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
         for i in range(n - 1):
             scale[i + 1] = scale[i] * (block.upper[i] / sym_off[i] if sym_off[i] > 0 else 1.0)
         vectors = sym_vectors * scale[:, None]
-        vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(vectors, axis=0)
+        # a column whose squares overflow is first divided by its largest
+        # entry; every other column is normalized as it is
+        huge = ~np.isfinite(norms)
+        if huge.any():
+            vectors[:, huge] /= np.max(np.abs(vectors[:, huge]), axis=0)
+            norms[huge] = np.linalg.norm(vectors[:, huge], axis=0)
+        vectors /= norms
     return SpectrumResult(energies=energies,
                           vectors=_fix_phases(np.ascontiguousarray(vectors)))

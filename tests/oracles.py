@@ -4,8 +4,9 @@ Everything here is deliberately brute force and shares no code path with
 the package: tower enumeration for mode labels, breadth-first state-graph
 enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
-form of the high-precision root route, the float64 recurrence written
-out step by step, the pairwise double loop of the close-pair test, and the
+form of the high-precision root route (also with its digits doubled until
+its rows settle), the float64 recurrence written out step by step, the
+pairwise double loop of the close-pair test, and the
 hop polynomials and operator expanded as plain Fraction coefficient lists.
 """
 
@@ -106,6 +107,12 @@ def high_precision_coefficients(op, energy):
     """Eigenpolynomial coefficients of one level in mpmath: Newton on the
     characteristic recurrence of the monomial block, then the three-term
     recurrence, at max(50, 30 + 4N) digits, peak-normalized to float."""
+    return _mp_level(op, energy, max(50, 30 + 4 * op.n_top))[1]
+
+
+def _mp_level(op, energy, dps):
+    """(polished eigenvalue, coefficients), both rounded to float, of
+    `high_precision_coefficients` at `dps` digits."""
     import mpmath as mp
     import numpy as np
 
@@ -115,7 +122,6 @@ def high_precision_coefficients(op, energy):
         return mp.mpf(float(x))
 
     n = op.n_top
-    dps = max(50, 30 + 4 * n)
     with mp.workdps(dps):
         # A(0..N-1), B(0..N), C(1..N)
         hop_a, hop_b, hop_c = ([to_mp(x) for x in values] for values in op.hop_values)
@@ -142,7 +148,29 @@ def high_precision_coefficients(op, energy):
                 rhs -= hop_a[m - 1] * vec[m - 1]
             vec.append(rhs / hop_c[m])
         peak = max(abs(x) for x in vec)
-        return np.array([float(x / peak) for x in vec])
+        return float(e_val), np.array([float(x / peak) for x in vec])
+
+
+def settled_coefficients(op, energy, max_dps=3200):
+    """(eigenvalue, coefficients) of `high_precision_coefficients`' level
+    at the first of its digits, doubled in turn, whose rows twice as many
+    digits no longer change.
+
+    At weak coupling its own digits do not suffice: the forward recurrence
+    from c_0 amplifies the polished eigenvalue's error, and on a general
+    sector with N=17 at g = 1.3e-3 the rows at its digits and at twice
+    them differ by a factor of up to 1e22.  Beyond `max_dps` it raises
+    ArithmeticError.
+    """
+    dps = max(50, 30 + 4 * op.n_top)
+    level = _mp_level(op, energy, dps)
+    while dps < max_dps:
+        dps *= 2
+        finer = _mp_level(op, energy, dps)
+        if (level[1] == finer[1]).all():
+            return level
+        level = finer
+    raise ArithmeticError(f"rows still change at {dps} digits")
 
 
 def float64_coefficients(op, energy):

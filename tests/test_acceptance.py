@@ -142,8 +142,8 @@ def test_criterion_5_analytic_micro_case():
     model = make_model(2, 1, (1, 1, 1), g=1)
     sec = sector_from_occupations(model, (0, 0, 1))
     sols = solve_bethe(model, sec)
-    roots = [sol.roots for sol in sols]
-    ok = (roots == [(1.0,), (-1.0,)]
+    roots = [sol.roots.tolist() for sol in sols]
+    ok = (roots == [[1.0], [-1.0]]
           and abs(sols[0].energy - (-1.0)) <= 1e-12
           and abs(sols[1].energy - 1.0) <= 1e-12
           and abs(sols[0].oracle_energy - (-1.0)) <= 1e-12
