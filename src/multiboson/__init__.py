@@ -11,7 +11,7 @@ the closed-form tables for the three condensate-type special cases.
 
 from .bethe import (BetheSolution, ValidationReport, bethe_residuals, canonicalize_roots,
                     cross_validate, direct_search, energy_from_roots, robust_residuals,
-                    roots_from_eigenvector, solve_bethe)
+                    solve_bethe)
 from .diffop import (DiffOpForm, Polynomial, apply_to_polynomial, expand_diffop,
                      falling_factorial_coefficients, hop_values)
 from .fock import (ModeLabel, ModelSpec, Sector, base_number_values, label_t, make_model,

@@ -17,33 +17,33 @@ E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 The production solve path solves a diagonal block (g = 0, or N = 0)
 exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
 each level's roots from the companion matrix of an eigenpolynomial, down
-one ladder of four rungs.  The first two read the block's eigenvector at
-each level's eigenvalue: from a twisted factorization of the monomial
-block minus that eigenvalue (`_twisted_rows`), which keeps the small
-components an eigensolver flushes to zero, then from `diagonalize`'s
-eigenvectors.  The last two rebuild the coefficients from the three-term
-recurrence (`_recurrence`): at high working precision in the standard
-library's `decimal`, then, as the last resort, in float64 on the monomial
-block, whose complex rows cost the most to solve.  Each rung builds one row
-per still unresolved level, drops the rows that are non-finite or have a
-zero top coefficient, and judges the rest at once, as one stack of root
-sets, whose roots come from one stacked companion-matrix eigensolve
-(`_roots_of_rows`); a row LAPACK does not converge on is dropped too.  Each
-candidate is canonicalized once, and that one set is both scored and
-returned, as a read-only complex array; a level's first set that passes is
-accepted: its scaled robust residual is within a fixed 1e-12 and its
-closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
-max(1, |E|).  When none passes, the level is reported unconverged and
-keeps the attempt whose energy agrees, the smaller residual and then the
-smaller energy error breaking ties.  `cross_validate` certifies a level
-whose returned roots' scaled robust residual is within a fixed 1e-10 and
-whose energy is within 1e-8 of the spectral scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and
-their magnitude bounds are evaluated once per stack of root sets
-(`_terms_at_roots`, with numpy.polynomial's Horner sweep and derivative
-written out), and both residual forms read that one evaluation; an
-overflowed bound reads as an infinite residual.  An independent
-multi-start Newton search on the pole-residue equations, run on the same
-operator, is available as a confirmation mode (`direct_search`).
+one ladder of three rungs.  The first two read the block's eigenvector at
+each level's eigenvalue from a twisted factorization of the monomial block
+minus that eigenvalue (`_twisted_rows`), which keeps the small components
+an eigensolver flushes to zero: once as real rows, then the same rows as
+complex ones, a second eigensolve in other rounding.  The last rung
+rebuilds the coefficients from the three-term recurrence (`_recurrence`)
+at high working precision in the standard library's `decimal`.  Each rung
+builds one row per still unresolved level, drops the rows that are
+non-finite or have a zero top coefficient, and judges the rest at once, as
+one stack of root sets, whose roots come from one stacked companion-matrix
+eigensolve (`_roots_of_rows`); a row LAPACK does not converge on is
+dropped too.  Each candidate is canonicalized once, and that one set is
+both scored and returned, as a read-only complex array; a level's first
+set that passes is accepted: its scaled robust residual is within a fixed
+1e-12 and its closed-form energy agrees with the oracle eigenvalue to a
+fixed 1e-8 of the spectral scale max(1, max |E|).  When none passes, the
+level is reported unconverged and keeps the attempt whose energy agrees,
+the smaller residual and then the smaller energy error breaking ties.
+`cross_validate` certifies a level whose returned roots' scaled robust
+residual is within a fixed 1e-10 and whose energy is within 1e-8 of the
+same scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and their magnitude
+bounds are evaluated once per stack of root sets (`_terms_at_roots`, with
+numpy.polynomial's Horner sweep and derivative written out), and both
+residual forms read that one evaluation; an overflowed bound reads as an
+infinite residual.  An independent multi-start Newton search on the
+pole-residue equations, run on the same operator, is available as a
+confirmation mode (`direct_search`).
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ class BetheSolution:
     (degenerate or reduced root sets).  `reduced` is set only on a level
     of a g = 0 block below the top one: its eigenfunction z^n has fewer
     than N roots.  `source` tags how the roots were obtained: 'extracted'
-    (the block's eigenvector, from the twisted factorization or from the
-    eigensolver, or the exact monomial of a diagonal block), 'refined'
-    (roots of a recurrence-built eigenpolynomial), or 'direct'
-    (independent multi-start search).
+    (the block's eigenvector from the twisted factorization, its roots
+    found in real or in complex arithmetic, or the exact monomial of a
+    diagonal block), 'refined' (roots of the eigenpolynomial the decimal
+    recurrence builds), or 'direct' (independent multi-start search).
     """
 
     level: int
@@ -387,30 +387,6 @@ def _eigvals_or_none(matrix):
         return None
 
 
-def roots_from_eigenvector(coeffs):
-    """Roots of the eigenpolynomial sum_n coeffs[n] z^n, and whether its
-    degree is reduced.
-
-    Uses companion-matrix eigenvalues (balanced internally), which stay
-    accurate enough to pass as-is even when the leading coefficient sits
-    twenty orders of magnitude below the largest one -- strongly localized
-    levels genuinely look like that in the monomial basis.  Only an exact
-    zero leading coefficient (the g = 0 situation) reduces the degree:
-    exact-zero top coefficients are dropped, as `numpy.roots` does, and
-    `reduced` is True.  The roots are those of `_roots_of_rows`, the one
-    root routine of the package, on a single row; the solver's rungs call it
-    on all of their levels at once, one stacked companion eigensolve per
-    rung.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0 or not np.any(c != 0.0):
-        raise ValueError("eigenvector is identically zero")
-    roots = _roots_of_rows([c])[0]
-    if roots is None:
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
-    return roots, bool(c[-1] == 0.0)
-
-
 def canonicalize_roots(roots) -> tuple:
     """Sort roots by (re, im) after snapping conjugate pairs.
 
@@ -512,20 +488,19 @@ def _working_hops(values):
     return context, hop_a, hop_b, hop_c, off
 
 
-def _recurrence(hop_a, hop_b, hop_c, energy, c, peak_limit=None):
+def _recurrence(hop_a, hop_b, hop_c, energy, c):
     """Fill c[1..N] from c[0] by C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}.
 
-    With `peak_limit`, a new coefficient above it rescales the ones built so
-    far by its magnitude: each earlier one is already at most the limit, so
-    the newest is the peak, and only coefficient ratios matter for the roots.
+    It runs at the decimal rung's working precision, whose exponent range
+    is unbounded, so no coefficient overflows on the way.  In exact
+    arithmetic its coefficients are the twisted rows' with the twist pinned
+    at N (`_twisted_rows`).
     """
     for m in range(len(c) - 1):
         rhs = (energy - hop_b[m]) * c[m]
         if m > 0:
             rhs -= hop_a[m - 1] * c[m - 1]
         c[m + 1] = rhs / hop_c[m]
-        if peak_limit is not None and abs(c[m + 1]) > peak_limit:
-            c[: m + 2] /= abs(c[m + 1])
     return c
 
 
@@ -571,31 +546,13 @@ def _twisted_rows(block, energies) -> np.ndarray:
     return (rows / np.max(np.abs(rows), axis=0)).T
 
 
-def _coefficients_at_energy(hops, energy: float) -> np.ndarray:
-    """Eigenpolynomial coefficients rebuilt from the three-term recurrence.
-
-    `hops` holds the float hop values A(0..N-1), B(0..N), C(1..N) of the
-    monomial block.  For an eigenvalue E of that block the coefficients
-    satisfy the recurrence of `_recurrence` with c_0 = 1, which is
-    structurally nonzero.  This route survives the exact-zero flushing
-    dense eigensolvers apply to negligible vector components.  It is the
-    ladder's last rung: a level gets here only when neither eigenvector
-    rung nor the high-precision recurrence gave a root set that passes,
-    and its float64 roundoff still rescues a few such levels.
-    """
-    hop_a, hop_b, hop_c = hops
-    c = np.zeros(len(hop_b), dtype=complex)
-    c[0] = 1.0
-    return _recurrence(hop_a, hop_b, hop_c, energy, c, peak_limit=1e200)
-
-
 def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
     """Eigenpolynomial coefficients from the recurrence at high precision.
 
     Working precision is the honest cure for hard levels: the eigenvalue
     is polished on the characteristic-polynomial recurrence of the
-    monomial block, then the coefficients follow from the same three-term
-    recurrence as `_coefficients_at_energy`, run at the working precision.
+    monomial block, then the coefficients follow from the three-term
+    recurrence (`_recurrence`), run at the working precision.
     That resolves every coefficient -- including components far below
     float64 visibility -- before the peak-normalized vector is rounded
     back to float64.  The arithmetic is the standard library's `decimal`
@@ -646,29 +603,30 @@ def _solve_levels(op, p_list, block, spec):
     A diagonal block (g = 0, or N = 0) is solved exactly: level l is
     z^n(l), n(l) the l-th index of B(0..N) in stable ascending order, as
     `diagonalize` orders it, with energy B(n) and zero residuals; it is
-    `reduced` when n < N.  Otherwise the rungs are the twisted rows of
-    every level at once (`_twisted_rows`), the eigenvector's coefficients,
-    the decimal recurrence, whose hop values are converted only if a level
-    reaches it, and last the float64 recurrence on the monomial block's hop
-    values.  The first two are the block's eigenvector, computed two ways,
-    and are both tagged 'extracted'.  The twisted rows come first because
-    they pass the most levels (every level of the N=40 grid, where the
-    eigenvector passes 60 of 123), and the decimal rung comes before the
-    float64 one because its real rows are cheaper to solve than the
-    float64 rung's complex ones.  Each rung builds one row per unresolved
-    level, drops every row that is non-finite or has a zero top coefficient
-    (an eigensolver flushes negligible components to exact zeros) or whose
-    eigensolve does not converge, and judges the rest as one stack.  Each
-    candidate is canonicalized once, and its residuals, energy and
-    degenerate flag are those of the canonical set it returns.  The first
-    set whose scaled residual meets `_SEARCH_TOL` and whose energy agrees
-    with the oracle eigenvalue to `_ENERGY_TOL` is accepted, and later
-    candidates of that level are never built.  When none passes, the level is unconverged and
-    keeps the attempt whose energy agrees, the smaller residual and then
-    the smaller energy error breaking ties: the energy depends on the roots
-    only through their sum, so an agreeing candidate carries the right
-    physics even when its roots are too coarse for the residual.  A level
-    no rung gives a row is unconverged, with no roots and a NaN energy.
+    `reduced` when n < N.  Otherwise the ladder has three rungs.  The
+    first two are the twisted rows of every level, built once
+    (`_twisted_rows`): solved as real rows, then, for the levels still
+    unresolved, cast to complex, so their companion matrices go to LAPACK's
+    zgeev instead of dgeev: a second eigensolve of the same rows, whose
+    rounding differs, and on an ill-conditioned eigenpolynomial that takes
+    some levels under the gate.  Both are the block's eigenvector and are
+    tagged 'extracted'.  The last rung is the decimal recurrence, whose hop
+    values are converted only if a level reaches it.
+    Each rung builds one row per unresolved level, drops every row that is
+    non-finite or has a zero top coefficient (a pivot that vanished or
+    overflowed) or whose eigensolve does not converge, and judges the rest
+    as one stack.  Each candidate is canonicalized once, and its residuals,
+    energy and degenerate flag are those of the canonical set it returns.
+    The first set whose scaled residual meets `_SEARCH_TOL` and whose
+    energy agrees with the oracle eigenvalue to `_ENERGY_TOL` of the
+    spectral scale max(1, max |E|), the scale `cross_validate` judges by,
+    is accepted, and later candidates of that level are never built.  When
+    none passes, the level is unconverged and keeps the attempt whose
+    energy agrees, the smaller residual and then the smaller energy error
+    breaking ties: the energy depends on the roots only through their sum,
+    so an agreeing candidate carries the right physics even when its roots
+    are too coarse for the residual.  A level no rung gives a row is
+    unconverged, with no roots and a NaN energy.
     Each level's roots are kept as a read-only complex array.
     """
     oracles = spec.energies.tolist()
@@ -688,19 +646,17 @@ def _solve_levels(op, p_list, block, spec):
     # attempt; the rank puts a pass first, then an agreeing energy, then
     # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
-    rungs = (("extracted", lambda: _twisted_rows(block, spec.energies),
-              lambda rows, level: rows[level]),
-             ("extracted", lambda: spec.vectors, lambda vectors, level: vectors[:, level]),
-             ("refined", lambda: _working_hops(op.hop_values),
-              lambda hops, level: _high_precision_coefficients(hops, oracles[level])),
-             ("refined", lambda: [x.tolist() for x in (block.upper, block.diag, block.lower)],
-              lambda hops, level: _coefficients_at_energy(hops, oracles[level])))
+    energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
+    twisted = _twisted_rows(block, spec.energies)
+    hops = functools.cache(lambda: _working_hops(op.hop_values))
+    rungs = (("extracted", lambda level: twisted[level]),
+             ("extracted", lambda level: twisted[level].astype(complex)),
+             ("refined", lambda level: _high_precision_coefficients(hops(), oracles[level])))
     live = range(len(oracles))
-    for tag, inputs_of, build in rungs:
+    for tag, build in rungs:
         if not live:
             break
-        inputs = inputs_of()
-        rows = {level: row for level, row in ((level, build(inputs, level)) for level in live)
+        rows = {level: row for level, row in ((level, build(level)) for level in live)
                 if np.all(np.isfinite(row)) and row[-1] != 0}
         # a row whose eigensolve failed has no roots and is dropped too
         found = {level: canonicalize_roots(roots)
@@ -713,7 +669,7 @@ def _solve_levels(op, p_list, block, spec):
                 oracle = oracles[level]
                 energy = _closed_form_energy(op, roots)
                 error = abs(energy - oracle) if math.isfinite(energy) else math.inf
-                agrees = error <= _ENERGY_TOL * max(1.0, abs(oracle))
+                agrees = error <= energy_tol
                 rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
                 if best[level] is None or rank > best[level][0]:
                     best[level] = (rank, resid, r_bae, roots, tag, energy)
@@ -743,18 +699,18 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     (the attempt whose energy agrees when none does), report the
     pole-residue residuals where the roots are distinct, and recompute the
     energy from the closed form.  The candidate ladder runs the
-    eigenvector's coefficients from a twisted factorization, then those of
-    the eigensolver, then the high-precision recurrence, then the float64
-    recurrence as the last resort; each rung judges all of the
-    sector's unresolved levels at once, as one stack of root sets, and one
-    evaluation of that stack gives both residual forms.  Levels whose
-    eigenpolynomial has near-multiple roots are flagged degenerate and
-    validated only through the robust form.  A level's climb stops at the
-    first root set whose scaled residual is within a fixed 1e-12 and whose
-    energy agrees with the oracle eigenvalue to a fixed 1e-8 of
-    max(1, |E|).  A g = 0 block is diagonal and solved exactly.  Each
-    level's roots come back as a read-only complex128 array.  The
-    independent multi-start search is `direct_search`, a separate call.
+    eigenvector's coefficients from a twisted factorization, solved as real
+    rows and then as complex rows, then the high-precision recurrence; each
+    rung judges all of the sector's unresolved levels at once, as one stack
+    of root sets, and one evaluation of that stack gives both residual
+    forms.  Levels whose eigenpolynomial has near-multiple roots are
+    flagged degenerate and validated only through the robust form.  A
+    level's climb stops at the first root set whose scaled residual is
+    within a fixed 1e-12 and whose energy agrees with the oracle eigenvalue
+    to a fixed 1e-8 of the spectral scale max(1, max |E|).  A g = 0 block
+    is diagonal and solved exactly.  Each level's roots come back as a
+    read-only complex128 array.  The independent multi-start search is
+    `direct_search`, a separate call.
     """
     block = build_monomial_matrix(model, sector)
     op = expand_diffop(model, sector)

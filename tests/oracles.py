@@ -5,8 +5,7 @@ the package: tower enumeration for mode labels, breadth-first state-graph
 enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
 form of the high-precision root route (also with its digits doubled until
-its rows settle), the float64 recurrence written out step by step, the
-pairwise double loop of the close-pair test, and the
+its rows settle), the pairwise double loop of the close-pair test, and the
 hop polynomials and operator expanded as plain Fraction coefficient lists.
 """
 
@@ -171,28 +170,6 @@ def settled_coefficients(op, energy, max_dps=3200):
             return level
         level = finer
     raise ArithmeticError(f"rows still change at {dps} digits")
-
-
-def float64_coefficients(op, energy):
-    """Eigenpolynomial coefficients of one level from the three-term
-    recurrence C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}, c_0 = 1,
-    in complex128 on the float hop values: after every step, the whole
-    vector so far is divided by its peak magnitude once that exceeds 1e200."""
-    import numpy as np
-
-    hop_a, hop_b, hop_c = ([float(x) for x in values] for values in op.hop_values)
-    n = op.n_top
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    for m in range(n):
-        rhs = (energy - hop_b[m]) * c[m]
-        if m > 0:
-            rhs -= hop_a[m - 1] * c[m - 1]
-        c[m + 1] = rhs / hop_c[m]
-        peak = np.max(np.abs(c[: m + 2]))
-        if peak > 1e200:
-            c[: m + 2] /= peak
-    return c
 
 
 def has_close_pair(roots, rel_tol):

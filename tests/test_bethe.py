@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from multiboson import (bethe, bethe_residuals, build_monomial_matrix,
                         canonicalize_roots, cross_validate, diagonalize, direct_search,
                         energy_from_roots, expand_diffop, make_model, occupations_at, preset,
-                        robust_residuals, roots_from_eigenvector, sector_from_occupations,
-                        solve_bethe)
+                        robust_residuals, sector_from_occupations, solve_bethe)
 from multiboson import (Polynomial, apply_to_polynomial, cli, diffop, hamiltonian,
                         verify_case, verify_single_mode_algebra)
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
-from oracles import (float64_coefficients, has_close_pair, high_precision_coefficients,
-                     hop_polynomials, poly_value, settled_coefficients, subset_bae_residuals)
+from oracles import (has_close_pair, high_precision_coefficients, hop_polynomials, poly_value,
+                     settled_coefficients, subset_bae_residuals)
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -125,24 +124,29 @@ def test_residuals_reject_coincident_roots():
         bethe_residuals(OP_A, [0.5, 0.5])
 
 
-def test_roots_from_eigenvector_examples():
-    roots, reduced = roots_from_eigenvector([1.0, 1.0])
-    assert not reduced and roots.tolist() == [-1.0]
-    roots, reduced = roots_from_eigenvector([1.0, -1.0])
-    assert roots.tolist() == [1.0]
-    roots, reduced = roots_from_eigenvector([0.0, 0.0, 0.0, 1.0])
-    assert not reduced and np.allclose(roots, 0.0)
-    # only exact-zero top coefficients reduce the degree
-    roots, reduced = roots_from_eigenvector([1.0, 1.0, 0.0])
-    assert reduced and len(roots) == 1
-    roots, reduced = roots_from_eigenvector([1.0, 1.0, 1e-18])
-    assert not reduced and len(roots) == 2
-    # an exact-zero tail gives bit for bit what the solver's root routine gives
-    row = [0.5, -2.0, 3.0, 0.0, 0.0]
-    roots, reduced = roots_from_eigenvector(row)
-    assert reduced and roots.tobytes() == bethe._roots_of_rows([np.array(row)])[0].tobytes()
-    with pytest.raises(ValueError):
-        roots_from_eigenvector([0.0, 0.0])
+def test_roots_of_rows_examples(monkeypatch):
+    """Each row's roots, low-order coefficient first: exact-zero top
+    coefficients are trimmed (a tiny nonzero one is not), each zero
+    constant term gives a root at 0 after the others, and a row whose
+    eigensolve fails gets None while the rest of its stack keeps its
+    roots."""
+    rows = [[1.0, 1.0], [1.0, -1.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0],
+            [1.0, 1.0, 1e-18], [0.0, 0.0, 1.0, 1.0]]
+    roots = bethe._roots_of_rows([np.array(row) for row in rows])
+    assert [r.tolist() for r in roots[:4]] == [[-1.0], [1.0], [0.0, 0.0, 0.0], [-1.0]]
+    assert len(roots[4]) == 2
+    assert roots[5].tolist() == [-1.0, 0.0, 0.0]
+    eigvals = np.linalg.eigvals
+
+    def fails_on_seven(a):
+        if np.any(a == 7.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails_on_seven)
+    # the companion matrices of z - 7 and z + 1 share one stack
+    got = bethe._roots_of_rows([np.array([-7.0, 1.0]), np.array([1.0, 1.0])])
+    assert got[0] is None and got[1].tolist() == [-1.0]
 
 
 def _coefficient_row(seed, degree, low_zeros, top_zeros, as_complex):
@@ -232,12 +236,12 @@ def _same_solution(a, b):
 
 
 def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
-    """An eigensolver that does not converge on one level's companion
+    """An eigensolver that does not converge on one level's real companion
     matrix costs that level its candidate, not the whole rung: the stack is
     redone a matrix at a time, the level climbs the ladder (level 0 of this
-    sector on to the decimal rung: its eigenvector row's energy is off by
-    3e-6), every other level keeps its roots bit for bit, and
-    `cross_validate` reports."""
+    sector on to the complex re-solve of the same row, where it passes),
+    every other level keeps its roots bit for bit, and `cross_validate`
+    reports."""
     model, sec = _route_sector("A-30")
     clean = solve_bethe(model, sec)
     level = 0
@@ -249,7 +253,8 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
     eigvals = np.linalg.eigvals
 
     def flaky(a):
-        if any(np.array_equal(m[0], top_row) for m in (a if a.ndim == 3 else [a])):
+        if a.dtype == float and any(np.array_equal(m[0], top_row)
+                                    for m in (a if a.ndim == 3 else [a])):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
@@ -259,34 +264,38 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
     moved = [sol.level for sol, want in zip(report.solutions, clean)
              if not _same_solution(sol, want)]
     assert moved == [level]
-    assert report.solutions[level].source == "refined" and report.solutions[level].converged
-    # the one-row entry point raises on that matrix, as `np.roots` does
-    with pytest.raises(np.linalg.LinAlgError):
-        roots_from_eigenvector(p[::-1])
+    assert report.solutions[level].source == "extracted" and report.solutions[level].converged
+    assert bethe._roots_of_rows([p[::-1]]) == [None]
 
 
 def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
-    """Preset A at N=60 reaches every rung (levels 58-60 go down to the
-    float64 recurrence), and each rung finds the roots of all of its levels
-    in one `np.linalg.eigvals` call; no level gets an `np.roots` call of its
-    own (104 of them on preset A at N=40 once)."""
-    calls = collections.Counter()
+    """Preset A at N=60 reaches every rung (levels 58-60 fail both twisted
+    rungs and the decimal one, and are still `ok` in `cross_validate`).
+    The twisted rows are built once, and each rung finds the roots of all
+    of its levels in one `np.linalg.eigvals` call: 61, 3 and 3 companion
+    matrices.  No level gets an `np.roots` call of its own (104 of them on
+    preset A at N=40 once)."""
+    stacks, calls = [], collections.Counter()
+    eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, bethe._twisted_rows
 
-    def counted(module, name):
-        func = getattr(module, name)
+    def stacked(a):
+        stacks.append(len(a) if a.ndim == 3 else 1)
+        return eigvals(a)
 
+    def counted(name, func):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return func(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        return wrapper
 
-    counted(np.linalg, "eigvals")
-    counted(np, "roots")
-    counted(bethe, "_coefficients_at_energy")
-    model, sec = _route_sector("A-60")
-    solve_bethe(model, sec)
-    assert calls["_coefficients_at_energy"] > 0
-    assert calls["roots"] == 0 and calls["eigvals"] == 4
+    monkeypatch.setattr(np.linalg, "eigvals", stacked)
+    monkeypatch.setattr(np, "roots", counted("roots", roots))
+    monkeypatch.setattr(bethe, "_twisted_rows", counted("_twisted_rows", twisted_rows))
+    report = cross_validate(*_route_sector("A-60"))
+    assert stacks == [61, 3, 3]
+    assert dict(calls) == {"_twisted_rows": 1}
+    assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
+    assert report.passed
 
 
 def test_direct_search_finds_nothing_without_starts():
@@ -304,19 +313,17 @@ def test_direct_search_finds_nothing_without_starts():
 @pytest.mark.parametrize("func, args, setting", [
     (solve_bethe, (MODEL_A, SEC_A), {"starts": 8}),
     (solve_bethe, (MODEL_A, SEC_A), {"seed": 1}),
-    (roots_from_eigenvector, ([1.0, 1.0, 1e-18],), {"deflation_tol": 1e-12}),
     (energy_from_roots, (MODEL_A, SEC_A, (1.0,)), {"imag_tol": 1e-4}),
     (verify_case, ("A",), {"bae_tol": 1e-6}),
     (verify_single_mode_algebra, (2,), {"tol": 1e-6}),
     (solve_bethe, (MODEL_A, SEC_A), {"energy_tol": 1e-6}),
     (cross_validate, (MODEL_A, SEC_A), {"energy_tol": 1e-6}),
-], ids=["solve_bethe-starts", "solve_bethe-seed", "roots_from_eigenvector-deflation_tol",
-        "energy_from_roots-imag_tol", "verify_case-bae_tol", "verify_single_mode_algebra-tol",
-        "solve_bethe-energy_tol", "cross_validate-energy_tol"])
+], ids=["solve_bethe-starts", "solve_bethe-seed", "energy_from_roots-imag_tol",
+        "verify_case-bae_tol", "verify_single_mode_algebra-tol", "solve_bethe-energy_tol",
+        "cross_validate-energy_tol"])
 def test_removed_settings_are_rejected(func, args, setting):
     """The direct search is its own call, and the energy, imaginary-part,
-    deflation, table-form and algebra tolerances are fixed: no caller sets
-    them."""
+    table-form and algebra tolerances are fixed: no caller sets them."""
     with pytest.raises(TypeError, match=next(iter(setting))):
         func(*args, **setting)
 
@@ -579,19 +586,44 @@ def test_cross_validate_reports_failure_without_raising(monkeypatch):
     assert report.failing_levels()
 
 
-def test_high_precision_route_passes_preset_a_at_n30(monkeypatch):
-    """Every level of a sector that needs the high-precision route passes:
-    preset A at N=30 and g = 0.5, whose level 30 fails both extracted rungs
-    and passes on the decimal recurrence, before the float64 one."""
-    seen = _recorded_routes(monkeypatch)
-    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.5)
-    sec = sector_from_occupations(model, (0, 3, 30))
-    assert sec.n_top == 30
+def test_ladder_and_cross_validate_judge_energy_on_one_scale(monkeypatch):
+    """Both judge a level's energy within 1e-8 of the spectral scale
+    max(1, max |E|).  Every energy here is off by 1e-8 of the square root
+    of that scale (98.6), which lies between the two scales for the levels
+    with |E| < 9.9: the ladder once judged each level on its own
+    max(1, |E|) and reported those unconverged, while `cross_validate`
+    passed them."""
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 12))
+    scale = max(1.0, float(np.max(np.abs(diagonalize(build_monomial_matrix(model, sec)).energies))))
+    offset = 1e-8 * math.sqrt(scale)
+    closed_form = bethe._closed_form_energy
+    monkeypatch.setattr(bethe, "_closed_form_energy",
+                        lambda op, roots: closed_form(op, roots) + offset)
     report = cross_validate(model, sec)
-    assert len(report.levels) == 31
-    assert report.passed, report.failing_levels()
-    assert seen["_high_precision_coefficients"] == [report.solutions[30].oracle_energy]
-    assert report.solutions[30].source == "refined" and not seen["_coefficients_at_energy"]
+    between = [sol.level for sol in report.solutions
+               if offset > 1e-8 * max(1.0, abs(sol.oracle_energy))]
+    assert between == [1, 2, 3]
+    assert [sol.converged for sol in report.solutions] == [rec.ok for rec in report.levels]
+    assert report.passed
+
+
+def test_decimal_rung_rescues_levels_of_preset_c_at_n60(monkeypatch):
+    """Preset C at N=60: levels 21 and 35 fail both twisted rungs and
+    converge on the decimal recurrence; with that rung off they come back
+    unconverged, their twisted candidates above the 1e-12 gate, and every
+    other converged level keeps its roots bit for bit.  Preset A at N=30
+    and g = 0.5, which pinned this rung before, no longer reaches it: its
+    level 30 converges on the complex re-solve."""
+    model, sec = _route_sector("C-60")
+    sols = solve_bethe(model, sec)
+    assert [sol.level for sol in sols if sol.source == "refined" and sol.converged] == [21, 35]
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", _nan_rows)
+    without = solve_bethe(model, sec)
+    for level in (21, 35):
+        assert not without[level].converged and without[level].residual_robust > 1e-12
+    assert all(_same_solution(a, b) for a, b in zip(sols, without)
+               if a.converged and a.level not in (21, 35))
 
 
 def test_candidates_pass_as_is_on_preset_a():
@@ -604,68 +636,94 @@ def test_candidates_pass_as_is_on_preset_a():
         assert report.passed, (n_top, report.failing_levels())
 
 
-def _recorded_routes(monkeypatch):
-    """Record the energy each recurrence route is called with, by route."""
-    seen = collections.defaultdict(list)
-
-    def recorded(name, route):
-        def wrapper(hops, energy):
-            seen[name].append(energy)
-            return route(hops, energy)
-        return wrapper
-
-    for name in ("_coefficients_at_energy", "_high_precision_coefficients"):
-        monkeypatch.setattr(bethe, name, recorded(name, getattr(bethe, name)))
-    return seen
-
-
 def _nan_rows(hops, energy):
-    """A recurrence rung switched off: its rows are NaN, and the ladder
+    """The decimal rung switched off: its rows are NaN, and the ladder
     drops every non-finite row."""
     return np.array([math.nan])
 
 
+def _complex_rung_off(monkeypatch):
+    """The complex re-solve switched off: its rows get no roots, as a row
+    whose eigensolve fails does, and the ladder drops them."""
+    roots_of_rows = bethe._roots_of_rows
+
+    def real_only(rows):
+        if rows and np.iscomplexobj(rows[0]):   # one rung's rows share a dtype
+            return [None] * len(rows)
+        return roots_of_rows(rows)
+
+    monkeypatch.setattr(bethe, "_roots_of_rows", real_only)
+
+
 def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
-    """Preset B at N=45, where levels stop as extracted and on each
-    recurrence, judged a rung at a time: no recurrence sees a level kept as
-    extracted and converged, every float64-recurrence energy was first
-    tried on the decimal rung, and the float64 rung, the last resort, sees
-    no level that passes on the decimal recurrence."""
+    """Preset B at N=45, where levels stop on each of the three rungs.
+    Judged a rung at a time, each rung sees only the levels no earlier rung
+    passed: all 46 real twisted rows, then 8 complex ones, then 5 decimal
+    ones.  The decimal rung sees exactly the levels left unconverged with
+    it off, none of them kept as extracted and converged, and the complex
+    rung as many as are left with it off too."""
     model, sec = _route_sector("B-45")
-    seen = _recorded_routes(monkeypatch)
+    stacks, decimal = [], []
+    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._high_precision_coefficients
+
+    def recorded(rows):
+        stacks.append(len(rows))
+        return roots_of_rows(rows)
+
+    def recorded_decimal(hops, energy):
+        decimal.append(energy)
+        return decimal_row(hops, energy)
+
+    monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", recorded_decimal)
     sols = solve_bethe(model, sec)
+    assert stacks == [46, 8, 5] and len(decimal) == 5
     extracted = {sol.oracle_energy for sol in sols
                  if sol.source == "extracted" and sol.converged}
-    float64_route, decimal_route = (set(seen[name]) for name in (
-        "_coefficients_at_energy", "_high_precision_coefficients"))
-    assert extracted and decimal_route and float64_route
-    assert not extracted & (float64_route | decimal_route)
-    assert float64_route <= decimal_route
+    assert not extracted & set(decimal)
 
-    # the levels that pass on the decimal recurrence, with the float64 rung off
-    monkeypatch.setattr(bethe, "_coefficients_at_energy", _nan_rows)
-    decimal_passes = {sol.oracle_energy for sol in solve_bethe(model, sec)
-                      if sol.source == "refined" and sol.converged}
-    assert decimal_passes and not decimal_passes & float64_route
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", _nan_rows)
+    left = [sol.oracle_energy for sol in solve_bethe(model, sec) if not sol.converged]
+    assert left == decimal
+    _complex_rung_off(monkeypatch)
+    left_by_real_rows = [sol.oracle_energy for sol in solve_bethe(model, sec)
+                         if not sol.converged]
+    assert len(left_by_real_rows) == 8 and set(decimal) <= set(left_by_real_rows)
 
 
-def test_float64_rung_rescues_levels_the_decimal_rung_fails(monkeypatch):
-    """Preset A at N=60: level 58 fails the extracted and decimal rungs and
-    passes only on the float64 recurrence, so the last-resort rung still
-    earns its place; with it off, it comes back unconverged.  Level 57,
-    which once passed there too, now passes on the twisted rows."""
-    model, sec = _route_sector("A-60")
-    seen = _recorded_routes(monkeypatch)
+# Draw 139 (0-based) of `random_sector(default_rng(5), 1, 15)` in the
+# benchmark's workloads, N = 15: levels 5, 7, 9 and 10 pass only on the
+# complex re-solve of their twisted rows.
+COMPLEX_RUNG_SECTOR = dict(
+    r=1, s=3, k=(1, 1, 2, 2), g=0.9582751874761397,
+    w=(-0.7395192032602209, -0.8039813752042408, 0.5207767177648714, -0.2649988584483831),
+    wq={(0, 0): 0.80873510563095, (0, 1): 0.3065198824600843, (0, 2): -0.15138057669786642,
+        (0, 3): -0.7379996823329067, (1, 1): -0.593451032589646, (1, 2): 0.8395796914658089,
+        (1, 3): 0.18277340089552285, (2, 2): -0.2836032554308445, (2, 3): 0.3209091496850689,
+        (3, 3): 0.7671012623678655},
+    occ=(0, 15, 30, 30), n_top=15)
+
+
+def test_complex_rung_rescues_levels_the_real_rows_fail(monkeypatch):
+    """Levels 5, 7, 9 and 10 of `COMPLEX_RUNG_SECTOR` fail the 1e-12 gate on
+    the roots of their real twisted rows and pass it on the same rows
+    solved as complex ones, so the complex re-solve earns its place: with
+    it off they come back unconverged (the decimal rung does not take
+    them either), level 6 passes on the decimal rung instead, and every
+    other level keeps its roots bit for bit."""
+    case = COMPLEX_RUNG_SECTOR
+    model = make_model(case["r"], case["s"], case["k"], w=list(case["w"]), wq=case["wq"],
+                       g=case["g"])
+    sec = sector_from_occupations(model, case["occ"])
+    assert sec.n_top == case["n_top"]
     sols = solve_bethe(model, sec)
-    oracles = [sol.oracle_energy for sol in sols]
-    rescued = [oracles.index(energy) for energy in seen["_coefficients_at_energy"]
-               if sols[oracles.index(energy)].converged]
-    assert rescued == [58]
-    assert sols[57].source == "extracted" and sols[57].converged
-    monkeypatch.setattr(bethe, "_coefficients_at_energy", _nan_rows)
+    assert all(sol.converged and sol.source == "extracted" for sol in sols)
+    _complex_rung_off(monkeypatch)
     without = solve_bethe(model, sec)
-    assert [sol.level for sol in without if not sol.converged] == [58, 59, 60]
-    assert all(_same_solution(a, b) for a, b in zip(sols[:58], without[:58]))
+    assert [sol.level for sol in without if not sol.converged] == [5, 7, 9, 10]
+    assert without[6].source == "refined" and without[6].converged
+    moved = [a.level for a, b in zip(sols, without) if not _same_solution(a, b)]
+    assert moved == [5, 6, 7, 9, 10]
 
 
 def test_stacked_kernels_match_each_row_alone():
@@ -741,8 +799,9 @@ def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
 
 
 def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
-    """A perturbed extracted root set and no recurrence: every level comes
-    back unconverged with the extracted roots, and the report fails it."""
+    """Perturbed roots and no decimal rung: every level comes back
+    unconverged with the roots of one of its twisted rows, and the report
+    fails it."""
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
     roots_of_rows = bethe._roots_of_rows
@@ -753,10 +812,9 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
     def no_recurrence(hops, energy):
         return np.full(sec.dim, math.nan)
 
-    # with both recurrences off (NaN rows, which the ladder drops), only
-    # the extraction rung finds roots
+    # with the decimal rung off (NaN rows, which the ladder drops), only
+    # the twisted rows find roots
     monkeypatch.setattr(bethe, "_roots_of_rows", perturbed)
-    monkeypatch.setattr(bethe, "_coefficients_at_energy", no_recurrence)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
     sols = solve_bethe(model, sec)
     assert len(sols) == sec.dim
@@ -768,17 +826,12 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
 
 
 def test_level_no_rung_gives_a_row_is_reported_without_roots(monkeypatch):
-    """NaN twisted rows, all-zero eigenvector columns and NaN recurrence
-    rows: every row is dropped, so each level comes back unconverged with no
-    roots and a NaN energy, and the report fails every level instead of
+    """NaN twisted rows, which both twisted rungs solve, and NaN decimal
+    rows: every row is dropped, so each level comes back unconverged with
+    no roots and a NaN energy, and the report fails every level instead of
     raising."""
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
-    spectrum = bethe.diagonalize
-
-    def zero_vectors(block):
-        spec = spectrum(block)
-        return hamiltonian.SpectrumResult(spec.energies, np.zeros_like(spec.vectors))
 
     def no_recurrence(hops, energy):
         return np.full(sec.dim, math.nan)
@@ -787,8 +840,6 @@ def test_level_no_rung_gives_a_row_is_reported_without_roots(monkeypatch):
         return np.full((len(energies), block.dim), math.nan)
 
     monkeypatch.setattr(bethe, "_twisted_rows", nan_rows)
-    monkeypatch.setattr(bethe, "diagonalize", zero_vectors)
-    monkeypatch.setattr(bethe, "_coefficients_at_energy", no_recurrence)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
     for sol in solve_bethe(model, sec):
         assert len(sol.roots) == 0 and math.isnan(sol.energy) and not sol.converged
@@ -862,10 +913,10 @@ def test_cross_validate_reports_sectors_with_zero_eigenvectors(name):
 
 
 def test_no_level_is_reduced_at_weak_coupling():
-    """Preset A at N=40 and g = 1e-2: levels whose eigenvector lost its
-    top coefficient keep a full-degree recurrence attempt, never a
-    trimmed root set with the oracle energy in place of its own (13 levels
-    once did)."""
+    """Preset A at N=40 and g = 1e-2: levels whose eigenvector from the
+    eigensolver lost its top coefficient keep a full-degree attempt, never
+    a trimmed root set with the oracle energy in place of its own (13
+    levels once did)."""
     model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=1e-2)
     sec = sector_from_occupations(model, (0, 3, 40))
     spec = diagonalize(build_monomial_matrix(model, sec))
@@ -963,9 +1014,6 @@ ROUTE_SECTORS = {
     "C-60": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 0.8),
     "B-100": ("B", GRID_W, (0, 3, 200), 0.8),
     "C-100": ("C", GRID_W + (0.1,), (0, 3, 100, 102), 0.8),
-    # C(m) ~ 1e-12: the float64 recurrence's coefficients pass 1e200 and
-    # are rescaled
-    "A-30-weak": ("A", GRID_W, (0, 3, 30), 1e-12),
 }
 N40_GRID = ("A-40", "B-40", "C-40")
 
@@ -1027,21 +1075,6 @@ def test_high_precision_route_matches_mpmath_reference(name):
             assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
 
 
-@pytest.mark.parametrize("name", [*N40_GRID, "A-60", "B-60", "C-60", "A-30-weak"])
-def test_float64_route_matches_reference_recurrence(name):
-    """The float64 route, on the monomial block's hop values, gives the
-    reference recurrence's coefficients exactly on every level of the N=40
-    grid, of presets A, B and C at N=60, and of a weakly coupled sector
-    whose coefficients are rescaled on the way."""
-    model, sec = _route_sector(name)
-    op = expand_diffop(model, sec)
-    block = build_monomial_matrix(model, sec)
-    hops = [x.tolist() for x in (block.upper, block.diag, block.lower)]
-    for energy in diagonalize(block).energies.tolist():
-        got = bethe._coefficients_at_energy(hops, energy)
-        assert np.array_equal(got, float64_coefficients(op, energy)), energy
-
-
 def _assert_returned_roots_are_scored(model, sec):
     """Each level's reported robust residual is that of the roots it
     returns, and a passing level's returned roots meet the 1e-10 gate."""
@@ -1065,23 +1098,12 @@ def test_passing_levels_certify_their_returned_roots_on_the_n40_grid(name):
 
 
 @pytest.mark.parametrize("name", N40_GRID)
-def test_n40_grid_never_reaches_the_float64_rung(monkeypatch, name):
-    """Every level of the N=40 grid passes on its twisted row, so neither
-    recurrence builds a row there: the complex float64 one built 21 per
-    sector while it came before the decimal rung, and the decimal one 5-36
-    while the eigenvector came first."""
-    seen = _recorded_routes(monkeypatch)
-    report = cross_validate(*_route_sector(name))
-    assert report.passed
-    assert all(sol.source == "extracted" for sol in report.solutions)
-    assert not seen["_coefficients_at_energy"] and not seen["_high_precision_coefficients"]
-
-
-@pytest.mark.parametrize("name", N40_GRID)
 def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
-    """One grid sector gives `_roots_of_rows` its 41 rows, all in one call,
-    and builds no decimal row (a grid cycle built 63 and 186 companion
-    matrices while the eigenvector rung came first)."""
+    """Every level of a grid sector passes on its real twisted row: the
+    sector gives `_roots_of_rows` its 41 rows, all in one call, reaches
+    neither the complex re-solve nor the decimal rung, and passes
+    `cross_validate` (a grid cycle built 63 decimal rows and 186 companion
+    matrices while the eigenvector from the eigensolver came first)."""
     stacks = []
     roots_of_rows = bethe._roots_of_rows
 
@@ -1094,8 +1116,9 @@ def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
 
     monkeypatch.setattr(bethe, "_roots_of_rows", counted)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_decimal_row)
-    solve_bethe(*_route_sector(name))
-    assert stacks == [41]
+    report = cross_validate(*_route_sector(name))
+    assert stacks == [41] and report.passed
+    assert all(sol.source == "extracted" for sol in report.solutions)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
