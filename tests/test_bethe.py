@@ -1098,12 +1098,36 @@ def test_passing_levels_certify_their_returned_roots_on_the_n40_grid(name):
 
 
 @pytest.mark.parametrize("name", N40_GRID)
+def test_n40_grid_never_reaches_the_float64_rung(monkeypatch, name):
+    """Every level of the N=40 grid passes on its real twisted row, so the
+    float64 rung after it, the complex re-solve of those rows, gets no row
+    and the decimal rung builds none (the complex float64 recurrence built
+    21 per sector while it came before the decimal rung, and the decimal
+    one 5-36 while the eigenvector came first)."""
+    complex_rows, decimal_rows = [], []
+    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._high_precision_coefficients
+
+    def recorded(rows):
+        complex_rows.extend(row for row in rows if np.iscomplexobj(row))
+        return roots_of_rows(rows)
+
+    def recorded_decimal(hops, energy):
+        decimal_rows.append(energy)
+        return decimal_row(hops, energy)
+
+    monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
+    monkeypatch.setattr(bethe, "_high_precision_coefficients", recorded_decimal)
+    report = cross_validate(*_route_sector(name))
+    assert report.passed
+    assert all(sol.source == "extracted" for sol in report.solutions)
+    assert not complex_rows and not decimal_rows
+
+
+@pytest.mark.parametrize("name", N40_GRID)
 def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
-    """Every level of a grid sector passes on its real twisted row: the
-    sector gives `_roots_of_rows` its 41 rows, all in one call, reaches
-    neither the complex re-solve nor the decimal rung, and passes
-    `cross_validate` (a grid cycle built 63 decimal rows and 186 companion
-    matrices while the eigenvector from the eigensolver came first)."""
+    """One grid sector gives `_roots_of_rows` its 41 rows, all in one call,
+    and builds no decimal row (a grid cycle built 63 and 186 companion
+    matrices while the eigenvector rung came first)."""
     stacks = []
     roots_of_rows = bethe._roots_of_rows
 
@@ -1116,9 +1140,8 @@ def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
 
     monkeypatch.setattr(bethe, "_roots_of_rows", counted)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_decimal_row)
-    report = cross_validate(*_route_sector(name))
-    assert stacks == [41] and report.passed
-    assert all(sol.source == "extracted" for sol in report.solutions)
+    solve_bethe(*_route_sector(name))
+    assert stacks == [41]
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
