@@ -17,11 +17,11 @@ E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 The production solve path solves a diagonal block (g = 0, or N = 0)
 exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
 each level's roots from the companion matrix of an eigenpolynomial, down
-one ladder of three rungs.  The first two read the block's eigenvector at
-each level's eigenvalue from a twisted factorization of the monomial block
-minus that eigenvalue (`_twisted_rows`), which keeps the small components
-an eigensolver flushes to zero: once as real rows, then the same rows as
-complex ones, a second eigensolve in other rounding.  The last rung
+one ladder of three rungs.  The first two read the level's eigenvector
+as `hamiltonian.diagonalize` returns it, from a twisted factorization of
+the monomial block minus the level's eigenvalue; this module computes no
+eigenvector of its own.  They solve it once as a real row, then as a
+complex one, a second eigensolve in other rounding.  The last rung
 rebuilds the coefficients from the three-term recurrence (`_recurrence`)
 at high working precision in the standard library's `decimal`.  Each rung
 builds one row per still unresolved level, drops the rows that are
@@ -465,10 +465,11 @@ def _working_hops(values):
     """(context, A, B, C, A(m-1)C(m)) at the high-precision route's working
     precision, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
 
-    The working precision is max(40, 20 + 2N) digits: it scales with the
-    block size so the coefficient span never eats the precision, and it is
-    gated by `np.array_equal` of the rounded float64 coefficients against an
-    independent mpmath reference at max(50, 30 + 4N) digits.  The exponent
+    The working precision is max(40, 20 + 2N) digits.  Its gate,
+    `np.array_equal` of the rounded float64 coefficients against an mpmath
+    reference at max(50, 30 + 4N) digits, holds only for g >= 0.1; on
+    preset A at N = 40 the rows differ on 23 of 41 levels at g = 1e-2 (and
+    10 at g = 0.1), so the rule falls short at weak coupling.  The exponent
     range is unbounded, like arbitrary-precision binary floats.  Fractions
     are divided at working precision, every other value enters through
     float.
@@ -493,8 +494,8 @@ def _recurrence(hop_a, hop_b, hop_c, energy, c):
 
     It runs at the decimal rung's working precision, whose exponent range
     is unbounded, so no coefficient overflows on the way.  In exact
-    arithmetic its coefficients are the twisted rows' with the twist pinned
-    at N (`_twisted_rows`).
+    arithmetic its coefficients are `diagonalize`'s monomial eigenvector,
+    its twisted factorization with the twist pinned at N.
     """
     for m in range(len(c) - 1):
         rhs = (energy - hop_b[m]) * c[m]
@@ -502,48 +503,6 @@ def _recurrence(hop_a, hop_b, hop_c, energy, c):
             rhs -= hop_a[m - 1] * c[m - 1]
         c[m + 1] = rhs / hop_c[m]
     return c
-
-
-@_quiet
-def _twisted_rows(block, energies) -> np.ndarray:
-    """Eigenpolynomial coefficients of every level at once, from a twisted
-    factorization of the monomial block M minus each energy.
-
-    With the block's rows M[i, i-1] = upper[i-1], M[i, i] = diag[i] and
-    M[i, i+1] = lower[i], and d = diag - E, the top-down pivots are
-    D+_0 = d_0, D+_i = d_i - upper[i-1] lower[i-1] / D+_{i-1}, the
-    bottom-up ones D-_N = d_N, D-_i = d_i - upper[i] lower[i] / D-_{i+1}.
-    A level's twist k minimizes |D+_k + D-_k - d_k|, the reciprocal of the
-    resolvent's k-th diagonal entry, so z_k = 1 sits on a large component
-    of the eigenvector.  From it the vector follows outward, one product
-    each way: z_i = -lower[i] z_{i+1} / D+_i above the twist and
-    z_i = -upper[i-1] z_{i-1} / D-_i below it (Fernando 1997; Parlett &
-    Dhillon 1997).  Each entry is a product of ratios, not what is left of
-    a forward recurrence's cancelling terms, so components far below the
-    peak, which an eigensolver flushes to zero, come out in float64 with a
-    relative error set by the pivots' and the energy's.  Rows are
-    (L, N + 1), one per energy, peak-normalized; a zero pivot or an
-    overflow leaves the row non-finite.
-    """
-    shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
-    couplings = (block.upper * block.lower).tolist()
-    plus, minus = [shift[0]], [shift[-1]]
-    for d, c in zip(shift[1:], couplings):
-        plus.append(d - c / plus[-1])
-    for d, c in zip(shift[-2::-1], couplings[::-1]):
-        minus.append(d - c / minus[-1])
-    plus, minus = np.array(plus), np.array(minus[::-1])
-    gamma = np.abs(plus + minus - shift)
-    twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
-    index = np.arange(len(shift) - 1)[:, None]
-    # ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it; 1
-    # elsewhere, so each cumulative product runs outward from z_k = 1
-    up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1.0)
-    down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1.0)
-    rows = np.ones_like(shift)
-    rows[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
-    rows[1:] *= np.cumprod(down, axis=0)
-    return (rows / np.max(np.abs(rows), axis=0)).T
 
 
 def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
@@ -601,17 +560,16 @@ def _solve_levels(op, p_list, block, spec):
     """Root pipeline for all levels of a sector, in one pass down the ladder.
 
     A diagonal block (g = 0, or N = 0) is solved exactly: level l is
-    z^n(l), n(l) the l-th index of B(0..N) in stable ascending order, as
-    `diagonalize` orders it, with energy B(n) and zero residuals; it is
-    `reduced` when n < N.  Otherwise the ladder has three rungs.  The
-    first two are the twisted rows of every level, built once
-    (`_twisted_rows`): solved as real rows, then, for the levels still
+    z^n(l), n(l) the index of the unit vector `diagonalize` gives it, with
+    energy B(n) and zero residuals; it is `reduced` when n < N.  Otherwise
+    the ladder has three rungs.  The first two read each level's column of
+    `spec.vectors`: solved as real rows, then, for the levels still
     unresolved, cast to complex, so their companion matrices go to LAPACK's
     zgeev instead of dgeev: a second eigensolve of the same rows, whose
     rounding differs, and on an ill-conditioned eigenpolynomial that takes
-    some levels under the gate.  Both are the block's eigenvector and are
-    tagged 'extracted'.  The last rung is the decimal recurrence, whose hop
-    values are converted only if a level reaches it.
+    some levels under the gate.  Both are tagged 'extracted'.  The last
+    rung is the decimal recurrence, whose hop values are converted only if
+    a level reaches it.
     Each rung builds one row per unresolved level, drops every row that is
     non-finite or has a zero top coefficient (a pivot that vanished or
     overflowed) or whose eigensolve does not converge, and judges the rest
@@ -633,7 +591,7 @@ def _solve_levels(op, p_list, block, spec):
     if not block.lower.any():
         n_top = block.dim - 1
         solutions = []
-        for level, n in enumerate(np.argsort(block.diag, kind="stable").tolist()):
+        for level, n in enumerate(np.argmax(spec.vectors, axis=0).tolist()):
             degenerate, reduced = n >= 2, n < n_top
             solutions.append(BetheSolution(
                 level=level, roots=_frozen(np.zeros(n)), energy=float(block.diag[n]),
@@ -647,10 +605,9 @@ def _solve_levels(op, p_list, block, spec):
     # the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
     energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
-    twisted = _twisted_rows(block, spec.energies)
     hops = functools.cache(lambda: _working_hops(op.hop_values))
-    rungs = (("extracted", lambda level: twisted[level]),
-             ("extracted", lambda level: twisted[level].astype(complex)),
+    rungs = (("extracted", lambda level: spec.vectors[:, level]),
+             ("extracted", lambda level: spec.vectors[:, level].astype(complex)),
              ("refined", lambda level: _high_precision_coefficients(hops(), oracles[level])))
     live = range(len(oracles))
     for tag, build in rungs:
@@ -699,8 +656,9 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     (the attempt whose energy agrees when none does), report the
     pole-residue residuals where the roots are distinct, and recompute the
     energy from the closed form.  The candidate ladder runs the
-    eigenvector's coefficients from a twisted factorization, solved as real
-    rows and then as complex rows, then the high-precision recurrence; each
+    eigenvector `diagonalize` gives, from a twisted factorization, solved
+    as a real row and then as a complex row, then the high-precision
+    recurrence; each
     rung judges all of the sector's unresolved levels at once, as one stack
     of root sets, and one evaluation of that stack gives both residual
     forms.  Levels whose eigenpolynomial has near-multiple roots are

@@ -223,6 +223,8 @@ def _grid(spec_text: str):
         raise ConfigError(f"range: start, stop and step must be finite, got {spec_text!r}")
     if step <= 0:
         raise ConfigError("range: step must be positive")
+    if stop < start:
+        raise ConfigError(f"range: stop is below start in {spec_text!r}")
     count = int(round((stop - start) / step))
     if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
         count = int((stop - start) // step)

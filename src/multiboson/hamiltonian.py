@@ -8,8 +8,9 @@ off-diagonal stays an independent construction (`transition_element`).
 The two are related by an explicit diagonal similarity (ratios of Fock
 normalization constants), so their spectra agree by construction;
 diagonalizing the Fock block is the ground-truth oracle the root-based
-solver is checked against.  Both blocks are diagonalized with numpy
-alone, as dense symmetric matrices of size N+1.
+solver is checked against.  Both spectra come from numpy's dense symmetric
+eigensolver; the monomial eigenvectors, each level's eigenpolynomial
+coefficients, come from a twisted factorization only (`_twisted_rows`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class TridiagonalBlock:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues (ascending) and eigenvectors (columns, block's basis)."""
+    """Eigenvalues (ascending) and eigenvectors (columns, block's basis):
+    Fock columns of unit norm, their largest-magnitude entry positive;
+    monomial columns peak-normalized to largest magnitude 1."""
 
     energies: np.ndarray
     vectors: np.ndarray
@@ -139,46 +142,71 @@ def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     return block
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            vectors[:, j] = -col
-    return vectors
+def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
+    """Eigenvectors of the monomial block M at every energy at once, as
+    rows, from a twisted factorization of M minus each energy.
+
+    With the block's rows M[i, i-1] = upper[i-1], M[i, i] = diag[i] and
+    M[i, i+1] = lower[i], and d = diag - E, the top-down pivots are
+    D+_0 = d_0, D+_i = d_i - upper[i-1] lower[i-1] / D+_{i-1}, the
+    bottom-up ones D-_N = d_N, D-_i = d_i - upper[i] lower[i] / D-_{i+1}.
+    A level's twist k minimizes |D+_k + D-_k - d_k|, the reciprocal of the
+    resolvent's k-th diagonal entry, so z_k = 1 sits on a large component
+    of the eigenvector.  From it the vector follows outward, one product
+    each way: z_i = -lower[i] z_{i+1} / D+_i above the twist and
+    z_i = -upper[i-1] z_{i-1} / D-_i below it (Fernando 1997; Parlett &
+    Dhillon 1997).  Each entry is a product of ratios, not what is left of
+    a forward recurrence's cancelling terms, so components far below the
+    peak, which a symmetric eigensolver's vectors lose, come out in float64
+    with a relative error set by the pivots' and the energy's.  Rows are
+    (L, N + 1), one per energy, peak-normalized, the twist entry positive;
+    a zero pivot or an overflow leaves the row non-finite, silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
+        couplings = (block.upper * block.lower).tolist()
+        plus, minus = [shift[0]], [shift[-1]]
+        for d, c in zip(shift[1:], couplings):
+            plus.append(d - c / plus[-1])
+        for d, c in zip(shift[-2::-1], couplings[::-1]):
+            minus.append(d - c / minus[-1])
+        plus, minus = np.array(plus), np.array(minus[::-1])
+        gamma = np.abs(plus + minus - shift)
+        twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
+        index = np.arange(len(shift) - 1)[:, None]
+        # ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it; 1
+        # elsewhere, so each cumulative product runs outward from z_k = 1
+        up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1.0)
+        down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1.0)
+        rows = np.ones_like(shift)
+        rows[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
+        rows[1:] *= np.cumprod(down, axis=0)
+        return (rows / np.max(np.abs(rows), axis=0)).T
 
 
 def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
     """Full eigendecomposition of a sector block.
 
-    The Fock block goes straight to numpy's symmetric eigensolver, as a
-    dense matrix holding its diagonal and lower band (`np.linalg.eigh`
-    reads the lower triangle only).  The monomial block is symmetrized by
-    the diagonal similarity with ratios upper[i]/sqrt(upper[i]*lower[i])
-    (the Fock normalization ratios), then the eigenvectors are mapped back
-    to monomial coordinates.
+    The energies come from numpy's symmetric eigensolver, on a dense matrix
+    holding the diagonal and lower band (`np.linalg.eigh` reads the lower
+    triangle only); the monomial block is first symmetrized by the
+    diagonal similarity with ratios upper[i]/sqrt(upper[i]*lower[i]) (the
+    Fock normalization ratios).  Its eigenvectors are the twisted rows at
+    those energies, transposed (`_twisted_rows`), or, for a diagonal block
+    (g = 0, or N = 0), the unit vectors of the diagonal's indices in
+    stable ascending order: the monomials themselves.
     """
-    n = block.dim
     if block.basis == "fock":
         energies, vectors = np.linalg.eigh(np.diag(block.diag) + np.diag(block.upper, -1))
+        peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(block.dim)]
+        return SpectrumResult(energies=energies, vectors=np.where(peaks < 0, -vectors, vectors))
+    prod = block.upper * block.lower
+    if block.dim > 1 and np.min(prod) < -1e-12 * max(1.0, float(np.max(np.abs(prod)))):
+        raise ValueError("monomial block has upper*lower < 0; cannot symmetrize")
+    sym_off = np.sqrt(np.maximum(prod, 0.0))
+    energies = np.linalg.eigh(np.diag(block.diag) + np.diag(sym_off, -1))[0]
+    if not block.lower.any():
+        vectors = np.eye(block.dim)[:, np.argsort(block.diag, kind="stable")]
     else:
-        prod = block.upper * block.lower
-        if n > 1 and np.min(prod) < -1e-12 * max(1.0, float(np.max(np.abs(prod)))):
-            raise ValueError("monomial block has upper*lower < 0; cannot symmetrize")
-        sym_off = np.sqrt(np.maximum(prod, 0.0))
-        energies, sym_vectors = np.linalg.eigh(np.diag(block.diag) + np.diag(sym_off, -1))
-        scale = np.ones(n)
-        for i in range(n - 1):
-            scale[i + 1] = scale[i] * (block.upper[i] / sym_off[i] if sym_off[i] > 0 else 1.0)
-        vectors = sym_vectors * scale[:, None]
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(vectors, axis=0)
-        # a column whose squares overflow is first divided by its largest
-        # entry; every other column is normalized as it is
-        huge = ~np.isfinite(norms)
-        if huge.any():
-            vectors[:, huge] /= np.max(np.abs(vectors[:, huge]), axis=0)
-            norms[huge] = np.linalg.norm(vectors[:, huge], axis=0)
-        vectors /= norms
-    return SpectrumResult(energies=energies,
-                          vectors=_fix_phases(np.ascontiguousarray(vectors)))
+        vectors = _twisted_rows(block, energies).T
+    return SpectrumResult(energies=energies, vectors=vectors)

@@ -246,8 +246,7 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
     clean = solve_bethe(model, sec)
     level = 0
     assert clean[level].source == "extracted" and clean[level].converged
-    block = build_monomial_matrix(model, sec)
-    p = bethe._twisted_rows(block, diagonalize(block).energies)[level, ::-1]
+    p = diagonalize(build_monomial_matrix(model, sec)).vectors[::-1, level]
     assert p[0] != 0 and p[-1] != 0
     top_row = -p[1:] / p[0]   # the first row of the level's companion matrix
     eigvals = np.linalg.eigvals
@@ -276,7 +275,7 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
     matrices.  No level gets an `np.roots` call of its own (104 of them on
     preset A at N=40 once)."""
     stacks, calls = [], collections.Counter()
-    eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, bethe._twisted_rows
+    eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, hamiltonian._twisted_rows
 
     def stacked(a):
         stacks.append(len(a) if a.ndim == 3 else 1)
@@ -290,7 +289,7 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", stacked)
     monkeypatch.setattr(np, "roots", counted("roots", roots))
-    monkeypatch.setattr(bethe, "_twisted_rows", counted("_twisted_rows", twisted_rows))
+    monkeypatch.setattr(hamiltonian, "_twisted_rows", counted("_twisted_rows", twisted_rows))
     report = cross_validate(*_route_sector("A-60"))
     assert stacks == [61, 3, 3]
     assert dict(calls) == {"_twisted_rows": 1}
@@ -428,20 +427,6 @@ def test_energy_linearity_in_root_sum():
             lhs = a.energy - b.energy
             rhs = -pref * (sum(r.real for r in a.roots) - sum(r.real for r in b.roots))
             assert abs(lhs - rhs) <= 1e-8 * scale
-
-
-def test_sum_rule_matches_eigenpolynomial():
-    from multiboson import build_monomial_matrix, diagonalize
-
-    model = make_model(2, 1, (1, 1, 1), w=[0.2, -0.3, 0.5], g=1.2)
-    sec = sector_from_occupations(model, (0, 0, 8))
-    spec = diagonalize(build_monomial_matrix(model, sec))
-    sols = solve_bethe(model, sec)
-    for level, sol in enumerate(sols):
-        c = spec.vectors[:, level]
-        expected = -c[-2] / c[-1]
-        got = sum(a.real for a in sol.roots)
-        assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_roots_are_read_only_complex_arrays_on_every_path():
@@ -839,7 +824,7 @@ def test_level_no_rung_gives_a_row_is_reported_without_roots(monkeypatch):
     def nan_rows(block, energies):
         return np.full((len(energies), block.dim), math.nan)
 
-    monkeypatch.setattr(bethe, "_twisted_rows", nan_rows)
+    monkeypatch.setattr(hamiltonian, "_twisted_rows", nan_rows)
     monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
     for sol in solve_bethe(model, sec):
         assert len(sol.roots) == 0 and math.isnan(sol.energy) and not sol.converged
@@ -884,45 +869,65 @@ ZERO_EIGENVECTOR_SECTORS = {
 
 @pytest.mark.parametrize("name", sorted(ZERO_EIGENVECTOR_SECTORS))
 def test_cross_validate_reports_sectors_with_zero_eigenvectors(name):
-    """`diagonalize` divides a column whose squared norm overflows by its
-    largest entry first: no column is zero (4, 12 and 12 were, with an
-    overflow warning), every other column is bit for bit the plain
-    normalization, and `cross_validate` reports every level at full degree
-    without a warning; it once raised IndexError."""
+    """`diagonalize` takes the monomial eigenvectors from the twisted
+    factorization: every column is finite, peaks at magnitude 1 and keeps
+    its top coefficient (4, 12 and 12 columns were all zero, and then had
+    to be rescaled past an overflowing norm), no warning is raised, and
+    `cross_validate` reports every level at full degree; it once raised
+    IndexError."""
     r, s, k, w, wq, g, anchor = ZERO_EIGENVECTOR_SECTORS[name]
     model = make_model(r, s, k, w=list(w), wq=wq, g=g)
     sec = sector_from_occupations(model, anchor)
-    block = build_monomial_matrix(model, sec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = diagonalize(block)
+        spec = diagonalize(build_monomial_matrix(model, sec))
         report = cross_validate(model, sec)
-    assert np.all(np.isfinite(spec.vectors)) and np.all(np.abs(spec.vectors).max(axis=0) > 0)
-    assert np.allclose(np.linalg.norm(spec.vectors, axis=0), 1.0, rtol=1e-14, atol=0.0)
-    sym = np.sqrt(block.upper * block.lower)
-    scale = np.cumprod(np.concatenate(([1.0], block.upper / sym)))
-    with np.errstate(over="ignore"):
-        plain = np.linalg.eigh(np.diag(block.diag) + np.diag(sym, -1))[1] * scale[:, None]
-        norms = np.linalg.norm(plain, axis=0)
-    rescaled = ~np.isfinite(norms)
-    assert rescaled.any()
-    plain = hamiltonian._fix_phases(plain / norms)
-    assert np.array_equal(spec.vectors[:, ~rescaled], plain[:, ~rescaled])
+    assert np.all(np.isfinite(spec.vectors))
+    assert np.array_equal(np.abs(spec.vectors).max(axis=0), np.ones(sec.dim))
+    assert np.all(spec.vectors[-1] != 0)
     assert len(report.levels) == sec.dim
     assert all(len(sol.roots) == sec.n_top and not sol.reduced for sol in report.solutions)
 
 
 def test_no_level_is_reduced_at_weak_coupling():
-    """Preset A at N=40 and g = 1e-2: levels whose eigenvector from the
-    eigensolver lost its top coefficient keep a full-degree attempt, never
-    a trimmed root set with the oracle energy in place of its own (13
-    levels once did)."""
+    """Preset A at N=40 and g = 1e-2: no eigenvector `diagonalize` gives
+    has lost its top coefficient (13 of the eigensolver's, mapped back to
+    monomial coordinates, had), and every level keeps a full-degree
+    attempt, never a trimmed root set with the oracle energy in place of
+    its own (13 levels once did)."""
     model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=1e-2)
     sec = sector_from_occupations(model, (0, 3, 40))
     spec = diagonalize(build_monomial_matrix(model, sec))
-    assert np.count_nonzero(spec.vectors[-1] == 0.0) >= 13
+    assert np.count_nonzero(spec.vectors[-1] == 0.0) == 0
     sols = solve_bethe(model, sec)
     assert all(len(sol.roots) == 40 and not sol.reduced for sol in sols)
+
+
+@pytest.mark.parametrize("name", ["N25", "g0"])
+def test_solve_bethe_factorizes_the_block_once(monkeypatch, name):
+    """One twisted factorization per `solve_bethe`, inside `diagonalize`,
+    on a weakly coupled sector (preset A at N=60, whose levels reach every
+    rung, is counted in the stacked-eigensolve test); none on a diagonal
+    block, whose eigenvectors are unit vectors.  The solver module keeps no
+    eigenvector routine of its own."""
+    if name == "g0":
+        model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
+        sec = sector_from_occupations(model, (0, 0, 4))
+    else:
+        r, s, k, w, wq, g, anchor = ZERO_EIGENVECTOR_SECTORS[name]
+        model = make_model(r, s, k, w=list(w), wq=wq, g=g)
+        sec = sector_from_occupations(model, anchor)
+    calls = []
+    twisted_rows = hamiltonian._twisted_rows
+
+    def counted(block, energies):
+        calls.append(block.dim)
+        return twisted_rows(block, energies)
+
+    monkeypatch.setattr(hamiltonian, "_twisted_rows", counted)
+    assert len(solve_bethe(model, sec)) == sec.dim
+    assert calls == ([] if name == "g0" else [sec.dim])
+    assert not hasattr(bethe, "_twisted_rows")
 
 
 def test_kept_attempt_is_the_one_whose_energy_agrees_on_preset_b_at_n60():
@@ -1212,7 +1217,7 @@ def test_twisted_rows_match_the_settled_mpmath_rows(seed):
     settled = [settled_coefficients(op, energy)
                for energy in diagonalize(block).energies.tolist()]
     energies = np.array([energy for energy, _ in settled])
-    for row, (_, want) in zip(bethe._twisted_rows(block, energies), settled):
+    for row, (_, want) in zip(hamiltonian._twisted_rows(block, energies), settled):
         if np.all(np.isfinite(row)) and np.all(row != 0) and np.all(want != 0):
             scale = np.abs(want)
             side = np.minimum(scale[:-2], scale[2:])
@@ -1220,6 +1225,36 @@ def test_twisted_rows_match_the_settled_mpmath_rows(seed):
             scale[1:-1][dip] = side[dip]
             gap = np.abs(row * np.sign(row[0]) - want) / scale
             assert np.max(gap) <= 1e-10, (seed, np.max(gap))
+
+
+# The sector of the sum-rule check this property replaced.
+_SUM_RULE_MODEL = make_model(2, 1, (1, 1, 1), w=[0.2, -0.3, 0.5], g=1.2)
+_SUM_RULE_CASE = (_SUM_RULE_MODEL, sector_from_occupations(_SUM_RULE_MODEL, (0, 0, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: next(_general_sectors(seed, 1, n_range=(1, 20), log_g=True))))
+@example(case=_SUM_RULE_CASE)
+def test_closed_form_energy_matches_vieta_form_of_the_eigenvector(case):
+    """For every converged `extracted` level, over general sectors with
+    1 <= N <= 20 and g log-uniform in [1e-3, 2], the closed-form energy
+    B(N) - A(N-1) sum(alpha) of the returned roots equals the Vieta form
+    B(N) + A(N-1) c_{N-1} / c_N of that level's `diagonalize` column, to
+    1e-8 of the spectral scale max(1, max |E|), and the roots' sum is
+    -c_{N-1} / c_N to 1e-10, the rule of the sum-rule check of the
+    @example, whose levels are all converged and extracted."""
+    model, sec = case
+    spec = diagonalize(build_monomial_matrix(model, sec))
+    hop_a, hop_b, _ = expand_diffop(model, sec).hop_values
+    scale = max(1.0, float(np.max(np.abs(spec.energies))))
+    for sol in solve_bethe(model, sec):
+        if sol.converged and sol.source == "extracted":
+            c = spec.vectors[:, sol.level]
+            vieta = float(hop_b[-1]) + float(hop_a[-1]) * c[-2] / c[-1]
+            assert abs(sol.energy - vieta) <= 1e-8 * scale, (sol.level, sol.energy, vieta)
+            assert sum(a.real for a in sol.roots) == pytest.approx(-c[-2] / c[-1], rel=1e-10,
+                                                                  abs=1e-10)
 
 
 def test_high_precision_route_raises_without_interaction():

@@ -161,6 +161,10 @@ def test_text_format(capsys):
      "must be finite"),
     # an infinite coupling once reached the eigensolver and exited 3
     (["solve", "--preset", "A", "--w=inf,0,0", "--occ=0,0,3"], "couplings must be finite"),
+    # a range that runs backwards once scanned nothing and exited 0
+    (["scan", "--preset", "A", "--g-range", "1:0:0.1", "--occ", "0,0,2"], "below start"),
+    (["scan", "--preset", "A", "--sweep", "w1", "--range", "1:0.5:0.1", "--occ", "0,0,2"],
+     "below start"),
 ])
 def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     # an argument holding newlines is the text of a config file

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from multiboson import (ConditioningWarning, build_monomial_matrix, build_sector_matrix,
-                        diagonalize, make_model, occupations_at, sector_from_occupations)
+                        diagonalize, hamiltonian, make_model, occupations_at,
+                        sector_from_occupations)
 from oracles import bfs_sector_states, lower_move, occupations_below, raise_move
 
 
@@ -100,6 +101,8 @@ def test_diagonal_limit_g_zero():
     assert np.allclose(spec.energies, np.sort(block.diag), atol=0)
     mono = diagonalize(build_monomial_matrix(model, sec))
     assert np.allclose(mono.energies, spec.energies, atol=0)
+    # the monomials z^n themselves, in the stable order of B(n)
+    assert np.array_equal(mono.vectors, np.eye(sec.dim)[:, np.argsort(block.diag, kind="stable")])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,11 +162,14 @@ def test_conditioning_warning_on_huge_entries():
 
 def test_monomial_eigenvectors_are_monomial_basis():
     # eigenvectors returned in the block's own basis: applying the
-    # non-symmetric block must reproduce eigenvalue times vector
+    # non-symmetric block must reproduce eigenvalue times vector; each
+    # column is the twisted factorization's, peak-normalized
     model = make_model(2, 1, (1, 1, 2), w=[0.2, -0.4, 0.6], g=1.1)
     sec = sector_from_occupations(model, (2, 1, 4))
     block = build_monomial_matrix(model, sec)
     spec = diagonalize(block)
+    assert np.array_equal(np.abs(spec.vectors).max(axis=0), np.ones(block.dim))
+    assert np.array_equal(spec.vectors, hamiltonian._twisted_rows(block, spec.energies).T)
     for j in range(block.dim):
         v = spec.vectors[:, j]
         assert np.allclose(block.to_dense() @ v, spec.energies[j] * v, atol=1e-9)
