@@ -28,8 +28,11 @@ builds one row per still unresolved level, drops the rows that are
 non-finite or have a zero top coefficient, and judges the rest at once, as
 one stack of root sets, whose roots come from one stacked companion-matrix
 eigensolve (`_roots_of_rows`); a row LAPACK does not converge on is
-dropped too.  Each candidate is canonicalized once, and that one set is
-both scored and returned, as a read-only complex array; a level's first
+dropped too.  Every root set judged has all N roots, so a rung's
+candidates form one (L, N) array: it is canonicalized once, as a whole
+(`_canonical`), and its residuals, closed-form energies and degenerate
+flags are computed on that array.  Each canonical set is both scored and
+returned, as a read-only complex array of its own; a level's first
 set that passes is accepted: its scaled robust residual is within a fixed
 1e-12 and its closed-form energy agrees with the oracle eigenvalue to a
 fixed 1e-8 of the spectral scale max(1, max |E|).  When none passes, the
@@ -48,6 +51,7 @@ confirmation mode (`direct_search`).
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import functools
 import math
@@ -251,18 +255,33 @@ def _terms_at_roots(p_list, roots: np.ndarray):
     return terms, bounds, values[1]
 
 
-def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
-    """Whether two roots lie within rel_tol * max(1, max|root|).
+def _close_pairs(stack: np.ndarray, rel_tol: float) -> list:
+    """Per row of an (L, N) stack of root sets, whether two of its roots lie
+    within rel_tol * max(1, max|root|) of the row, as a list of bools.
 
-    A NaN gap never counts as close and hides no other pair.
+    A NaN gap never counts as close and hides no other pair.  A gap is
+    never below its real part's, so with each row sorted by real part only
+    the pairs up to the first offset at which no real gap of any row is
+    below the bound need their modulus; the flags are those of all pairs.
     """
-    n = roots.size
+    n_rows, n = stack.shape
+    close = np.zeros(n_rows, dtype=bool)
     if n < 2:
-        return False
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    gaps = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return bool(np.any(gaps < rel_tol * scale))
+        return close.tolist()
+    # fmax, as Python's max(1.0, nan): a NaN root leaves the scale at 1
+    bound = rel_tol * np.fmax(1.0, np.max(np.abs(stack), axis=1, keepdims=True))
+    z = np.take_along_axis(stack, np.argsort(stack.real, axis=1), axis=1)
+    for offset in range(1, n):
+        near = z.real[:, offset:] - z.real[:, :-offset] < bound
+        if not near.any():
+            break
+        close |= np.any(near & (np.abs(z[:, offset:] - z[:, :-offset]) < bound), axis=1)
+    return close.tolist()
+
+
+def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
+    """`_close_pairs` of one root set."""
+    return _close_pairs(roots[None], rel_tol)[0]
 
 
 def _scaled_robust(at) -> np.ndarray:
@@ -393,34 +412,81 @@ def canonicalize_roots(roots) -> tuple:
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of
     a real-coefficient polynomial serializes deterministically.  The solver
-    scores and returns this set, never the one it came from.
+    scores and returns this set, never the one it came from; it
+    canonicalizes a whole rung's stack of finite root sets at once
+    (`_canonical`), and this is that routine on a stack of one.
     """
-    items = [complex(a) for a in roots]
-    if not items:
-        return ()
-    scale = max(1.0, max(abs(a) for a in items))
-    tol = _PAIR_TOL * scale
-    reals = [a.real + 0.0j for a in items if abs(a.imag) <= tol]
-    upper = sorted((a for a in items if a.imag > tol), key=lambda z: (z.real, z.imag))
-    lower = sorted((a for a in items if a.imag < -tol), key=lambda z: (z.real, -z.imag))
-    out = list(reals)
-    used = [False] * len(lower)
-    for a in upper:
-        best, best_d = None, None
-        for idx, b in enumerate(lower):
-            if used[idx]:
-                continue
-            d = abs(a - b.conjugate())
-            if best_d is None or d < best_d:
-                best, best_d = idx, d
-        if best is not None and best_d <= 10 * tol:
-            used[best] = True
-            m = (a + lower[best].conjugate()) / 2
-            out.extend([m, m.conjugate()])
-        else:
-            out.append(a)
-    out.extend(b for idx, b in enumerate(lower) if not used[idx])
-    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+    stack = np.array([[complex(a) for a in roots]], dtype=complex)
+    return tuple(_canonical(stack)[0].tolist())
+
+
+def _canonical(stack: np.ndarray) -> np.ndarray:
+    """The canonical form of each row of an (L, N) stack of finite root
+    sets, as a new (L, N) complex array.
+
+    Per row, with tol = 1e-11 max(1, max |root|): roots within tol of the
+    axis are flattened onto it; the roots above it, in (re, im) order, each
+    take the first unused root below it, in (re, -im) order, at the
+    smallest distance from their conjugate, and a partner within 10 tol
+    makes the pair its mean m and conj(m).  The set is then sorted by (re,
+    im), a tie kept in the order the pairing built it: axis roots in input
+    order, then each upper root's m, conj(m) or unpaired self, then the
+    unpaired lower roots.  The pairing loops once per upper-root position
+    across all rows.  Each step is Python's complex arithmetic written
+    out, so every row is bit for bit what the same steps give on Python
+    complex numbers, one set at a time (`tests/oracles.py` keeps that
+    loop): moduli by `np.hypot` (`np.abs` can differ in the last bit), a
+    flattened root as re + 0.0 (-0.0 becomes 0.0), and the mean as
+    Python's division by 2.
+    """
+    z = np.array(stack, dtype=complex)
+    if not z.size:
+        return z
+    n_rows, n = z.shape
+    tol = _PAIR_TOL * np.maximum(1.0, np.hypot(z.real, z.imag).max(axis=1, keepdims=True))
+    side = (z.imag > tol) + 2 * (z.imag < -tol)     # 0 on the axis, 1 above, 2 below
+    # axis roots in input order, then the upper roots by (re, im) and the
+    # lower ones by (re, -im): lexsort is stable
+    off = side > 0
+    order = np.lexsort((np.where(side == 1, z.imag, -z.imag) * off, z.real * off, side), axis=1)
+    z, side = np.take_along_axis(z, order, axis=1), np.take_along_axis(side, order, axis=1)
+    z[side == 0] = z.real[side == 0] + 0.0
+    n_axis = np.count_nonzero(side == 0, axis=1)[:, None]
+    n_upper = np.count_nonzero(side == 1, axis=1)[:, None]
+    n_lower = n - n_axis - n_upper
+    column = np.arange(n)
+    # construction order: axis roots, then upper root k at n + 2k (its
+    # partner's conj(m) at n + 2k + 1), then the unpaired lower roots
+    built = np.where(side == 0, column,
+                     np.where(side == 1, n + 2 * (column - n_axis), 3 * n + column))
+    if n_upper.any() and n_lower.any():
+        rows = np.arange(n_rows)[:, None]
+        upper, lower = np.arange(n_upper.max()), np.arange(n_lower.max())
+        up_col = np.minimum(n_axis + upper, n - 1)              # padded past the last
+        low_col = np.minimum(n_axis + n_upper + lower, n - 1)
+        up, low = z[rows, up_col], z[rows, low_col]
+        # distance of upper root k to the conjugate of lower root q, (L, K, Q)
+        dist = np.hypot(up.real[:, :, None] - low.real[:, None, :],
+                        up.imag[:, :, None] + low.imag[:, None, :])
+        dist[(upper >= n_upper)[:, :, None] | (lower >= n_lower)[:, None, :]] = np.inf
+        partner = np.full(up.shape, -1)
+        reach = 10 * tol[:, 0]
+        for k in upper:
+            best = np.argmin(dist[:, k], axis=1)
+            near = np.flatnonzero(dist[rows[:, 0], k, best] <= reach)
+            best = best[near]
+            partner[near, k] = best
+            dist[near, :, best] = np.inf      # a lower root pairs once
+        r, k = np.nonzero(partner >= 0)
+        q = partner[r, k]
+        s_re, s_im = up.real[r, k] + low.real[r, q], up.imag[r, k] - low.imag[r, q]
+        # Python's complex s / 2 step by step: a -0.0 real part becomes 0.0
+        m_re, m_im = (s_re + s_im * 0.0) / 2, (s_im - s_re * 0.0) / 2
+        z.real[r, up_col[r, k]], z.imag[r, up_col[r, k]] = m_re, m_im
+        z.real[r, low_col[r, q]], z.imag[r, low_col[r, q]] = m_re, -m_im
+        built[r, low_col[r, q]] = n + 2 * k + 1
+    order = np.lexsort((built, z.imag, z.real), axis=1)
+    return np.take_along_axis(z, order, axis=1)
 
 
 def _frozen(roots) -> np.ndarray:
@@ -452,7 +518,14 @@ def _energy(values, roots):
         raise ValueError(f"got {len(roots)} roots for a sector with N={len(hop_a)}")
     if not roots:
         return hop_b[-1]
-    energy = hop_b[-1] - hop_a[-1] * sum(roots)
+    return _energy_of_sum(values, sum(roots))
+
+
+def _energy_of_sum(values, total):
+    """E = B(N) - A(N-1) * total, under the imaginary-part rule of
+    `energy_from_roots`."""
+    hop_a, hop_b, _ = values
+    energy = hop_b[-1] - hop_a[-1] * total
     if isinstance(energy, complex):
         scale = max(1.0, abs(energy.real))
         if abs(energy.imag) > _IMAG_TOL * scale:
@@ -548,11 +621,22 @@ def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
         return np.array([float(x / peak) for x in vec])
 
 
-def _closed_form_energy(op: DiffOpForm, roots) -> float:
-    try:
-        return float(_energy(op.hop_values, roots))
-    except ValueError:
-        return math.nan
+def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
+    """Closed-form energy of each row of an (L, N) stack of complex root
+    sets, NaN where the imaginary-part rule rejects it.
+
+    The sums run column by column, left to right, as Python's `sum` adds a
+    root set (`np.sum` adds pairwise, in other rounding), so each energy is
+    bit for bit `energy_from_roots` of its row.
+    """
+    totals = np.zeros(len(stack), dtype=complex)
+    for column in stack.T:
+        totals += column
+    energies = np.full(len(stack), math.nan)
+    for row, total in enumerate(totals.tolist()):
+        with contextlib.suppress(ValueError):
+            energies[row] = _energy_of_sum(op.hop_values, total)
+    return energies
 
 
 @_quiet
@@ -573,8 +657,10 @@ def _solve_levels(op, p_list, block, spec):
     Each rung builds one row per unresolved level, drops every row that is
     non-finite or has a zero top coefficient (a pivot that vanished or
     overflowed) or whose eigensolve does not converge, and judges the rest
-    as one stack.  Each candidate is canonicalized once, and its residuals,
-    energy and degenerate flag are those of the canonical set it returns.
+    as one (L, N) stack: each row has all N roots.  The stack is
+    canonicalized once (`_canonical`), and the residuals, closed-form
+    energies and degenerate flags of its rows are computed on the
+    canonical stack, so each is that of the set a level returns.
     The first set whose scaled residual meets `_SEARCH_TOL` and whose
     energy agrees with the oracle eigenvalue to `_ENERGY_TOL` of the
     spectral scale max(1, max |E|), the scale `cross_validate` judges by,
@@ -585,7 +671,8 @@ def _solve_levels(op, p_list, block, spec):
     so an agreeing candidate carries the right physics even when its roots
     are too coarse for the residual.  A level no rung gives a row is
     unconverged, with no roots and a NaN energy.
-    Each level's roots are kept as a read-only complex array.
+    Each level's roots are kept as a read-only complex array of their own,
+    copied out of the stack: no level pins its rung's stack.
     """
     oracles = spec.energies.tolist()
     if not block.lower.any():
@@ -600,9 +687,9 @@ def _solve_levels(op, p_list, block, spec):
                 source="extracted", degenerate=degenerate, reduced=reduced, converged=True))
         return solutions
 
-    # per level: (rank, resid, r_bae, roots, tag, energy) of the best
-    # attempt; the rank puts a pass first, then an agreeing energy, then
-    # the smaller residual, then the smaller energy error
+    # per level: (rank, resid, r_bae, roots, tag, energy, degenerate) of the
+    # best attempt; the rank puts a pass first, then an agreeing energy,
+    # then the smaller residual, then the smaller energy error
     best = [None] * len(oracles)
     energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
     hops = functools.cache(lambda: _working_hops(op.hop_values))
@@ -616,29 +703,30 @@ def _solve_levels(op, p_list, block, spec):
         rows = {level: row for level, row in ((level, build(level)) for level in live)
                 if np.all(np.isfinite(row)) and row[-1] != 0}
         # a row whose eigensolve failed has no roots and is dropped too
-        found = {level: canonicalize_roots(roots)
-                 for level, roots in zip(rows, _roots_of_rows(list(rows.values())))
-                 if roots is not None}
+        found = [(level, roots) for level, roots in zip(rows, _roots_of_rows(list(rows.values())))
+                 if roots is not None]
         if found:
-            at = _terms_at_roots(p_list, np.array(list(found.values()), dtype=complex))
-            for (level, roots), resid, r_bae in zip(found.items(), _scaled_robust(at).tolist(),
-                                                    _scaled_bae(at).tolist()):
+            # each row has a nonzero top coefficient, so all N roots: one (L, N) stack
+            stack = _canonical(np.array([roots for _, roots in found]))
+            at = _terms_at_roots(p_list, stack)
+            judged = zip([level for level, _ in found], stack, _scaled_robust(at).tolist(),
+                         _scaled_bae(at).tolist(), _closed_form_energies(op, stack).tolist(),
+                         _close_pairs(stack, _DEGENERATE_TOL))
+            for level, roots, resid, r_bae, energy, degenerate in judged:
                 oracle = oracles[level]
-                energy = _closed_form_energy(op, roots)
                 error = abs(energy - oracle) if math.isfinite(energy) else math.inf
                 agrees = error <= energy_tol
                 rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
                 if best[level] is None or rank > best[level][0]:
-                    best[level] = (rank, resid, r_bae, roots, tag, energy)
+                    # a copy of its own: a level never pins the rung's stack
+                    best[level] = (rank, resid, r_bae, _frozen(roots), tag, energy, degenerate)
         live = [level for level in live if best[level] is None or not best[level][0][0]]
 
     solutions = []
     for level, (attempt, oracle) in enumerate(zip(best, oracles)):
         if attempt is None:
-            attempt = ((False,), math.inf, math.nan, (), "extracted", math.nan)
-        (converged, *_), r_robust, r_bae, roots, source, energy = attempt
-        roots = _frozen(roots)
-        degenerate = _has_close_pair(roots, _DEGENERATE_TOL)
+            attempt = ((False,), math.inf, math.nan, _frozen(()), "extracted", math.nan, False)
+        (converged, *_), r_robust, r_bae, roots, source, energy, degenerate = attempt
         solutions.append(BetheSolution(
             level=level, roots=roots, energy=energy, oracle_energy=oracle,
             # the pole-residue form needs pairwise separated roots
@@ -721,7 +809,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
                 break
             h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
             shifted = roots + h * np.eye(n)   # row q moves root q by h
-            if any(_has_close_pair(row, _MIN_SEPARATION) for row in shifted):
+            if any(_close_pairs(shifted, _MIN_SEPARATION)):
                 break
             jac = ((residues(shifted) - f) / h).T
             if not np.all(np.isfinite(jac)):

@@ -5,8 +5,9 @@ the package: tower enumeration for mode labels, breadth-first state-graph
 enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
 form of the high-precision root route (also with its digits doubled until
-its rows settle), the pairwise double loop of the close-pair test, and the
-hop polynomials and operator expanded as plain Fraction coefficient lists.
+its rows settle), the pairwise double loop of the close-pair test, the
+scalar root canonicalization, one root set at a time, and the hop
+polynomials and operator expanded as plain Fraction coefficient lists.
 """
 
 from __future__ import annotations
@@ -190,6 +191,43 @@ def has_close_pair(roots, rel_tol):
             if np.abs(roots[i] - roots[j]) < rel_tol * scale:
                 return True
     return False
+
+
+def canonicalize_roots(roots) -> tuple:
+    """Sort roots by (re, im) after snapping conjugate pairs, one root set
+    at a time in a pure-Python double loop (the package canonicalizes a
+    whole stack in numpy); 1e-11 is the package's pair tolerance.
+
+    Near-real roots are flattened onto the axis; off-axis roots are paired
+    with their closest conjugate partner and symmetrized, so a root set of
+    a real-coefficient polynomial serializes deterministically.
+    """
+    items = [complex(a) for a in roots]
+    if not items:
+        return ()
+    scale = max(1.0, max(abs(a) for a in items))
+    tol = 1e-11 * scale
+    reals = [a.real + 0.0j for a in items if abs(a.imag) <= tol]
+    upper = sorted((a for a in items if a.imag > tol), key=lambda z: (z.real, z.imag))
+    lower = sorted((a for a in items if a.imag < -tol), key=lambda z: (z.real, -z.imag))
+    out = list(reals)
+    used = [False] * len(lower)
+    for a in upper:
+        best, best_d = None, None
+        for idx, b in enumerate(lower):
+            if used[idx]:
+                continue
+            d = abs(a - b.conjugate())
+            if best_d is None or d < best_d:
+                best, best_d = idx, d
+        if best is not None and best_d <= 10 * tol:
+            used[best] = True
+            m = (a + lower[best].conjugate()) / 2
+            out.extend([m, m.conjugate()])
+        else:
+            out.append(a)
+    out.extend(b for idx, b in enumerate(lower) if not used[idx])
+    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
 def occupations_below(n_modes: int, bound: int):

@@ -18,6 +18,7 @@ from multiboson import (Polynomial, apply_to_polynomial, cli, diffop, hamiltonia
                         verify_case, verify_single_mode_algebra)
 from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
+from oracles import canonicalize_roots as scalar_canonicalize_roots
 from oracles import (has_close_pair, high_precision_coefficients, hop_polynomials, poly_value,
                      settled_coefficients, subset_bae_residuals)
 
@@ -273,13 +274,21 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
     The twisted rows are built once, and each rung finds the roots of all
     of its levels in one `np.linalg.eigvals` call: 61, 3 and 3 companion
     matrices.  No level gets an `np.roots` call of its own (104 of them on
-    preset A at N=40 once)."""
-    stacks, calls = [], collections.Counter()
+    preset A at N=40 once), and each rung canonicalizes its candidates as
+    one stack, not one call per candidate (67 calls here, 1230 in ten
+    cycles of the N=40 grid, once).  Every level's roots are a read-only
+    copy of their own, never a view that keeps its rung's stack alive."""
+    stacks, canonical, calls = [], [], collections.Counter()
     eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, hamiltonian._twisted_rows
+    stacked_canonical = bethe._canonical
 
     def stacked(a):
         stacks.append(len(a) if a.ndim == 3 else 1)
         return eigvals(a)
+
+    def canonicalized(stack):
+        canonical.append(stack.shape)
+        return stacked_canonical(stack)
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -290,11 +299,16 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", stacked)
     monkeypatch.setattr(np, "roots", counted("roots", roots))
     monkeypatch.setattr(hamiltonian, "_twisted_rows", counted("_twisted_rows", twisted_rows))
+    monkeypatch.setattr(bethe, "_canonical", canonicalized)
     report = cross_validate(*_route_sector("A-60"))
     assert stacks == [61, 3, 3]
+    assert canonical == [(61, 60), (3, 60), (3, 60)]
     assert dict(calls) == {"_twisted_rows": 1}
     assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
     assert report.passed
+    for sol in report.solutions:
+        assert sol.roots.base is None and not sol.roots.flags.writeable
+        assert sol.roots.shape == (60,)
 
 
 def test_direct_search_finds_nothing_without_starts():
@@ -343,11 +357,35 @@ def test_closed_form_energy_has_one_imaginary_part_rule():
         roots = (real[0] + 1j * factor * step,) + real[1:]
         if accepted:
             assert energy_from_roots(model, sec, roots) == energy
-            assert bethe._closed_form_energy(op, roots) == energy
+            assert bethe._closed_form_energies(op, np.array([roots]))[0] == energy
         else:
             with pytest.raises(ValueError, match="imaginary part"):
                 energy_from_roots(model, sec, roots)
-            assert math.isnan(bethe._closed_form_energy(op, roots))
+            assert math.isnan(bethe._closed_form_energies(op, np.array([roots]))[0])
+
+
+def test_stacked_energies_match_energy_from_roots():
+    """The closed-form energies of a stack are bit for bit `energy_from_roots`
+    of each row, NaN where it raises: the stack is summed left to right, as
+    Python's `sum` adds a root set, not in `np.sum`'s pairwise order."""
+    model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 12))
+    op = expand_diffop(model, sec)
+    rng = np.random.default_rng(3)
+    half = rng.standard_normal((200, 6)) * 10.0 ** rng.integers(-3, 4, (200, 6))
+    half = half + 1j * rng.standard_normal((200, 6))
+    stack = np.concatenate((half, half.conj()), axis=1)
+    stack[::4, 0] += 1e-3j        # an imaginary leftover the rule rejects
+    rng.permuted(stack, axis=1, out=stack)
+    want = []
+    for row in stack.tolist():
+        try:
+            want.append(energy_from_roots(model, sec, row))
+        except ValueError:
+            want.append(math.nan)
+    got = bethe._closed_form_energies(op, stack)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert np.isnan(got[::4]).all() and not np.isnan(got[1::4]).any()
 
 
 def test_canonicalize_roots():
@@ -357,6 +395,63 @@ def test_canonicalize_roots():
     pair = [z for z in canon if abs(z.imag) > 0]
     assert len(pair) == 2 and pair[0] == pair[1].conjugate()
     assert list(canon) == sorted(canon, key=lambda z: (z.real, z.imag))
+
+
+# Dyadic parts keep every sum and difference exact, so two lower roots at
+# conj(a) + d and conj(a) - d, d real or imaginary, are exactly as far from
+# conj(a): a tie.
+_DYADIC = st.integers(-64, 64).map(lambda p: p / 256)
+_SMALL = st.one_of(st.floats(-0.1, 0.1, allow_subnormal=True), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _root_set(draw, n):
+    """A root set of n finite roots, shuffled, whose scale max(1, max |root|)
+    is pinned by one real root, so the pair tolerance tol = 1e-11 scale is
+    known: exact conjugate pairs, partners inside and just outside 10 tol,
+    equidistant partners, roots at and just past tol off the axis, and
+    +-0.0 parts."""
+    scale = draw(st.sampled_from([1.0, 4.0, 1e3]))
+    tol = 1e-11 * scale
+    roots = [complex(draw(st.sampled_from([scale, -scale])), draw(st.sampled_from([0.0, -0.0])))]
+    while len(roots) < n:
+        kind = draw(st.sampled_from(["axis", "pair", "tie", "single"]))
+        re = draw(st.one_of(_DYADIC, _SMALL))
+        im = draw(st.one_of(_DYADIC.filter(lambda x: x > 0), st.floats(1e-9, 0.25)))
+        if kind == "axis":
+            off = draw(st.sampled_from([0.0, -0.0, tol, -tol, np.nextafter(tol, 1.0),
+                                        -np.nextafter(tol, 1.0), 0.5 * tol]))
+            roots.append(complex(re, off))
+        elif kind == "pair":
+            gap = draw(st.sampled_from([0.0, 1.0, 9.0, 10.0, 10.5, 40.0])) * tol
+            angle = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])) * math.pi
+            roots += [complex(re, im),
+                      complex(re + gap * math.cos(angle), -im + gap * math.sin(angle))]
+        elif kind == "tie":
+            step = draw(st.sampled_from([2.0 ** -34, 2.0 ** -30, 1j * 2.0 ** -34])) * scale
+            re, im = draw(_DYADIC), draw(_DYADIC.filter(lambda x: x > 0))
+            roots += [complex(re, im), complex(re, -im) + step, complex(re, -im) - step]
+        else:
+            roots.append(complex(re, draw(st.sampled_from([im, -im]))))
+    return draw(st.permutations(roots[:n]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(_root_set(n), min_size=1, max_size=4)))
+@example([[complex(-0.0, 0.5), complex(-0.0, -0.5), complex(1.0, -0.0)]])
+def test_stacked_canonicalization_matches_scalar_loop(rows):
+    """The stacked canonicalization gives each row of a finite (L, N) stack
+    bit for bit what the scalar double loop gives it alone, and so does
+    `canonicalize_roots`, a stack of one; the stack itself is not changed."""
+    stack = np.array(rows, dtype=complex)
+    before = stack.tobytes()
+    got = bethe._canonical(stack)
+    want = np.array([scalar_canonicalize_roots(row) for row in rows], dtype=complex)
+    assert got.shape == stack.shape and got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+    assert stack.tobytes() == before
+    for row, expected in zip(rows, want):
+        assert np.array(canonicalize_roots(row)).tobytes() == expected.tobytes()
 
 
 def test_energy_micro_examples():
@@ -582,9 +677,9 @@ def test_ladder_and_cross_validate_judge_energy_on_one_scale(monkeypatch):
     sec = sector_from_occupations(model, (0, 3, 12))
     scale = max(1.0, float(np.max(np.abs(diagonalize(build_monomial_matrix(model, sec)).energies))))
     offset = 1e-8 * math.sqrt(scale)
-    closed_form = bethe._closed_form_energy
-    monkeypatch.setattr(bethe, "_closed_form_energy",
-                        lambda op, roots: closed_form(op, roots) + offset)
+    closed_form = bethe._closed_form_energies
+    monkeypatch.setattr(bethe, "_closed_form_energies",
+                        lambda op, stack: closed_form(op, stack) + offset)
     report = cross_validate(model, sec)
     between = [sol.level for sol in report.solutions
                if offset > 1e-8 * max(1.0, abs(sol.oracle_energy))]
@@ -1280,11 +1375,22 @@ _SPECIAL_ROOTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.i
 @given(base=st.lists(st.one_of(st.complex_numbers(), st.sampled_from(_SPECIAL_ROOTS)),
                      max_size=10),
        repeats=st.lists(st.integers(0, 9), max_size=3),
-       rel_tol=st.sampled_from([0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e300]))
-@example(base=[3.388438665504959e+16 + 4.512108963653434e+16j, 0j], repeats=[], rel_tol=1.0)
-def test_has_close_pair_matches_double_loop(base, repeats, rel_tol):
-    """NaN, infinite and exactly equal roots among the inputs."""
+       rel_tol=st.sampled_from([0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e300]),
+       others=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 12)), max_size=3))
+@example(base=[3.388438665504959e+16 + 4.512108963653434e+16j, 0j], repeats=[], rel_tol=1.0,
+         others=[])
+def test_has_close_pair_matches_double_loop(base, repeats, rel_tol, others):
+    """NaN, infinite and exactly equal roots among the inputs, one root set
+    alone and as the first row of a stack.  Each further row picks the
+    roots at i * step + shift (mod N), so a step sharing a factor with N
+    repeats roots and a step of 0 repeats one N times."""
     items = base + [base[i % len(base)] for i in repeats] if base else []
+    n = len(items)
     roots = np.array(items, dtype=complex)
+    stack = np.array([items] + [[items[(i * step + shift) % n] for i in range(n)]
+                                for step, shift in others], dtype=complex)
     with np.errstate(all="ignore"):
         assert bethe._has_close_pair(roots, rel_tol) == has_close_pair(roots, rel_tol)
+        flags = bethe._close_pairs(stack, rel_tol)
+        assert flags == [has_close_pair(row, rel_tol) for row in stack]
+    assert all(type(flag) is bool for flag in flags)
