@@ -12,41 +12,61 @@ psi(z) = prod_p (z - alpha_p) whose roots make every simple pole of
 For pairwise-distinct roots the two differ exactly by the factor
 psi'(a_p).  The energy depends on the roots only through their sum:
 E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
-`diffop.hop_values`.
+`diffop.hop_values`.  A closed-form energy whose imaginary part exceeds a
+fixed 1e-8 of max(1, |Re E|) rejects its root set, in `energy_from_roots`,
+the ladder and the direct search alike.
 
-The production solve path solves a diagonal block (g = 0, or N = 0)
-exactly: each level is a monomial z^n with energy B(n).  Otherwise it takes
-each level's roots from the companion matrix of an eigenpolynomial, down
-one ladder of three rungs.  The first two read the level's eigenvector
-as `hamiltonian.diagonalize` returns it, from a twisted factorization of
-the monomial block minus the level's eigenvalue; this module computes no
-eigenvector of its own.  They solve it once as a real row, then as a
-complex one, a second eigensolve in other rounding.  The last rung
-rebuilds the coefficients from the three-term recurrence (`_recurrence`)
-at high working precision in the standard library's `decimal`.  Each rung
-builds one row per still unresolved level, drops the rows that are
-non-finite or have a zero top coefficient, and judges the rest at once, as
-one stack of root sets, whose roots come from one stacked companion-matrix
-eigensolve (`_roots_of_rows`); a row LAPACK does not converge on is
-dropped too.  Every root set judged has all N roots, so a rung's
-candidates form one (L, N) array: it is canonicalized once, as a whole
-(`_canonical`), and its residuals, closed-form energies and degenerate
-flags are computed on that array.  Each canonical set is both scored and
-returned, as a read-only complex array of its own; a level's first
-set that passes is accepted: its scaled robust residual is within a fixed
-1e-12 and its closed-form energy agrees with the oracle eigenvalue to a
-fixed 1e-8 of the spectral scale max(1, max |E|).  When none passes, the
-level is reported unconverged and keeps the attempt whose energy agrees,
-the smaller residual and then the smaller energy error breaking ties.
+The production solve path (`solve_bethe`) solves a diagonal block (g = 0,
+or N = 0) exactly: level l is z^n(l), n(l) the index of the unit vector
+`hamiltonian.diagonalize` gives it, with energy B(n) and zero residuals;
+it is `reduced` when n < N.  Otherwise it takes each level's roots from
+the companion matrix of an eigenpolynomial, down one ladder of three
+rungs.  Each rung maps the levels still unresolved to one (L, N + 1) array
+of coefficient rows, low order first:
+
+1. the levels' columns of `spec.vectors`, the eigenvectors `diagonalize`
+   takes from a twisted factorization of the monomial block minus each
+   eigenvalue (this module computes no eigenvector of its own);
+2. the same rows cast to complex, so that their companion matrices go to
+   LAPACK's zgeev instead of dgeev: a second eigensolve of the same rows,
+   in other rounding, which takes some levels of an ill-conditioned
+   eigenpolynomial under the gate;
+3. the decimal rows (`_decimal_rows`): each eigenvalue polished on the
+   characteristic-polynomial recurrence, and the coefficients rebuilt from
+   the three-term recurrence, at high working precision in the standard
+   library's `decimal`.
+
+The first two are tagged 'extracted', the last 'refined'.  One mask drops
+the rows that are non-finite or have a zero top coefficient (a pivot that
+vanished or overflowed); the roots of the rest come from one stacked
+companion-matrix eigensolve (`_roots_of_rows`), and a row LAPACK does not
+converge on is dropped too.  Every root set left has all N roots, so a
+rung's candidates form one (L, N) array: it is canonicalized once, as a
+whole (`_canonical`), and its residuals, closed-form energies and
+degenerate flags are computed on that array.  Each canonical set is both
+scored and returned, as a read-only complex array of its own.  A level's
+first set that passes is accepted, and its later candidates are never
+built: its scaled robust residual is within a fixed 1e-12 and its
+closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
+the spectral scale max(1, max |E|).  When none passes, the level is
+reported unconverged and keeps the attempt whose energy agrees, the
+smaller residual and then the smaller energy error breaking ties: the
+energy depends on the roots only through their sum, so an agreeing
+candidate carries the right physics even when its roots are too coarse
+for the residual.  A level no rung gives a row is unconverged, with no
+roots and a NaN energy.
+
 `cross_validate` certifies a level whose returned roots' scaled robust
 residual is within a fixed 1e-10 and whose energy is within 1e-8 of the
-same scale.  The terms P_i(a_p) psi^(i)(a_p) of H psi and their magnitude
-bounds are evaluated once per stack of root sets (`_terms_at_roots`, with
+same scale; the ladder's 1e-12 is tighter on purpose (`_SEARCH_TOL`).  The
+terms P_i(a_p) psi^(i)(a_p) of H psi and their magnitude bounds are
+evaluated once per stack of root sets (`_terms_at_roots`, with
 numpy.polynomial's Horner sweep and derivative written out), and both
 residual forms read that one evaluation; an overflowed bound reads as an
 infinite residual.  An independent multi-start Newton search on the
 pole-residue equations, run on the same operator, is available as a
-confirmation mode (`direct_search`).
+confirmation mode (`direct_search`); it judges its converged starts as one
+stack of root sets in the same way.
 """
 
 from __future__ import annotations
@@ -73,7 +93,7 @@ _START_RADIUS = 3.0
 _DEDUP_TOL = 1e-7
 # Relative root separation the pole-residue form needs.
 _MIN_SEPARATION = 1e-10
-# Relative distance within which `canonicalize_roots` snaps conjugate pairs.
+# Relative distance within which `_canonical` snaps conjugate pairs.
 _PAIR_TOL = 1e-11
 # Scaled robust residual of a level's returned roots in `cross_validate`.
 _RESIDUAL_TOL = 1e-10
@@ -156,7 +176,7 @@ class ValidationReport:
     levels: tuple
     max_energy_error: float
     passed: bool
-    solutions: tuple = ()
+    solutions: tuple
 
     def failing_levels(self):
         return [rec for rec in self.levels if not rec.ok]
@@ -279,11 +299,6 @@ def _close_pairs(stack: np.ndarray, rel_tol: float) -> list:
     return close.tolist()
 
 
-def _has_close_pair(roots: np.ndarray, rel_tol: float) -> bool:
-    """`_close_pairs` of one root set."""
-    return _close_pairs(roots[None], rel_tol)[0]
-
-
 def _scaled_robust(at) -> np.ndarray:
     """Backward-error style residual per root set: max_p |H psi(a_p)| over
     the bound of the terms that built it at a_p, from `_terms_at_roots`.
@@ -337,7 +352,7 @@ def bethe_residuals(op: DiffOpForm, roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=complex)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    if _has_close_pair(roots, _MIN_SEPARATION):
+    if _close_pairs(roots[None], _MIN_SEPARATION)[0]:
         raise ValueError("coincident roots: use the robust residual form")
     return _pole_residues(_terms_at_roots(_float_polys(op), roots[None]))[0]
 
@@ -391,19 +406,13 @@ def _roots_of_rows(rows) -> list:
         try:
             stack = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError:
-            stack = [_eigvals_or_none(matrix) for matrix in companion]
+            if len(members) > 1:   # redo the group one row at a time
+                for index, _, _ in members:
+                    roots[index] = _roots_of_rows([rows[index]])[0]
+            continue
         for (index, _, zeros), values in zip(members, stack):
-            if values is not None:
-                roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
+            roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
     return roots
-
-
-def _eigvals_or_none(matrix):
-    """Eigenvalues of one matrix, or None where LAPACK does not converge."""
-    try:
-        return np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def canonicalize_roots(roots) -> tuple:
@@ -411,10 +420,10 @@ def canonicalize_roots(roots) -> tuple:
 
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of
-    a real-coefficient polynomial serializes deterministically.  The solver
-    scores and returns this set, never the one it came from; it
-    canonicalizes a whole rung's stack of finite root sets at once
-    (`_canonical`), and this is that routine on a stack of one.
+    a real-coefficient polynomial serializes deterministically.  No solver
+    path calls it: the ladder and the direct search canonicalize their
+    whole stack of finite root sets at once (`_canonical`), and score and
+    return the canonical sets; this is that routine on a stack of one.
     """
     stack = np.array([[complex(a) for a in roots]], dtype=complex)
     return tuple(_canonical(stack)[0].tolist())
@@ -507,12 +516,7 @@ def energy_from_roots(model: ModelSpec, sector: Sector, roots):
     conjugate-symmetric sum: an imaginary leftover above 1e-8 of
     max(1, |Re E|) raises ValueError.
     """
-    return _energy(hop_values(model, sector), roots)
-
-
-def _energy(values, roots):
-    """E = B(N) - A(N-1) * sum(alpha) from a sector's hop values."""
-    hop_a, hop_b, _ = values   # A(0..N-1), B(0..N)
+    hop_a, hop_b, _ = values = hop_values(model, sector)   # A(0..N-1), B(0..N)
     roots = tuple(roots)
     if len(roots) > len(hop_a):
         raise ValueError(f"got {len(roots)} roots for a sector with N={len(hop_a)}")
@@ -534,21 +538,32 @@ def _energy_of_sum(values, total):
     return energy
 
 
-def _working_hops(values):
-    """(context, A, B, C, A(m-1)C(m)) at the high-precision route's working
-    precision, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
+def _decimal_rows(values, energies) -> np.ndarray:
+    """Eigenpolynomial coefficients at high working precision, one (N + 1)
+    row per energy, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
 
-    The working precision is max(40, 20 + 2N) digits.  Its gate,
-    `np.array_equal` of the rounded float64 coefficients against an mpmath
-    reference at max(50, 30 + 4N) digits, holds only for g >= 0.1; on
-    preset A at N = 40 the rows differ on 23 of 41 levels at g = 1e-2 (and
-    10 at g = 0.1), so the rule falls short at weak coupling.  The exponent
-    range is unbounded, like arbitrary-precision binary floats.  Fractions
+    Working precision is the honest cure for hard levels: each energy is
+    polished by Newton's method on the characteristic-polynomial recurrence
+    of the monomial block, then the coefficients follow from c_0 = 1 by
+    C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}, which resolves every
+    coefficient -- including components far below float64 visibility --
+    before the peak-normalized row is rounded back to float64.  In exact
+    arithmetic a row is `diagonalize`'s monomial eigenvector, its twisted
+    factorization with the twist pinned at N.  The arithmetic is the
+    standard library's `decimal`, at max(40, 20 + 2N) digits and an
+    unbounded exponent range, like arbitrary-precision binary floats, so no
+    coefficient overflows.  The hop values are converted once: Fractions
     are divided at working precision, every other value enters through
-    float.
+    float.  That rule's gate, `np.array_equal` of the rounded rows against
+    an mpmath reference at max(50, 30 + 4N) digits, holds only for
+    g >= 0.1; on preset A at N = 40 the rows differ on 23 of 41 levels at
+    g = 1e-2 (and 10 at g = 0.1), so it falls short at weak coupling.  A
+    vanishing C(m) raises ZeroDivisionError: the interaction is off and
+    there is no recurrence (the ladder solves such a diagonal block exactly
+    and never gets here).
     """
-    n_top = len(values[1]) - 1
-    context = decimal.Context(prec=max(40, 20 + 2 * n_top),
+    n = len(values[1]) - 1
+    context = decimal.Context(prec=max(40, 20 + 2 * n),
                               Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
     def convert(x):
@@ -556,69 +571,40 @@ def _working_hops(values):
             return decimal.Decimal(x.numerator) / x.denominator
         return decimal.Decimal(float(x))
 
+    rows = []
     with decimal.localcontext(context):
         hop_a, hop_b, hop_c = ([convert(x) for x in row] for row in values)
+        if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
+            raise ZeroDivisionError("C(m) vanishes: no recurrence")
         off = [a * c for a, c in zip(hop_a, hop_c)]
-    return context, hop_a, hop_b, hop_c, off
-
-
-def _recurrence(hop_a, hop_b, hop_c, energy, c):
-    """Fill c[1..N] from c[0] by C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}.
-
-    It runs at the decimal rung's working precision, whose exponent range
-    is unbounded, so no coefficient overflows on the way.  In exact
-    arithmetic its coefficients are `diagonalize`'s monomial eigenvector,
-    its twisted factorization with the twist pinned at N.
-    """
-    for m in range(len(c) - 1):
-        rhs = (energy - hop_b[m]) * c[m]
-        if m > 0:
-            rhs -= hop_a[m - 1] * c[m - 1]
-        c[m + 1] = rhs / hop_c[m]
-    return c
-
-
-def _high_precision_coefficients(hops, energy: float) -> np.ndarray:
-    """Eigenpolynomial coefficients from the recurrence at high precision.
-
-    Working precision is the honest cure for hard levels: the eigenvalue
-    is polished on the characteristic-polynomial recurrence of the
-    monomial block, then the coefficients follow from the three-term
-    recurrence (`_recurrence`), run at the working precision.
-    That resolves every coefficient -- including components far below
-    float64 visibility -- before the peak-normalized vector is rounded
-    back to float64.  The arithmetic is the standard library's `decimal`
-    on the sector's hop values, converted once per sector by
-    `_working_hops`, which gives `hops`.  A vanishing C(m) raises
-    ZeroDivisionError: the interaction is off and there is no recurrence
-    (the ladder solves such a diagonal block exactly and never gets here).
-    """
-    context, hop_a, hop_b, hop_c, off = hops
-    if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
-        raise ZeroDivisionError("C(m) vanishes: no recurrence")
-    n = len(hop_b) - 1
-    with decimal.localcontext(context):
         one = decimal.Decimal(1)
-        e_val = decimal.Decimal(energy)
-        stop = decimal.Decimal(10) ** (8 - context.prec) * max(one, abs(e_val))
-        for _ in range(80):
-            # det(M - E) and its E-derivative via the minor recurrence
-            p_prev, p_cur = one, hop_b[0] - e_val
-            d_prev, d_cur = decimal.Decimal(0), -one
-            for m in range(1, n + 1):
-                diag = hop_b[m] - e_val
-                p_new = diag * p_cur - off[m - 1] * p_prev
-                d_new = -p_cur + diag * d_cur - off[m - 1] * d_prev
-                p_prev, p_cur, d_prev, d_cur = p_cur, p_new, d_cur, d_new
-            if d_cur == 0:
-                break
-            step = p_cur / d_cur
-            e_val -= step
-            if abs(step) <= stop:
-                break
-        vec = _recurrence(hop_a, hop_b, hop_c, e_val, [one] * (n + 1))
-        peak = max(abs(x) for x in vec)
-        return np.array([float(x / peak) for x in vec])
+        for energy in energies:
+            e_val = decimal.Decimal(energy)
+            stop = decimal.Decimal(10) ** (8 - context.prec) * max(one, abs(e_val))
+            for _ in range(80):
+                # det(M - E) and its E-derivative via the minor recurrence
+                p_prev, p_cur = one, hop_b[0] - e_val
+                d_prev, d_cur = decimal.Decimal(0), -one
+                for m in range(1, n + 1):
+                    diag = hop_b[m] - e_val
+                    p_new = diag * p_cur - off[m - 1] * p_prev
+                    d_new = -p_cur + diag * d_cur - off[m - 1] * d_prev
+                    p_prev, p_cur, d_prev, d_cur = p_cur, p_new, d_cur, d_new
+                if d_cur == 0:
+                    break
+                step = p_cur / d_cur
+                e_val -= step
+                if abs(step) <= stop:
+                    break
+            row = [one]
+            for m in range(n):
+                rhs = (e_val - hop_b[m]) * row[m]
+                if m > 0:
+                    rhs -= hop_a[m - 1] * row[m - 1]
+                row.append(rhs / hop_c[m])
+            peak = max(abs(x) for x in row)
+            rows.append([float(x / peak) for x in row])
+    return np.array(rows)
 
 
 def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
@@ -641,69 +627,39 @@ def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _solve_levels(op, p_list, block, spec):
-    """Root pipeline for all levels of a sector, in one pass down the ladder.
-
-    A diagonal block (g = 0, or N = 0) is solved exactly: level l is
-    z^n(l), n(l) the index of the unit vector `diagonalize` gives it, with
-    energy B(n) and zero residuals; it is `reduced` when n < N.  Otherwise
-    the ladder has three rungs.  The first two read each level's column of
-    `spec.vectors`: solved as real rows, then, for the levels still
-    unresolved, cast to complex, so their companion matrices go to LAPACK's
-    zgeev instead of dgeev: a second eigensolve of the same rows, whose
-    rounding differs, and on an ill-conditioned eigenpolynomial that takes
-    some levels under the gate.  Both are tagged 'extracted'.  The last
-    rung is the decimal recurrence, whose hop values are converted only if
-    a level reaches it.
-    Each rung builds one row per unresolved level, drops every row that is
-    non-finite or has a zero top coefficient (a pivot that vanished or
-    overflowed) or whose eigensolve does not converge, and judges the rest
-    as one (L, N) stack: each row has all N roots.  The stack is
-    canonicalized once (`_canonical`), and the residuals, closed-form
-    energies and degenerate flags of its rows are computed on the
-    canonical stack, so each is that of the set a level returns.
-    The first set whose scaled residual meets `_SEARCH_TOL` and whose
-    energy agrees with the oracle eigenvalue to `_ENERGY_TOL` of the
-    spectral scale max(1, max |E|), the scale `cross_validate` judges by,
-    is accepted, and later candidates of that level are never built.  When
-    none passes, the level is unconverged and keeps the attempt whose
-    energy agrees, the smaller residual and then the smaller energy error
-    breaking ties: the energy depends on the roots only through their sum,
-    so an agreeing candidate carries the right physics even when its roots
-    are too coarse for the residual.  A level no rung gives a row is
-    unconverged, with no roots and a NaN energy.
-    Each level's roots are kept as a read-only complex array of their own,
-    copied out of the stack: no level pins its rung's stack.
+    """One `BetheSolution` per level of a sector, in level order, from one
+    pass down the ladder of the module docstring, given the sector's
+    operator, its float P_i, its monomial block and that block's spectrum.
     """
     oracles = spec.energies.tolist()
     if not block.lower.any():
         n_top = block.dim - 1
-        solutions = []
-        for level, n in enumerate(np.argmax(spec.vectors, axis=0).tolist()):
-            degenerate, reduced = n >= 2, n < n_top
-            solutions.append(BetheSolution(
-                level=level, roots=_frozen(np.zeros(n)), energy=float(block.diag[n]),
-                oracle_energy=oracles[level],
-                residual_bae=math.nan if degenerate or reduced else 0.0, residual_robust=0.0,
-                source="extracted", degenerate=degenerate, reduced=reduced, converged=True))
-        return solutions
+        return [BetheSolution(
+            level=level, roots=_frozen(np.zeros(n)), energy=float(block.diag[n]),
+            oracle_energy=oracles[level], residual_bae=math.nan if n >= 2 or n < n_top else 0.0,
+            residual_robust=0.0, source="extracted", degenerate=n >= 2, reduced=n < n_top,
+            converged=True) for level, n in enumerate(np.argmax(spec.vectors, axis=0).tolist())]
 
-    # per level: (rank, resid, r_bae, roots, tag, energy, degenerate) of the
-    # best attempt; the rank puts a pass first, then an agreeing energy,
-    # then the smaller residual, then the smaller energy error
-    best = [None] * len(oracles)
+    # per level: (rank, solution) of the best attempt; the rank puts a pass
+    # first, then an agreeing energy, then the smaller residual, then the
+    # smaller energy error, and any attempt outranks the start: no roots
+    best = [((False,), BetheSolution(
+        level=level, roots=_frozen(()), energy=math.nan, oracle_energy=oracle,
+        residual_bae=math.nan, residual_robust=math.inf, source="extracted", degenerate=False,
+        reduced=False, converged=False)) for level, oracle in enumerate(oracles)]
     energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
-    hops = functools.cache(lambda: _working_hops(op.hop_values))
-    rungs = (("extracted", lambda level: spec.vectors[:, level]),
-             ("extracted", lambda level: spec.vectors[:, level].astype(complex)),
-             ("refined", lambda level: _high_precision_coefficients(hops(), oracles[level])))
-    live = range(len(oracles))
+    rungs = (("extracted", lambda live: spec.vectors.T[live]),
+             ("extracted", lambda live: spec.vectors.T[live].astype(complex)),
+             ("refined", lambda live: _decimal_rows(op.hop_values, spec.energies[live].tolist())))
+    live = np.arange(len(oracles))
     for tag, build in rungs:
-        if not live:
+        if not live.size:
             break
-        rows = {level: row for level, row in ((level, build(level)) for level in live)
-                if np.all(np.isfinite(row)) and row[-1] != 0}
+        rows = build(live)
+        keep = np.all(np.isfinite(rows), axis=1) & (rows[:, -1] != 0)
         # a row whose eigensolve failed has no roots and is dropped too
-        found = [(level, roots) for level, roots in zip(rows, _roots_of_rows(list(rows.values())))
+        found = [(level, roots) for level, roots
+                 in zip(live[keep].tolist(), _roots_of_rows(list(rows[keep])))
                  if roots is not None]
         if found:
             # each row has a nonzero top coefficient, so all N roots: one (L, N) stack
@@ -717,45 +673,27 @@ def _solve_levels(op, p_list, block, spec):
                 error = abs(energy - oracle) if math.isfinite(energy) else math.inf
                 agrees = error <= energy_tol
                 rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
-                if best[level] is None or rank > best[level][0]:
-                    # a copy of its own: a level never pins the rung's stack
-                    best[level] = (rank, resid, r_bae, _frozen(roots), tag, energy, degenerate)
-        live = [level for level in live if best[level] is None or not best[level][0][0]]
-
-    solutions = []
-    for level, (attempt, oracle) in enumerate(zip(best, oracles)):
-        if attempt is None:
-            attempt = ((False,), math.inf, math.nan, _frozen(()), "extracted", math.nan, False)
-        (converged, *_), r_robust, r_bae, roots, source, energy, degenerate = attempt
-        solutions.append(BetheSolution(
-            level=level, roots=roots, energy=energy, oracle_energy=oracle,
-            # the pole-residue form needs pairwise separated roots
-            residual_bae=math.nan if degenerate else r_bae,
-            residual_robust=r_robust, source=source,
-            degenerate=degenerate, reduced=False, converged=converged))
-    return solutions
+                if rank > best[level][0]:
+                    best[level] = (rank, BetheSolution(
+                        # a copy of its own: a level never pins the rung's stack
+                        level=level, roots=_frozen(roots), energy=energy, oracle_energy=oracle,
+                        # the pole-residue form needs pairwise separated roots
+                        residual_bae=math.nan if degenerate else r_bae, residual_robust=resid,
+                        source=tag, degenerate=degenerate, reduced=False, converged=rank[0]))
+        live = live[[not best[level][0][0] for level in live.tolist()]]
+    return [solution for _, solution in best]
 
 
 def solve_bethe(model: ModelSpec, sector: Sector):
     """Solve for all N+1 levels of a sector through the root pipeline.
 
-    Pipeline: diagonalize the monomial block, take the roots of each
-    level's eigenpolynomial from the first candidate that passes as-is
-    (the attempt whose energy agrees when none does), report the
-    pole-residue residuals where the roots are distinct, and recompute the
-    energy from the closed form.  The candidate ladder runs the
-    eigenvector `diagonalize` gives, from a twisted factorization, solved
-    as a real row and then as a complex row, then the high-precision
-    recurrence; each
-    rung judges all of the sector's unresolved levels at once, as one stack
-    of root sets, and one evaluation of that stack gives both residual
-    forms.  Levels whose eigenpolynomial has near-multiple roots are
-    flagged degenerate and validated only through the robust form.  A
-    level's climb stops at the first root set whose scaled residual is
-    within a fixed 1e-12 and whose energy agrees with the oracle eigenvalue
-    to a fixed 1e-8 of the spectral scale max(1, max |E|).  A g = 0 block
-    is diagonal and solved exactly.  Each level's roots come back as a
-    read-only complex128 array.  The independent multi-start search is
+    Returns one `BetheSolution` per level, in level order, each with its
+    roots as a read-only complex128 array, its closed-form energy and, as
+    its oracle energy, the monomial block's eigenvalue; a level is
+    `converged` when its roots meet the ladder's 1e-12 residual target and
+    its energy agrees with the oracle to 1e-8 of the spectral scale
+    max(1, max |E|).  The ladder that finds the roots is described in the
+    module docstring.  The independent multi-start search is
     `direct_search`, a separate call.
     """
     block = build_monomial_matrix(model, sector)
@@ -769,11 +707,14 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
 
     Draws `starts` random root sets from a generator seeded with `seed`,
     runs at most 50 Newton steps from each with a forward-difference
-    Jacobian of the pole-residue components, keeps the converged distinct
-    solutions whose canonical roots' scaled robust residual is within
-    1e-10, and deduplicates them by canonical ordering.  Energies come
-    from the closed form, under the rule of `energy_from_roots`.  The
-    result is a subset of the spectrum; completeness is not guaranteed.
+    Jacobian of the pole-residue components, then judges the converged
+    starts as one stack of root sets, canonicalized once: it keeps each
+    set whose scaled robust residual is within 1e-10 and that differs from
+    every set kept from an earlier start, in some root, by at least 1e-7 of
+    its root scale max(1, max |root|).  Energies come from the closed form, under the rule of
+    `energy_from_roots`: a kept set that rule rejects raises ValueError.
+    The solutions come back sorted by energy.  The result is a subset of
+    the spectrum; completeness is not guaranteed.
     No start finds nothing, even the empty root set of an N = 0 sector,
     and a negative `starts` raises ValueError.
     """
@@ -781,13 +722,9 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
         raise ValueError(f"starts must be >= 0, got {starts}")
     op = expand_diffop(model, sector)
     p_list = _float_polys(op)
-
-    def energy(roots):
-        return float(_energy(op.hop_values, roots))
-
     n = op.n_top
     if n == 0 and starts:   # every start finds the empty root set at once
-        return [BetheSolution(level=0, roots=_frozen(()), energy=energy(()),
+        return [BetheSolution(level=0, roots=_frozen(()), energy=float(op.hop_values[1][-1]),
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
 
@@ -796,16 +733,15 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
         return _pole_residues(_terms_at_roots(p_list, stack))
 
     rng = np.random.default_rng(seed)
-    found = []
+    converged = []
     for _ in range(starts):
         roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        ok = False
         for _ in range(_NEWTON_STEPS):
-            if _has_close_pair(roots, _MIN_SEPARATION):
+            if _close_pairs(roots[None], _MIN_SEPARATION)[0]:
                 break
             f = residues(roots[None])[0]
             if np.max(np.abs(f)) < 1e-30:
-                ok = True
+                converged.append(roots)
                 break
             h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
             shifted = roots + h * np.eye(n)   # row q moves root q by h
@@ -820,26 +756,31 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
                 break
             roots = roots + step
             if np.max(np.abs(step)) < 1e-13 * max(1.0, float(np.max(np.abs(roots)))):
-                ok = True
+                converged.append(roots)
                 break
-        if not ok:
+    if not converged:   # the kernels need a root set: np.max of a (0, 0) stack raises
+        return []
+    stack = _canonical(np.array(converged))
+    at = _terms_at_roots(p_list, stack)
+    robust, bae = _scaled_robust(at).tolist(), _scaled_bae(at).tolist()
+    energies = _closed_form_energies(op, stack).tolist()
+    # snapping conjugate pairs onto the axis can make two roots coincide
+    close = _close_pairs(stack, _MIN_SEPARATION)
+    # moduli by np.hypot, as Python's abs of a complex
+    scales = np.maximum(1.0, np.hypot(stack.real, stack.imag).max(axis=1))
+    found, kept = [], []   # the distinct certified sets and their rows, in start order
+    for row, resid in enumerate(robust):
+        gaps = stack[row] - stack[kept]
+        if resid > _RESIDUAL_TOL or np.any(
+                np.hypot(gaps.real, gaps.imag).max(axis=1) < _DEDUP_TOL * scales[row]):
             continue
-        canon = canonicalize_roots(roots)
-        stack = np.asarray(canon)[None]
-        at = _terms_at_roots(p_list, stack)
-        r_robust = float(_scaled_robust(at)[0])
-        if r_robust > _RESIDUAL_TOL:
-            continue
-        scale = max(1.0, max(abs(a) for a in canon))
-        if any(max(abs(x - y) for x, y in zip(canon, prev.roots)) < _DEDUP_TOL * scale
-               for prev in found if len(prev.roots) == len(canon)):
-            continue
-        # snapping conjugate pairs onto the axis can make two roots coincide
-        r_bae = (math.nan if _has_close_pair(stack[0], _MIN_SEPARATION)
-                 else float(_scaled_bae(at)[0]))
+        kept.append(row)
+        energy = energies[row]
+        if math.isnan(energy):   # raises where the imaginary-part rule rejects the set
+            energy = _energy_of_sum(op.hop_values, sum(stack[row].tolist()))
         found.append(BetheSolution(
-            level=-1, roots=_frozen(canon), energy=energy(canon),
-            oracle_energy=math.nan, residual_bae=r_bae, residual_robust=r_robust,
+            level=-1, roots=_frozen(stack[row]), energy=energy, oracle_energy=math.nan,
+            residual_bae=math.nan if close[row] else bae[row], residual_robust=resid,
             source="direct", degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found

@@ -110,7 +110,7 @@ def transition_element(model: ModelSpec, occupations) -> float:
 
 
 def _maybe_warn_conditioning(block: TridiagonalBlock):
-    if block.dim > _WARN_DIM and block.dim > 1:
+    if block.dim > _WARN_DIM:
         peak = max(np.max(np.abs(block.upper)), np.max(np.abs(block.lower)), 0.0)
         if peak > _WARN_ELEMENT:
             warnings.warn(

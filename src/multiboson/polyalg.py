@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import ModelSpec, Sector, occupations_at
+from .fock import ModelSpec, Sector, base_number_values, occupations_at
 from .hamiltonian import _sqrt_product, transition_element
 
 # Largest float error the truncated-matrix identities may show.
@@ -212,8 +212,6 @@ def lowering_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
 
 def ladder_coefficients(model: ModelSpec, sector: Sector) -> LadderCoefficients:
     """Representation matrix elements of P0 and P+- on one sector."""
-    from .fock import base_number_values
-
     base = base_number_values(model, sector)
     mean1 = Fraction(sum(base[: model.r], Fraction(0)), model.r)
     n_top = sector.n_top

@@ -323,6 +323,39 @@ def test_direct_search_finds_nothing_without_starts():
         direct_search(model, sec, starts=-2)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_direct_solutions_read_as_their_own_stack_of_one(seed):
+    """The direct search judges its converged starts as one stack; each
+    solution reads bit for bit what a stack of one built from its own
+    roots reads.  Its roots are their own canonical form, its robust
+    residual is that of the stack, its energy is `energy_from_roots` of
+    its roots, and its pole-residue residual is NaN exactly where a pair
+    of roots lies within 1e-10 of the root scale, and that of the stack
+    elsewhere.  On preset A at N = 3 (the CLI's `roots --direct` sector)
+    and a general sector with N in 2..5; zero starts on either return no
+    solution."""
+    preset_a = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
+    cases = [(preset_a, sector_from_occupations(preset_a, (0, 3, 3))),
+             next(_general_sectors(seed, 1, n_range=(2, 5)))]
+    found = 0
+    for model, sec in cases:
+        assert sec.n_top >= 1 and direct_search(model, sec, starts=0, seed=seed) == []
+        p_list = bethe._float_polys(expand_diffop(model, sec))
+        for sol in direct_search(model, sec, starts=24, seed=seed):
+            found += 1
+            stack = np.array(sol.roots)[None]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                assert bethe._canonical(stack).tobytes() == stack.tobytes()
+                at = bethe._terms_at_roots(p_list, stack)
+                assert sol.residual_robust.hex() == float(bethe._scaled_robust(at)[0]).hex()
+                assert sol.energy.hex() == float(energy_from_roots(model, sec, sol.roots)).hex()
+                close = bethe._close_pairs(stack, 1e-10)[0]
+                assert math.isnan(sol.residual_bae) == close
+                if not close:
+                    assert sol.residual_bae.hex() == float(bethe._scaled_bae(at)[0]).hex()
+    assert found
+
+
 @pytest.mark.parametrize("func, args, setting", [
     (solve_bethe, (MODEL_A, SEC_A), {"starts": 8}),
     (solve_bethe, (MODEL_A, SEC_A), {"seed": 1}),
@@ -698,7 +731,7 @@ def test_decimal_rung_rescues_levels_of_preset_c_at_n60(monkeypatch):
     model, sec = _route_sector("C-60")
     sols = solve_bethe(model, sec)
     assert [sol.level for sol in sols if sol.source == "refined" and sol.converged] == [21, 35]
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", _nan_rows)
+    monkeypatch.setattr(bethe, "_decimal_rows", _nan_rows)
     without = solve_bethe(model, sec)
     for level in (21, 35):
         assert not without[level].converged and without[level].residual_robust > 1e-12
@@ -716,10 +749,10 @@ def test_candidates_pass_as_is_on_preset_a():
         assert report.passed, (n_top, report.failing_levels())
 
 
-def _nan_rows(hops, energy):
+def _nan_rows(values, energies):
     """The decimal rung switched off: its rows are NaN, and the ladder
     drops every non-finite row."""
-    return np.array([math.nan])
+    return np.full((len(energies), 1), math.nan)
 
 
 def _complex_rung_off(monkeypatch):
@@ -744,25 +777,25 @@ def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
     rung as many as are left with it off too."""
     model, sec = _route_sector("B-45")
     stacks, decimal = [], []
-    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._high_precision_coefficients
+    roots_of_rows, decimal_rows = bethe._roots_of_rows, bethe._decimal_rows
 
     def recorded(rows):
         stacks.append(len(rows))
         return roots_of_rows(rows)
 
-    def recorded_decimal(hops, energy):
-        decimal.append(energy)
-        return decimal_row(hops, energy)
+    def recorded_decimal(values, energies):
+        decimal.extend(energies)
+        return decimal_rows(values, energies)
 
     monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", recorded_decimal)
+    monkeypatch.setattr(bethe, "_decimal_rows", recorded_decimal)
     sols = solve_bethe(model, sec)
     assert stacks == [46, 8, 5] and len(decimal) == 5
     extracted = {sol.oracle_energy for sol in sols
                  if sol.source == "extracted" and sol.converged}
     assert not extracted & set(decimal)
 
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", _nan_rows)
+    monkeypatch.setattr(bethe, "_decimal_rows", _nan_rows)
     left = [sol.oracle_energy for sol in solve_bethe(model, sec) if not sol.converged]
     assert left == decimal
     _complex_rung_off(monkeypatch)
@@ -889,13 +922,13 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
     def perturbed(rows):
         return [roots * (1 + 1e-4) for roots in roots_of_rows(rows)]
 
-    def no_recurrence(hops, energy):
-        return np.full(sec.dim, math.nan)
+    def no_recurrence(values, energies):
+        return np.full((len(energies), sec.dim), math.nan)
 
     # with the decimal rung off (NaN rows, which the ladder drops), only
     # the twisted rows find roots
     monkeypatch.setattr(bethe, "_roots_of_rows", perturbed)
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
+    monkeypatch.setattr(bethe, "_decimal_rows", no_recurrence)
     sols = solve_bethe(model, sec)
     assert len(sols) == sec.dim
     for sol in sols:
@@ -913,14 +946,14 @@ def test_level_no_rung_gives_a_row_is_reported_without_roots(monkeypatch):
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
 
-    def no_recurrence(hops, energy):
-        return np.full(sec.dim, math.nan)
+    def no_recurrence(values, energies):
+        return np.full((len(energies), sec.dim), math.nan)
 
     def nan_rows(block, energies):
         return np.full((len(energies), block.dim), math.nan)
 
     monkeypatch.setattr(hamiltonian, "_twisted_rows", nan_rows)
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_recurrence)
+    monkeypatch.setattr(bethe, "_decimal_rows", no_recurrence)
     for sol in solve_bethe(model, sec):
         assert len(sol.roots) == 0 and math.isnan(sol.energy) and not sol.converged
         assert sol.residual_robust == math.inf and not sol.reduced
@@ -1169,10 +1202,11 @@ def test_high_precision_route_matches_mpmath_reference(name):
         op = expand_diffop(model, sec)
         if name.endswith("exact"):
             assert all(isinstance(c, Fraction) for c in op.hop_values[2])
-        hops = bethe._working_hops(op.hop_values)
-        for energy in diagonalize(build_monomial_matrix(model, sec)).energies[::stride]:
-            got = bethe._high_precision_coefficients(hops, float(energy))
-            assert np.array_equal(got, high_precision_coefficients(op, float(energy))), energy
+        energies = diagonalize(build_monomial_matrix(model, sec)).energies[::stride].tolist()
+        rows = bethe._decimal_rows(op.hop_values, energies)
+        assert len(rows) == len(energies)
+        for energy, got in zip(energies, rows):
+            assert np.array_equal(got, high_precision_coefficients(op, energy)), energy
 
 
 def _assert_returned_roots_are_scored(model, sec):
@@ -1205,18 +1239,18 @@ def test_n40_grid_never_reaches_the_float64_rung(monkeypatch, name):
     21 per sector while it came before the decimal rung, and the decimal
     one 5-36 while the eigenvector came first)."""
     complex_rows, decimal_rows = [], []
-    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._high_precision_coefficients
+    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._decimal_rows
 
     def recorded(rows):
         complex_rows.extend(row for row in rows if np.iscomplexobj(row))
         return roots_of_rows(rows)
 
-    def recorded_decimal(hops, energy):
-        decimal_rows.append(energy)
-        return decimal_row(hops, energy)
+    def recorded_decimal(values, energies):
+        decimal_rows.extend(energies)
+        return decimal_row(values, energies)
 
     monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", recorded_decimal)
+    monkeypatch.setattr(bethe, "_decimal_rows", recorded_decimal)
     report = cross_validate(*_route_sector(name))
     assert report.passed
     assert all(sol.source == "extracted" for sol in report.solutions)
@@ -1235,11 +1269,11 @@ def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
         stacks.append(len(rows))
         return roots_of_rows(rows)
 
-    def no_decimal_row(hops, energy):
+    def no_decimal_row(values, energies):
         raise AssertionError("the decimal rung built a row")
 
     monkeypatch.setattr(bethe, "_roots_of_rows", counted)
-    monkeypatch.setattr(bethe, "_high_precision_coefficients", no_decimal_row)
+    monkeypatch.setattr(bethe, "_decimal_rows", no_decimal_row)
     solve_bethe(*_route_sector(name))
     assert stacks == [41]
 
@@ -1352,19 +1386,43 @@ def test_closed_form_energy_matches_vieta_form_of_the_eigenvector(case):
                                                                   abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["A-30", "A-30-exact", "general"])
+def test_decimal_rows_of_a_batch_match_one_energy_at_a_time(name):
+    """The decimal rows of all levels at once, and of the same levels in
+    reverse order, are row for row the bytes each energy gives alone: no
+    state leaks from one level of the loop to the next.  On preset A at
+    N=30, its exact-fraction twin and a general sector with N in 16..24."""
+    if name.endswith("exact"):
+        model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
+                       wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
+        sec = sector_from_occupations(model, (0, 3, 30))
+    elif name == "general":
+        model, sec = next(_general_sectors(13, 1))
+    else:
+        model, sec = _route_sector(name)
+    values = expand_diffop(model, sec).hop_values
+    energies = diagonalize(build_monomial_matrix(model, sec)).energies.tolist()
+    batch = bethe._decimal_rows(values, energies)
+    assert batch.shape == (len(energies), sec.dim) and batch.dtype == float
+    backwards = bethe._decimal_rows(values, energies[::-1])
+    for energy, row, row_back in zip(energies, batch, backwards[::-1]):
+        alone = bethe._decimal_rows(values, [energy])
+        assert alone.shape == (1, sec.dim)
+        assert row.tobytes() == alone[0].tobytes() == row_back.tobytes(), energy
+
+
 def test_high_precision_route_raises_without_interaction():
     """At g = 0 every C(m) vanishes; both routes raise ZeroDivisionError,
     whether the first recurrence step divides x/0 or 0/0."""
     model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
     sec = sector_from_occupations(model, (0, 0, 4))
     op = expand_diffop(model, sec)
-    hops = bethe._working_hops(op.hop_values)
     for m in (0, 1):   # E = B(0): (E - B(0)) / C(1) is 0/0; E = B(1): x/0
         energy = float(op.hop_values[1][m])
         with pytest.raises(ZeroDivisionError):
             high_precision_coefficients(op, energy)
         with pytest.raises(ZeroDivisionError):
-            bethe._high_precision_coefficients(hops, energy)
+            bethe._decimal_rows(op.hop_values, [energy])
 
 
 _SPECIAL_ROOTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
@@ -1390,7 +1448,7 @@ def test_has_close_pair_matches_double_loop(base, repeats, rel_tol, others):
     stack = np.array([items] + [[items[(i * step + shift) % n] for i in range(n)]
                                 for step, shift in others], dtype=complex)
     with np.errstate(all="ignore"):
-        assert bethe._has_close_pair(roots, rel_tol) == has_close_pair(roots, rel_tol)
+        assert bethe._close_pairs(roots[None], rel_tol)[0] == has_close_pair(roots, rel_tol)
         flags = bethe._close_pairs(stack, rel_tol)
         assert flags == [has_close_pair(row, rel_tol) for row in stack]
     assert all(type(flag) is bool for flag in flags)
