@@ -40,21 +40,24 @@ The first two are tagged 'extracted', the last 'refined'.  One mask drops
 the rows that are non-finite or have a zero top coefficient (a pivot that
 vanished or overflowed); the roots of the rest come from one stacked
 companion-matrix eigensolve (`_roots_of_rows`), and a row LAPACK does not
-converge on is dropped too.  Every root set left has all N roots, so a
-rung's candidates form one (L, N) array: it is canonicalized once, as a
-whole (`_canonical`), and its residuals, closed-form energies and
-degenerate flags are computed on that array.  Each canonical set is both
-scored and returned, as a read-only complex array of its own.  A level's
-first set that passes is accepted, and its later candidates are never
-built: its scaled robust residual is within a fixed 1e-12 and its
-closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
-the spectral scale max(1, max |E|).  When none passes, the level is
-reported unconverged and keeps the attempt whose energy agrees, the
-smaller residual and then the smaller energy error breaking ties: the
-energy depends on the roots only through their sum, so an agreeing
-candidate carries the right physics even when its roots are too coarse
-for the residual.  A level no rung gives a row is unconverged, with no
-roots and a NaN energy.
+converge on is dropped too.  A stack large enough to pay for it (from
+N + 1 matrices of size N ~ 32) is cut into one part per CPU the process
+may use, solved on as many threads; each matrix gets the same LAPACK call
+either way, so the roots are bit for bit those of a serial solve.  Every
+root set left has all N roots, so a rung's candidates form one (L, N)
+array: it is canonicalized once, as a whole (`_canonical`), and its
+residuals, closed-form energies and degenerate flags are computed on that
+array.  Each canonical set is both scored and returned, as a read-only
+complex array of its own.  A level's first set that passes is accepted,
+and its later candidates are never built: its scaled robust residual is
+within a fixed 1e-12 and its closed-form energy agrees with the oracle
+eigenvalue to a fixed 1e-8 of the spectral scale max(1, max |E|).  When
+none passes, the level is reported unconverged and keeps the attempt whose
+energy agrees, the smaller residual and then the smaller energy error
+breaking ties: the energy depends on the roots only through their sum, so
+an agreeing candidate carries the right physics even when its roots are
+too coarse for the residual.  A level no rung gives a row is
+unconverged, with no roots and a NaN energy.
 
 `cross_validate` certifies a level whose returned roots' scaled robust
 residual is within a fixed 1e-10 and whose energy is within 1e-8 of the
@@ -72,9 +75,12 @@ stack of root sets in the same way.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import decimal
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -375,6 +381,80 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
 # ----------------------------------------------------------------------
 # root extraction and bookkeeping
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Work (matrix count x size^3) of a stack of companion matrices from which
+# its eigensolve is split across the process's CPUs.  On a 2-vCPU host, with
+# single-threaded BLAS, `cross_validate` on preset A at g = 0.8 (first rung:
+# N + 1 matrices of size N) took, in two runs of 21 alternating pairs
+# (medians), 8.7-9.1 ms serial and 9.0-10.9 ms split 2 ways at N = 31
+# (0.95e6), and 9.6-9.8 ms serial and 8.7-9.1 ms split at N = 32 (1.08e6).
+_SPLIT_WORK = 1e6
+# The threads that solve the parts of a split stack the caller does not,
+# one fewer than `_cpus()`.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool():
+    """`_pool`, created on first use.  `concurrent.futures` is imported
+    here: it pulls in `logging`, which `import multiboson` does not need."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1),
+                                       thread_name_prefix="multiboson-eigvals")
+        return _pool
+
+
+def _forget_pool():
+    """Start a forked child without the parent's pool: the child's copy
+    has no threads, and work sent to it would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _eigvals_parts(companion: np.ndarray) -> list:
+    """`np.linalg.eigvals` of a stack of matrices, as a list of contiguous
+    parts of the stack's result, in order.
+
+    A stack whose work is below `_SPLIT_WORK`, or a process with one CPU,
+    gets one call.  A larger stack is cut into one part per CPU: the
+    calling thread solves the first and the pool the others, all in
+    parallel (LAPACK runs without the GIL), each worker in a copy of the
+    caller's context, so numpy's error state is the caller's.  Each matrix
+    goes through the same geev call either way, so each row of eigenvalues
+    is bit for bit the same.  A part whose eigenvalues are all real comes
+    back as a real array even where the whole stack would not; the caller
+    casts each row to complex, which gives the same values.  A LinAlgError
+    in any part is raised once every part has finished.
+    """
+    workers = min(_cpus(), len(companion))
+    if workers < 2 or len(companion) * companion.shape[-1] ** 3 < _SPLIT_WORK:
+        return [np.linalg.eigvals(companion)]
+    pool = _worker_pool()
+    first, *rest = np.array_split(companion, workers)
+    futures = [pool.submit(contextvars.copy_context().run, np.linalg.eigvals, part)
+               for part in rest]
+    try:
+        parts = [np.linalg.eigvals(first)]
+    finally:
+        for future in futures:   # wait for every part, whatever the caller's did
+            future.exception()
+    return parts + [future.result() for future in futures]
+
+
 def _roots_of_rows(rows) -> list:
     """Roots of each polynomial sum_n row[n] z^n, one complex array per row,
     each bit for bit `numpy.roots(row[::-1])` cast to complex.
@@ -383,11 +463,11 @@ def _roots_of_rows(rows) -> list:
     constant term gives a root at 0 appended after the eigenvalues, and the
     companion matrix of what is left keeps the row's dtype (complex rows stay
     on LAPACK's zgeev).  The companion matrices of one (degree, dtype) are
-    stacked into a single `np.linalg.eigvals` call, which runs geev on each
-    in turn: a rung of the ladder makes one call for all of its levels.
-    One matrix LAPACK does not converge on makes that call raise
-    LinAlgError for the whole stack; the group is then redone one matrix
-    at a time, and a row whose own eigensolve fails gets None, not roots.
+    stacked and solved together (`_eigvals_parts`): a rung of the ladder
+    makes one geev call per matrix, on every CPU the process may use when
+    the stack is large.  One matrix LAPACK does not converge on makes the
+    whole stack raise LinAlgError; the group is then redone one matrix at
+    a time, and a row whose own eigensolve fails gets None, not roots.
     Every row needs a nonzero coefficient.
     """
     roots = [None] * len(rows)
@@ -404,12 +484,13 @@ def _roots_of_rows(rows) -> list:
         companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
         companion[:, range(1, size - 1), range(size - 2)] = 1
         try:
-            stack = np.linalg.eigvals(companion)
+            parts = _eigvals_parts(companion)
         except np.linalg.LinAlgError:
             if len(members) > 1:   # redo the group one row at a time
                 for index, _, _ in members:
                     roots[index] = _roots_of_rows([rows[index]])[0]
             continue
+        stack = (values for part in parts for values in part)
         for (index, _, zeros), values in zip(members, stack):
             roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
     return roots

@@ -1,7 +1,14 @@
 """Root equations, energies, solver pipeline, and cross-validation."""
 
 import collections
+import concurrent.futures
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -268,22 +275,48 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
     assert bethe._roots_of_rows([p[::-1]]) == [None]
 
 
-def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """The process may use two CPUs and has no pool yet, so a stack above
+    the split bound is solved in two parts.  Yields the list of pools the
+    test creates; each is shut down after it."""
+    created = []
+
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(bethe, "_pool", None)
+    yield created
+    for pool in created:
+        pool.shutdown()
+
+
+def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, pools):
     """Preset A at N=60 reaches every rung (levels 58-60 fail both twisted
     rungs and the decimal one, and are still `ok` in `cross_validate`).
     The twisted rows are built once, and each rung finds the roots of all
-    of its levels in one `np.linalg.eigvals` call: 61, 3 and 3 companion
-    matrices.  No level gets an `np.roots` call of its own (104 of them on
-    preset A at N=40 once), and each rung canonicalizes its candidates as
-    one stack, not one call per candidate (67 calls here, 1230 in ten
-    cycles of the N=40 grid, once).  Every level's roots are a read-only
-    copy of their own, never a view that keeps its rung's stack alive."""
+    of its levels in one `_roots_of_rows` call: 61, 3 and 3 companion
+    matrices, each solved exactly once, whether as one stack or split
+    across threads (61 matrices of size 60 are, 3 are not).  No level gets
+    an `np.roots` call of its own (104 of them on preset A at N=40 once),
+    and each rung canonicalizes its candidates as one stack, not one call
+    per candidate (67 calls here, 1230 in ten cycles of the N=40 grid,
+    once).  Every level's roots are a read-only copy of their own, never a
+    view that keeps its rung's stack alive."""
     stacks, canonical, calls = [], [], collections.Counter()
     eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, hamiltonian._twisted_rows
-    stacked_canonical = bethe._canonical
+    roots_of_rows, stacked_canonical = bethe._roots_of_rows, bethe._canonical
 
-    def stacked(a):
-        stacks.append(len(a) if a.ndim == 3 else 1)
+    def per_call(rows):
+        stacks.append(collections.Counter())
+        return roots_of_rows(rows)
+
+    def stacked(a):   # may run on a pool thread, while its `per_call` waits
+        stacks[-1].update((m.dtype.str, m.shape, m.tobytes()) for m in (a if a.ndim == 3 else [a]))
         return eigvals(a)
 
     def canonicalized(stack):
@@ -296,12 +329,14 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(bethe, "_roots_of_rows", per_call)
     monkeypatch.setattr(np.linalg, "eigvals", stacked)
     monkeypatch.setattr(np, "roots", counted("roots", roots))
     monkeypatch.setattr(hamiltonian, "_twisted_rows", counted("_twisted_rows", twisted_rows))
     monkeypatch.setattr(bethe, "_canonical", canonicalized)
     report = cross_validate(*_route_sector("A-60"))
-    assert stacks == [61, 3, 3]
+    assert [sum(matrices.values()) for matrices in stacks] == [61, 3, 3]
+    assert all(set(matrices.values()) == {1} for matrices in stacks)
     assert canonical == [(61, 60), (3, 60), (3, 60)]
     assert dict(calls) == {"_twisted_rows": 1}
     assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
@@ -309,6 +344,145 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch):
     for sol in report.solutions:
         assert sol.roots.base is None and not sol.roots.flags.writeable
         assert sol.roots.shape == (60,)
+
+
+def _assert_numpy_roots(got, rows, failed=()):
+    """Each row's roots are `np.roots` of the row, bit for bit, except the
+    rows in `failed`, which have None."""
+    assert len(got) == len(rows)
+    for index, (row, roots) in enumerate(zip(rows, got)):
+        if index in failed:
+            assert roots is None
+            continue
+        want = np.roots(row[::-1]).astype(complex)
+        assert roots.dtype == want.dtype and roots.tobytes() == want.tobytes()
+
+
+def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, pools):
+    """A-60's first-rung rows (61 companion matrices of size 60, above the
+    split bound) are solved in two parts, 31 on the calling thread and 30 on
+    the pool, each under the caller's numpy error state, and every row's
+    roots are `np.roots` of the row, bit for bit.  So are those of a stack
+    whose parts differ in result dtype: its first part has only real roots
+    and comes back real, its second does not."""
+    model, sec = _route_sector("A-60")
+    twisted = list(diagonalize(build_monomial_matrix(model, sec)).vectors.T)
+    rng = np.random.default_rng(11)
+    # degree 12, so 600 matrices are above the bound: real, well separated
+    # roots near 1..12, then random coefficients with complex roots
+    real = [np.poly(np.arange(1.0, 13.0) + rng.uniform(-0.2, 0.2, 12))[::-1] for _ in range(300)]
+    mixed = real + list(rng.standard_normal((300, 13)))
+    eigvals, calls = np.linalg.eigvals, []
+
+    def recorded(a):   # per call: the part's length, result dtype, thread, error state
+        values = eigvals(a)
+        calls.append((len(a), values.dtype, threading.current_thread(), np.geterr()))
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    for rows, sizes, dtypes in ((twisted, [31, 30], [complex, complex]),
+                                (mixed, [300, 300], [float, complex])):
+        assert len(rows) * (len(rows[0]) - 1) ** 3 >= bethe._SPLIT_WORK
+        calls.clear()
+        with np.errstate(over="ignore", under="raise", invalid="warn", divide="ignore"):
+            got = bethe._roots_of_rows(rows)
+            caller = np.geterr()
+        _assert_numpy_roots(got, rows)
+        # in the order of the stack: the calling thread's part first
+        calls.sort(key=lambda call: call[2] is not threading.current_thread())
+        assert [length for length, _, _, _ in calls] == sizes
+        assert [dtype for _, dtype, _, _ in calls] == dtypes
+        assert [thread is threading.current_thread() for _, _, thread, _ in calls] == [True, False]
+        assert all(state == caller for _, _, _, state in calls)
+
+
+def test_split_eigensolve_failure_drops_one_row(monkeypatch, pools):
+    """A matrix of the pool's part that LAPACK does not converge on makes
+    that part raise; once both parts are done, the stack is redone one
+    matrix at a time, and only that row comes back None."""
+    model, sec = _route_sector("A-60")
+    rows = list(diagonalize(build_monomial_matrix(model, sec)).vectors.T)
+    bad = rows[45][::-1]   # the level's row, high order first
+    top_row = -bad[1:] / bad[0]
+    eigvals, raised = np.linalg.eigvals, []
+
+    def flaky(a):
+        if any(np.array_equal(m[0], top_row) for m in (a if a.ndim == 3 else [a])):
+            raised.append((len(a) if a.ndim == 3 else 1, threading.current_thread()))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    got = bethe._roots_of_rows(rows)
+    assert raised[0][0] == 30 and raised[0][1] is not threading.current_thread()
+    assert [length for length, _ in raised[1:]] == [1]
+    _assert_numpy_roots(got, rows, failed={45})
+
+
+def test_concurrent_cross_validate_matches_a_serial_run(monkeypatch, pools):
+    """Four user threads running `cross_validate` on B-60 and C-60 at once,
+    twice each, on two CPUs and with a short switch interval, share one
+    pool, though it takes 50 ms to build, and give the reports a serial
+    run gives, pickled byte for byte.  So does a run on a single CPU,
+    which creates no pool."""
+    sectors = [_route_sector(name) for name in ("B-60", "C-60")]
+    serial = [pickle.dumps(cross_validate(*sector)) for sector in sectors]
+    recorded_pool = concurrent.futures.ThreadPoolExecutor
+
+    class SlowPool(recorded_pool):   # widens the window for a second pool
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
+    monkeypatch.setattr(bethe, "_pool", None)
+    threaded = [None] * 4
+
+    def run(index):
+        threaded[index] = pickle.dumps(cross_validate(*sectors[index % 2]))
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == serial * 2
+    assert len(pools) == 2   # one for the serial run, one shared by the threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(bethe, "_pool", None)
+    assert [pickle.dumps(cross_validate(*sector)) for sector in sectors] == serial
+    assert bethe._pool is None and len(pools) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_solves_split_stacks(pools):
+    """A process forked after the pool has started solves split stacks on a
+    pool of its own: the parent's pool threads do not exist in the child,
+    and work sent to its copy of the pool would never run.  The child's
+    report is the parent's, pickled byte for byte."""
+    model, sec = _route_sector("A-40")
+    want = pickle.dumps(cross_validate(model, sec))
+    assert bethe._pool is not None
+    pid = os.fork()
+    if pid == 0:   # the child never returns into the test runner
+        code = 1
+        try:
+            code = 0 if pickle.dumps(cross_validate(model, sec)) == want else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:   # hung: stop it, and fail
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_direct_search_finds_nothing_without_starts():
