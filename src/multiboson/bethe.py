@@ -41,23 +41,24 @@ the rows that are non-finite or have a zero top coefficient (a pivot that
 vanished or overflowed); the roots of the rest come from one stacked
 companion-matrix eigensolve (`_roots_of_rows`), and a row LAPACK does not
 converge on is dropped too.  A stack large enough to pay for it (from
-N + 1 matrices of size N ~ 32) is cut into one part per CPU the process
-may use, solved on as many threads; each matrix gets the same LAPACK call
-either way, so the roots are bit for bit those of a serial solve.  Every
-root set left has all N roots, so a rung's candidates form one (L, N)
-array: it is canonicalized once, as a whole (`_canonical`), and its
-residuals, closed-form energies and degenerate flags are computed on that
-array.  Each canonical set is both scored and returned, as a read-only
-complex array of its own.  A level's first set that passes is accepted,
-and its later candidates are never built: its scaled robust residual is
-within a fixed 1e-12 and its closed-form energy agrees with the oracle
-eigenvalue to a fixed 1e-8 of the spectral scale max(1, max |E|).  When
-none passes, the level is reported unconverged and keeps the attempt whose
-energy agrees, the smaller residual and then the smaller energy error
-breaking ties: the energy depends on the roots only through their sum, so
-an agreeing candidate carries the right physics even when its roots are
-too coarse for the residual.  A level no rung gives a row is
-unconverged, with no roots and a NaN energy.
+N + 1 matrices of size N ~ 32) is cut into parts, at most one per CPU the
+process may use and none below the work at which a 2-way split was
+measured to pay, and the parts are solved on as many threads; each matrix
+gets the same LAPACK call either way, so the roots are bit for bit those
+of a serial solve.  Every root set left has all N roots, so a rung's
+candidates form one (L, N) array: it is canonicalized once, as a whole
+(`_canonical`), and its residuals, closed-form energies and degenerate
+flags are computed on that array.  Each canonical set is both scored and
+returned, as a read-only complex array of its own.  A level's first set
+that passes is accepted, and its later candidates are never built: its
+scaled robust residual is within a fixed 1e-12 and its closed-form energy
+agrees with the oracle eigenvalue to a fixed 1e-8 of the spectral scale
+max(1, max |E|).  When none passes, the level is reported unconverged and
+keeps the attempt whose energy agrees, the smaller residual and then the
+smaller energy error breaking ties: the energy depends on the roots only
+through their sum, so an agreeing candidate carries the right physics even
+when its roots are too coarse for the residual.  A level no rung gives a
+row is unconverged, with no roots and a NaN energy.
 
 `cross_validate` certifies a level whose returned roots' scaled robust
 residual is within a fixed 1e-10 and whose energy is within 1e-8 of the
@@ -389,70 +390,59 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Work (matrix count x size^3) of a stack of companion matrices from which
-# its eigensolve is split across the process's CPUs.  On a 2-vCPU host, with
-# single-threaded BLAS, `cross_validate` on preset A at g = 0.8 (first rung:
-# N + 1 matrices of size N) took, in two runs of 21 alternating pairs
-# (medians), 8.7-9.1 ms serial and 9.0-10.9 ms split 2 ways at N = 31
-# (0.95e6), and 9.6-9.8 ms serial and 8.7-9.1 ms split at N = 32 (1.08e6).
-_SPLIT_WORK = 1e6
-# The threads that solve the parts of a split stack the caller does not,
-# one fewer than `_cpus()`.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool():
-    """`_pool`, created on first use.  `concurrent.futures` is imported
-    here: it pulls in `logging`, which `import multiboson` does not need."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(max(1, _cpus() - 1),
-                                       thread_name_prefix="multiboson-eigvals")
-        return _pool
-
-
-def _forget_pool():
-    """Start a forked child without the parent's pool: the child's copy
-    has no threads, and work sent to it would never run."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# Work (matrix count x size^3) each part of a split eigensolve needs at
+# least; a stack with less than twice this is solved in one call.  On a
+# 2-vCPU host, with single-threaded BLAS, `cross_validate` on preset A at
+# g = 0.8 (first rung: N + 1 matrices of size N) took, in two runs of 21
+# alternating pairs (medians), 8.7-9.1 ms serial and 9.0-10.9 ms split 2
+# ways at N = 31 (parts of 4.8e5), and 9.6-9.8 ms serial and 8.7-9.1 ms
+# split at N = 32 (parts of 5.4e5).  Only 2-way splits were measured; more
+# parts, on a host with more CPUs, are cut to the same floor.
+_PART_WORK = 5e5
 
 
 def _eigvals_parts(companion: np.ndarray) -> list:
     """`np.linalg.eigvals` of a stack of matrices, as a list of contiguous
     parts of the stack's result, in order.
 
-    A stack whose work is below `_SPLIT_WORK`, or a process with one CPU,
-    gets one call.  A larger stack is cut into one part per CPU: the
-    calling thread solves the first and the pool the others, all in
-    parallel (LAPACK runs without the GIL), each worker in a copy of the
-    caller's context, so numpy's error state is the caller's.  Each matrix
-    goes through the same geev call either way, so each row of eigenvalues
-    is bit for bit the same.  A part whose eigenvalues are all real comes
-    back as a real array even where the whole stack would not; the caller
-    casts each row to complex, which gives the same values.  A LinAlgError
-    in any part is raised once every part has finished.
+    The stack is cut into as many parts as the process has CPUs, but none
+    with less work than `_PART_WORK`; with one part it gets one call.
+    Otherwise the calling thread solves the first part and a thread started
+    for each other part solves that one, all in parallel (LAPACK runs
+    without the GIL), each in a copy of the caller's context, so numpy's
+    error state is the caller's.  Each matrix goes through the same geev
+    call either way, so each row of eigenvalues is bit for bit the same.
+    A part whose eigenvalues are all real comes back as a real array even
+    where the whole stack would not; the caller casts each row to complex,
+    which gives the same values.  An error in any part is raised once
+    every part has finished.
     """
-    workers = min(_cpus(), len(companion))
-    if workers < 2 or len(companion) * companion.shape[-1] ** 3 < _SPLIT_WORK:
+    work = len(companion) * companion.shape[-1] ** 3
+    count = min(_cpus(), len(companion), int(work // _PART_WORK))
+    if count < 2:
         return [np.linalg.eigvals(companion)]
-    pool = _worker_pool()
-    first, *rest = np.array_split(companion, workers)
-    futures = [pool.submit(contextvars.copy_context().run, np.linalg.eigvals, part)
-               for part in rest]
+    first, *rest = np.array_split(companion, count)
+    parts = [None] * len(rest)
+
+    def solve(index):
+        try:
+            parts[index] = np.linalg.eigvals(rest[index])
+        except Exception as error:   # raised on the calling thread
+            parts[index] = error
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(solve, index))
+               for index in range(len(rest))]
+    for thread in threads:
+        thread.start()
     try:
-        parts = [np.linalg.eigvals(first)]
+        head = np.linalg.eigvals(first)
     finally:
-        for future in futures:   # wait for every part, whatever the caller's did
-            future.exception()
-    return parts + [future.result() for future in futures]
+        for thread in threads:   # wait for every part, whatever the caller's did
+            thread.join()
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return [head, *parts]
 
 
 def _roots_of_rows(rows) -> list:
@@ -464,7 +454,7 @@ def _roots_of_rows(rows) -> list:
     companion matrix of what is left keeps the row's dtype (complex rows stay
     on LAPACK's zgeev).  The companion matrices of one (degree, dtype) are
     stacked and solved together (`_eigvals_parts`): a rung of the ladder
-    makes one geev call per matrix, on every CPU the process may use when
+    makes one geev call per matrix, on the CPUs the process may use when
     the stack is large.  One matrix LAPACK does not converge on makes the
     whole stack raise LinAlgError; the group is then redone one matrix at
     a time, and a row whose own eigensolve fails gets None, not roots.

@@ -1,14 +1,11 @@
 """Root equations, energies, solver pipeline, and cross-validation."""
 
 import collections
-import concurrent.futures
 import math
 import os
 import pickle
-import signal
 import sys
 import threading
-import time
 import warnings
 from fractions import Fraction
 
@@ -276,47 +273,38 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The process may use two CPUs and has no pool yet, so a stack above
-    the split bound is solved in two parts.  Yields the list of pools the
-    test creates; each is shut down after it."""
-    created = []
-
-    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
+def two_cpus(monkeypatch):
+    """The process may use two CPUs, so a stack of at least twice
+    `_PART_WORK` is solved in two parts."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
-    monkeypatch.setattr(bethe, "_pool", None)
-    yield created
-    for pool in created:
-        pool.shutdown()
 
 
-def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, pools):
+def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
     """Preset A at N=60 reaches every rung (levels 58-60 fail both twisted
     rungs and the decimal one, and are still `ok` in `cross_validate`).
     The twisted rows are built once, and each rung finds the roots of all
     of its levels in one `_roots_of_rows` call: 61, 3 and 3 companion
-    matrices, each solved exactly once, whether as one stack or split
-    across threads (61 matrices of size 60 are, 3 are not).  No level gets
-    an `np.roots` call of its own (104 of them on preset A at N=40 once),
-    and each rung canonicalizes its candidates as one stack, not one call
-    per candidate (67 calls here, 1230 in ten cycles of the N=40 grid,
-    once).  Every level's roots are a read-only copy of their own, never a
-    view that keeps its rung's stack alive."""
-    stacks, canonical, calls = [], [], collections.Counter()
+    matrices, each solved exactly once.  The first rung's stack is solved
+    in one `np.linalg.eigvals` call per CPU, 31 and 30 matrices; each later
+    rung's, too small to split, in one call.  No level gets an `np.roots`
+    call of its own (104 of them on preset A at N=40 once), and each rung
+    canonicalizes its candidates as one stack, not one call per candidate
+    (67 calls here, 1230 in ten cycles of the N=40 grid, once).  Every
+    level's roots are a read-only copy of their own, never a view that
+    keeps its rung's stack alive."""
+    stacks, lengths, canonical, calls = [], [], [], collections.Counter()
     eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, hamiltonian._twisted_rows
     roots_of_rows, stacked_canonical = bethe._roots_of_rows, bethe._canonical
 
     def per_call(rows):
         stacks.append(collections.Counter())
+        lengths.append([])
         return roots_of_rows(rows)
 
-    def stacked(a):   # may run on a pool thread, while its `per_call` waits
-        stacks[-1].update((m.dtype.str, m.shape, m.tobytes()) for m in (a if a.ndim == 3 else [a]))
+    def stacked(a):   # may run on a worker thread, while its `per_call` waits
+        matrices = a if a.ndim == 3 else [a]
+        stacks[-1].update((m.dtype.str, m.shape, m.tobytes()) for m in matrices)
+        lengths[-1].append(len(matrices))
         return eigvals(a)
 
     def canonicalized(stack):
@@ -337,6 +325,7 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, pools):
     report = cross_validate(*_route_sector("A-60"))
     assert [sum(matrices.values()) for matrices in stacks] == [61, 3, 3]
     assert all(set(matrices.values()) == {1} for matrices in stacks)
+    assert [sorted(parts, reverse=True) for parts in lengths] == [[31, 30], [3], [3]]
     assert canonical == [(61, 60), (3, 60), (3, 60)]
     assert dict(calls) == {"_twisted_rows": 1}
     assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
@@ -358,13 +347,13 @@ def _assert_numpy_roots(got, rows, failed=()):
         assert roots.dtype == want.dtype and roots.tobytes() == want.tobytes()
 
 
-def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, pools):
+def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, two_cpus):
     """A-60's first-rung rows (61 companion matrices of size 60, above the
     split bound) are solved in two parts, 31 on the calling thread and 30 on
-    the pool, each under the caller's numpy error state, and every row's
-    roots are `np.roots` of the row, bit for bit.  So are those of a stack
-    whose parts differ in result dtype: its first part has only real roots
-    and comes back real, its second does not."""
+    a worker thread, each under the caller's numpy error state, and every
+    row's roots are `np.roots` of the row, bit for bit.  So are those of a
+    stack whose parts differ in result dtype: its first part has only real
+    roots and comes back real, its second does not."""
     model, sec = _route_sector("A-60")
     twisted = list(diagonalize(build_monomial_matrix(model, sec)).vectors.T)
     rng = np.random.default_rng(11)
@@ -382,7 +371,7 @@ def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, pools):
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
     for rows, sizes, dtypes in ((twisted, [31, 30], [complex, complex]),
                                 (mixed, [300, 300], [float, complex])):
-        assert len(rows) * (len(rows[0]) - 1) ** 3 >= bethe._SPLIT_WORK
+        assert len(rows) * (len(rows[0]) - 1) ** 3 >= 2 * bethe._PART_WORK
         calls.clear()
         with np.errstate(over="ignore", under="raise", invalid="warn", divide="ignore"):
             got = bethe._roots_of_rows(rows)
@@ -396,10 +385,10 @@ def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, pools):
         assert all(state == caller for _, _, _, state in calls)
 
 
-def test_split_eigensolve_failure_drops_one_row(monkeypatch, pools):
-    """A matrix of the pool's part that LAPACK does not converge on makes
-    that part raise; once both parts are done, the stack is redone one
-    matrix at a time, and only that row comes back None."""
+def test_split_eigensolve_failure_drops_one_row(monkeypatch, two_cpus):
+    """A matrix of the worker thread's part that LAPACK does not converge on
+    makes that part raise; once both parts are done, the stack is redone
+    one matrix at a time, and only that row comes back None."""
     model, sec = _route_sector("A-60")
     rows = list(diagonalize(build_monomial_matrix(model, sec)).vectors.T)
     bad = rows[45][::-1]   # the level's row, high order first
@@ -419,23 +408,14 @@ def test_split_eigensolve_failure_drops_one_row(monkeypatch, pools):
     _assert_numpy_roots(got, rows, failed={45})
 
 
-def test_concurrent_cross_validate_matches_a_serial_run(monkeypatch, pools):
+def test_concurrent_cross_validate_matches_a_serial_run(monkeypatch, two_cpus):
     """Four user threads running `cross_validate` on B-60 and C-60 at once,
-    twice each, on two CPUs and with a short switch interval, share one
-    pool, though it takes 50 ms to build, and give the reports a serial
-    run gives, pickled byte for byte.  So does a run on a single CPU,
-    which creates no pool."""
+    twice each, on two CPUs and with a short switch interval, each splitting
+    its own stacks, give the reports a serial run gives, pickled byte for
+    byte.  So does a run on a single CPU, which solves every stack on the
+    calling thread."""
     sectors = [_route_sector(name) for name in ("B-60", "C-60")]
     serial = [pickle.dumps(cross_validate(*sector)) for sector in sectors]
-    recorded_pool = concurrent.futures.ThreadPoolExecutor
-
-    class SlowPool(recorded_pool):   # widens the window for a second pool
-        def __init__(self, *args, **kwargs):
-            time.sleep(0.05)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
-    monkeypatch.setattr(bethe, "_pool", None)
     threaded = [None] * 4
 
     def run(index):
@@ -453,36 +433,16 @@ def test_concurrent_cross_validate_matches_a_serial_run(monkeypatch, pools):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert threaded == serial * 2
-    assert len(pools) == 2   # one for the serial run, one shared by the threads
+    eigvals, callers = np.linalg.eigvals, set()
+
+    def recorded(a):
+        callers.add(threading.current_thread())
+        return eigvals(a)
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(bethe, "_pool", None)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
     assert [pickle.dumps(cross_validate(*sector)) for sector in sectors] == serial
-    assert bethe._pool is None and len(pools) == 2
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_forked_child_solves_split_stacks(pools):
-    """A process forked after the pool has started solves split stacks on a
-    pool of its own: the parent's pool threads do not exist in the child,
-    and work sent to its copy of the pool would never run.  The child's
-    report is the parent's, pickled byte for byte."""
-    model, sec = _route_sector("A-40")
-    want = pickle.dumps(cross_validate(model, sec))
-    assert bethe._pool is not None
-    pid = os.fork()
-    if pid == 0:   # the child never returns into the test runner
-        code = 1
-        try:
-            code = 0 if pickle.dumps(cross_validate(model, sec)) == want else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if done[0] == 0:   # hung: stop it, and fail
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    assert callers == {threading.current_thread()}
 
 
 def test_direct_search_finds_nothing_without_starts():
