@@ -36,20 +36,21 @@ of coefficient rows, low order first:
    the three-term recurrence, at high working precision in the standard
    library's `decimal`.
 
-The first two are tagged 'extracted', the last 'refined'.  One mask drops
-the rows that are non-finite or have a zero top coefficient (a pivot that
-vanished or overflowed); the roots of the rest come from one stacked
-companion-matrix eigensolve (`_roots_of_rows`), and a row LAPACK does not
-converge on is dropped too.  A stack large enough to pay for it (from
+The first two are tagged 'extracted', the last 'refined'.  `_roots_of_rows`
+maps a rung's (L, N + 1) rows to an (L, N) array of root sets and an (L,)
+mask of the rows that have them: a row that is non-finite or has a zero
+top coefficient (a pivot that vanished or overflowed) has none, nor does a
+row LAPACK does not converge on; the rest come from one stacked
+companion-matrix eigensolve.  A stack large enough to pay for it (from
 N + 1 matrices of size N ~ 32) is cut into parts, at most one per CPU the
 process may use and none below the work at which a 2-way split was
 measured to pay, and the parts are solved on as many threads; each matrix
 gets the same LAPACK call either way, so the roots are bit for bit those
-of a serial solve.  Every root set left has all N roots, so a rung's
-candidates form one (L, N) array: it is canonicalized once, as a whole
-(`_canonical`), and its residuals, closed-form energies and degenerate
-flags are computed on that array.  Each canonical set is both scored and
-returned, as a read-only complex array of its own.  A level's first set
+of a serial solve.  The masked rows form one (L', N) stack of candidates,
+judged as a whole (`_judged`): canonicalized once (`_canonical`), then
+their residuals, closed-form energies and degenerate flags are computed
+on that stack.  Each canonical set is both scored and returned, as a
+read-only complex array of its own.  A level's first set
 that passes is accepted, and its later candidates are never built: its
 scaled robust residual is within a fixed 1e-12 and its closed-form energy
 agrees with the oracle eigenvalue to a fixed 1e-8 of the spectral scale
@@ -69,8 +70,9 @@ numpy.polynomial's Horner sweep and derivative written out), and both
 residual forms read that one evaluation; an overflowed bound reads as an
 infinite residual.  An independent multi-start Newton search on the
 pole-residue equations, run on the same operator, is available as a
-confirmation mode (`direct_search`); it judges its converged starts as one
-stack of root sets in the same way.
+confirmation mode (`direct_search`): each Newton step evaluates a root set
+and its shifted copies as one stack, and the converged starts are judged
+as one stack of root sets by the same `_judged`.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def _scaled_bae(at) -> np.ndarray:
     scale = np.maximum(bound / np.maximum(np.abs(dpsi), 1e-300), 1.0)
     ratio = np.abs(_pole_residues(at)) / scale
     ratio[~np.isfinite(bound)] = math.inf
-    return np.max(ratio, axis=1)
+    return np.max(ratio, axis=1, initial=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -401,9 +403,9 @@ def _cpus() -> int:
 _PART_WORK = 5e5
 
 
-def _eigvals_parts(companion: np.ndarray) -> list:
-    """`np.linalg.eigvals` of a stack of matrices, as a list of contiguous
-    parts of the stack's result, in order.
+def _eigvals_parts(companion: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvals` of a stack of matrices, one row of eigenvalues
+    per matrix, in stack order.
 
     The stack is cut into as many parts as the process has CPUs, but none
     with less work than `_PART_WORK`; with one part it gets one call.
@@ -412,15 +414,14 @@ def _eigvals_parts(companion: np.ndarray) -> list:
     without the GIL), each in a copy of the caller's context, so numpy's
     error state is the caller's.  Each matrix goes through the same geev
     call either way, so each row of eigenvalues is bit for bit the same.
-    A part whose eigenvalues are all real comes back as a real array even
-    where the whole stack would not; the caller casts each row to complex,
-    which gives the same values.  An error in any part is raised once
-    every part has finished.
+    The parts are joined into one array: a part whose eigenvalues are all
+    real joins complex ones as the same values.  An error in any part is
+    raised once every part has finished.
     """
     work = len(companion) * companion.shape[-1] ** 3
     count = min(_cpus(), len(companion), int(work // _PART_WORK))
     if count < 2:
-        return [np.linalg.eigvals(companion)]
+        return np.linalg.eigvals(companion)
     first, *rest = np.array_split(companion, count)
     parts = [None] * len(rest)
 
@@ -442,48 +443,48 @@ def _eigvals_parts(companion: np.ndarray) -> list:
     for part in parts:
         if isinstance(part, Exception):
             raise part
-    return [head, *parts]
+    return np.concatenate([head, *parts])
 
 
-def _roots_of_rows(rows) -> list:
-    """Roots of each polynomial sum_n row[n] z^n, one complex array per row,
-    each bit for bit `numpy.roots(row[::-1])` cast to complex.
+def _roots_of_rows(rows: np.ndarray):
+    """Roots of each polynomial sum_n row[n] z^n of an (L, N + 1) array of
+    coefficient rows, low order first: an (L, N) complex array of root
+    sets and an (L,) mask of the rows that have roots.
 
-    As in `numpy.roots`, a row's zero top coefficients are dropped, each zero
-    constant term gives a root at 0 appended after the eigenvalues, and the
-    companion matrix of what is left keeps the row's dtype (complex rows stay
-    on LAPACK's zgeev).  The companion matrices of one (degree, dtype) are
-    stacked and solved together (`_eigvals_parts`): a rung of the ladder
-    makes one geev call per matrix, on the CPUs the process may use when
-    the stack is large.  One matrix LAPACK does not converge on makes the
-    whole stack raise LinAlgError; the group is then redone one matrix at
-    a time, and a row whose own eigensolve fails gets None, not roots.
-    Every row needs a nonzero coefficient.
+    A row has roots when it is finite, its top coefficient is nonzero and
+    LAPACK converges on its companion matrix; its roots are then bit for
+    bit `numpy.roots(row[::-1])` cast to complex, and a row outside the
+    mask reads zeros.  As in `numpy.roots`, each zero constant term gives a
+    root at 0 after the eigenvalues, and the companion matrix keeps the
+    rows' dtype (complex rows stay on LAPACK's zgeev).  The rows with the
+    same number of zero constant terms share a degree, and their companion
+    matrices are solved as one stack (`_eigvals_parts`): a rung of the
+    ladder makes one geev call per matrix, on the CPUs the process may use
+    when the stack is large.  One matrix LAPACK does not converge on makes
+    the whole stack raise LinAlgError; the stack is then redone one matrix
+    at a time, and a row whose own eigensolve fails drops out of the mask.
     """
-    roots = [None] * len(rows)
-    groups = {}
-    for index, row in enumerate(rows):
-        row = np.asarray(row)
-        nonzero = np.flatnonzero(row)
-        low, high = int(nonzero[0]), int(nonzero[-1])
-        p = row[low:high + 1][::-1]
-        groups.setdefault((p.size, p.dtype), []).append((index, p, low))
-    for (size, dtype), members in groups.items():
-        coeffs = np.array([p for _, p, _ in members])
-        companion = np.zeros((len(members), size - 1, size - 1), dtype=dtype)
+    n = rows.shape[1] - 1
+    roots = np.zeros((len(rows), n), dtype=complex)
+    has = np.all(np.isfinite(rows), axis=1) & (rows[:, -1] != 0)
+    lows = np.argmax(rows != 0, axis=1)
+    for low in np.unique(lows[has]).tolist():
+        index = np.flatnonzero(has & (lows == low))
+        coeffs = rows[index, low:][:, ::-1]   # high order first
+        size = n - low
+        companion = np.zeros((len(index), size, size), dtype=rows.dtype)
         companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
-        companion[:, range(1, size - 1), range(size - 2)] = 1
+        companion[:, range(1, size), range(size - 1)] = 1
         try:
-            parts = _eigvals_parts(companion)
+            roots[index, :size] = _eigvals_parts(companion)
         except np.linalg.LinAlgError:
-            if len(members) > 1:   # redo the group one row at a time
-                for index, _, _ in members:
-                    roots[index] = _roots_of_rows([rows[index]])[0]
-            continue
-        stack = (values for part in parts for values in part)
-        for (index, _, zeros), values in zip(members, stack):
-            roots[index] = np.concatenate((values, np.zeros(zeros))).astype(complex)
-    return roots
+            has[index] = False
+            if len(index) > 1:   # redo the stack one matrix at a time
+                for row, matrix in zip(index.tolist(), companion):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        roots[row, :size] = np.linalg.eigvals(matrix[None])[0]
+                        has[row] = True
+    return roots, has
 
 
 def canonicalize_roots(roots) -> tuple:
@@ -696,6 +697,20 @@ def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
     return energies
 
 
+def _judged(op: DiffOpForm, p_list, stack: np.ndarray, rel_tol: float):
+    """An (L, N) stack of root sets judged as one: its canonical form and,
+    per canonical set, as lists, the scaled robust residual, the scaled
+    pole-residue residual (NaN where two roots lie within rel_tol of the
+    set's root scale, which that form cannot take), the closed-form energy
+    (`_closed_form_energies`) and that close flag."""
+    stack = _canonical(stack)
+    at = _terms_at_roots(p_list, stack)
+    close = _close_pairs(stack, rel_tol)
+    bae = np.where(close, math.nan, _scaled_bae(at))
+    return (stack, _scaled_robust(at).tolist(), bae.tolist(),
+            _closed_form_energies(op, stack).tolist(), close)
+
+
 @_quiet
 def _solve_levels(op, p_list, block, spec):
     """One `BetheSolution` per level of a sector, in level order, from one
@@ -726,31 +741,19 @@ def _solve_levels(op, p_list, block, spec):
     for tag, build in rungs:
         if not live.size:
             break
-        rows = build(live)
-        keep = np.all(np.isfinite(rows), axis=1) & (rows[:, -1] != 0)
-        # a row whose eigensolve failed has no roots and is dropped too
-        found = [(level, roots) for level, roots
-                 in zip(live[keep].tolist(), _roots_of_rows(list(rows[keep])))
-                 if roots is not None]
-        if found:
-            # each row has a nonzero top coefficient, so all N roots: one (L, N) stack
-            stack = _canonical(np.array([roots for _, roots in found]))
-            at = _terms_at_roots(p_list, stack)
-            judged = zip([level for level, _ in found], stack, _scaled_robust(at).tolist(),
-                         _scaled_bae(at).tolist(), _closed_form_energies(op, stack).tolist(),
-                         _close_pairs(stack, _DEGENERATE_TOL))
-            for level, roots, resid, r_bae, energy, degenerate in judged:
-                oracle = oracles[level]
-                error = abs(energy - oracle) if math.isfinite(energy) else math.inf
-                agrees = error <= energy_tol
-                rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
-                if rank > best[level][0]:
-                    best[level] = (rank, BetheSolution(
-                        # a copy of its own: a level never pins the rung's stack
-                        level=level, roots=_frozen(roots), energy=energy, oracle_energy=oracle,
-                        # the pole-residue form needs pairwise separated roots
-                        residual_bae=math.nan if degenerate else r_bae, residual_robust=resid,
-                        source=tag, degenerate=degenerate, reduced=False, converged=rank[0]))
+        sets, has = _roots_of_rows(build(live))
+        judged = zip(live[has].tolist(), *_judged(op, p_list, sets[has], _DEGENERATE_TOL))
+        for level, roots, resid, r_bae, energy, degenerate in judged:
+            oracle = oracles[level]
+            error = abs(energy - oracle) if math.isfinite(energy) else math.inf
+            agrees = error <= energy_tol
+            rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
+            if rank > best[level][0]:
+                best[level] = (rank, BetheSolution(
+                    # a copy of its own: a level never pins the rung's stack
+                    level=level, roots=_frozen(roots), energy=energy, oracle_energy=oracle,
+                    residual_bae=r_bae, residual_robust=resid, source=tag,
+                    degenerate=degenerate, reduced=False, converged=rank[0]))
         live = live[[not best[level][0][0] for level in live.tolist()]]
     return [solution for _, solution in best]
 
@@ -799,26 +802,25 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
                               oracle_energy=math.nan, residual_bae=0.0, residual_robust=0.0,
                               source="direct", degenerate=False, reduced=False, converged=True)]
 
-    def residues(stack):
-        """Pole-residue components of each root set in the stack."""
-        return _pole_residues(_terms_at_roots(p_list, stack))
-
     rng = np.random.default_rng(seed)
     converged = []
     for _ in range(starts):
         roots = _START_RADIUS * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         for _ in range(_NEWTON_STEPS):
-            if _close_pairs(roots[None], _MIN_SEPARATION)[0]:
+            h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
+            # the set, then its shifts: row q + 1 moves root q by h
+            stack = np.vstack((roots, roots + h * np.eye(n)))
+            close = _close_pairs(stack, _MIN_SEPARATION)
+            if close[0]:
                 break
-            f = residues(roots[None])[0]
+            residues = _pole_residues(_terms_at_roots(p_list, stack))
+            f = residues[0]
             if np.max(np.abs(f)) < 1e-30:
                 converged.append(roots)
                 break
-            h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
-            shifted = roots + h * np.eye(n)   # row q moves root q by h
-            if any(_close_pairs(shifted, _MIN_SEPARATION)):
+            if any(close[1:]):
                 break
-            jac = ((residues(shifted) - f) / h).T
+            jac = ((residues[1:] - f) / h).T
             if not np.all(np.isfinite(jac)):
                 break
             try:
@@ -829,14 +831,10 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
             if np.max(np.abs(step)) < 1e-13 * max(1.0, float(np.max(np.abs(roots)))):
                 converged.append(roots)
                 break
-    if not converged:   # the kernels need a root set: np.max of a (0, 0) stack raises
+    if not converged:   # no start gives np.array no (L, N) shape to judge
         return []
-    stack = _canonical(np.array(converged))
-    at = _terms_at_roots(p_list, stack)
-    robust, bae = _scaled_robust(at).tolist(), _scaled_bae(at).tolist()
-    energies = _closed_form_energies(op, stack).tolist()
     # snapping conjugate pairs onto the axis can make two roots coincide
-    close = _close_pairs(stack, _MIN_SEPARATION)
+    stack, robust, bae, energies, _ = _judged(op, p_list, np.array(converged), _MIN_SEPARATION)
     # moduli by np.hypot, as Python's abs of a complex
     scales = np.maximum(1.0, np.hypot(stack.real, stack.imag).max(axis=1))
     found, kept = [], []   # the distinct certified sets and their rows, in start order
@@ -851,8 +849,8 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
             energy = _energy_of_sum(op.hop_values, sum(stack[row].tolist()))
         found.append(BetheSolution(
             level=-1, roots=_frozen(stack[row]), energy=energy, oracle_energy=math.nan,
-            residual_bae=math.nan if close[row] else bae[row], residual_robust=resid,
-            source="direct", degenerate=False, reduced=False, converged=True))
+            residual_bae=bae[row], residual_robust=resid, source="direct",
+            degenerate=False, reduced=False, converged=True))
     found.sort(key=lambda sol: sol.energy)
     return found
 

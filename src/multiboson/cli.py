@@ -97,10 +97,7 @@ def _build_model(args) -> "tuple":
     w_text = args.w
 
     if args.preset is not None:
-        case = args.preset
-        if case not in models.PRESET_SHAPES:
-            raise ConfigError(f"preset: unknown case {case!r}")
-        r, s, k = models.PRESET_SHAPES[case]
+        r, s, k = models.PRESET_SHAPES[args.preset]   # argparse's choices vet the name
     elif args.config is not None:
         kv = _read_config_file(args.config)
         try:

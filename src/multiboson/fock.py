@@ -99,15 +99,15 @@ class ModelSpec:
         return self.wq[i][j]
 
 
-def _as_power(ki) -> int:
-    """An interaction power as an int; a non-integral value is rejected,
-    never truncated."""
+def _as_int(x, what: str) -> int:
+    """An integral value (an int, or a float or Fraction equal to one) as an
+    int; anything else is rejected, never truncated."""
     try:
-        if int(ki) == ki:
-            return int(ki)
+        if int(x) == x:
+            return int(x)
     except (TypeError, ValueError, OverflowError):   # None, text, nan, inf
         pass
-    raise ValueError(f"interaction powers k must be integers, got {ki!r}")
+    raise ValueError(f"{what} must be integers, got {x!r}")
 
 
 def make_model(r, s, k, w=None, wq=None, g=0) -> ModelSpec:
@@ -116,19 +116,22 @@ def make_model(r, s, k, w=None, wq=None, g=0) -> ModelSpec:
     `k` holds integral values (int, or a float or Fraction equal to one);
     anything else raises ValueError.  `w` may be None (all zero) or a
     sequence of length r+s.  `wq` may be None, a dict keyed by (i, j) with
-    0-based i <= j, or a full square matrix.  Exact (int / Fraction)
-    couplings are kept exact so downstream polynomial coefficients stay
-    rational; any other coupling becomes a float, and a non-finite one
-    raises ValueError.
+    0-based integral i <= j, or a full square matrix; a key with an index
+    outside 0..r+s-1 raises ValueError.  Exact (int / Fraction) couplings
+    are kept exact so downstream polynomial coefficients stay rational; any
+    other coupling becomes a float, and a non-finite one raises ValueError.
     """
     n = r + s
-    kt = tuple(_as_power(ki) for ki in k)
+    kt = tuple(_as_int(ki, "interaction powers k") for ki in k)
     wt = tuple(_as_coupling(x) for x in (w if w is not None else [0] * n))
     if wq is None:
         rows = [[0] * n for _ in range(n)]
     elif isinstance(wq, dict):
         rows = [[0] * n for _ in range(n)]
-        for (i, j), val in wq.items():
+        for key, val in wq.items():
+            i, j = (_as_int(m, "wq mode indices") for m in key)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"wq key {key!r} is out of range: mode indices run 0..{n - 1}")
             if i > j:
                 i, j = j, i
             rows[i][j] = _as_coupling(val)
@@ -254,9 +257,11 @@ def sector_from_occupations(model: ModelSpec, occupations: Sequence[int]) -> Sec
     l values from differences of the single-mode number values
     Q0_i = (m_i + 1/k_i)/k_i, and kappa from the two group averages.  The
     base state is found by lowering with the interaction term until a
-    creation-group mode would go negative.
+    creation-group mode would go negative.  Each occupation must be
+    integral (an int, or a float or Fraction equal to one); anything else
+    raises ValueError, never truncated.
     """
-    occ = tuple(int(m) for m in occupations)
+    occ = tuple(_as_int(m, "occupations") for m in occupations)
     if len(occ) != model.n_modes:
         raise ValueError(f"occupations must have length r+s={model.n_modes}, got {len(occ)}")
     if any(m < 0 for m in occ):

@@ -165,6 +165,13 @@ def test_text_format(capsys):
     (["scan", "--preset", "A", "--g-range", "1:0:0.1", "--occ", "0,0,2"], "below start"),
     (["scan", "--preset", "A", "--sweep", "w1", "--range", "1:0.5:0.1", "--occ", "0,0,2"],
      "below start"),
+    # mode numbers are 1..r+s: 0 once wrapped round to w33, 4 raised an
+    # IndexError, and 0,2 was reported as a lower-triangle entry
+    (["solve", "--preset", "A", "--wq=0,0=0.5", "--g=0.8", "--occ=0,3,3"], "out of range"),
+    (["solve", "--preset", "A", "--wq=4,4=1", "--g=0.8", "--occ=0,3,3"], "out of range"),
+    (["solve", "--preset", "A", "--wq=0,2=0.5", "--g=0.8", "--occ=0,3,3"], "out of range"),
+    (["solve", "--config", "model.r = 2\nmodel.s = 1\nmodel.k = 1,1,1\n"
+      "model.wq.0.0 = 0.5\nmodel.g = 1\nsector.occ = 0,0,1\n"], "out of range"),
 ])
 def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     # an argument holding newlines is the text of a config file

@@ -209,6 +209,32 @@ def test_make_model_keeps_integral_powers_of_any_type():
     assert k == (2, 3, 1) and all(type(ki) is int for ki in k)
 
 
+@pytest.mark.parametrize("key", [(-1, -1), (0, -1), (3, 3), (1, 3), (3, 0)])
+def test_make_model_rejects_quadratic_keys_out_of_range(key):
+    """A w_ij key with a mode index outside 0..r+s-1 is an error: a
+    negative index once wrapped round to the last mode, a large one raised
+    a bare IndexError.  So is a non-integral index, which raised a
+    TypeError; an integral one of any type is kept."""
+    with pytest.raises(ValueError, match=r"wq key .* out of range"):
+        make_model(2, 1, (1, 1, 1), wq={key: 0.5}, g=1)
+    with pytest.raises(ValueError, match="wq mode indices must be integers"):
+        make_model(2, 1, (1, 1, 1), wq={(0.5, 1): 0.5}, g=1)
+    assert make_model(2, 1, (1, 1, 1), wq={(2.0, 2): 0.5, (1, 0): 0.25}, g=1).wq == (
+        (0, 0.25, 0), (0, 0, 0), (0, 0, 0.5))
+
+
+@pytest.mark.parametrize("occ", [(0.9, 0, 3.7), (0, 0, 3.5), (Fraction(1, 2), 0, 3),
+                                 (0, float("nan"), 3), (0, 0, None)])
+def test_sector_rejects_non_integral_occupations(occ):
+    """A non-integral occupation is an error, never truncated: (0.9, 0, 3.7)
+    once gave the sector of (0, 0, 3).  Integral values of any type are
+    kept."""
+    with pytest.raises(ValueError, match="occupations must be integers"):
+        sector_from_occupations(MODEL_B, occ)
+    assert sector_from_occupations(MODEL_B, (2.0, Fraction(1), 4)) == sector_from_occupations(
+        MODEL_B, (2, 1, 4))
+
+
 def test_mode_q_values_in_allowed_set():
     from oracles import allowed_q_values
 
