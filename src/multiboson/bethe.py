@@ -26,15 +26,15 @@ of coefficient rows, low order first:
 
 1. the levels' columns of `spec.vectors`, the eigenvectors `diagonalize`
    takes from a twisted factorization of the monomial block minus each
-   eigenvalue (this module computes no eigenvector of its own);
+   eigenvalue (`hamiltonian._twisted_rows`);
 2. the same rows cast to complex, so that their companion matrices go to
    LAPACK's zgeev instead of dgeev: a second eigensolve of the same rows,
    in other rounding, which takes some levels of an ill-conditioned
    eigenpolynomial under the gate;
 3. the decimal rows (`_decimal_rows`): each eigenvalue polished on the
-   characteristic-polynomial recurrence, and the coefficients rebuilt from
-   the three-term recurrence, at high working precision in the standard
-   library's `decimal`.
+   characteristic-polynomial recurrence, and the rows rebuilt by the same
+   twisted factorization, both at a fixed 30 digits in the standard
+   library's `decimal`.  This module computes no eigenvector of its own.
 
 The first two are tagged 'extracted', the last 'refined'.  `_roots_of_rows`
 maps a rung's (L, N + 1) rows to an (L, N) array of root sets and an (L,)
@@ -89,6 +89,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import hamiltonian
 from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
 from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
@@ -119,6 +120,10 @@ _NEWTON_STEPS = 50
 # Imaginary part of a closed-form energy, relative to max(1, |Re E|), above
 # which its root set is rejected as not conjugate-symmetric.
 _IMAG_TOL = 1e-8
+# Arithmetic of the decimal rung: 30 digits, an unbounded exponent range, so
+# no coefficient overflows, and no traps, so a zero pivot leaves its row
+# non-finite, as in float64.
+_DECIMAL_CONTEXT = decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
 
 
 @dataclass(frozen=True, slots=True, eq=False)   # slots: callers keep one per level
@@ -133,7 +138,7 @@ class BetheSolution:
     (the block's eigenvector from the twisted factorization, its roots
     found in real or in complex arithmetic, or the exact monomial of a
     diagonal block), 'refined' (roots of the eigenpolynomial the decimal
-    recurrence builds), or 'direct' (independent multi-start search).
+    rung rebuilds), or 'direct' (independent multi-start search).
     """
 
     level: int
@@ -611,53 +616,32 @@ def _energy_of_sum(values, total):
 
 
 def _decimal_rows(values, energies) -> np.ndarray:
-    """Eigenpolynomial coefficients at high working precision, one (N + 1)
-    row per energy, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
+    """Eigenpolynomial coefficients at a fixed 30 digits, one (N + 1) row
+    per energy, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
 
-    Working precision is the honest cure for hard levels: each energy is
-    polished by Newton's method on the characteristic-polynomial recurrence
-    of the monomial block, then the coefficients follow from c_0 = 1 by
-    C(m+1) c_{m+1} = (E - B(m)) c_m - A(m-1) c_{m-1}, which resolves every
-    coefficient -- including components far below float64 visibility --
-    before the peak-normalized row is rounded back to float64.  In exact
-    arithmetic a row is `diagonalize`'s monomial eigenvector, its twisted
-    factorization with the twist pinned at N.  The arithmetic is the
-    standard library's `decimal`, at max(40, 20 + 2N) digits and an
-    unbounded exponent range, like arbitrary-precision binary floats, so no
-    coefficient overflows.  The hop values are converted once: Fractions
-    are divided at working precision, every other value enters through
-    float.  That rule's gate, `np.array_equal` of the rounded rows against
-    an mpmath reference at max(50, 30 + 4N) digits, holds only for
-    g >= 0.1; on preset A at N = 40 the rows differ on 23 of 41 levels at
-    g = 1e-2 (and 10 at g = 0.1), so it falls short at weak coupling.  A
-    vanishing C(m) raises ZeroDivisionError: the interaction is off and
-    there is no recurrence (the ladder solves such a diagonal block exactly
-    and never gets here).
+    Each energy is polished by Newton's method on the characteristic-
+    polynomial recurrence of the monomial block, and the rows are
+    `hamiltonian._twisted_rows` of that block, held as `decimal` objects,
+    at the polished energies: products of ratios, with no cancelling
+    recurrence, so the digits need not grow with N.  Fractions among the
+    hop values are divided at working precision; every other value enters
+    through float.  Each row is flipped to c_0 > 0 and rounded to float64.
     """
-    n = len(values[1]) - 1
-    context = decimal.Context(prec=max(40, 20 + 2 * n),
-                              Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-    def convert(x):
-        if isinstance(x, Fraction):
-            return decimal.Decimal(x.numerator) / x.denominator
-        return decimal.Decimal(float(x))
-
-    rows = []
-    with decimal.localcontext(context):
-        hop_a, hop_b, hop_c = ([convert(x) for x in row] for row in values)
-        if not all(hop_c):   # decimal signals 0/0 as InvalidOperation: test first
-            raise ZeroDivisionError("C(m) vanishes: no recurrence")
+    with decimal.localcontext(_DECIMAL_CONTEXT):
+        hop_a, hop_b, hop_c = ([decimal.Decimal(x.numerator) / x.denominator
+                                if isinstance(x, Fraction) else decimal.Decimal(float(x))
+                                for x in row] for row in values)
         off = [a * c for a, c in zip(hop_a, hop_c)]
         one = decimal.Decimal(1)
+        polished = []
         for energy in energies:
             e_val = decimal.Decimal(energy)
-            stop = decimal.Decimal(10) ** (8 - context.prec) * max(one, abs(e_val))
+            stop = decimal.Decimal(10) ** (8 - _DECIMAL_CONTEXT.prec) * max(one, abs(e_val))
             for _ in range(80):
                 # det(M - E) and its E-derivative via the minor recurrence
                 p_prev, p_cur = one, hop_b[0] - e_val
                 d_prev, d_cur = decimal.Decimal(0), -one
-                for m in range(1, n + 1):
+                for m in range(1, len(hop_b)):
                     diag = hop_b[m] - e_val
                     p_new = diag * p_cur - off[m - 1] * p_prev
                     d_new = -p_cur + diag * d_cur - off[m - 1] * d_prev
@@ -668,15 +652,11 @@ def _decimal_rows(values, energies) -> np.ndarray:
                 e_val -= step
                 if abs(step) <= stop:
                     break
-            row = [one]
-            for m in range(n):
-                rhs = (e_val - hop_b[m]) * row[m]
-                if m > 0:
-                    rhs -= hop_a[m - 1] * row[m - 1]
-                row.append(rhs / hop_c[m])
-            peak = max(abs(x) for x in row)
-            rows.append([float(x / peak) for x in row])
-    return np.array(rows)
+            polished.append(e_val)
+        block = hamiltonian.TridiagonalBlock(
+            "monomial", *(np.array(v, dtype=object) for v in (hop_b, hop_a, hop_c)))
+        rows = hamiltonian._twisted_rows(block, polished)
+        return np.where(rows[:, :1] < 0, -rows, rows).astype(float)
 
 
 def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:

@@ -83,6 +83,13 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+def _wq_key(i: int, j: int, n_modes: int, entry: str) -> tuple:
+    """0-based key of 1-based modes i, j; `entry` names a key out of range."""
+    if not (1 <= i <= n_modes and 1 <= j <= n_modes):
+        raise ConfigError(f"{entry} is out of range: mode numbers run 1..{n_modes}")
+    return i - 1, j - 1
+
+
 def _build_model(args) -> "tuple":
     """Resolve the model and sector anchor from flags / config / preset."""
     sources = [args.preset is not None, args.config is not None,
@@ -118,9 +125,9 @@ def _build_model(args) -> "tuple":
                 if len(parts) != 4:
                     raise ConfigError(f"config: bad quadratic key {key!r} "
                                       "(expected model.wq.<i>.<j>)")
-                i = _parse_field(parts[2], key, int) - 1
-                j = _parse_field(parts[3], key, int) - 1
-                wq_entries[(i, j)] = _parse_field(value, key)
+                i = _parse_field(parts[2], key, int)
+                j = _parse_field(parts[3], key, int)
+                wq_entries[_wq_key(i, j, r + s, f"config key {key!r}")] = _parse_field(value, key)
     else:
         if args.r is None or args.s is None or args.k is None:
             raise ConfigError("model: inline form needs --r, --s, and --k")
@@ -139,10 +146,11 @@ def _build_model(args) -> "tuple":
             try:
                 key, value = item.split("=")
                 i, j = key.strip().split(",")
-                wq_entries[(int(i) - 1, int(j) - 1)] = _parse_number(value)
+                i, j, value = int(i), int(j), _parse_number(value)
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"wq: cannot parse entry {item!r} "
                                   "(expected 'i,j=value;...')") from None
+            wq_entries[_wq_key(i, j, n, f"wq: entry {item!r}")] = value
     g = _parse_field(str(g_value), "g") if g_value is not None else 0
 
     try:

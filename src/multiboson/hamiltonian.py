@@ -10,7 +10,8 @@ normalization constants), so their spectra agree by construction;
 diagonalizing the Fock block is the ground-truth oracle the root-based
 solver is checked against.  Both spectra come from numpy's dense symmetric
 eigensolver; the monomial eigenvectors, each level's eigenpolynomial
-coefficients, come from a twisted factorization only (`_twisted_rows`).
+coefficients, come from a twisted factorization only (`_twisted_rows`), in
+float64 here and at 30 decimal digits in the root solver's decimal rung.
 """
 
 from __future__ import annotations
@@ -157,13 +158,16 @@ def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
     z_i = -upper[i-1] z_{i-1} / D-_i below it (Fernando 1997; Parlett &
     Dhillon 1997).  Each entry is a product of ratios, not what is left of
     a forward recurrence's cancelling terms, so components far below the
-    peak, which a symmetric eigensolver's vectors lose, come out in float64
-    with a relative error set by the pivots' and the energy's.  Rows are
-    (L, N + 1), one per energy, peak-normalized, the twist entry positive;
-    a zero pivot or an overflow leaves the row non-finite, silently.
+    peak, which a symmetric eigensolver's vectors lose, come out with a
+    relative error set by the pivots' and the energy's, at whatever
+    precision the block holds: float64 for `diagonalize`, `decimal`
+    objects at a fixed 30 digits for the root solver's decimal rung (the
+    energies are cast to the block's dtype).  Rows are (L, N + 1), one per
+    energy, peak-normalized, the twist entry positive; a zero pivot or an
+    overflow leaves the row non-finite, silently.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
+        shift = block.diag[:, None] - np.asarray(energies, dtype=block.diag.dtype)   # (N + 1, L)
         couplings = (block.upper * block.lower).tolist()
         plus, minus = [shift[0]], [shift[-1]]
         for d, c in zip(shift[1:], couplings):
@@ -172,12 +176,13 @@ def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
             minus.append(d - c / minus[-1])
         plus, minus = np.array(plus), np.array(minus[::-1])
         gamma = np.abs(plus + minus - shift)
-        twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
+        # gamma != gamma finds NaN in float64 and decimal alike; no twist there
+        twist = np.argmin(np.where(gamma != gamma, np.inf, gamma), axis=0)
         index = np.arange(len(shift) - 1)[:, None]
         # ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it; 1
         # elsewhere, so each cumulative product runs outward from z_k = 1
-        up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1.0)
-        down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1.0)
+        up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1)
+        down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1)
         rows = np.ones_like(shift)
         rows[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
         rows[1:] *= np.cumprod(down, axis=0)

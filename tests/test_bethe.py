@@ -294,7 +294,8 @@ def two_cpus(monkeypatch):
 def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
     """Preset A at N=60 reaches every rung (levels 58-60 fail both twisted
     rungs and the decimal one, and are still `ok` in `cross_validate`).
-    The twisted rows are built once, and each rung finds the roots of all
+    The block is factorized once in float64 and once in decimal, for the
+    decimal rung's three levels, and each rung finds the roots of all
     of its levels in one `_roots_of_rows` call: 61, 3 and 3 companion
     matrices, each solved exactly once.  The first rung's stack is solved
     in one `np.linalg.eigvals` call per CPU, 31 and 30 matrices; each later
@@ -332,14 +333,18 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
     monkeypatch.setattr(bethe, "_roots_of_rows", per_call)
     monkeypatch.setattr(np.linalg, "eigvals", stacked)
     monkeypatch.setattr(np, "roots", counted("roots", roots))
-    monkeypatch.setattr(hamiltonian, "_twisted_rows", counted("_twisted_rows", twisted_rows))
+    def factorized(block, energies):
+        calls[f"_twisted_rows {block.diag.dtype}"] += 1
+        return twisted_rows(block, energies)
+
+    monkeypatch.setattr(hamiltonian, "_twisted_rows", factorized)
     monkeypatch.setattr(bethe, "_canonical", canonicalized)
     report = cross_validate(*_route_sector("A-60"))
     assert [sum(matrices.values()) for matrices in stacks] == [61, 3, 3]
     assert all(set(matrices.values()) == {1} for matrices in stacks)
     assert [sorted(parts, reverse=True) for parts in lengths] == [[31, 30], [3], [3]]
     assert canonical == [(61, 60), (3, 60), (3, 60)]
-    assert dict(calls) == {"_twisted_rows": 1}
+    assert dict(calls) == {"_twisted_rows float64": 1, "_twisted_rows object": 1}
     assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
     assert report.passed
     for sol in report.solutions:
@@ -1208,11 +1213,12 @@ def test_no_level_is_reduced_at_weak_coupling():
 
 @pytest.mark.parametrize("name", ["N25", "g0"])
 def test_solve_bethe_factorizes_the_block_once(monkeypatch, name):
-    """One twisted factorization per `solve_bethe`, inside `diagonalize`,
-    on a weakly coupled sector (preset A at N=60, whose levels reach every
-    rung, is counted in the stacked-eigensolve test); none on a diagonal
-    block, whose eigenvectors are unit vectors.  The solver module keeps no
-    eigenvector routine of its own."""
+    """One float64 twisted factorization per `solve_bethe`, inside
+    `diagonalize`, on a weakly coupled sector (preset A at N=60, whose
+    levels reach every rung, is counted in the stacked-eigensolve test);
+    none on a diagonal block, whose eigenvectors are unit vectors.  The
+    decimal rung runs the same routine on a block of `decimal` objects;
+    the solver module keeps no eigenvector routine of its own."""
     if name == "g0":
         model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
         sec = sector_from_occupations(model, (0, 0, 4))
@@ -1224,7 +1230,8 @@ def test_solve_bethe_factorizes_the_block_once(monkeypatch, name):
     twisted_rows = hamiltonian._twisted_rows
 
     def counted(block, energies):
-        calls.append(block.dim)
+        if block.diag.dtype == float:
+            calls.append(block.dim)
         return twisted_rows(block, energies)
 
     monkeypatch.setattr(hamiltonian, "_twisted_rows", counted)
@@ -1322,6 +1329,10 @@ ROUTE_SECTORS = {
     "C-60": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 0.8),
     "B-100": ("B", GRID_W, (0, 3, 200), 0.8),
     "C-100": ("C", GRID_W + (0.1,), (0, 3, 100, 102), 0.8),
+    "A-40-g0.1": ("A", GRID_W, (0, 3, 40), 0.1),
+    "A-40-g0.01": ("A", GRID_W, (0, 3, 40), 1e-2),
+    "A-60-g0.01": ("A", GRID_W, (0, 3, 60), 1e-2),
+    "B-60-g0.01": ("B", GRID_W, (0, 3, 120), 1e-2),
 }
 N40_GRID = ("A-40", "B-40", "C-40")
 
@@ -1356,20 +1367,35 @@ def _general_sectors(seed, count, n_range=(16, 24), log_g=False):
 
 
 @pytest.mark.parametrize("name", [*N40_GRID, "A-30", "A-60", "B-100", "C-100", "A-30-exact",
-                                  "general"])
+                                  "general", "A-40-g0.1", "A-40-g0.01", "A-60-g0.01",
+                                  "B-60-g0.01", "general-log-g"])
 def test_high_precision_route_matches_mpmath_reference(name):
-    """The decimal route, at its max(40, 20 + 2N) digits, gives the float64
-    coefficients of the mpmath route at max(50, 30 + 4N) digits exactly, on
-    every level of the N=40 grid, of preset A at N=30 and N=60, of one
-    sector whose couplings (and so hop values) are exact fractions, of
-    three general-model sectors with N in 16..24, and on every 4th level of
-    presets B and C at N=100."""
+    """The decimal route, at its fixed 30 digits, gives the float64
+    coefficients of the mpmath route exactly, with c_0 > 0.  At
+    max(50, 30 + 4N) digits that route is the reference on every level of
+    the N=40 grid, of preset A at N=30 and N=60, of one sector whose
+    couplings (and so hop values) are exact fractions, of three
+    general-model sectors with N in 16..24, and on every 4th level of
+    presets B and C at N=100.  At weak coupling its forward recurrence
+    needs more digits, and the reference is the row at digits that no
+    longer change it (`settled_coefficients`): on preset A at N=40, g = 0.1
+    and 1e-2, on presets A and B at N=60, g = 1e-2, and on twelve
+    general-model sectors with N in 8..30 and g log-uniform in [1e-3, 2].
+    The forward recurrence this route once ran at max(40, 20 + 2N) digits
+    got 31/41, 18/41, 26/61, 39/61 and 224/248 of these rows right."""
+    if "g0" in name or name.endswith("log-g"):
+        def reference(op, energy):
+            return settled_coefficients(op, energy)[1]
+    else:
+        reference = high_precision_coefficients
     if name.endswith("exact"):
         model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
                        wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
         sectors = [(model, sector_from_occupations(model, (0, 3, 30)))]
     elif name == "general":
         sectors = list(_general_sectors(13, 3))
+    elif name == "general-log-g":
+        sectors = list(_general_sectors(17, 12, n_range=(8, 30), log_g=True))
     else:
         sectors = [_route_sector(name)]
     stride = 4 if name.endswith("100") else 1
@@ -1381,7 +1407,7 @@ def test_high_precision_route_matches_mpmath_reference(name):
         rows = bethe._decimal_rows(op.hop_values, energies)
         assert len(rows) == len(energies)
         for energy, got in zip(energies, rows):
-            assert np.array_equal(got, high_precision_coefficients(op, energy)), energy
+            assert np.array_equal(got, reference(op, energy)), energy
 
 
 def _assert_returned_roots_are_scored(model, sec):
@@ -1536,7 +1562,9 @@ _SUM_RULE_MODEL = make_model(2, 1, (1, 1, 1), w=[0.2, -0.3, 0.5], g=1.2)
 _SUM_RULE_CASE = (_SUM_RULE_MODEL, sector_from_occupations(_SUM_RULE_MODEL, (0, 0, 8)))
 
 
-@settings(max_examples=100, deadline=None)
+# derandomize: the draws are the same on every run, and hypothesis keeps no
+# example database, so no failing draw is saved and replayed
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=st.integers(0, 2 ** 32 - 1).map(
     lambda seed: next(_general_sectors(seed, 1, n_range=(1, 20), log_g=True))))
 @example(case=_SUM_RULE_CASE)
@@ -1596,8 +1624,10 @@ def test_decimal_rows_of_a_batch_match_one_energy_at_a_time(name):
 
 
 def test_high_precision_route_raises_without_interaction():
-    """At g = 0 every C(m) vanishes; both routes raise ZeroDivisionError,
-    whether the first recurrence step divides x/0 or 0/0."""
+    """At g = 0 every C(m) vanishes; the mpmath route's forward recurrence
+    raises ZeroDivisionError, whether its first step divides x/0 or 0/0.
+    (The decimal route has no recurrence to break: the ladder solves such
+    a diagonal block exactly and never builds its rows.)"""
     model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
     sec = sector_from_occupations(model, (0, 0, 4))
     op = expand_diffop(model, sec)
@@ -1605,8 +1635,6 @@ def test_high_precision_route_raises_without_interaction():
         energy = float(op.hop_values[1][m])
         with pytest.raises(ZeroDivisionError):
             high_precision_coefficients(op, energy)
-        with pytest.raises(ZeroDivisionError):
-            bethe._decimal_rows(op.hop_values, [energy])
 
 
 _SPECIAL_ROOTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),

@@ -185,6 +185,30 @@ def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--preset", "A", "--wq=0,0=0.5", "--g=0.8", "--occ=0,3,3"],
+     "wq: entry '0,0=0.5' is out of range: mode numbers run 1..3"),
+    (["solve", "--preset", "A", "--wq=4,4=1", "--g=0.8", "--occ=0,3,3"],
+     "wq: entry '4,4=1' is out of range: mode numbers run 1..3"),
+    (["solve", "--preset", "A", "--wq=0,2=0.5", "--g=0.8", "--occ=0,3,3"],
+     "wq: entry '0,2=0.5' is out of range: mode numbers run 1..3"),
+    (["solve", "--config", "model.r = 2\nmodel.s = 1\nmodel.k = 1,1,1\n"
+      "model.wq.4.4 = 0.5\nmodel.g = 1\nsector.occ = 0,0,1\n"],
+     "config key 'model.wq.4.4' is out of range: mode numbers run 1..3"),
+])
+def test_wq_out_of_range_names_the_entry_as_typed(capsys, tmp_path, argv, message):
+    """An out-of-range quadratic coupling is named as the user typed it,
+    with the 1-based range 1..r+s, not as `make_model`'s 0-based key
+    ("wq key (3, 3) ... run 0..2" for 4,4 once, "(-1, -1)" for 0,0)."""
+    if argv[1] == "--config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[2])
+        argv = argv[:2] + [str(cfg)]
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert message in err
+
+
 def test_numerical_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(bethe, "_ENERGY_TOL", 0.0)
     code, _, _ = _run(capsys, [
