@@ -14,58 +14,45 @@ psi'(a_p).  The energy depends on the roots only through their sum:
 E = B(N) - A(N-1) * sum(alpha), with A, B the hop values of
 `diffop.hop_values`.  A closed-form energy whose imaginary part exceeds a
 fixed 1e-8 of max(1, |Re E|) rejects its root set, in `energy_from_roots`,
-the ladder and the direct search alike.
+the solve path and the direct search alike.
 
 The production solve path (`solve_bethe`) solves a diagonal block (g = 0,
 or N = 0) exactly: level l is z^n(l), n(l) the index of the unit vector
 `hamiltonian.diagonalize` gives it, with energy B(n) and zero residuals;
-it is `reduced` when n < N.  Otherwise it takes each level's roots from
-the companion matrix of an eigenpolynomial, down one ladder of three
-rungs.  Each rung maps the levels still unresolved to one (L, N + 1) array
-of coefficient rows, low order first:
-
-1. the levels' columns of `spec.vectors`, the eigenvectors `diagonalize`
-   takes from a twisted factorization of the monomial block minus each
-   eigenvalue (`hamiltonian._twisted_rows`);
-2. the same rows cast to complex, so that their companion matrices go to
-   LAPACK's zgeev instead of dgeev: a second eigensolve of the same rows,
-   in other rounding, which takes some levels of an ill-conditioned
-   eigenpolynomial under the gate;
-3. the decimal rows (`_decimal_rows`): each eigenvalue polished on the
-   characteristic-polynomial recurrence, and the rows rebuilt by the same
-   twisted factorization, both at a fixed 30 digits in the standard
-   library's `decimal`.  This module computes no eigenvector of its own.
-
-The first two are tagged 'extracted', the last 'refined'.  `_roots_of_rows`
-maps a rung's (L, N + 1) rows to an (L, N) array of root sets and an (L,)
-mask of the rows that have them: a row that is non-finite or has a zero
-top coefficient (a pivot that vanished or overflowed) has none, nor does a
-row LAPACK does not converge on; the rest come from one stacked
-companion-matrix eigensolve.  A stack large enough to pay for it (from
-N + 1 matrices of size N ~ 32) is cut into parts, at most one per CPU the
-process may use and none below the work at which a 2-way split was
-measured to pay, and the parts are solved on as many threads; each matrix
-gets the same LAPACK call either way, so the roots are bit for bit those
-of a serial solve.  The masked rows form one (L', N) stack of candidates,
-judged as a whole (`_judged`): canonicalized once (`_canonical`), then
-their residuals, closed-form energies and degenerate flags are computed
-on that stack.  Each canonical set is both scored and returned, as a
-read-only complex array of its own.  A level's first set
-that passes is accepted, and its later candidates are never built: its
-scaled robust residual is within a fixed 1e-12 and its closed-form energy
-agrees with the oracle eigenvalue to a fixed 1e-8 of the spectral scale
-max(1, max |E|).  When none passes, the level is reported unconverged and
-keeps the attempt whose energy agrees, the smaller residual and then the
-smaller energy error breaking ties: the energy depends on the roots only
-through their sum, so an agreeing candidate carries the right physics even
-when its roots are too coarse for the residual.  A level no rung gives a
-row is unconverged, with no roots and a NaN energy.
+it is `reduced` when n < N.  Otherwise every level's roots come from one
+route: the levels' columns of `spec.vectors`, the eigenvectors
+`diagonalize` takes from a twisted factorization of the monomial block
+minus each eigenvalue (`hamiltonian._twisted_rows`), form one (L, N + 1)
+array of coefficient rows, low order first, and one `_roots_of_rows` call
+maps it to an (L, N) array of root sets and an (L,) mask of the rows that
+have them.  Each row is scaled to z = sigma w first (Bini 1996), so that
+its lowest nonzero and its top coefficient have the same magnitude, and
+its roots are sigma times its companion matrix's eigenvalues.  A row that
+is non-finite, has a zero top coefficient or a scaled form that is not
+finite has none, nor does a row LAPACK does not converge on.  The
+companion matrices are solved as one stack; a stack large enough to pay
+for it (from N + 1 matrices of size N ~ 32) is cut into parts, at most one
+per CPU the process may use and none below the work at which a 2-way split
+was measured to pay, and the parts are solved on as many threads; each
+matrix gets the same LAPACK call either way, so the roots are bit for bit
+those of a serial solve.  The masked rows form one (L', N) stack of
+candidates, judged as a whole (`_judged`): canonicalized once
+(`_canonical`), then their residuals, closed-form energies and degenerate
+flags are computed on that stack.  Each canonical set is both scored and
+returned, as a read-only complex array of its own, tagged 'extracted'.  A
+level is `converged` when its scaled robust residual is within a fixed
+1e-12 and its closed-form energy agrees with the oracle eigenvalue to a
+fixed 1e-8 of the spectral scale max(1, max |E|); an unconverged level
+keeps its roots all the same.  A level whose row has no roots is
+unconverged, with no roots and a NaN energy.  This module computes no
+eigenvector of its own, and there is no second route.
 
 `cross_validate` certifies a level whose returned roots' scaled robust
 residual is within a fixed 1e-10 and whose energy is within 1e-8 of the
-same scale; the ladder's 1e-12 is tighter on purpose (`_SEARCH_TOL`).  The
+same scale; the solver's 1e-12 is tighter on purpose (`_SEARCH_TOL`).  The
 terms P_i(a_p) psi^(i)(a_p) of H psi and their magnitude bounds are
-evaluated once per stack of root sets (`_terms_at_roots`, with
+evaluated once per stack of root sets (`_terms_at_roots`, with psi's
+coefficients expanded from its roots in order of modulus and
 numpy.polynomial's Horner sweep and derivative written out), and both
 residual forms read that one evaluation; an overflowed bound reads as an
 infinite residual.  An independent multi-start Newton search on the
@@ -79,17 +66,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import decimal
 import functools
 import math
 import os
 import threading
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
-from . import hamiltonian
 from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
 from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
@@ -107,11 +91,11 @@ _MIN_SEPARATION = 1e-10
 _PAIR_TOL = 1e-11
 # Scaled robust residual of a level's returned roots in `cross_validate`.
 _RESIDUAL_TOL = 1e-10
-# Scaled robust residual that ends a level's climb down the ladder.  It is
-# tighter than `_RESIDUAL_TOL` on purpose: at 1e-10 no pass flag moves, but
-# levels stop at coarser roots.  On preset A, anchor (0, 3, N), w = (0.4,
-# -0.3, 0.2), w12 = 0.5, g = 0.8, the worst energy error then rises from
-# 2.0e-10 to 3.9e-9 at N = 60 and from 1.8e-11 to 5.1e-9 at N = 80.
+# Scaled robust residual within which a level is `converged`.  It sets that
+# flag only: no other root set is tried for a level above it, and
+# `cross_validate` certifies at `_RESIDUAL_TOL`.  It is tighter than that on
+# purpose, as the target the roots should meet, and `roots` tags a level
+# above it.
 _SEARCH_TOL = 1e-12
 # Relative disagreement with the oracle eigenvalue a level's energy may have.
 _ENERGY_TOL = 1e-8
@@ -120,10 +104,6 @@ _NEWTON_STEPS = 50
 # Imaginary part of a closed-form energy, relative to max(1, |Re E|), above
 # which its root set is rejected as not conjugate-symmetric.
 _IMAG_TOL = 1e-8
-# Arithmetic of the decimal rung: 30 digits, an unbounded exponent range, so
-# no coefficient overflows, and no traps, so a zero pivot leaves its row
-# non-finite, as in float64.
-_DECIMAL_CONTEXT = decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
 
 
 @dataclass(frozen=True, slots=True, eq=False)   # slots: callers keep one per level
@@ -135,10 +115,9 @@ class BetheSolution:
     (degenerate or reduced root sets).  `reduced` is set only on a level
     of a g = 0 block below the top one: its eigenfunction z^n has fewer
     than N roots.  `source` tags how the roots were obtained: 'extracted'
-    (the block's eigenvector from the twisted factorization, its roots
-    found in real or in complex arithmetic, or the exact monomial of a
-    diagonal block), 'refined' (roots of the eigenpolynomial the decimal
-    rung rebuilds), or 'direct' (independent multi-start search).
+    (the roots of the block's eigenvector from the twisted factorization,
+    or the exact monomial of a diagonal block) or 'direct' (independent
+    multi-start search).
     """
 
     level: int
@@ -220,10 +199,15 @@ def _monic_from_roots(roots) -> np.ndarray:
 
     Step j multiplies every row by (z - a_j) at once: the partial product
     of degree j fills the top j + 1 entries, so widening its window by one
-    entry multiplies it by z.
+    entry multiplies it by z.  Each row's factors are taken in order of
+    increasing |a_j|.  In a set's sorted order (by real part) the partial
+    products of same-signed roots grow coefficients that later cancel: on
+    preset C at N=60 that order errs by about 3e-12 of the residual's
+    bound, and this one by 5e-15, as at 60 digits.
     """
     roots = np.asarray(roots, dtype=complex)
     rows = np.atleast_2d(roots)
+    rows = np.take_along_axis(rows, np.argsort(np.abs(rows), axis=1, kind="stable"), axis=1)
     n = rows.shape[1]
     out = np.zeros((rows.shape[0], n + 1), dtype=complex)
     out[:, n] = 1.0
@@ -400,7 +384,7 @@ def _cpus() -> int:
 # Work (matrix count x size^3) each part of a split eigensolve needs at
 # least; a stack with less than twice this is solved in one call.  On a
 # 2-vCPU host, with single-threaded BLAS, `cross_validate` on preset A at
-# g = 0.8 (first rung: N + 1 matrices of size N) took, in two runs of 21
+# g = 0.8 (N + 1 companion matrices of size N) took, in two runs of 21
 # alternating pairs (medians), 8.7-9.1 ms serial and 9.0-10.9 ms split 2
 # ways at N = 31 (parts of 4.8e5), and 9.6-9.8 ms serial and 8.7-9.1 ms
 # split at N = 32 (parts of 5.4e5).  Only 2-way splits were measured; more
@@ -456,18 +440,24 @@ def _roots_of_rows(rows: np.ndarray):
     coefficient rows, low order first: an (L, N) complex array of root
     sets and an (L,) mask of the rows that have roots.
 
-    A row has roots when it is finite, its top coefficient is nonzero and
-    LAPACK converges on its companion matrix; its roots are then bit for
-    bit `numpy.roots(row[::-1])` cast to complex, and a row outside the
-    mask reads zeros.  As in `numpy.roots`, each zero constant term gives a
-    root at 0 after the eigenvalues, and the companion matrix keeps the
-    rows' dtype (complex rows stay on LAPACK's zgeev).  The rows with the
-    same number of zero constant terms share a degree, and their companion
-    matrices are solved as one stack (`_eigvals_parts`): a rung of the
-    ladder makes one geev call per matrix, on the CPUs the process may use
-    when the stack is large.  One matrix LAPACK does not converge on makes
-    the whole stack raise LinAlgError; the stack is then redone one matrix
-    at a time, and a row whose own eigensolve fails drops out of the mask.
+    Each row is first scaled to z = sigma w (Bini 1996), with sigma =
+    (|c_low| / |c_N|)^(1 / (N - low)) and c_low its lowest nonzero
+    coefficient: the scaled row, high order first, is c_(N-j) / sigma^j
+    from c_N down to c_low, so its two ends have the same magnitude and its
+    companion matrix no longer spans the row's whole range.  A row has roots
+    when it is finite, its top coefficient is nonzero, its scaled form is
+    finite and LAPACK converges on its companion matrix; its roots are then
+    bit for bit `numpy.roots` of the scaled row, cast to complex, with the
+    real and imaginary parts each multiplied by sigma, and a row outside the
+    mask reads zeros.  There is no unscaled retry.  As in `numpy.roots`,
+    each zero constant term gives a root at 0 after the eigenvalues, and
+    the companion matrix keeps the rows' dtype.  The rows with the same
+    number of zero constant terms share a degree, and their companion
+    matrices are solved as one stack (`_eigvals_parts`): one geev call per
+    matrix, on the CPUs the process may use when the stack is large.  One
+    matrix LAPACK does not converge on makes the whole stack raise
+    LinAlgError; the stack is then redone one matrix at a time, and a row
+    whose own eigensolve fails drops out of the mask.
     """
     n = rows.shape[1] - 1
     roots = np.zeros((len(rows), n), dtype=complex)
@@ -475,8 +465,12 @@ def _roots_of_rows(rows: np.ndarray):
     lows = np.argmax(rows != 0, axis=1)
     for low in np.unique(lows[has]).tolist():
         index = np.flatnonzero(has & (lows == low))
-        coeffs = rows[index, low:][:, ::-1]   # high order first
         size = n - low
+        sigma = (np.abs(rows[index, low]) / np.abs(rows[index, -1])) ** (1 / max(size, 1))
+        coeffs = rows[index, low:][:, ::-1] / sigma[:, None] ** np.arange(size + 1)
+        finite = np.all(np.isfinite(coeffs), axis=1) & np.isfinite(sigma)
+        has[index[~finite]] = False
+        index, sigma, coeffs = index[finite], sigma[finite], coeffs[finite]
         companion = np.zeros((len(index), size, size), dtype=rows.dtype)
         companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
         companion[:, range(1, size), range(size - 1)] = 1
@@ -489,6 +483,9 @@ def _roots_of_rows(rows: np.ndarray):
                     with contextlib.suppress(np.linalg.LinAlgError):
                         roots[row, :size] = np.linalg.eigvals(matrix[None])[0]
                         has[row] = True
+        # z = sigma w, part by part; a row without roots stays zero
+        roots.real[index, :size] *= sigma[:, None]
+        roots.imag[index, :size] *= sigma[:, None]
     return roots, has
 
 
@@ -498,7 +495,7 @@ def canonicalize_roots(roots) -> tuple:
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of
     a real-coefficient polynomial serializes deterministically.  No solver
-    path calls it: the ladder and the direct search canonicalize their
+    path calls it: the solve path and the direct search canonicalize their
     whole stack of finite root sets at once (`_canonical`), and score and
     return the canonical sets; this is that routine on a stack of one.
     """
@@ -615,50 +612,6 @@ def _energy_of_sum(values, total):
     return energy
 
 
-def _decimal_rows(values, energies) -> np.ndarray:
-    """Eigenpolynomial coefficients at a fixed 30 digits, one (N + 1) row
-    per energy, from a sector's hop values A(0..N-1), B(0..N), C(1..N).
-
-    Each energy is polished by Newton's method on the characteristic-
-    polynomial recurrence of the monomial block, and the rows are
-    `hamiltonian._twisted_rows` of that block, held as `decimal` objects,
-    at the polished energies: products of ratios, with no cancelling
-    recurrence, so the digits need not grow with N.  Fractions among the
-    hop values are divided at working precision; every other value enters
-    through float.  Each row is flipped to c_0 > 0 and rounded to float64.
-    """
-    with decimal.localcontext(_DECIMAL_CONTEXT):
-        hop_a, hop_b, hop_c = ([decimal.Decimal(x.numerator) / x.denominator
-                                if isinstance(x, Fraction) else decimal.Decimal(float(x))
-                                for x in row] for row in values)
-        off = [a * c for a, c in zip(hop_a, hop_c)]
-        one = decimal.Decimal(1)
-        polished = []
-        for energy in energies:
-            e_val = decimal.Decimal(energy)
-            stop = decimal.Decimal(10) ** (8 - _DECIMAL_CONTEXT.prec) * max(one, abs(e_val))
-            for _ in range(80):
-                # det(M - E) and its E-derivative via the minor recurrence
-                p_prev, p_cur = one, hop_b[0] - e_val
-                d_prev, d_cur = decimal.Decimal(0), -one
-                for m in range(1, len(hop_b)):
-                    diag = hop_b[m] - e_val
-                    p_new = diag * p_cur - off[m - 1] * p_prev
-                    d_new = -p_cur + diag * d_cur - off[m - 1] * d_prev
-                    p_prev, p_cur, d_prev, d_cur = p_cur, p_new, d_cur, d_new
-                if d_cur == 0:
-                    break
-                step = p_cur / d_cur
-                e_val -= step
-                if abs(step) <= stop:
-                    break
-            polished.append(e_val)
-        block = hamiltonian.TridiagonalBlock(
-            "monomial", *(np.array(v, dtype=object) for v in (hop_b, hop_a, hop_c)))
-        rows = hamiltonian._twisted_rows(block, polished)
-        return np.where(rows[:, :1] < 0, -rows, rows).astype(float)
-
-
 def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
     """Closed-form energy of each row of an (L, N) stack of complex root
     sets, NaN where the imaginary-part rule rejects it.
@@ -693,9 +646,9 @@ def _judged(op: DiffOpForm, p_list, stack: np.ndarray, rel_tol: float):
 
 @_quiet
 def _solve_levels(op, p_list, block, spec):
-    """One `BetheSolution` per level of a sector, in level order, from one
-    pass down the ladder of the module docstring, given the sector's
-    operator, its float P_i, its monomial block and that block's spectrum.
+    """One `BetheSolution` per level of a sector, in level order, from the
+    one root route of the module docstring, given the sector's operator,
+    its float P_i, its monomial block and that block's spectrum.
     """
     oracles = spec.energies.tolist()
     if not block.lower.any():
@@ -706,36 +659,23 @@ def _solve_levels(op, p_list, block, spec):
             residual_robust=0.0, source="extracted", degenerate=n >= 2, reduced=n < n_top,
             converged=True) for level, n in enumerate(np.argmax(spec.vectors, axis=0).tolist())]
 
-    # per level: (rank, solution) of the best attempt; the rank puts a pass
-    # first, then an agreeing energy, then the smaller residual, then the
-    # smaller energy error, and any attempt outranks the start: no roots
-    best = [((False,), BetheSolution(
+    # a level whose row has no roots keeps this: no roots, a NaN energy
+    solutions = [BetheSolution(
         level=level, roots=_frozen(()), energy=math.nan, oracle_energy=oracle,
         residual_bae=math.nan, residual_robust=math.inf, source="extracted", degenerate=False,
-        reduced=False, converged=False)) for level, oracle in enumerate(oracles)]
+        reduced=False, converged=False) for level, oracle in enumerate(oracles)]
     energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
-    rungs = (("extracted", lambda live: spec.vectors.T[live]),
-             ("extracted", lambda live: spec.vectors.T[live].astype(complex)),
-             ("refined", lambda live: _decimal_rows(op.hop_values, spec.energies[live].tolist())))
-    live = np.arange(len(oracles))
-    for tag, build in rungs:
-        if not live.size:
-            break
-        sets, has = _roots_of_rows(build(live))
-        judged = zip(live[has].tolist(), *_judged(op, p_list, sets[has], _DEGENERATE_TOL))
-        for level, roots, resid, r_bae, energy, degenerate in judged:
-            oracle = oracles[level]
-            error = abs(energy - oracle) if math.isfinite(energy) else math.inf
-            agrees = error <= energy_tol
-            rank = (resid <= _SEARCH_TOL and agrees, agrees, -resid, -error)
-            if rank > best[level][0]:
-                best[level] = (rank, BetheSolution(
-                    # a copy of its own: a level never pins the rung's stack
-                    level=level, roots=_frozen(roots), energy=energy, oracle_energy=oracle,
-                    residual_bae=r_bae, residual_robust=resid, source=tag,
-                    degenerate=degenerate, reduced=False, converged=rank[0]))
-        live = live[[not best[level][0][0] for level in live.tolist()]]
-    return [solution for _, solution in best]
+    sets, has = _roots_of_rows(spec.vectors.T)
+    judged = zip(np.flatnonzero(has).tolist(), *_judged(op, p_list, sets[has], _DEGENERATE_TOL))
+    for level, roots, resid, r_bae, energy, degenerate in judged:
+        oracle = oracles[level]
+        solutions[level] = BetheSolution(
+            # a copy of its own: a level never pins the stack
+            level=level, roots=_frozen(roots), energy=energy, oracle_energy=oracle,
+            residual_bae=r_bae, residual_robust=resid, source="extracted",
+            degenerate=degenerate, reduced=False,
+            converged=resid <= _SEARCH_TOL and abs(energy - oracle) <= energy_tol)
+    return solutions
 
 
 def solve_bethe(model: ModelSpec, sector: Sector):
@@ -744,10 +684,10 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     Returns one `BetheSolution` per level, in level order, each with its
     roots as a read-only complex128 array, its closed-form energy and, as
     its oracle energy, the monomial block's eigenvalue; a level is
-    `converged` when its roots meet the ladder's 1e-12 residual target and
-    its energy agrees with the oracle to 1e-8 of the spectral scale
-    max(1, max |E|).  The ladder that finds the roots is described in the
-    module docstring.  The independent multi-start search is
+    `converged` when its roots meet the 1e-12 residual target and its
+    energy agrees with the oracle to 1e-8 of the spectral scale
+    max(1, max |E|).  The one route that finds the roots is described in
+    the module docstring.  The independent multi-start search is
     `direct_search`, a separate call.
     """
     block = build_monomial_matrix(model, sector)

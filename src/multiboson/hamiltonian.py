@@ -11,7 +11,7 @@ diagonalizing the Fock block is the ground-truth oracle the root-based
 solver is checked against.  Both spectra come from numpy's dense symmetric
 eigensolver; the monomial eigenvectors, each level's eigenpolynomial
 coefficients, come from a twisted factorization only (`_twisted_rows`), in
-float64 here and at 30 decimal digits in the root solver's decimal rung.
+float64, and they are the only rows the root solver finds roots of.
 """
 
 from __future__ import annotations
@@ -143,6 +143,20 @@ def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     return block
 
 
+def _pivots(shift: np.ndarray, couplings: list, floor: float = 0.0) -> np.ndarray:
+    """The pivots of one sweep, D_0 = d_0 and D_i = d_i - c_(i-1) / D_(i-1),
+    for each column of the (N + 1, L) shifted diagonal d at once: top-down
+    for `_twisted_rows`' D+, and top-down on the reversed block for its
+    D-.  With a floor, a pivot that is exactly zero is replaced by it
+    before it divides; the last pivot divides nothing and is kept."""
+    pivots = [shift[0]]
+    for d, c in zip(shift[1:], couplings):
+        if floor:
+            pivots[-1] = np.where(pivots[-1] == 0, floor, pivots[-1])
+        pivots.append(d - c / pivots[-1])
+    return np.array(pivots)
+
+
 def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
     """Eigenvectors of the monomial block M at every energy at once, as
     rows, from a twisted factorization of M minus each energy.
@@ -151,38 +165,42 @@ def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
     M[i, i+1] = lower[i], and d = diag - E, the top-down pivots are
     D+_0 = d_0, D+_i = d_i - upper[i-1] lower[i-1] / D+_{i-1}, the
     bottom-up ones D-_N = d_N, D-_i = d_i - upper[i] lower[i] / D-_{i+1}.
-    A level's twist k minimizes |D+_k + D-_k - d_k|, the reciprocal of the
-    resolvent's k-th diagonal entry, so z_k = 1 sits on a large component
-    of the eigenvector.  From it the vector follows outward, one product
-    each way: z_i = -lower[i] z_{i+1} / D+_i above the twist and
+    A pivot that comes out exactly zero is replaced, before it divides, by
+    eps times the block's scale, its largest entry, as LAPACK's dlar1v
+    replaces a tiny one, so the next pivot is large rather than infinite;
+    no other pivot changes, and the last pivot of each sweep, which
+    divides nothing, is kept as it is (`_pivots`).  A level's twist k
+    minimizes |D+_k + D-_k - d_k|, the reciprocal of the resolvent's k-th
+    diagonal entry, so z_k = 1 sits on a large component of the
+    eigenvector.  From it the vector follows outward, one product each
+    way: z_i = -lower[i] z_{i+1} / D+_i above the twist and
     z_i = -upper[i-1] z_{i-1} / D-_i below it (Fernando 1997; Parlett &
     Dhillon 1997).  Each entry is a product of ratios, not what is left of
     a forward recurrence's cancelling terms, so components far below the
-    peak, which a symmetric eigensolver's vectors lose, come out with a
-    relative error set by the pivots' and the energy's, at whatever
-    precision the block holds: float64 for `diagonalize`, `decimal`
-    objects at a fixed 30 digits for the root solver's decimal rung (the
-    energies are cast to the block's dtype).  Rows are (L, N + 1), one per
-    energy, peak-normalized, the twist entry positive; a zero pivot or an
-    overflow leaves the row non-finite, silently.
+    peak, which a symmetric eigensolver's vectors lose, come out in float64
+    with a relative error set by the pivots' and the energy's.  Rows are
+    (L, N + 1), one per energy, peak-normalized, the twist entry positive;
+    an overflow leaves the row non-finite, silently.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shift = block.diag[:, None] - np.asarray(energies, dtype=block.diag.dtype)   # (N + 1, L)
+        shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
         couplings = (block.upper * block.lower).tolist()
-        plus, minus = [shift[0]], [shift[-1]]
-        for d, c in zip(shift[1:], couplings):
-            plus.append(d - c / plus[-1])
-        for d, c in zip(shift[-2::-1], couplings[::-1]):
-            minus.append(d - c / minus[-1])
-        plus, minus = np.array(plus), np.array(minus[::-1])
+        plus = _pivots(shift, couplings)
+        minus = _pivots(shift[::-1], couplings[::-1])[::-1]
+        if (plus[:-1] == 0).any() or (minus[1:] == 0).any():
+            # a zero pivot divided: sweep again with the floor, which
+            # changes only pivots that are exactly zero
+            floor = np.finfo(float).eps * max(np.max(np.abs(part), initial=0.0)
+                                              for part in (block.diag, block.upper, block.lower))
+            plus = _pivots(shift, couplings, floor)
+            minus = _pivots(shift[::-1], couplings[::-1], floor)[::-1]
         gamma = np.abs(plus + minus - shift)
-        # gamma != gamma finds NaN in float64 and decimal alike; no twist there
-        twist = np.argmin(np.where(gamma != gamma, np.inf, gamma), axis=0)
+        twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
         index = np.arange(len(shift) - 1)[:, None]
         # ratios z_i / z_{i+1} above the twist and z_{i+1} / z_i below it; 1
         # elsewhere, so each cumulative product runs outward from z_k = 1
-        up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1)
-        down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1)
+        up = np.where(index < twist, -block.lower[:, None] / plus[:-1], 1.0)
+        down = np.where(index >= twist, -block.upper[:, None] / minus[1:], 1.0)
         rows = np.ones_like(shift)
         rows[:-1] = np.cumprod(up[::-1], axis=0)[::-1]
         rows[1:] *= np.cumprod(down, axis=0)

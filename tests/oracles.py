@@ -6,8 +6,9 @@ enumeration for sectors, exact factorial ratios for matrix elements, the
 literal nested subset sums for the root-equation residuals, the mpmath
 form of the high-precision root route (also with its digits doubled until
 its rows settle), the pairwise double loop of the close-pair test, the
-scalar root canonicalization, one root set at a time, and the hop
-polynomials and operator expanded as plain Fraction coefficient lists.
+scalar root canonicalization, one root set at a time, the scaled robust
+residual at 60 digits, and the hop polynomials and operator expanded as
+plain Fraction coefficient lists.
 """
 
 from __future__ import annotations
@@ -149,6 +150,50 @@ def _mp_level(op, energy, dps):
             vec.append(rhs / hop_c[m])
         peak = max(abs(x) for x in vec)
         return float(e_val), np.array([float(x / peak) for x in vec])
+
+
+def robust_residual_mp(op, roots, dps=60):
+    """The scaled robust residual of one root set at `dps` digits, in
+    mpmath: max over the roots a_p of |(H psi)(a_p)| over
+    sum_i |P_i|(|a_p|) |psi^(i)|(|a_p|), where psi = prod_p (z - a_p) is
+    expanded at `dps` digits and |q| is q with its coefficients'
+    magnitudes.  The roots enter as the float values they hold; the P_i
+    are the operator's, Fractions divided at `dps` digits.  An empty root
+    set reads 0, and a zero bound reads 0 over a zero value, inf
+    otherwise."""
+    import mpmath as mp
+
+    def to_mp(c):
+        if isinstance(c, Fraction):
+            return mp.mpf(c.numerator) / c.denominator
+        return mp.mpmathify(c)
+
+    with mp.workdps(dps):
+        points = [mp.mpc(complex(a)) for a in roots]
+        psi = [mp.mpc(1)]   # ascending coefficients
+        for a in points:
+            psi = [(psi[j - 1] if j else 0) - (a * psi[j] if j < len(psi) else 0)
+                   for j in range(len(psi) + 1)]
+        derivs = [psi]
+        for _ in op.p[1:]:
+            derivs.append([j * c for j, c in enumerate(derivs[-1])][1:])
+        polys = [[to_mp(c) for c in p.coeffs] for p in op.p]
+
+        def value(coeffs, x):
+            return mp.polyval(coeffs[::-1], x) if coeffs else 0
+
+        worst = mp.mpf(0)
+        for a in points:
+            total, bound = mp.mpc(0), mp.mpf(0)
+            for p, d in zip(polys, derivs):
+                total += value(p, a) * value(d, a)
+                bound += (value([abs(c) for c in p], abs(a))
+                          * value([abs(c) for c in d], abs(a)))
+            if bound:
+                worst = max(worst, abs(total) / bound)
+            elif total:
+                return math.inf
+        return float(worst)
 
 
 def settled_coefficients(op, energy, max_dps=3200):

@@ -24,7 +24,7 @@ from multiboson.bethe import _monic_from_roots
 from numpy.polynomial import polynomial as npoly
 from oracles import canonicalize_roots as scalar_canonicalize_roots
 from oracles import (has_close_pair, high_precision_coefficients, hop_polynomials, poly_value,
-                     settled_coefficients, subset_bae_residuals)
+                     robust_residual_mp, settled_coefficients, subset_bae_residuals)
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -129,12 +129,47 @@ def test_residuals_reject_coincident_roots():
         bethe_residuals(OP_A, [0.5, 0.5])
 
 
+def _scaled_row(row):
+    """(sigma, scaled row) of one row of `_roots_of_rows`, as that function
+    defines them: sigma = (|c_low| / |c_N|)^(1 / (N - low)), c_low the
+    lowest nonzero coefficient, and the row of z = sigma w from c_N down to
+    c_low, high order first, c_(N-j) / sigma^j."""
+    low = int(np.flatnonzero(row)[0])
+    size = len(row) - 1 - low
+    sigma = (np.abs(row[low:low + 1]) / np.abs(row[-1:])) ** (1 / max(size, 1))
+    return sigma, row[low:][::-1] / sigma ** np.arange(size + 1)
+
+
+def _scaled_numpy_roots(row):
+    """The reference for one row of `_roots_of_rows`: sigma times
+    `np.roots` of the scaled row (`_scaled_row`), the real and imaginary
+    parts each multiplied by sigma, with a root at 0 for each zero constant
+    term; None where the scaled row is not finite.  `np.roots` raises
+    LinAlgError where LAPACK does not converge on the scaled row."""
+    sigma, scaled = _scaled_row(row)
+    if not (np.all(np.isfinite(scaled)) and np.isfinite(sigma[0])):
+        return None
+    low = len(row) - len(scaled)
+    want = np.roots(np.concatenate((scaled, np.zeros(low, row.dtype)))).astype(complex)
+    want.real *= sigma
+    want.imag *= sigma
+    return want
+
+
+def _companion_top(row):
+    """The first row of the companion matrix `_roots_of_rows` builds for a
+    row."""
+    scaled = _scaled_row(row)[1]
+    return -scaled[1:] / scaled[0]
+
+
 def test_roots_of_rows_examples(monkeypatch):
     """Each row's roots, low-order coefficient first: each zero constant
     term gives a root at 0 after the others, a tiny nonzero top coefficient
     still counts, and a row with a zero top coefficient or a non-finite
-    entry has no roots.  A row whose eigensolve fails drops out of the mask
-    while the rest of its stack keeps its roots."""
+    entry has no roots.  Each root set is sigma times `np.roots` of the
+    row scaled to z = sigma w.  A row whose eigensolve fails drops out of
+    the mask while the rest of its stack keeps its roots."""
     rows = np.array([[-6.0, 11.0, -6.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0],
                      [1.0, 1.0, 1.0, 1e-18], [1.0, 1.0, 0.0, 0.0], [1.0, math.nan, 1.0, 1.0],
                      [1.0, 1.0, 1.0, math.inf]])
@@ -145,15 +180,18 @@ def test_roots_of_rows_examples(monkeypatch):
     assert roots[1].tolist() == [0.0, 0.0, 0.0]
     assert roots[2].tolist() == [-1.0, 0.0, 0.0]
     assert np.all(np.isfinite(roots[3]))
+    for row, root_set in zip(rows[:4], roots):
+        assert root_set.tobytes() == _scaled_numpy_roots(row).tobytes()
     eigvals = np.linalg.eigvals
 
-    def fails_on_seven(a):
-        if np.any(a == 7.0):
+    def fails_on_one(a):
+        if np.any(a == 1.0):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", fails_on_seven)
-    # the companion matrices of z - 7 and z + 1 share one stack
+    monkeypatch.setattr(np.linalg, "eigvals", fails_on_one)
+    # z - 7 and z + 1 scale to w - 1 (sigma = 7) and w + 1 (sigma = 1), and
+    # their companion matrices, [[1]] and [[-1]], share one stack
     roots, has = bethe._roots_of_rows(np.array([[-7.0, 1.0], [1.0, 1.0]]))
     assert has.tolist() == [False, True] and roots[1].tolist() == [-1.0]
 
@@ -189,17 +227,22 @@ def _coefficient_rows(draw):
 # converge costs up to 16 s per eigensolve and once made this test flaky
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rows=_coefficient_rows())
-# zgeev does not converge on the first, complex row: np.roots raises on it
-# alone (in about 0.5 s; the degree-54 row of seed 1201 takes about 16 s)
+# zgeev did not converge on the first, complex row before rows were scaled
+# (np.roots raised on it alone in about 0.5 s; the degree-54 row of seed 1201
+# took about 16 s); its scaled form converges
 @example(rows=np.array([_coefficient_row(3998, 12, 0, 0, True),
+                        _coefficient_row(7, 12, 0, 0, True)]))
+# zgeev does not converge on the scaled form of the first, complex row
+@example(rows=np.array([_coefficient_row(65, 12, 0, 0, True),
                         _coefficient_row(7, 12, 0, 0, True)]))
 def test_roots_of_rows_match_numpy_roots_bit_for_bit(rows):
     """The stacked companion eigensolve gives each row with a nonzero top
-    coefficient exactly what `np.roots` gives it alone, down to every bit,
-    zero constant terms included.  A row with a zero top coefficient has no
-    roots.  Where LAPACK does not converge on a row, and `np.roots` raises
-    LinAlgError on it, that row has no roots and every other row of the
-    stack still gets `np.roots` bit for bit."""
+    coefficient exactly what sigma times `np.roots` of its scaled row gives
+    it alone (`_scaled_numpy_roots`), down to every bit, zero constant
+    terms included.  A row with a zero top coefficient has no roots.  Where
+    LAPACK does not converge on a row, and `np.roots` raises LinAlgError on
+    its scaled form, that row has no roots and every other row of the
+    stack still gets its reference bit for bit."""
     roots, has = bethe._roots_of_rows(rows)
     assert roots.shape == (len(rows), rows.shape[1] - 1) and roots.dtype == complex
     for row, root_set, has_roots in zip(rows, roots, has.tolist()):
@@ -207,8 +250,10 @@ def test_roots_of_rows_match_numpy_roots_bit_for_bit(rows):
             assert not has_roots
             continue
         try:
-            want = np.roots(row[::-1]).astype(complex)
+            want = _scaled_numpy_roots(row)
         except np.linalg.LinAlgError:
+            want = None
+        if want is None:
             assert not has_roots
             continue
         assert has_roots and root_set.tobytes() == want.tobytes()
@@ -253,24 +298,22 @@ def _same_solution(a, b):
 
 
 def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
-    """An eigensolver that does not converge on one level's real companion
-    matrix costs that level its candidate, not the whole rung: the stack is
-    redone a matrix at a time, the level climbs the ladder (level 0 of this
-    sector on to the complex re-solve of the same row, where it passes),
-    every other level keeps its roots bit for bit, and `cross_validate`
-    reports."""
+    """An eigensolver that does not converge on one level's companion
+    matrix costs that level its roots, not the whole stack: the stack is
+    redone a matrix at a time, the level comes back unconverged with no
+    roots and a NaN energy (there is no second route), every other level
+    keeps its roots bit for bit, and `cross_validate` reports."""
     model, sec = _route_sector("A-30")
     clean = solve_bethe(model, sec)
     level = 0
     assert clean[level].source == "extracted" and clean[level].converged
-    p = diagonalize(build_monomial_matrix(model, sec)).vectors[::-1, level]
+    p = diagonalize(build_monomial_matrix(model, sec)).vectors[:, level]
     assert p[0] != 0 and p[-1] != 0
-    top_row = -p[1:] / p[0]   # the first row of the level's companion matrix
+    top_row = _companion_top(p)
     eigvals = np.linalg.eigvals
 
     def flaky(a):
-        if a.dtype == float and any(np.array_equal(m[0], top_row)
-                                    for m in (a if a.ndim == 3 else [a])):
+        if any(np.array_equal(m[0], top_row) for m in (a if a.ndim == 3 else [a])):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(a)
 
@@ -280,8 +323,10 @@ def test_a_failed_eigensolve_drops_one_row_not_the_rung(monkeypatch):
     moved = [sol.level for sol, want in zip(report.solutions, clean)
              if not _same_solution(sol, want)]
     assert moved == [level]
-    assert report.solutions[level].source == "extracted" and report.solutions[level].converged
-    assert bethe._roots_of_rows(p[::-1][None])[1].tolist() == [False]
+    failed = report.solutions[level]
+    assert not failed.converged and len(failed.roots) == 0 and math.isnan(failed.energy)
+    assert [rec.level for rec in report.failing_levels()] == [level]
+    assert bethe._roots_of_rows(p[None])[1].tolist() == [False]
 
 
 @pytest.fixture
@@ -292,19 +337,15 @@ def two_cpus(monkeypatch):
 
 
 def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
-    """Preset A at N=60 reaches every rung (levels 58-60 fail both twisted
-    rungs and the decimal one, and are still `ok` in `cross_validate`).
-    The block is factorized once in float64 and once in decimal, for the
-    decimal rung's three levels, and each rung finds the roots of all
-    of its levels in one `_roots_of_rows` call: 61, 3 and 3 companion
-    matrices, each solved exactly once.  The first rung's stack is solved
-    in one `np.linalg.eigvals` call per CPU, 31 and 30 matrices; each later
-    rung's, too small to split, in one call.  No level gets an `np.roots`
-    call of its own (104 of them on preset A at N=40 once), and each rung
-    canonicalizes its candidates as one stack, not one call per candidate
-    (67 calls here, 1230 in ten cycles of the N=40 grid, once).  Every
-    level's roots are a read-only copy of their own, never a view that
-    keeps its rung's stack alive."""
+    """Preset A at N=60: the block is factorized once, in float64, and one
+    `_roots_of_rows` call finds the roots of all 61 levels, 61 companion
+    matrices, each solved exactly once, in one `np.linalg.eigvals` call per
+    CPU, 31 and 30 matrices.  No level gets an `np.roots` call of its own
+    (104 of them on preset A at N=40 once), and the candidates are
+    canonicalized as one stack, not one call per candidate (67 calls here,
+    1230 in ten cycles of the N=40 grid, once).  Every level converges,
+    and its roots are a read-only copy of their own, never a view that
+    keeps the stack alive."""
     stacks, lengths, canonical, calls = [], [], [], collections.Counter()
     eigvals, roots, twisted_rows = np.linalg.eigvals, np.roots, hamiltonian._twisted_rows
     roots_of_rows, stacked_canonical = bethe._roots_of_rows, bethe._canonical
@@ -340,12 +381,12 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
     monkeypatch.setattr(hamiltonian, "_twisted_rows", factorized)
     monkeypatch.setattr(bethe, "_canonical", canonicalized)
     report = cross_validate(*_route_sector("A-60"))
-    assert [sum(matrices.values()) for matrices in stacks] == [61, 3, 3]
+    assert [sum(matrices.values()) for matrices in stacks] == [61]
     assert all(set(matrices.values()) == {1} for matrices in stacks)
-    assert [sorted(parts, reverse=True) for parts in lengths] == [[31, 30], [3], [3]]
-    assert canonical == [(61, 60), (3, 60), (3, 60)]
-    assert dict(calls) == {"_twisted_rows float64": 1, "_twisted_rows object": 1}
-    assert [sol.level for sol in report.solutions if not sol.converged] == [58, 59, 60]
+    assert [sorted(parts, reverse=True) for parts in lengths] == [[31, 30]]
+    assert canonical == [(61, 60)]
+    assert dict(calls) == {"_twisted_rows float64": 1}
+    assert all(sol.converged for sol in report.solutions)
     assert report.passed
     for sol in report.solutions:
         assert sol.roots.base is None and not sol.roots.flags.writeable
@@ -353,23 +394,24 @@ def test_solve_makes_one_stacked_eigensolve_per_rung(monkeypatch, two_cpus):
 
 
 def _assert_numpy_roots(got, rows, failed=()):
-    """Each row's roots are `np.roots` of the row, bit for bit, except the
-    rows in `failed`, which have none."""
+    """Each row's roots are sigma times `np.roots` of its scaled row, bit
+    for bit (`_scaled_numpy_roots`), except the rows in `failed`, which
+    have none."""
     roots, has = got
     assert roots.shape == (len(rows), rows.shape[1] - 1)
     assert np.flatnonzero(~has).tolist() == sorted(failed)
     for row, root_set, has_roots in zip(rows, roots, has.tolist()):
         if has_roots:
-            assert root_set.tobytes() == np.roots(row[::-1]).astype(complex).tobytes()
+            assert root_set.tobytes() == _scaled_numpy_roots(row).tobytes()
 
 
 def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, two_cpus):
-    """A-60's first-rung rows (61 companion matrices of size 60, above the
-    split bound) are solved in two parts, 31 on the calling thread and 30 on
-    a worker thread, each under the caller's numpy error state, and every
-    row's roots are `np.roots` of the row, bit for bit.  So are those of a
-    stack whose parts differ in result dtype: its first part has only real
-    roots and comes back real, its second does not."""
+    """A-60's rows (61 companion matrices of size 60, above the split
+    bound) are solved in two parts, 31 on the calling thread and 30 on a
+    worker thread, each under the caller's numpy error state, and every
+    row's roots are sigma times `np.roots` of its scaled row, bit for bit.
+    So are those of a stack whose parts differ in result dtype: its first
+    part has only real roots and comes back real, its second does not."""
     model, sec = _route_sector("A-60")
     twisted = diagonalize(build_monomial_matrix(model, sec)).vectors.T
     rng = np.random.default_rng(11)
@@ -404,11 +446,11 @@ def test_split_eigensolve_matches_numpy_roots_bit_for_bit(monkeypatch, two_cpus)
 def test_split_eigensolve_failure_drops_one_row(monkeypatch, two_cpus):
     """A matrix of the worker thread's part that LAPACK does not converge on
     makes that part raise; once both parts are done, the stack is redone
-    one matrix at a time, and only that row comes back None."""
+    one matrix at a time, each scaled back by its own row's sigma, and only
+    that row comes back without roots."""
     model, sec = _route_sector("A-60")
     rows = diagonalize(build_monomial_matrix(model, sec)).vectors.T
-    bad = rows[45][::-1]   # the level's row, high order first
-    top_row = -bad[1:] / bad[0]
+    top_row = _companion_top(rows[45])
     eigvals, raised = np.linalg.eigvals, []
 
     def flaky(a):
@@ -425,13 +467,13 @@ def test_split_eigensolve_failure_drops_one_row(monkeypatch, two_cpus):
 
 
 def test_split_eigensolve_cuts_a_part_per_cpu(monkeypatch):
-    """On eight CPUs, A-60's first-rung rows (61 companion matrices of size
-    60, 1.3e7 of work) are solved in eight parts of 8, 8, 8, 8, 8, 7, 7 and
-    7 matrices: the first on the calling thread, each other on a worker
+    """On eight CPUs, A-60's rows (61 companion matrices of size 60, 1.3e7
+    of work) are solved in eight parts of 8, 8, 8, 8, 8, 7, 7 and 7
+    matrices: the first on the calling thread, each other on a worker
     thread of its own, and none below `_PART_WORK`.  Three of those rows
     (6.5e5 of work, under twice the floor) stay one call on the calling
-    thread.  Either way every row's roots are `np.roots` of the row, bit
-    for bit."""
+    thread.  Either way every row's roots are sigma times `np.roots` of its
+    scaled row, bit for bit."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     model, sec = _route_sector("A-60")
     rows = diagonalize(build_monomial_matrix(model, sec)).vectors.T
@@ -901,22 +943,33 @@ def test_ladder_and_cross_validate_judge_energy_on_one_scale(monkeypatch):
     assert report.passed
 
 
-def test_decimal_rung_rescues_levels_of_preset_c_at_n60(monkeypatch):
-    """Preset C at N=60: levels 21 and 35 fail both twisted rungs and
-    converge on the decimal recurrence; with that rung off they come back
-    unconverged, their twisted candidates above the 1e-12 gate, and every
-    other converged level keeps its roots bit for bit.  Preset A at N=30
-    and g = 0.5, which pinned this rung before, no longer reaches it: its
-    level 30 converges on the complex re-solve."""
+def test_decimal_rung_rescues_levels_of_preset_c_at_n60():
+    """Preset C at N=60: levels 21 and 35 converge on the one scaled solve,
+    their residuals within the solver's 1e-12 and their energies within
+    1e-8, and every level of the sector passes `cross_validate`.  Their
+    float64 residuals agree with the same roots' at 60 digits within a
+    factor of 2: psi's coefficients are expanded in order of |a|
+    (`_monic_from_roots`); in sorted order they read about 3e-12."""
     model, sec = _route_sector("C-60")
-    sols = solve_bethe(model, sec)
-    assert [sol.level for sol in sols if sol.source == "refined" and sol.converged] == [21, 35]
-    monkeypatch.setattr(bethe, "_decimal_rows", _nan_rows)
-    without = solve_bethe(model, sec)
+    report = cross_validate(model, sec)
+    assert report.passed
+    op = expand_diffop(model, sec)
     for level in (21, 35):
-        assert not without[level].converged and without[level].residual_robust > 1e-12
-    assert all(_same_solution(a, b) for a, b in zip(sols, without)
-               if a.converged and a.level not in (21, 35))
+        sol = report.solutions[level]
+        assert sol.source == "extracted" and sol.converged
+        assert sol.residual_robust <= 1e-12
+        exact = robust_residual_mp(op, sol.roots)
+        assert exact / 2 <= sol.residual_robust <= 2 * exact
+
+
+def _unscaled_residuals(model, sec):
+    """Per level, the scaled robust residual of `np.roots` of its twisted
+    row as it is, not scaled to z = sigma w."""
+    op = expand_diffop(model, sec)
+    rows = diagonalize(build_monomial_matrix(model, sec)).vectors.T
+    stack = np.array([np.roots(row[::-1]).astype(complex) for row in rows])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return bethe._judged(op, bethe._float_polys(op), stack, 1e-6)[1]
 
 
 def test_candidates_pass_as_is_on_preset_a():
@@ -929,63 +982,26 @@ def test_candidates_pass_as_is_on_preset_a():
         assert report.passed, (n_top, report.failing_levels())
 
 
-def _nan_rows(values, energies):
-    """The decimal rung switched off: its rows are NaN, and the ladder
-    drops every non-finite row."""
-    return np.full((len(energies), 1), math.nan)
-
-
-def _complex_rung_off(monkeypatch):
-    """The complex re-solve switched off: its rows get no roots, as a row
-    whose eigensolve fails does, and the ladder drops them."""
+def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
+    """Preset B at N=45: one `_roots_of_rows` call takes all 46 rows, no
+    other candidate is built, and every level converges on it."""
+    model, sec = _route_sector("B-45")
+    stacks = []
     roots_of_rows = bethe._roots_of_rows
 
-    def real_only(rows):
-        roots, has = roots_of_rows(rows)
-        return roots, has & (not np.iscomplexobj(rows))
-
-    monkeypatch.setattr(bethe, "_roots_of_rows", real_only)
-
-
-def test_ladder_builds_no_candidate_after_a_pass(monkeypatch):
-    """Preset B at N=45, where levels stop on each of the three rungs.
-    Judged a rung at a time, each rung sees only the levels no earlier rung
-    passed: all 46 real twisted rows, then 8 complex ones, then 5 decimal
-    ones.  The decimal rung sees exactly the levels left unconverged with
-    it off, none of them kept as extracted and converged, and the complex
-    rung as many as are left with it off too."""
-    model, sec = _route_sector("B-45")
-    stacks, decimal = [], []
-    roots_of_rows, decimal_rows = bethe._roots_of_rows, bethe._decimal_rows
-
     def recorded(rows):
-        stacks.append(len(rows))
+        stacks.append((len(rows), rows.dtype))
         return roots_of_rows(rows)
 
-    def recorded_decimal(values, energies):
-        decimal.extend(energies)
-        return decimal_rows(values, energies)
-
     monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
-    monkeypatch.setattr(bethe, "_decimal_rows", recorded_decimal)
     sols = solve_bethe(model, sec)
-    assert stacks == [46, 8, 5] and len(decimal) == 5
-    extracted = {sol.oracle_energy for sol in sols
-                 if sol.source == "extracted" and sol.converged}
-    assert not extracted & set(decimal)
-
-    monkeypatch.setattr(bethe, "_decimal_rows", _nan_rows)
-    left = [sol.oracle_energy for sol in solve_bethe(model, sec) if not sol.converged]
-    assert left == decimal
-    _complex_rung_off(monkeypatch)
-    left_by_real_rows = [sol.oracle_energy for sol in solve_bethe(model, sec)
-                         if not sol.converged]
-    assert len(left_by_real_rows) == 8 and set(decimal) <= set(left_by_real_rows)
+    assert stacks == [(46, np.dtype(float))]
+    assert all(sol.source == "extracted" and sol.converged for sol in sols)
 
 
 # Draw 139 (0-based) of `random_sector(default_rng(5), 1, 15)` in the
-# benchmark's workloads, N = 15: levels 5, 7, 9 and 10 pass only on the
-# complex re-solve of their twisted rows.
+# benchmark's workloads, N = 15: levels 5, 6, 7, 9 and 10 need the scaled
+# solve of their twisted rows.
 COMPLEX_RUNG_SECTOR = dict(
     r=1, s=3, k=(1, 1, 2, 2), g=0.9582751874761397,
     w=(-0.7395192032602209, -0.8039813752042408, 0.5207767177648714, -0.2649988584483831),
@@ -996,26 +1012,21 @@ COMPLEX_RUNG_SECTOR = dict(
     occ=(0, 15, 30, 30), n_top=15)
 
 
-def test_complex_rung_rescues_levels_the_real_rows_fail(monkeypatch):
+def test_complex_rung_rescues_levels_the_real_rows_fail():
     """Levels 5, 7, 9 and 10 of `COMPLEX_RUNG_SECTOR` fail the 1e-12 gate on
-    the roots of their real twisted rows and pass it on the same rows
-    solved as complex ones, so the complex re-solve earns its place: with
-    it off they come back unconverged (the decimal rung does not take
-    them either), level 6 passes on the decimal rung instead, and every
-    other level keeps its roots bit for bit."""
+    the roots of their real twisted rows as they are, and so does level 6.
+    Scaled to z = sigma w, the same rows' roots converge, on the one solve,
+    down to 6.0e-15."""
     case = COMPLEX_RUNG_SECTOR
     model = make_model(case["r"], case["s"], case["k"], w=list(case["w"]), wq=case["wq"],
                        g=case["g"])
     sec = sector_from_occupations(model, case["occ"])
     assert sec.n_top == case["n_top"]
+    unscaled = _unscaled_residuals(model, sec)
+    assert [level for level, resid in enumerate(unscaled) if resid > 1e-12] == [5, 6, 7, 9, 10]
     sols = solve_bethe(model, sec)
     assert all(sol.converged and sol.source == "extracted" for sol in sols)
-    _complex_rung_off(monkeypatch)
-    without = solve_bethe(model, sec)
-    assert [sol.level for sol in without if not sol.converged] == [5, 7, 9, 10]
-    assert without[6].source == "refined" and without[6].converged
-    moved = [a.level for a, b in zip(sols, without) if not _same_solution(a, b)]
-    assert moved == [5, 6, 7, 9, 10]
+    assert max(sols[level].residual_robust for level in (5, 6, 7, 9, 10)) <= 1e-14
 
 
 def test_stacked_kernels_match_each_row_alone():
@@ -1049,6 +1060,23 @@ def test_stacked_kernels_match_each_row_alone():
     assert robust[2] == math.inf and math.isnan(bae[4])
     neighbours = [0, 1, 3, 5]
     assert np.all(np.isfinite(robust[neighbours])) and np.all(np.isfinite(bae[neighbours]))
+
+
+def test_monic_from_roots_multiplies_in_order_of_modulus():
+    """Each row's factors are multiplied in order of increasing |a|, so
+    psi's coefficients are the same bytes for any order of roots with
+    distinct moduli, row by row in a stack; the expansion still gives the
+    monic polynomial with those roots."""
+    rng = np.random.default_rng(7)
+    stack = 10.0 * rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    shuffled = np.array([row[rng.permutation(12)] for row in stack])
+    by_modulus = np.take_along_axis(stack, np.argsort(np.abs(stack), axis=1), axis=1)
+    want = bethe._monic_from_roots(stack)
+    assert np.array_equal(bethe._monic_from_roots(shuffled), want)
+    assert np.array_equal(bethe._monic_from_roots(by_modulus), want)
+    assert np.array_equal(bethe._monic_from_roots(shuffled[1]), want[1])
+    for row, coeffs in zip(stack, want):
+        assert np.allclose(coeffs, npoly.polyfromroots(row), rtol=1e-12, atol=0)
 
 
 _ZERO = np.zeros(0, dtype=complex)
@@ -1091,9 +1119,8 @@ def test_cross_validate_on_preset_b_at_n100_raises_no_runtime_warning():
 
 
 def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
-    """Perturbed roots and no decimal rung: every level comes back
-    unconverged with the roots of one of its twisted rows, and the report
-    fails it."""
+    """Perturbed roots: every level comes back unconverged with the roots
+    of its twisted row, and the report fails it."""
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
     roots_of_rows = bethe._roots_of_rows
@@ -1102,38 +1129,28 @@ def test_level_without_a_passing_candidate_is_reported_unconverged(monkeypatch):
         roots, has = roots_of_rows(rows)
         return roots * (1 + 1e-4), has
 
-    def no_recurrence(values, energies):
-        return np.full((len(energies), sec.dim), math.nan)
-
-    # with the decimal rung off (NaN rows, which the ladder drops), only
-    # the twisted rows find roots
     monkeypatch.setattr(bethe, "_roots_of_rows", perturbed)
-    monkeypatch.setattr(bethe, "_decimal_rows", no_recurrence)
     sols = solve_bethe(model, sec)
     assert len(sols) == sec.dim
     for sol in sols:
         assert sol.source == "extracted" and not sol.converged and not sol.reduced
+        assert len(sol.roots) == sec.n_top
     report = cross_validate(model, sec)
     assert not report.passed
     assert len(report.failing_levels()) == sec.dim
 
 
 def test_level_no_rung_gives_a_row_is_reported_without_roots(monkeypatch):
-    """NaN twisted rows, which both twisted rungs solve, and NaN decimal
-    rows: every row is dropped, so each level comes back unconverged with
-    no roots and a NaN energy, and the report fails every level instead of
-    raising."""
+    """NaN twisted rows: every row is dropped, so each level comes back
+    unconverged with no roots and a NaN energy, and the report fails every
+    level instead of raising."""
     model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
     sec = sector_from_occupations(model, (0, 0, 6))
-
-    def no_recurrence(values, energies):
-        return np.full((len(energies), sec.dim), math.nan)
 
     def nan_rows(block, energies):
         return np.full((len(energies), block.dim), math.nan)
 
     monkeypatch.setattr(hamiltonian, "_twisted_rows", nan_rows)
-    monkeypatch.setattr(bethe, "_decimal_rows", no_recurrence)
     for sol in solve_bethe(model, sec):
         assert len(sol.roots) == 0 and math.isnan(sol.energy) and not sol.converged
         assert sol.residual_robust == math.inf and not sol.reduced
@@ -1213,12 +1230,11 @@ def test_no_level_is_reduced_at_weak_coupling():
 
 @pytest.mark.parametrize("name", ["N25", "g0"])
 def test_solve_bethe_factorizes_the_block_once(monkeypatch, name):
-    """One float64 twisted factorization per `solve_bethe`, inside
-    `diagonalize`, on a weakly coupled sector (preset A at N=60, whose
-    levels reach every rung, is counted in the stacked-eigensolve test);
-    none on a diagonal block, whose eigenvectors are unit vectors.  The
-    decimal rung runs the same routine on a block of `decimal` objects;
-    the solver module keeps no eigenvector routine of its own."""
+    """One twisted factorization per `solve_bethe`, inside `diagonalize`,
+    on a weakly coupled sector (preset A at N=60 is counted in the
+    stacked-eigensolve test); none on a diagonal block, whose eigenvectors
+    are unit vectors.  The solver module keeps no eigenvector routine of
+    its own."""
     if name == "g0":
         model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
         sec = sector_from_occupations(model, (0, 0, 4))
@@ -1230,8 +1246,7 @@ def test_solve_bethe_factorizes_the_block_once(monkeypatch, name):
     twisted_rows = hamiltonian._twisted_rows
 
     def counted(block, energies):
-        if block.diag.dtype == float:
-            calls.append(block.dim)
+        calls.append(block.dim)
         return twisted_rows(block, energies)
 
     monkeypatch.setattr(hamiltonian, "_twisted_rows", counted)
@@ -1333,6 +1348,14 @@ ROUTE_SECTORS = {
     "A-40-g0.01": ("A", GRID_W, (0, 3, 40), 1e-2),
     "A-60-g0.01": ("A", GRID_W, (0, 3, 60), 1e-2),
     "B-60-g0.01": ("B", GRID_W, (0, 3, 120), 1e-2),
+    "B-40-g0.1": ("B", GRID_W, (0, 3, 80), 0.1),
+    "C-40-g0.1": ("C", GRID_W + (0.1,), (0, 3, 40, 42), 0.1),
+    "B-40-g0.01": ("B", GRID_W, (0, 3, 80), 1e-2),
+    "C-40-g0.01": ("C", GRID_W + (0.1,), (0, 3, 40, 42), 1e-2),
+    "A-60-g0.1": ("A", GRID_W, (0, 3, 60), 0.1),
+    "B-60-g0.1": ("B", GRID_W, (0, 3, 120), 0.1),
+    "C-60-g0.1": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 0.1),
+    "C-60-g0.01": ("C", GRID_W + (0.1,), (0, 3, 60, 62), 1e-2),
 }
 N40_GRID = ("A-40", "B-40", "C-40")
 
@@ -1366,48 +1389,55 @@ def _general_sectors(seed, count, n_range=(16, 24), log_g=False):
         yield model, sec
 
 
+def _route_cases(name):
+    """The sectors of a `test_high_precision_route_matches_mpmath_reference`
+    case: one of `ROUTE_SECTORS`, the exact-fraction twin of preset A at
+    N=30, or general-model sectors."""
+    if name.endswith("exact"):
+        model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
+                       wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
+        return [(model, sector_from_occupations(model, (0, 3, 30)))]
+    if name == "general":
+        return list(_general_sectors(13, 3))
+    if name == "general-log-g":
+        return list(_general_sectors(17, 12, n_range=(8, 30), log_g=True))
+    return [_route_sector(name)]
+
+
 @pytest.mark.parametrize("name", [*N40_GRID, "A-30", "A-60", "B-100", "C-100", "A-30-exact",
                                   "general", "A-40-g0.1", "A-40-g0.01", "A-60-g0.01",
                                   "B-60-g0.01", "general-log-g"])
 def test_high_precision_route_matches_mpmath_reference(name):
-    """The decimal route, at its fixed 30 digits, gives the float64
-    coefficients of the mpmath route exactly, with c_0 > 0.  At
-    max(50, 30 + 4N) digits that route is the reference on every level of
-    the N=40 grid, of preset A at N=30 and N=60, of one sector whose
-    couplings (and so hop values) are exact fractions, of three
-    general-model sectors with N in 16..24, and on every 4th level of
+    """Every level's returned roots sum to -c_(N-1) / c_N of the mpmath
+    route's row to 1e-10 of itself, wherever the level passes
+    `cross_validate`, and every level passes it but on presets B and C at
+    N=100.  At max(50, 30 + 4N) digits that route is the reference on
+    every level of the N=40 grid, of preset A at N=30 and N=60, of one
+    sector whose couplings (and so hop values) are exact fractions, of
+    three general-model sectors with N in 16..24, and on every 4th level of
     presets B and C at N=100.  At weak coupling its forward recurrence
     needs more digits, and the reference is the row at digits that no
     longer change it (`settled_coefficients`): on preset A at N=40, g = 0.1
     and 1e-2, on presets A and B at N=60, g = 1e-2, and on twelve
     general-model sectors with N in 8..30 and g log-uniform in [1e-3, 2].
-    The forward recurrence this route once ran at max(40, 20 + 2N) digits
-    got 31/41, 18/41, 26/61, 39/61 and 224/248 of these rows right."""
+    The worst sum gap measured is 3.7e-13."""
     if "g0" in name or name.endswith("log-g"):
         def reference(op, energy):
             return settled_coefficients(op, energy)[1]
     else:
         reference = high_precision_coefficients
-    if name.endswith("exact"):
-        model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
-                       wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
-        sectors = [(model, sector_from_occupations(model, (0, 3, 30)))]
-    elif name == "general":
-        sectors = list(_general_sectors(13, 3))
-    elif name == "general-log-g":
-        sectors = list(_general_sectors(17, 12, n_range=(8, 30), log_g=True))
-    else:
-        sectors = [_route_sector(name)]
     stride = 4 if name.endswith("100") else 1
-    for model, sec in sectors:
+    for model, sec in _route_cases(name):
         op = expand_diffop(model, sec)
         if name.endswith("exact"):
             assert all(isinstance(c, Fraction) for c in op.hop_values[2])
-        energies = diagonalize(build_monomial_matrix(model, sec)).energies[::stride].tolist()
-        rows = bethe._decimal_rows(op.hop_values, energies)
-        assert len(rows) == len(energies)
-        for energy, got in zip(energies, rows):
-            assert np.array_equal(got, reference(op, energy)), energy
+        report = cross_validate(model, sec)
+        assert report.passed or name in ("B-100", "C-100")
+        for rec, sol in list(zip(report.levels, report.solutions))[::stride]:
+            if rec.ok:
+                row = reference(op, sol.oracle_energy)
+                assert sum(sol.roots.tolist()).real == pytest.approx(-row[-2] / row[-1],
+                                                                     rel=1e-10), rec
 
 
 def _assert_returned_roots_are_scored(model, sec):
@@ -1434,58 +1464,52 @@ def test_passing_levels_certify_their_returned_roots_on_the_n40_grid(name):
 
 @pytest.mark.parametrize("name", N40_GRID)
 def test_n40_grid_never_reaches_the_float64_rung(monkeypatch, name):
-    """Every level of the N=40 grid passes on its real twisted row, so the
-    float64 rung after it, the complex re-solve of those rows, gets no row
-    and the decimal rung builds none (the complex float64 recurrence built
-    21 per sector while it came before the decimal rung, and the decimal
-    one 5-36 while the eigenvector came first)."""
-    complex_rows, decimal_rows = [], []
-    roots_of_rows, decimal_row = bethe._roots_of_rows, bethe._decimal_rows
+    """Every level of the N=40 grid passes on the roots of its real twisted
+    row: one `_roots_of_rows` call gets the 41 float64 rows, and no complex
+    row."""
+    stacks = []
+    roots_of_rows = bethe._roots_of_rows
 
     def recorded(rows):
-        complex_rows.extend(row for row in rows if np.iscomplexobj(row))
+        stacks.append((len(rows), rows.dtype))
         return roots_of_rows(rows)
 
-    def recorded_decimal(values, energies):
-        decimal_rows.extend(energies)
-        return decimal_row(values, energies)
-
     monkeypatch.setattr(bethe, "_roots_of_rows", recorded)
-    monkeypatch.setattr(bethe, "_decimal_rows", recorded_decimal)
     report = cross_validate(*_route_sector(name))
     assert report.passed
     assert all(sol.source == "extracted" for sol in report.solutions)
-    assert not complex_rows and not decimal_rows
+    assert stacks == [(41, np.dtype(float))]
 
 
 @pytest.mark.parametrize("name", N40_GRID)
 def test_n40_grid_solves_one_companion_matrix_per_level(monkeypatch, name):
     """One grid sector gives `_roots_of_rows` its 41 rows, all in one call,
-    and builds no decimal row (a grid cycle built 63 and 186 companion
+    from one twisted factorization (a grid cycle built 63 and 186 companion
     matrices while the eigenvector rung came first)."""
-    stacks = []
-    roots_of_rows = bethe._roots_of_rows
+    stacks, factorized = [], []
+    roots_of_rows, twisted_rows = bethe._roots_of_rows, hamiltonian._twisted_rows
 
     def counted(rows):
         stacks.append(len(rows))
         return roots_of_rows(rows)
 
-    def no_decimal_row(values, energies):
-        raise AssertionError("the decimal rung built a row")
+    def counted_rows(block, energies):
+        factorized.append(len(energies))
+        return twisted_rows(block, energies)
 
     monkeypatch.setattr(bethe, "_roots_of_rows", counted)
-    monkeypatch.setattr(bethe, "_decimal_rows", no_decimal_row)
+    monkeypatch.setattr(hamiltonian, "_twisted_rows", counted_rows)
     solve_bethe(*_route_sector(name))
-    assert stacks == [41]
+    assert stacks == [41] and factorized == [41]
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_weakly_coupled_n40_levels_keep_their_energies(name):
     """Presets A/B/C at N=40, g = 1e-2: the twisted rows keep the tiny
-    components that the eigenvector flushes and the decimal rung's digits
-    lose, so no level's energy is off by more than 1e-8 (the worst was
-    1.7, on A), and at most 13, 14 and 14 levels fail (34, 25 and 29 did),
-    each on its residual."""
+    components that the eigenvector flushes, so no level's energy is off by
+    more than 1e-8 (the worst was 1.7, on A), and at most 13, 14 and 14
+    levels fail (34, 25 and 29 did), each on its residual; on the scaled
+    rows none fails (the acceptance test of the g-axis cells)."""
     case, w, occ, _ = ROUTE_SECTORS[f"{name}-40"]
     model = preset(case, w=list(w), wq={(0, 1): 0.5}, g=1e-2)
     report = cross_validate(model, sector_from_occupations(model, occ))
@@ -1493,6 +1517,38 @@ def test_weakly_coupled_n40_levels_keep_their_energies(name):
     failing = report.failing_levels()
     assert len(failing) <= {"A": 13, "B": 14, "C": 14}[name]
     assert all(rec.residual_robust > 1e-10 for rec in failing)
+
+
+# The g-axis cells: presets A, B and C at N=40 and 60, g = 0.1 and 1e-2, 612
+# levels in all.
+G_AXIS_CELLS = [f"{case}-{n_top}-g{g}" for case in "ABC" for n_top in (40, 60)
+                for g in ("0.1", "0.01")]
+
+
+def test_every_level_of_the_g_axis_cells_passes():
+    """Every one of the 612 levels of the twelve g-axis cells passes
+    `cross_validate`: its returned roots meet the 1e-10 residual gate and
+    its energy agrees to 1e-8."""
+    failing, levels = {}, 0
+    for name in G_AXIS_CELLS:
+        report = cross_validate(*_route_sector(name))
+        failing[name] = [rec.level for rec in report.failing_levels()]
+        levels += len(report.levels)
+    assert levels == 612
+    assert all(not failed for failed in failing.values()), failing
+
+
+@pytest.mark.parametrize("name", ["A-40-g0.01", "B-60-g0.01"])
+def test_weak_coupling_roots_pass_at_60_digits(name):
+    """On preset A at N=40 and preset B at N=60, g = 1e-2, every 8th level's
+    returned roots pass the 1e-10 gate with their residual evaluated at 60
+    digits (`oracles.robust_residual_mp`), not only in float64, so these
+    passes are not float64 evaluation luck."""
+    model, sec = _route_sector(name)
+    op = expand_diffop(model, sec)
+    report = cross_validate(model, sec)
+    for rec, sol in list(zip(report.levels, report.solutions))[::8]:
+        assert rec.ok and robust_residual_mp(op, sol.roots) <= 1e-10, rec
 
 
 @st.composite
@@ -1568,15 +1624,11 @@ _SUM_RULE_CASE = (_SUM_RULE_MODEL, sector_from_occupations(_SUM_RULE_MODEL, (0, 
 @given(case=st.integers(0, 2 ** 32 - 1).map(
     lambda seed: next(_general_sectors(seed, 1, n_range=(1, 20), log_g=True))))
 @example(case=_SUM_RULE_CASE)
-# Seed 90051 (N = 19, g = 1.40), level 9: the returned roots reach |a| = 3.6e7
-# and cancel, and their sum, 335.258345477283, is 1.28e-10 of itself off
-# -c_{N-1}/c_N = 335.2583454344601.  The raw eigensolve's sum is off by
-# 1.9e-8 and snapping conjugate pairs adds 2.4e-8; at 60 digits the roots of
-# the same row sum to the trace exactly, and the level passes `cross_validate`
-# (energy error 1.8e-16).  Seeds 0-4999 and 90000-99999 hold no other case.
-@example(case=next(_general_sectors(90051, 1, n_range=(1, 20), log_g=True))).xfail(
-    raises=AssertionError,
-    reason="root sum of a level with roots up to 3.6e7 cancels to 1.28e-10 off Vieta's")
+# Seed 90051 (N = 19, g = 1.40), level 9: the roots reach |a| = 3.6e7 and
+# cancel.  Found from the row as it was, their sum, 335.258345477283, was
+# 1.28e-10 of itself off -c_{N-1}/c_N = 335.2583454344601; the row scaled to
+# z = sigma w gives roots that meet the bound.
+@example(case=next(_general_sectors(90051, 1, n_range=(1, 20), log_g=True)))
 def test_closed_form_energy_matches_vieta_form_of_the_eigenvector(case):
     """For every converged `extracted` level, over general sectors with
     1 <= N <= 20 and g log-uniform in [1e-3, 2], the closed-form energy
@@ -1600,34 +1652,27 @@ def test_closed_form_energy_matches_vieta_form_of_the_eigenvector(case):
 
 @pytest.mark.parametrize("name", ["A-30", "A-30-exact", "general"])
 def test_decimal_rows_of_a_batch_match_one_energy_at_a_time(name):
-    """The decimal rows of all levels at once, and of the same levels in
-    reverse order, are row for row the bytes each energy gives alone: no
-    state leaks from one level of the loop to the next.  On preset A at
-    N=30, its exact-fraction twin and a general sector with N in 16..24."""
-    if name.endswith("exact"):
-        model = preset("A", w=[Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)],
-                       wq={(0, 1): Fraction(1, 2)}, g=Fraction(4, 5))
-        sec = sector_from_occupations(model, (0, 3, 30))
-    elif name == "general":
-        model, sec = next(_general_sectors(13, 1))
-    else:
-        model, sec = _route_sector(name)
-    values = expand_diffop(model, sec).hop_values
-    energies = diagonalize(build_monomial_matrix(model, sec)).energies.tolist()
-    batch = bethe._decimal_rows(values, energies)
-    assert batch.shape == (len(energies), sec.dim) and batch.dtype == float
-    backwards = bethe._decimal_rows(values, energies[::-1])
-    for energy, row, row_back in zip(energies, batch, backwards[::-1]):
-        alone = bethe._decimal_rows(values, [energy])
-        assert alone.shape == (1, sec.dim)
-        assert row.tobytes() == alone[0].tobytes() == row_back.tobytes(), energy
+    """The roots of all levels' twisted rows at once, and of the same rows
+    in reverse order, are row for row the bytes each row gives alone: no
+    state leaks from one row of the stack to the next, and each row's
+    scale is its own.  On preset A at N=30, its exact-fraction twin and a
+    general sector with N in 16..24."""
+    model, sec = _route_cases(name)[0]
+    rows = diagonalize(build_monomial_matrix(model, sec)).vectors.T
+    batch, has = bethe._roots_of_rows(rows)
+    assert batch.shape == (sec.dim, sec.n_top) and has.all()
+    backwards = bethe._roots_of_rows(rows[::-1])[0]
+    for row, roots, roots_back in zip(rows, batch, backwards[::-1]):
+        alone, alone_has = bethe._roots_of_rows(row[None])
+        assert alone.shape == (1, sec.n_top) and alone_has.all()
+        assert roots.tobytes() == alone[0].tobytes() == roots_back.tobytes()
 
 
 def test_high_precision_route_raises_without_interaction():
     """At g = 0 every C(m) vanishes; the mpmath route's forward recurrence
     raises ZeroDivisionError, whether its first step divides x/0 or 0/0.
-    (The decimal route has no recurrence to break: the ladder solves such
-    a diagonal block exactly and never builds its rows.)"""
+    (The solver never builds such rows: it solves a diagonal block
+    exactly.)"""
     model = make_model(2, 1, (1, 1, 1), w=[0.5, -0.25, 1.5], g=0)
     sec = sector_from_occupations(model, (0, 0, 4))
     op = expand_diffop(model, sec)

@@ -243,11 +243,10 @@ def test_energy_tolerance_is_not_a_flag(capsys, command):
 
 
 def test_roots_tags_unconverged_levels_and_exits_3(capsys):
-    """At g = 1e-2 some levels of preset A at N=40 have no root set that
-    passes: `roots` tags their lines and exits 3, as `solve` does.  It
-    once exited 0 with energies off by up to 1.66 of the spectral scale.
-    Converged lines keep their form, and every line keeps `E=` and
-    `roots:`."""
+    """At g = 1e-2 some levels of preset A at N=40 have no root set within
+    the solver's 1e-12 residual target (9 levels read between 1e-12 and
+    1e-10): `roots` tags their lines and exits 3.  Converged lines keep
+    their form, and every line keeps `E=` and `roots:`."""
     code, out, _ = _run(capsys, ["roots", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5",
                                  "--g=0.01", "--occ=0,3,40"])
     assert code == 3
@@ -330,9 +329,8 @@ def test_scan_quadratic_coupling_sweep(capsys):
 
 
 def test_solve_and_scan_load_neither_scipy_nor_mpmath():
-    """A `solve` that reaches the high-precision root route, then a `scan`,
-    run in one fresh process: blocks are diagonalized with numpy alone, and
-    the route runs on the standard library's `decimal`."""
+    """A `solve` of preset A at N=30, then a `scan`, run in one fresh
+    process: blocks are diagonalized, and roots found, with numpy alone."""
     code = (
         "import contextlib, io, sys\n"
         "from multiboson.cli import main\n"

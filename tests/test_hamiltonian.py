@@ -173,3 +173,22 @@ def test_monomial_eigenvectors_are_monomial_basis():
     for j in range(block.dim):
         v = spec.vectors[:, j]
         assert np.allclose(block.to_dense() @ v, spec.energies[j] * v, atol=1e-9)
+
+
+def test_zero_pivot_leaves_every_eigenvector_finite():
+    """On this N=2 block level 1's eigenvalue is E = 0.2 in float64, equal
+    to the last diagonal entry, so the first bottom-up pivot d_N = B(N) - E
+    is exactly zero.  Replaced by eps times the block's scale before it
+    divides, it gives a finite column, an eigenvector to
+    1e-15, whose eigenpolynomial has the roots +-sqrt(2)."""
+    model = make_model(2, 1, (1, 1, 1), w=[0.3, -0.2, 0.1], g=1.0)
+    sec = sector_from_occupations(model, (0, 0, 2))
+    block = build_monomial_matrix(model, sec)
+    spec = diagonalize(block)
+    assert block.diag[-1] - spec.energies[1] == 0.0
+    assert np.all(np.isfinite(spec.vectors))
+    column = spec.vectors[:, 1]
+    assert np.allclose(block.to_dense() @ column, spec.energies[1] * column, rtol=0, atol=1e-15)
+    roots = np.sort(np.roots(column[::-1]))
+    assert np.allclose(roots, [-math.sqrt(2), math.sqrt(2)], rtol=0, atol=1e-14)
+    assert np.all(roots.imag == 0)
