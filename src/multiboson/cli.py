@@ -78,7 +78,7 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path!r} ({exc})") from None
     return out
 

@@ -129,6 +129,16 @@ def test_config_file(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """A config file that does not decode as UTF-8 is a configuration error
+    that names the file, as an unreadable one is, not a numerical failure."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"model.r = 2\n\xff\n")
+    code, _, err = _run(capsys, ["solve", "--config", str(cfg)])
+    assert code == 2
+    assert f"config: cannot read {str(cfg)!r}" in err
+
+
 def test_text_format(capsys):
     code, out, _ = _run(capsys, [
         "solve", "--preset", "A", "--g", "1", "--occ", "0,0,1", "--format", "text"])
@@ -223,9 +233,8 @@ A40_SOLVE = ["solve", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5", "--g=
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--max-iter", "5"]])
 def test_removed_search_settings_are_rejected(capsys, flag):
-    """The ladder's search target and the Newton step count are fixed: a
-    looser target once stopped levels 19-22 of this sector at roots that
-    fail the 1e-10 certificate, turning a pass into exit 3."""
+    """The residual certificate and the direct search's Newton step count
+    are fixed: `--tol` and `--max-iter` are usage errors."""
     with pytest.raises(SystemExit) as exc:
         main(A40_SOLVE + flag)
     assert exc.value.code == 2
@@ -235,7 +244,7 @@ def test_removed_search_settings_are_rejected(capsys, flag):
 @pytest.mark.parametrize("command", ["solve", "roots"])
 def test_energy_tolerance_is_not_a_flag(capsys, command):
     """The energy agreement tolerance is a fixed 1e-8, like the residual
-    targets: `--energy-tol` is a usage error."""
+    certificate: `--energy-tol` is a usage error."""
     with pytest.raises(SystemExit) as exc:
         main([command] + A40_SOLVE[1:] + ["--energy-tol", "1e-6"])
     assert exc.value.code == 2
@@ -243,21 +252,37 @@ def test_energy_tolerance_is_not_a_flag(capsys, command):
 
 
 def test_roots_tags_unconverged_levels_and_exits_3(capsys):
-    """At g = 1e-2 some levels of preset A at N=40 have no root set within
-    the solver's 1e-12 residual target (9 levels read between 1e-12 and
-    1e-10): `roots` tags their lines and exits 3.  Converged lines keep
+    """On preset C at N=100, g = 0.8, 32 levels miss the 1e-10 residual
+    certificate (their float64 residual overflows): `roots` tags exactly
+    the levels `cross_validate` fails and exits 3.  Converged lines keep
     their form, and every line keeps `E=` and `roots:`."""
-    code, out, _ = _run(capsys, ["roots", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5",
-                                 "--g=0.01", "--occ=0,3,40"])
+    code, out, _ = _run(capsys, ["roots", "--preset", "C", "--w=0.4,-0.3,0.2,0.1",
+                                 "--wq=1,2=0.5", "--g=0.8", "--occ=0,3,100,102"])
     assert code == 3
     lines = out.strip().splitlines()
-    model = multiboson.preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.01)
-    sols = bethe.solve_bethe(model, multiboson.sector_from_occupations(model, (0, 3, 40)))
-    assert len(lines) == len(sols) == 41
-    assert 0 < sum(not sol.converged for sol in sols) < len(sols)
+    model = multiboson.preset("C", w=[0.4, -0.3, 0.2, 0.1], wq={(0, 1): 0.5}, g=0.8)
+    report = bethe.cross_validate(
+        model, multiboson.sector_from_occupations(model, (0, 3, 100, 102)))
+    sols = report.solutions
+    assert len(lines) == len(sols) == 101
+    unconverged = [sol.level for sol in sols if not sol.converged]
+    assert len(unconverged) == 32
+    assert unconverged == [rec.level for rec in report.failing_levels()]
     for line, sol in zip(lines, sols):
         tag = f"level {sol.level}" + ("" if sol.converged else " unconverged")
         assert line.startswith(f"{tag}: E={multiboson.cli._fmt(sol.energy)} roots: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5", "--g=0.01", "--occ=0,3,40"], 0),
+    (["--preset", "C", "--w=0.4,-0.3,0.2,0.1", "--wq=1,2=0.5", "--g=0.8",
+      "--occ=0,3,100,102"], 3),
+])
+def test_roots_and_solve_exit_alike(capsys, argv, code):
+    """`roots` exits by the levels' `converged` flags and `solve` by
+    `cross_validate`'s verdict, which are one certificate: every level of
+    A40 at g = 1e-2 passes it, and 32 levels of C100 at g = 0.8 miss it."""
+    assert [_run(capsys, [command, *argv])[0] for command in ("roots", "solve")] == [code, code]
 
 
 def test_negative_starts_are_rejected(capsys):
