@@ -52,14 +52,16 @@ passes a level that is `converged` and whose Fock, monomial and
 closed-form energies agree within 1e-8 of the spectral scale.  The
 terms P_i(a_p) psi^(i)(a_p) of H psi and their magnitude bounds are
 evaluated once per stack of root sets (`_terms_at_roots`, with psi's
-coefficients expanded from its roots in order of modulus and
-numpy.polynomial's Horner sweep and derivative written out), and both
-residual forms read that one evaluation; an overflowed bound reads as an
-infinite residual.  An independent multi-start Newton search on the
-pole-residue equations, run on the same operator, is available as a
-confirmation mode (`direct_search`): each Newton step evaluates a root set
-and its shifted copies as one stack, and the converged starts are judged
-as one stack of root sets by the same `_judged`.
+coefficients expanded from its roots in order of modulus, and psi, its
+derivatives and the P_i held as zero-padded coefficient planes, each set
+of planes valued in one in-place Horner sweep, numpy.polynomial's
+polyval of each bit for bit, NaN signs aside), and both residual forms
+read that one evaluation; an overflowed bound reads as an infinite
+residual.  An independent multi-start Newton search on the pole-residue
+equations, run on the same operator, is available as a confirmation mode
+(`direct_search`): each Newton step evaluates a root set and its shifted
+copies as one stack, and the converged starts are judged as one stack of
+root sets by the same `_judged`.
 """
 
 from __future__ import annotations
@@ -211,60 +213,66 @@ def _monic_from_roots(roots) -> np.ndarray:
     return out if roots.ndim == 2 else out[0]
 
 
-def _float_polys(op: DiffOpForm):
-    return [np.asarray([complex(c) for c in p.coeffs], dtype=complex) for p in op.p]
+def _float_polys(op: DiffOpForm) -> np.ndarray:
+    """The operator's P_0 .. P_M as one (deg, M + 1, 1, 1) complex array:
+    entry [k, i] is the z^k coefficient of P_i, zero past its degree; one
+    row of zeros if every P_i is zero."""
+    planes = np.zeros((max([1] + [len(p.coeffs) for p in op.p]), len(op.p), 1, 1), dtype=complex)
+    for i, p in enumerate(op.p):
+        planes[:len(p.coeffs), i, 0, 0] = [complex(c) for c in p.coeffs]
+    return planes
 
 
-def _at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Polynomial values at an (L, N) array of points: one shared
-    coefficient vector, or one (L, K) row of coefficients per row of points
-    in a single Horner sweep.
+def _derivatives(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Each (L, K) row of coefficients, low to high, and its first `order`
+    derivatives as one (K, order + 1, L, 1) array: [k, i, l] is the z^k
+    coefficient of row l's i-th derivative, zero past its degree.  Each
+    derivative takes `polyder`'s steps: scale by 1 (inf + 0j becomes
+    inf + nanj), then coefficient j times j; a constant's is zero, as
+    polyder's c * 0 is while c is finite, as on a monic row."""
+    planes = np.zeros((coeffs.shape[1], order + 1, len(coeffs), 1), dtype=coeffs.dtype)
+    planes[:, 0, :, 0] = coeffs.T
+    scale = np.arange(1, coeffs.shape[1])[:, None, None]
+    for i in range(1, order + 1):
+        np.multiply(scale, planes[1:, i - 1] * 1, out=planes[:-1, i])
+    return planes
 
-    The sweep is `numpy.polynomial.polynomial.polyval`'s, operation for
-    operation, so the values are its values bit for bit.
-    """
-    c = coeffs[:, None, None] if coeffs.ndim == 1 else coeffs.T[:, :, None]
-    value = c[-1] + points * 0
-    for k in range(2, len(c) + 1):
-        value = c[-k] + value * points
+
+def _horner(planes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values at (L, N) points of the polynomials whose coefficients, low
+    order first, run along axis 0 of a (K, I, L or 1, 1) array, as (I, L, N),
+    by one in-place Horner sweep.  For two values or more (the kernel's
+    M + 1 >= 2 orders; numpy multiplies a lone complex value in place
+    without its vector loop's fused multiply-add), each is numpy.polynomial's
+    `polyval` bit for bit, a NaN's sign and payload aside: a zero-padded top
+    coefficient only adds a signed zero."""
+    value = planes[-1] + points * 0
+    for plane in planes[-2::-1]:
+        value *= points
+        value += plane
     return value
 
 
-def _derivative(coeffs: np.ndarray) -> np.ndarray:
-    """d/dz of each (L, K) row of coefficients, low to high, bit for bit
-    `numpy.polynomial.polynomial.polyder(coeffs, axis=-1)`.
-
-    Its steps are kept: the rows are first scaled by 1, which is not a
-    no-op for complex specials (inf + 0j times 1 + 0j is inf + nanj), then
-    coefficient j is multiplied by j; a constant's derivative is c * 0.
-    """
-    k = coeffs.shape[-1]
-    if k == 1:
-        return coeffs[..., :1] * 0
-    return np.arange(1, k) * (coeffs * 1)[..., 1:]
-
-
-def _terms_at_roots(p_list, roots: np.ndarray):
-    """The terms of H psi = sum_i P_i psi^(i) at every root of the stack.
+def _terms_at_roots(p: np.ndarray, roots: np.ndarray):
+    """The terms of H psi = sum_i P_i psi^(i) at every root of the stack,
+    for the P_i of `_float_polys`.
 
     Returns (terms, bounds, dpsi): terms[i] = P_i(a_p) psi^(i)(a_p) and
     bounds[i] = |P_i|(|a_p|) |psi^(i)|(|a_p|), each (M + 1, L, N), where
     |q| is q with its coefficients' magnitudes; dpsi = psi'(a_p) is (L, N).
-    The bounds are the residual scale, which must not come from the
+    Psi with its derivatives, and the P_i, each take one sweep at the roots
+    and one at their moduli, whatever M; a zero P_i's terms and bounds are
+    zero.  The bounds are the residual scale, which must not come from the
     (possibly perfectly cancelled) sum: an eigenvalue at zero makes H psi
     the zero polynomial.
     """
-    derivs = [_monic_from_roots(roots)]
-    for _ in range(len(p_list) - 1):
-        derivs.append(_derivative(derivs[-1]))
+    psi = _derivatives(_monic_from_roots(roots), p.shape[1] - 1)
     points = np.abs(roots)
-    terms = np.zeros((len(derivs),) + roots.shape, dtype=complex)
-    bounds = np.zeros(terms.shape)
-    values = [_at(deriv, roots) for deriv in derivs]
-    for i, (p, deriv) in enumerate(zip(p_list, derivs)):
-        if p.size:
-            terms[i] = _at(p, roots) * values[i]
-            bounds[i] = _at(np.abs(p), points) * _at(np.abs(deriv), points)
+    values = _horner(psi, roots)
+    terms = _horner(p, roots) * values
+    bounds = _horner(np.abs(p), points) * _horner(np.abs(psi), points)
+    zero = ~p.any(axis=(0, 2, 3))
+    terms[zero], bounds[zero] = 0, 0
     return terms, bounds, values[1]
 
 
@@ -625,14 +633,14 @@ def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
     return energies
 
 
-def _judged(op: DiffOpForm, p_list, stack: np.ndarray, rel_tol: float):
+def _judged(op: DiffOpForm, polys, stack: np.ndarray, rel_tol: float):
     """An (L, N) stack of root sets judged as one: its canonical form and,
     per canonical set, as lists, the scaled robust residual, the scaled
     pole-residue residual (NaN where two roots lie within rel_tol of the
     set's root scale, which that form cannot take), the closed-form energy
     (`_closed_form_energies`) and that close flag."""
     stack = _canonical(stack)
-    at = _terms_at_roots(p_list, stack)
+    at = _terms_at_roots(polys, stack)
     close = _close_pairs(stack, rel_tol)
     bae = np.where(close, math.nan, _scaled_bae(at))
     return (stack, _scaled_robust(at).tolist(), bae.tolist(),
@@ -640,10 +648,12 @@ def _judged(op: DiffOpForm, p_list, stack: np.ndarray, rel_tol: float):
 
 
 @_quiet
-def _solve_levels(op, p_list, block, spec):
+def _solve_levels(op, polys, block, spec):
     """One `BetheSolution` per level of a sector, in level order, from the
     one root route of the module docstring, given the sector's operator,
-    its float P_i, its monomial block and that block's spectrum.
+    its float P_i, its monomial block and that block's spectrum.  Each
+    level's solution is built once: from its judged roots, or, for a level
+    whose row has none, with no roots and a NaN energy.
     """
     oracles = spec.energies.tolist()
     if not block.lower.any():
@@ -654,14 +664,14 @@ def _solve_levels(op, p_list, block, spec):
             residual_robust=0.0, source="extracted", degenerate=n >= 2, reduced=n < n_top,
             converged=True) for level, n in enumerate(np.argmax(spec.vectors, axis=0).tolist())]
 
-    # a level whose row has no roots keeps this: no roots, a NaN energy
-    solutions = [BetheSolution(
-        level=level, roots=_frozen(()), energy=math.nan, oracle_energy=oracle,
-        residual_bae=math.nan, residual_robust=math.inf, source="extracted", degenerate=False,
-        reduced=False, converged=False) for level, oracle in enumerate(oracles)]
     energy_tol = _ENERGY_TOL * max(1.0, float(np.max(np.abs(spec.energies))))
     sets, has = _roots_of_rows(spec.vectors.T)
-    judged = zip(np.flatnonzero(has).tolist(), *_judged(op, p_list, sets[has], _DEGENERATE_TOL))
+    solutions = [None if has_roots else BetheSolution(
+        level=level, roots=_frozen(()), energy=math.nan, oracle_energy=oracle,
+        residual_bae=math.nan, residual_robust=math.inf, source="extracted", degenerate=False,
+        reduced=False, converged=False) for level, (oracle, has_roots) in
+        enumerate(zip(oracles, has.tolist()))]
+    judged = zip(np.flatnonzero(has).tolist(), *_judged(op, polys, sets[has], _DEGENERATE_TOL))
     for level, roots, resid, r_bae, energy, degenerate in judged:
         oracle = oracles[level]
         solutions[level] = BetheSolution(
@@ -710,7 +720,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
     op = expand_diffop(model, sector)
-    p_list = _float_polys(op)
+    polys = _float_polys(op)
     n = op.n_top
     if n == 0 and starts:   # every start finds the empty root set at once
         return [BetheSolution(level=0, roots=_frozen(()), energy=float(op.hop_values[1][-1]),
@@ -728,7 +738,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
             close = _close_pairs(stack, _MIN_SEPARATION)
             if close[0]:
                 break
-            residues = _pole_residues(_terms_at_roots(p_list, stack))
+            residues = _pole_residues(_terms_at_roots(polys, stack))
             f = residues[0]
             if np.max(np.abs(f)) < 1e-30:
                 converged.append(roots)
@@ -749,7 +759,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
     if not converged:   # no start gives np.array no (L, N) shape to judge
         return []
     # snapping conjugate pairs onto the axis can make two roots coincide
-    stack, robust, bae, energies, _ = _judged(op, p_list, np.array(converged), _MIN_SEPARATION)
+    stack, robust, bae, energies, _ = _judged(op, polys, np.array(converged), _MIN_SEPARATION)
     # moduli by np.hypot, as Python's abs of a complex
     scales = np.maximum(1.0, np.hypot(stack.real, stack.imag).max(axis=1))
     found, kept = [], []   # the distinct certified sets and their rows, in start order

@@ -7,8 +7,9 @@ literal nested subset sums for the root-equation residuals, the mpmath
 form of the high-precision root route (also with its digits doubled until
 its rows settle), the pairwise double loop of the close-pair test, the
 scalar root canonicalization, one root set at a time, the scaled robust
-residual at 60 digits, and the hop polynomials and operator expanded as
-plain Fraction coefficient lists.
+residual at 60 digits, the residual kernel's terms one derivative order at
+a time, and the hop polynomials and operator expanded as plain Fraction
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -194,6 +195,32 @@ def robust_residual_mp(op, roots, dps=60):
             elif total:
                 return math.inf
         return float(worst)
+
+
+def terms_at_roots(p_list, coeffs, roots):
+    """The per-order loop the package's residual kernel replaced, as its
+    reference: (terms, bounds, dpsi) of `bethe._terms_at_roots` for the
+    P_i given as a list of coefficient arrays (empty for a zero P_i), the
+    (L, N + 1) coefficient rows of psi and the (L, N) stack of roots.
+    Each derivative of psi is one `polyder` of the one before, and each
+    order's values and bounds are one `polyval` each; a zero P_i leaves
+    its terms and bounds at zero."""
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
+    derivs = [coeffs]
+    for _ in p_list[1:]:
+        derivs.append(npoly.polyder(derivs[-1], axis=-1))
+    points = np.abs(roots)
+    terms = np.zeros((len(derivs),) + roots.shape, dtype=complex)
+    bounds = np.zeros(terms.shape)
+    values = [npoly.polyval(roots, d.T[:, :, None], tensor=False) for d in derivs]
+    for i, (p, d) in enumerate(zip(p_list, derivs)):
+        if len(p):
+            terms[i] = npoly.polyval(roots, p) * values[i]
+            bounds[i] = (npoly.polyval(points, np.abs(p))
+                         * npoly.polyval(points, np.abs(d).T[:, :, None], tensor=False))
+    return terms, bounds, values[1]
 
 
 def settled_coefficients(op, energy, max_dps=3200):
