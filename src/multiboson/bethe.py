@@ -340,6 +340,15 @@ def _scaled_bae(at) -> np.ndarray:
 # ----------------------------------------------------------------------
 # residual forms
 
+def _root_set(op: DiffOpForm, roots) -> np.ndarray:
+    """One root set as a complex array; more than N roots make a psi
+    outside the invariant subspace, a ValueError as in `energy_from_roots`."""
+    roots = np.asarray(roots, dtype=complex)
+    if roots.size > op.n_top:
+        raise ValueError(f"got {roots.size} roots for a sector with N={op.n_top}")
+    return roots
+
+
 @_quiet
 def bethe_residuals(op: DiffOpForm, roots) -> np.ndarray:
     """Pole-residue components, one per root, via derivatives of psi.
@@ -348,9 +357,9 @@ def bethe_residuals(op: DiffOpForm, roots) -> np.ndarray:
     equals the nested subset sum over the other roots; all components
     vanish exactly when every a_p is a removable singularity of
     (H psi)/psi.  Requires pairwise separations above `_MIN_SEPARATION`
-    relative to the root scale.
+    relative to the root scale, and at most N roots.
     """
-    roots = np.asarray(roots, dtype=complex)
+    roots = _root_set(op, roots)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
     if _close_pairs(roots[None], _MIN_SEPARATION)[0]:
@@ -365,8 +374,9 @@ def robust_residuals(op: DiffOpForm, roots) -> np.ndarray:
     Vanishing of all components, together with the automatic degree bound
     deg(H psi) <= N, is equivalent to psi being an eigenfunction: a
     ratio (H psi)/psi with no poles and no growth at infinity is constant.
+    At most N roots; fewer, as a reduced level's psi has, are allowed.
     """
-    roots = np.asarray(roots, dtype=complex)
+    roots = _root_set(op, roots)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
     terms, _, _ = _terms_at_roots(_float_polys(op), roots[None])

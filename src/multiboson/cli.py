@@ -430,7 +430,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a matrix element past float64's range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

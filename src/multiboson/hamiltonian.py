@@ -25,12 +25,10 @@ import numpy as np
 from .diffop import hop_values
 from .fock import ModelSpec, Sector, occupations_at
 
-# Occupations above this use log-space factorial sums instead of exact
-# integer products, keeping matrix elements finite without overflow.
-_EXACT_OCCUPATION_LIMIT = 20
 # Blocks beyond this size with huge off-diagonal entries get a conditioning
-# warning: the entries are finite (log-space construction) but spectra of
-# matrices with ~1e12 entry spreads should be inspected, not trusted.
+# warning: the entries are square roots of exact integer products, but
+# spectra of matrices with ~1e12 entry spreads should be inspected, not
+# trusted.
 _WARN_DIM = 61
 _WARN_ELEMENT = 1e12
 
@@ -76,38 +74,27 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
-def _sqrt_product(factors, occupations) -> float:
-    """sqrt(prod(factors)) for the integer factors of a factorial ratio at
-    the given occupations; a negative factor is an inconsistent sector."""
+def _sqrt_product(factors) -> float:
+    """sqrt(prod(factors)) for the integer factors of a factorial ratio:
+    `math.sqrt` of the exact integer product, so the product is rounded to
+    float once and its square root once.  A negative factor is an
+    inconsistent sector; a product past float64's range raises
+    OverflowError."""
     if any(f < 0 for f in factors):
         raise ValueError("negative factorial ratio: occupations inconsistent with sector")
-    if any(f == 0 for f in factors):
-        return 0.0
-    if max(occupations) <= _EXACT_OCCUPATION_LIMIT:
-        prod = 1
-        for f in factors:
-            prod *= f
-        return math.sqrt(prod)
-    return math.exp(0.5 * sum(math.log(f) for f in factors))
+    return math.sqrt(math.prod(factors))
 
 
 def transition_element(model: ModelSpec, occupations) -> float:
     """Matrix element of the raw interaction product between level n and n+1.
 
     Equals prod_{i<=r} sqrt((m_i+k_i)!/m_i!) * prod_{i>r} sqrt(m_i!/(m_i-k_i)!)
-    at the given occupations; exact integer products under the square root
-    for small occupations, log-space factorial sums above the cutoff.
+    at the given occupations: the square root of the exact integer
+    product (`_sqrt_product`).
     """
-    factors = []
-    for i in model.group1:
-        m, k = occupations[i], model.k[i]
-        for j in range(1, k + 1):
-            factors.append(m + j)
-    for i in model.group2:
-        m, k = occupations[i], model.k[i]
-        for j in range(k):
-            factors.append(m - j)
-    return _sqrt_product(factors, occupations)
+    factors = [occupations[i] + j for i in model.group1 for j in range(1, model.k[i] + 1)]
+    factors += [occupations[i] - j for i in model.group2 for j in range(model.k[i])]
+    return _sqrt_product(factors)
 
 
 def _maybe_warn_conditioning(block: TridiagonalBlock):

@@ -74,10 +74,7 @@ def boson_generators(k: int, trunc: int) -> TruncatedGeneratorSet:
     qplus = np.zeros((trunc, trunc))
     norm = float(k) ** (k / 2.0)
     for m in range(trunc - k):
-        prod = 1
-        for i in range(1, k + 1):
-            prod *= m + i
-        qplus[m + k, m] = math.sqrt(prod) / norm
+        qplus[m + k, m] = _sqrt_product(range(m + 1, m + k + 1)) / norm
     qzero = np.diag([(m + 1.0 / k) / k for m in range(trunc)])
     return TruncatedGeneratorSet(k=k, trunc=trunc, qplus=qplus,
                                  qminus=qplus.T.copy(), qzero=qzero)
@@ -176,7 +173,9 @@ class LadderCoefficients:
 
     diag[n] = <n|P0|n>; up[i] = <i+1|P+|i> and down[i] = <i|P-|i+1>, both
     of length N, computed through independent product formulas (raising
-    vs. lowering); unitarity makes them equal.
+    vs. lowering).  Unitarity makes the two integer products equal, and
+    both take the one square root `hamiltonian._sqrt_product`, so up and
+    down are equal bit for bit.
     """
 
     diag: np.ndarray
@@ -200,14 +199,9 @@ def raising_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
 def lowering_amplitude(model: ModelSpec, sector: Sector, n: int) -> float:
     """<n-1|P-|n>: the mirrored double product; vanishes identically at n=0."""
     occ = occupations_at(model, sector, n)
-    factors = []
-    for i in model.group1:
-        for j in range(model.k[i]):
-            factors.append(occ[i] - j)
-    for i in model.group2:
-        for j in range(1, model.k[i] + 1):
-            factors.append(occ[i] + j)
-    return _sqrt_product(factors, occ) / math.sqrt(_k_norm(model))
+    factors = [occ[i] - j for i in model.group1 for j in range(model.k[i])]
+    factors += [occ[i] + j for i in model.group2 for j in range(1, model.k[i] + 1)]
+    return _sqrt_product(factors) / math.sqrt(_k_norm(model))
 
 
 def ladder_coefficients(model: ModelSpec, sector: Sector) -> LadderCoefficients:

@@ -130,6 +130,25 @@ def test_residuals_reject_coincident_roots():
         bethe_residuals(OP_A, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("residuals", [bethe_residuals, robust_residuals])
+def test_residuals_reject_more_than_n_roots(residuals):
+    """More than N roots make a psi outside the invariant subspace: a
+    ValueError naming N, as `energy_from_roots` and `apply_to_polynomial`
+    raise on the same input (both residual forms once returned numbers).
+    Fewer roots, as a reduced level's psi has, stay allowed."""
+    model = preset("A", w=[0.4, -0.3, 0.2], g=0.8)
+    sec = sector_from_occupations(model, (0, 3, 4))
+    op = expand_diffop(model, sec)
+    assert op.n_top == 4
+    for count in (5, 6):
+        roots = [0.1 * (j + 1) for j in range(count)]
+        with pytest.raises(ValueError, match="N=4"):
+            residuals(op, roots)
+        with pytest.raises(ValueError, match="N=4"):
+            energy_from_roots(model, sec, roots)
+    assert len(residuals(op, [0.1, 0.2, 0.3])) == 3
+
+
 def _scaled_row(row):
     """(sigma, scaled row) of one row of `_roots_of_rows`, as that function
     defines them: sigma = (|c_low| / |c_N|)^(1 / (N - low)), c_low the

@@ -227,6 +227,23 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+HUGE_OCC = f"--occ={10 ** 40},0,{10 ** 40},5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--r", "2", "--s", "2", "--k", "9,1,9,1", "--g", "1", HUGE_OCC],
+    ["scan", "--r", "2", "--s", "2", "--k", "9,1,9,1", "--g", "1", HUGE_OCC,
+     "--sweep", "w1", "--range", "0:0.2:0.1"],
+])
+def test_matrix_element_past_float_range_exits_3(capsys, argv):
+    """A Fock matrix element past float64's range is a numerical failure:
+    'error: ...' on stderr and exit 3, not an OverflowError traceback and
+    exit 1."""
+    code, _, err = _run(capsys, argv)
+    assert code == 3
+    assert err.startswith("error: ")
+
+
 A40_SOLVE = ["solve", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5", "--g=0.8",
              "--occ=0,3,40"]
 

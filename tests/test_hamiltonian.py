@@ -73,7 +73,7 @@ def test_monomial_and_fock_share_diagonal():
     ((2, 1, (1, 1, 2)), (2, 1, 30)),
     ((3, 3, (2, 1, 1, 3, 3, 3)), (4, 0, 1, 39, 40, 40)),
     ((1, 3, (3, 3, 3, 3)), (34, 12, 17, 12)),
-    ((2, 1, (2, 2, 3)), (0, 1, 120)),      # occupations past the exact-product cutoff
+    ((2, 1, (2, 2, 3)), (0, 1, 120)),      # occupations up to 120
 ])
 def test_fock_off_diagonal_squares_to_hop_product(rska, occ):
     """The factorial-ratio square roots of the Fock block, built on their

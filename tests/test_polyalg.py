@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from multiboson import (boson_generators, ladder_coefficients, lowering_amplitude,
-                        make_model, casimir_value, phi_polynomial, raising_amplitude,
-                        sector_from_occupations, transition_element,
-                        verify_single_mode_algebra)
+from multiboson import (boson_generators, build_sector_matrix, ladder_coefficients,
+                        lowering_amplitude, make_model, casimir_value, occupations_at,
+                        phi_polynomial, preset, raising_amplitude, sector_from_occupations,
+                        transition_element, verify_single_mode_algebra)
 from multiboson.fock import Sector
 from oracles import transition_oracle
 
@@ -75,12 +75,17 @@ def test_lowering_product_vanishes_at_base():
 
 
 def test_raising_and_lowering_paths_agree():
+    """Unitarity bit for bit: the raising and lowering products are the
+    same integers and take the one square root, also at N = 47, where
+    occupations reach 60 (9 of its elements differed while occupations
+    above 20 took a log-space sum)."""
     model = make_model(2, 2, (1, 2, 2, 1), g=1)
-    sec = sector_from_occupations(model, (3, 4, 6, 2))
-    for n in range(sec.n_top):
-        up = raising_amplitude(model, sec, n)
-        down = lowering_amplitude(model, sec, n + 1)
-        assert down == pytest.approx(up, rel=1e-12)
+    for anchor in [(3, 4, 6, 2), (30, 44, 60, 25)]:
+        sec = sector_from_occupations(model, anchor)
+        for n in range(sec.n_top):
+            up = raising_amplitude(model, sec, n)
+            down = lowering_amplitude(model, sec, n + 1)
+            assert down == up
 
 
 def test_ladder_matches_direct_factorials():
@@ -89,8 +94,6 @@ def test_ladder_matches_direct_factorials():
         ((2, 2, (1, 2, 2, 1)), (3, 4, 6, 2)),
         ((1, 2, (3, 1, 2)), (6, 2, 5)),
     ]
-    from multiboson.fock import occupations_at
-
     for (r, s, k), anchor in cases:
         model = make_model(r, s, k, g=1)
         sec = sector_from_occupations(model, anchor)
@@ -102,11 +105,23 @@ def test_ladder_matches_direct_factorials():
 
 
 def test_transition_element_log_path_matches_exact_factorials():
+    """Every matrix element is the square root of the exact integer
+    product, bit for bit, at any occupation: the three cases here and
+    every Fock off-diagonal element of the N = 40 grid.  Occupations above
+    20 once took a log-space sum, which differed on all three cases."""
     model = make_model(1, 1, (2, 3), g=1)
-    # occupations above the exact-arithmetic cutoff exercise the log path
     for occ in [(30, 45), (55, 23), (120, 90)]:
-        got = transition_element(model, occ)
-        assert got == pytest.approx(transition_oracle(model, occ), rel=1e-12)
+        assert transition_element(model, occ) == transition_oracle(model, occ)
+    w = [0.4, -0.3, 0.2]
+    for case, couplings, anchor in [("A", w, (0, 3, 40)), ("B", w, (0, 3, 80)),
+                                    ("C", w + [0.1], (0, 3, 40, 42))]:
+        grid = preset(case, w=couplings, wq={(0, 1): 0.5}, g=0.8)
+        sec = sector_from_occupations(grid, anchor)
+        assert sec.n_top == 40
+        upper = build_sector_matrix(grid, sec).upper
+        for n in range(sec.n_top):
+            occ = occupations_at(grid, sec, n)
+            assert upper[n] == float(grid.g) * transition_oracle(grid, occ)
 
 
 def test_invalid_sector_rejected():
