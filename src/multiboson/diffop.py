@@ -16,10 +16,11 @@ Every hop term is a coupling times an integer product of the occupations
 m_i(n): A(n) = g * prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1),
 C(n) the same product over group 1, and B(n) = sum_i w_i m_i +
 sum_{i<=j} w_ij m_i m_j.  `_hop_factors` reads the integer products off
-the occupations once.  `hop_values` multiplies them by the couplings at
-the levels n = 0..N; the P_i take exact forward differences of them
-first (B's with the couplings scaled to integers), so each operator
-coefficient is exact up to the rounding of its last product or quotient.
+the occupations once per sector.  `hop_values` multiplies them by the
+couplings at the levels n = 0..N; the P_i take exact forward differences
+of them first (B's with the couplings scaled to integers), so each
+operator coefficient is exact up to the rounding of its last product or
+quotient.
 
 Coefficients stay exact rationals whenever the model couplings are
 rational; float couplings flow through the identical code path.
@@ -28,6 +29,7 @@ rational; float couplings flow through the identical code path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,18 +141,6 @@ def falling_factorial_coefficients(poly: Polynomial) -> tuple:
     return tuple(_differences([poly(n) for n in range(poly.degree + 1)]))
 
 
-def _hop_factors(model: ModelSpec, sector: Sector, count: int):
-    """Occupation rows m(n) for n = 0 .. count - 1, with the integer products
-    A(n)/g = prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1) and C(n)/g,
-    the same over group 1.  Past N the rows continue as polynomials in n."""
-    rows = [_occupations(model, sector, n) for n in range(count)]
-
-    def falling(group):
-        return [math.prod(occ[i] - d for i in group for d in range(model.k[i])) for occ in rows]
-
-    return rows, falling(model.group2), falling(model.group1)
-
-
 def _number_terms(model: ModelSpec) -> list:
     """B's terms (coupling, modes) in summation order: w_i m_i for every
     mode, then w_ij m_i m_j for each nonzero w_ij, i <= j."""
@@ -172,12 +162,28 @@ def _number_energy(terms, occ):
     return e
 
 
-def _level_values(model: ModelSpec, n_top: int, factors):
-    rows, hop_a, hop_c = factors
-    terms = _number_terms(model)
-    return (tuple(model.g * x for x in hop_a[:n_top]),
-            tuple(_number_energy(terms, occ) for occ in rows[:n_top + 1]),
-            tuple(model.g * x for x in hop_c[1:n_top + 1]))
+_HopTable = namedtuple("_HopTable", "order rows hop_a hop_c values")
+
+
+def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
+    """The sector's hop table, read off the occupations once: the order M,
+    the rows m(n) for n = 0 .. max(M, N) (past N they continue as
+    polynomials in n), the integer products A(n)/g and C(n)/g at those
+    rows, and the level values of `hop_values`.  The operator, the
+    monomial block and the Fock block are all built from it."""
+    order = max(sum(model.k[i] for i in model.group1),
+                sum(model.k[i] for i in model.group2), 2)
+    n_top = sector.n_top
+    rows = [_occupations(model, sector, n) for n in range(max(order, n_top) + 1)]
+
+    def falling(group):
+        return [math.prod(occ[i] - d for i in group for d in range(model.k[i])) for occ in rows]
+
+    hop_a, hop_c, terms = falling(model.group2), falling(model.group1), _number_terms(model)
+    values = (tuple(model.g * x for x in hop_a[:n_top]),
+              tuple(_number_energy(terms, occ) for occ in rows[:n_top + 1]),
+              tuple(model.g * x for x in hop_c[1:n_top + 1]))
+    return _HopTable(order, rows, hop_a, hop_c, values)
 
 
 def hop_values(model: ModelSpec, sector: Sector):
@@ -187,7 +193,7 @@ def hop_values(model: ModelSpec, sector: Sector):
     float g rounds each once and no sum can cancel near the exact zeros
     A(N) = C(0) = 0.  B(n) is `_number_energy` at level n.
     """
-    return _level_values(model, sector.n_top, _hop_factors(model, sector, sector.n_top + 1))
+    return _hop_factors(model, sector).values
 
 
 @dataclass(frozen=True)
@@ -212,17 +218,18 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
     Writing each hop polynomial in the falling-factorial basis, the
     coefficient c_i of n(n-1)...(n-i+1) lands in P_i: on z^{i+1} for the
     raising part, z^i for the diagonal, z^{i-1} for the lowering part.
-    One `_hop_factors` evaluation at n = 0 .. max(M, N) gives them all, and
-    `hop_values` too.  The c_i of A and C are exact integer differences of
-    the products, each multiplied by g once.  B's are the exact differences
-    of `_number_energy` with the couplings scaled to integers by their
-    common denominator, divided by it once.  The lowering part has no i = 0
-    term because C(0) = 0 exactly.
+    The sector's one `_hop_factors` table, at n = 0 .. max(M, N), gives
+    them all, and `hop_values` too (`_expand`).  The c_i of A and C are
+    exact integer differences of the products, each multiplied by g once.
+    B's are the exact differences of `_number_energy` with the couplings
+    scaled to integers by their common denominator, divided by it once.
+    The lowering part has no i = 0 term because C(0) = 0 exactly.
     """
-    order = max(sum(model.k[i] for i in model.group1),
-                sum(model.k[i] for i in model.group2), 2)
-    factors = _hop_factors(model, sector, max(order, sector.n_top) + 1)
-    rows, hop_a, hop_c = factors
+    return _expand(model, _hop_factors(model, sector))
+
+
+def _expand(model: ModelSpec, table: _HopTable) -> DiffOpForm:
+    order, rows, hop_a, hop_c, values = table
     lower = _differences(hop_c[:order + 1])
     if lower[0] != 0:
         raise ValueError("lowering part carries a 1/z term: sector is inconsistent")
@@ -240,8 +247,7 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
     for i, b in enumerate(_differences([_number_energy(scaled, occ) for occ in rows[:3]])):
         grids[i][i] = Fraction(b, den) if exact else b / den
     return DiffOpForm(order=order, p=tuple(Polynomial(gr) for gr in grids),
-                      hop_values=_level_values(model, sector.n_top, factors),
-                      n_top=sector.n_top)
+                      hop_values=values, n_top=len(values[1]) - 1)
 
 
 def apply_to_polynomial(op: DiffOpForm, psi: Polynomial) -> Polynomial:

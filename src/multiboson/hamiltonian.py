@@ -3,9 +3,11 @@
 Two equivalent tridiagonal forms are built: the symmetric Fock-basis block
 with square-root factorial matrix elements, and the non-symmetric
 monomial-basis block whose entries are the hop values A(n), B(n), C(n) of
-`diffop.hop_values`.  Both share that helper's diagonal B(n); the Fock
-off-diagonal stays an independent construction (`transition_element`).
-The two are related by an explicit diagonal similarity (ratios of Fock
+`diffop.hop_values`.  Both are read off the sector's one hop table
+(`diffop._hop_factors`): they share its diagonal B(n), and the Fock
+off-diagonal is g times the square root of its integer products
+A(n)/g * C(n+1)/g, bit for bit g times `transition_element`, which
+multiplies the same factors from the occupations.  The two are related by an explicit diagonal similarity (ratios of Fock
 normalization constants), so their spectra agree by construction;
 diagonalizing the Fock block is the ground-truth oracle the root-based
 solver is checked against.  Both spectra come from numpy's dense symmetric
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import hop_values
-from .fock import ModelSpec, Sector, occupations_at
+from .diffop import _hop_factors, hop_values
+from .fock import ModelSpec, Sector
 
 # Blocks beyond this size with huge off-diagonal entries get a conditioning
 # warning: the entries are square roots of exact integer products, but
@@ -97,37 +99,52 @@ def transition_element(model: ModelSpec, occupations) -> float:
     return _sqrt_product(factors)
 
 
-def _maybe_warn_conditioning(block: TridiagonalBlock):
+def _checked(block: TridiagonalBlock) -> TridiagonalBlock:
+    """The block, after a `ConditioningWarning` if it is large and its
+    off-diagonal entries are huge."""
     if block.dim > _WARN_DIM:
         peak = max(np.max(np.abs(block.upper)), np.max(np.abs(block.lower)), 0.0)
         if peak > _WARN_ELEMENT:
             warnings.warn(
                 f"{block.basis} block of dimension {block.dim} has off-diagonal "
                 f"entries up to {peak:.3e}; spectrum may be ill-conditioned",
-                ConditioningWarning, stacklevel=3)
+                ConditioningWarning, stacklevel=4)
+    return block
 
 
 def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
-    """Symmetric Fock-basis block: diagonal number energies, g times the
-    factorial-ratio interaction elements off the diagonal."""
-    _, hop_b, _ = hop_values(model, sector)
-    diag = np.array([float(b) for b in hop_b])
-    off = np.array([float(model.g) * transition_element(model, occupations_at(model, sector, n))
-                    for n in range(sector.n_top)])
-    block = TridiagonalBlock(basis="fock", diag=diag, upper=off, lower=off.copy())
-    _maybe_warn_conditioning(block)
-    return block
+    """Symmetric Fock-basis block: diagonal B(n), and off it g times the
+    square root of the hop table's integer product A(n)/g * C(n+1)/g,
+    equal bit for bit to g times `transition_element` at level n."""
+    return _fock_block(model, _hop_factors(model, sector))
 
 
 def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     """Non-symmetric monomial-basis block: upper A(0..N-1), diagonal
     B(0..N) and lower C(1..N), the hop values of `diffop.hop_values`,
     each rounded to float once."""
-    hop_a, hop_b, hop_c = (np.array([float(x) for x in values], dtype=float)
-                           for values in hop_values(model, sector))
-    block = TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c)
-    _maybe_warn_conditioning(block)
-    return block
+    return _monomial_block(hop_values(model, sector))
+
+
+def _fock_block(model: ModelSpec, table) -> TridiagonalBlock:
+    """`build_sector_matrix` from the sector's hop table.  A product's
+    smallest factor is m_i - k_i + 1 at its lowest row, N - 1 on group 2
+    and 1 on group 1; a negative one is an inconsistent sector."""
+    _, rows, hop_a, hop_c, (_, hop_b, _) = table
+    n_top = len(hop_b) - 1
+    if n_top and any(rows[n_top - 1 if i in model.group2 else 1][i] < k - 1
+                     for i, k in enumerate(model.k)):
+        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
+    off = np.array([float(model.g) * _sqrt_product((a, c))
+                    for a, c in zip(hop_a[:n_top], hop_c[1:])])
+    return _checked(TridiagonalBlock(basis="fock", diag=np.array([float(b) for b in hop_b]),
+                                     upper=off, lower=off.copy()))
+
+
+def _monomial_block(values) -> TridiagonalBlock:
+    """`build_monomial_matrix` from the sector's level values."""
+    hop_a, hop_b, hop_c = (np.array([float(x) for x in part], dtype=float) for part in values)
+    return _checked(TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c))
 
 
 def _pivots(shift: np.ndarray, couplings: list, floor: float = 0.0) -> np.ndarray:

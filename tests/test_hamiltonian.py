@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from multiboson import (ConditioningWarning, build_monomial_matrix, build_sector_matrix,
+from multiboson import (ConditioningWarning, Sector, build_monomial_matrix, build_sector_matrix,
                         diagonalize, hamiltonian, make_model, occupations_at,
-                        sector_from_occupations)
+                        sector_from_occupations, transition_element)
 from oracles import bfs_sector_states, lower_move, occupations_below, raise_move
 
 
@@ -192,3 +192,20 @@ def test_zero_pivot_leaves_every_eigenvector_finite():
     roots = np.sort(np.roots(column[::-1]))
     assert np.allclose(roots, [-math.sqrt(2), math.sqrt(2)], rtol=0, atol=1e-14)
     assert np.all(roots.imag == 0)
+
+
+def test_fock_block_rejects_a_negative_factor_of_a_positive_product():
+    """The Fock block reads its products off the sector's hop table, and
+    still rejects a hand-built sector whose occupations make a factor
+    negative, as `transition_element` does: here one level too many takes
+    the k = 2 mode of group 2 to m = -1, whose factors (-1)(-2) multiply to
+    a positive product."""
+    model = make_model(1, 1, (1, 2), g=1)
+    good = sector_from_occupations(model, (0, 5))
+    assert good.n_top == 2
+    doctored = Sector(q1=good.q1, q2=good.q2, l1=good.l1, l2=good.l2, kappa=good.kappa,
+                      t=good.t, dim=5, base_occupations=good.base_occupations)
+    with pytest.raises(ValueError, match="negative factorial ratio"):
+        transition_element(model, (3, -1))
+    with pytest.raises(ValueError, match="negative factorial ratio"):
+        build_sector_matrix(model, doctored)
