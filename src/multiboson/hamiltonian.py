@@ -77,14 +77,19 @@ class SpectrumResult:
 
 
 def _sqrt_product(factors) -> float:
-    """sqrt(prod(factors)) for the integer factors of a factorial ratio:
-    `math.sqrt` of the exact integer product, so the product is rounded to
-    float once and its square root once.  A negative factor is an
-    inconsistent sector; a product past float64's range raises
-    OverflowError."""
+    """sqrt(prod(factors)) of a factorial ratio's integer factors, correctly
+    rounded: `math.sqrt` below 2^53, where the product is a float; above,
+    `math.isqrt` of it shifted left by 2s bits (a root of 55 bits or more),
+    its low bit set if inexact, over 2^s.  A negative factor is an
+    inconsistent sector; a root past float64's range raises OverflowError."""
     if any(f < 0 for f in factors):
         raise ValueError("negative factorial ratio: occupations inconsistent with sector")
-    return math.sqrt(math.prod(factors))
+    product = math.prod(factors)
+    if product < 1 << 53:
+        return math.sqrt(product)
+    shift = max(0, (110 - product.bit_length()) // 2)
+    root = math.isqrt(product << 2 * shift)
+    return math.ldexp(root | (root * root != product << 2 * shift), -shift)
 
 
 def transition_element(model: ModelSpec, occupations) -> float:

@@ -71,8 +71,17 @@ def bfs_sector_states(model, occ):
     return frozenset(seen)
 
 
+def sqrt_rounded(num: int) -> float:
+    """sqrt(num) correctly rounded: the integer square root of num times
+    4^128 (at least 129 bits for num >= 1), its low bit set where inexact,
+    over 2^128 in one correctly rounded integer division."""
+    root = math.isqrt(num << 256)
+    return (root | (root * root != num << 256)) / (1 << 128)
+
+
 def transition_oracle(model, occ) -> float:
-    """Exact-factorial interaction matrix element from occupations occ."""
+    """Exact-factorial interaction matrix element from occupations occ,
+    correctly rounded (`sqrt_rounded`)."""
     num = 1
     for i in model.group1:
         m, k = occ[i], model.k[i]
@@ -82,7 +91,7 @@ def transition_oracle(model, occ) -> float:
         if m < k:
             return 0.0
         num *= math.factorial(m) // math.factorial(m - k)
-    return math.sqrt(num)
+    return sqrt_rounded(num)
 
 
 def subset_bae_residuals(op, roots):

@@ -1,14 +1,18 @@
 """Sector blocks: construction, diagonalization, and charge conservation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiboson import (ConditioningWarning, Sector, build_monomial_matrix, build_sector_matrix,
                         diagonalize, hamiltonian, make_model, occupations_at,
                         sector_from_occupations, transition_element)
-from oracles import bfs_sector_states, lower_move, occupations_below, raise_move
+from oracles import (bfs_sector_states, lower_move, occupations_below, raise_move,
+                     sqrt_rounded, transition_oracle)
 
 
 MODEL_A = make_model(2, 1, (1, 1, 1), g=1)
@@ -209,3 +213,56 @@ def test_fock_block_rejects_a_negative_factor_of_a_positive_product():
         transition_element(model, (3, -1))
     with pytest.raises(ValueError, match="negative factorial ratio"):
         build_sector_matrix(model, doctored)
+
+
+# The four ladder elements of 200 draws of the benchmark's
+# `random_sector(default_rng(1), 1, 24)` whose exact products pass 2^53 and
+# whose roots `math.sqrt` took one ulp off, through the float it rounds
+# such a product to first: (r, s, k), occupations, correctly rounded root.
+ABOVE_2_53 = [
+    ((3, 3, (3, 3, 3, 3, 1, 3)), (20, 16, 15, 48, 16, 49), "0x1.b6e22f9d5a5d2p+37"),
+    ((3, 3, (1, 3, 3, 1, 3, 1)), (11, 28, 32, 15, 51, 15), "0x1.1d07c1a011333p+29"),
+    ((2, 3, (2, 3, 3, 2, 3)), (13, 18, 47, 33, 43), "0x1.a9a2bdbd43144p+31"),
+    ((3, 2, (3, 3, 2, 3, 2)), (38, 36, 25, 38, 20), "0x1.9a2b708f7ef88p+32"),
+]
+
+
+def test_transition_elements_above_2_53_are_correctly_rounded():
+    """Each of the four elements is the correctly rounded root of its
+    exact product, as the oracle's own form gives it, one ulp from the
+    root of the product rounded to float."""
+    for (r, s, k), occ, root in ABOVE_2_53:
+        model = make_model(r, s, k, g=1)
+        element = transition_element(model, occ)
+        assert element == float.fromhex(root) == transition_oracle(model, occ)
+        product = math.prod(occ[i] + j for i in range(r) for j in range(1, k[i] + 1)) * \
+            math.prod(occ[i] - j for i in range(r, r + s) for j in range(k[i]))
+        assert product > 2**53 and _rounds_sqrt(element, product)
+        assert math.sqrt(product) in (math.nextafter(element, 0), math.nextafter(element, math.inf))
+
+
+def _rounds_sqrt(x, n):
+    """Whether x is sqrt(n) rounded to nearest, ties to an even mantissa:
+    n lies inside the squared bounds of x's rounding interval, exact
+    `Fraction`s, or on one of them with x's mantissa even."""
+    lo = (Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2
+    hi = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    even = int(math.frexp(x)[0] * 2**53) % 2 == 0
+    return lo * lo < n < hi * hi or (n in (lo * lo, hi * hi) and even)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(0, 2**2000),
+    st.integers(0, 2**1000).map(lambda m: m * m),
+    # squares of 54-bit odd integers, shifted by an even count: the roots
+    # lie exactly halfway between two floats, and their neighbours next to it
+    st.tuples(st.integers(2**53, 2**54 - 1), st.integers(0, 400), st.integers(-1, 1)).map(
+        lambda t: ((t[0] | 1) ** 2 << 2 * t[1]) + t[2])))
+@example(2**53 + 1)
+@example((2**53 + 1) ** 2)
+def test_sqrt_of_a_product_is_correctly_rounded(n):
+    """The Fock elements' square root, and the oracle's, round the exact
+    root of any integer product once, to nearest, ties to even."""
+    assert _rounds_sqrt(hamiltonian._sqrt_product((n,)), n)
+    assert _rounds_sqrt(sqrt_rounded(n), n)
