@@ -709,8 +709,7 @@ def solve_bethe(model: ModelSpec, sector: Sector):
 
 
 def _solve_table(model, table):
-    """`solve_bethe` from the sector's hop table: its operator and its
-    monomial block, both read off that one table."""
+    """`solve_bethe` from the sector's hop table."""
     block = _monomial_block(table.values)
     op = _expand(model, table)
     return _solve_levels(op, _float_polys(op), block, diagonalize(block))
@@ -799,15 +798,13 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
 def cross_validate(model: ModelSpec, sector: Sector) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
-    The sector's one hop table (`diffop._hop_factors`) gives the Fock
-    block and one `solve_bethe` pass, without the direct search, which
-    gives the level solutions and, as their oracle energies, the monomial
-    spectrum.  Never
-    raises on disagreement; the report carries per-level records and an
-    overall pass flag.  A level passes when its solution is `converged`
-    and the spread of its Fock, monomial and closed-form energies,
-    relative to the spectral scale max(1, max |E|), is within a fixed 1e-8
-    (`_ENERGY_TOL`).
+    One hop table gives the Fock block and one `solve_bethe` pass, without
+    the direct search: the level solutions and, as their oracle energies,
+    the monomial spectrum.  Never raises on disagreement; the report
+    carries per-level records and an overall pass flag.  A level passes
+    when its solution is `converged` and the spread of its Fock, monomial
+    and closed-form energies, relative to the spectral scale
+    max(1, max |E|), is within a fixed 1e-8 (`_ENERGY_TOL`).
     """
     table = _hop_factors(model, sector)
     fock_spec = diagonalize(_fock_block(model, table))

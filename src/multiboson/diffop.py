@@ -187,12 +187,10 @@ def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
 
 
 def hop_values(model: ModelSpec, sector: Sector):
-    """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels.
-
+    """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels:
     A(n) and C(n) are g times the integer products of `_hop_factors`, so a
     float g rounds each once and no sum can cancel near the exact zeros
-    A(N) = C(0) = 0.  B(n) is `_number_energy` at level n.
-    """
+    A(N) = C(0) = 0; B(n) is `_number_energy` at level n."""
     return _hop_factors(model, sector).values
 
 
@@ -217,13 +215,12 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
 
     Writing each hop polynomial in the falling-factorial basis, the
     coefficient c_i of n(n-1)...(n-i+1) lands in P_i: on z^{i+1} for the
-    raising part, z^i for the diagonal, z^{i-1} for the lowering part.
-    The sector's one `_hop_factors` table, at n = 0 .. max(M, N), gives
-    them all, and `hop_values` too (`_expand`).  The c_i of A and C are
-    exact integer differences of the products, each multiplied by g once.
-    B's are the exact differences of `_number_energy` with the couplings
-    scaled to integers by their common denominator, divided by it once.
-    The lowering part has no i = 0 term because C(0) = 0 exactly.
+    raising part, z^i for the diagonal, z^{i-1} for the lowering part, all
+    read off the sector's hop table, with its `hop_values` (`_expand`).
+    The c_i of A and C are exact integer differences of its products, each
+    multiplied by g once; B's are the exact differences of `_number_energy`
+    with the couplings scaled to integers by their common denominator,
+    divided by it once.  The lowering part has no i = 0 term: C(0) = 0.
     """
     return _expand(model, _hop_factors(model, sector))
 

@@ -7,8 +7,9 @@ monomial-basis block whose entries are the hop values A(n), B(n), C(n) of
 (`diffop._hop_factors`): they share its diagonal B(n), and the Fock
 off-diagonal is g times the square root of its integer products
 A(n)/g * C(n+1)/g, bit for bit g times `transition_element`, which
-multiplies the same factors from the occupations.  The two are related by an explicit diagonal similarity (ratios of Fock
-normalization constants), so their spectra agree by construction;
+multiplies the same factors from the occupations.  The two are related
+by an explicit diagonal similarity (ratios of Fock normalization
+constants), so their spectra agree by construction;
 diagonalizing the Fock block is the ground-truth oracle the root-based
 solver is checked against.  Both spectra come from numpy's dense symmetric
 eigensolver; the monomial eigenvectors, each level's eigenpolynomial

@@ -241,6 +241,23 @@ def test_transition_elements_above_2_53_are_correctly_rounded():
         assert math.sqrt(product) in (math.nextafter(element, 0), math.nextafter(element, math.inf))
 
 
+def test_element_of_a_product_past_float_range_is_its_rounded_root():
+    """A product past 2^1024 whose root is not (about 2.2e250 here) gives
+    that root, correctly rounded, where converting the product to float
+    first raised `OverflowError`; a root past float64's range still
+    raises it."""
+    model = make_model(2, 2, (5, 1, 5, 1), g=1)
+    for m, finite in ((10**50, True), (10**120, False)):
+        occ = (m, 0, m, 5)
+        product = math.prod(m + j for j in range(1, 6)) * math.prod(m - j for j in range(5)) * 5
+        assert 2**1024 < product
+        if finite:
+            assert transition_element(model, occ) == sqrt_rounded(product) < math.inf
+        else:
+            with pytest.raises(OverflowError):
+                transition_element(model, occ)
+
+
 def _rounds_sqrt(x, n):
     """Whether x is sqrt(n) rounded to nearest, ties to an even mantissa:
     n lies inside the squared bounds of x's rounding interval, exact
