@@ -233,7 +233,10 @@ def diagonalize(block: TridiagonalBlock) -> SpectrumResult:
         energies, vectors = np.linalg.eigh(np.diag(block.diag) + np.diag(block.upper, -1))
         peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(block.dim)]
         return SpectrumResult(energies=energies, vectors=np.where(peaks < 0, -vectors, vectors))
-    prod = block.upper * block.lower
+    with np.errstate(over="ignore"):
+        prod = block.upper * block.lower
+    if not np.isfinite(prod).all():
+        raise OverflowError("monomial block: upper * lower overflows float64")
     if block.dim > 1 and np.min(prod) < -1e-12 * max(1.0, float(np.max(np.abs(prod)))):
         raise ValueError("monomial block has upper*lower < 0; cannot symmetrize")
     sym_off = np.sqrt(np.maximum(prod, 0.0))

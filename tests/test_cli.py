@@ -234,11 +234,15 @@ HUGE_OCC = f"--occ={10 ** 40},0,{10 ** 40},5"
     ["solve", "--r", "2", "--s", "2", "--k", "9,1,9,1", "--g", "1", HUGE_OCC],
     ["scan", "--r", "2", "--s", "2", "--k", "9,1,9,1", "--g", "1", HUGE_OCC,
      "--sweep", "w1", "--range", "0:0.2:0.1"],
+    ["solve", "--r", "2", "--s", "2", "--k", "5,1,5,1", "--g", "1",
+     f"--occ={10 ** 50},0,{10 ** 50},5"],
 ])
 def test_matrix_element_past_float_range_exits_3(capsys, argv):
     """A Fock matrix element past float64's range is a numerical failure:
     'error: ...' on stderr and exit 3, not an OverflowError traceback and
-    exit 1."""
+    exit 1.  So is a monomial block whose A(n) C(n+1) overflows, where
+    the Fock element, its root, does not (the last case: about 2.2e250),
+    and not a RuntimeWarning from the product."""
     code, _, err = _run(capsys, argv)
     assert code == 3
     assert err.startswith("error: ")
