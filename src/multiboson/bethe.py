@@ -76,9 +76,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .diffop import DiffOpForm, _expand, _hop_factors, expand_diffop, hop_values
+from .diffop import DiffOpForm, expand_diffop, hop_values
 from .fock import ModelSpec, Sector
-from .hamiltonian import _fock_block, _monomial_block, diagonalize
+from .hamiltonian import build_monomial_matrix, build_sector_matrix, diagonalize
 
 
 # Relative separation below which a root set counts as degenerate.
@@ -705,13 +705,8 @@ def solve_bethe(model: ModelSpec, sector: Sector):
     the module docstring.  The independent multi-start search is
     `direct_search`, a separate call.
     """
-    return _solve_table(model, _hop_factors(model, sector))
-
-
-def _solve_table(model, table):
-    """`solve_bethe` from the sector's hop table."""
-    block = _monomial_block(table.values)
-    op = _expand(model, table)
+    block = build_monomial_matrix(model, sector)
+    op = expand_diffop(model, sector)
     return _solve_levels(op, _float_polys(op), block, diagonalize(block))
 
 
@@ -798,17 +793,17 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
 def cross_validate(model: ModelSpec, sector: Sector) -> ValidationReport:
     """Three-way check: Fock spectrum, monomial spectrum, root energies.
 
-    One hop table gives the Fock block and one `solve_bethe` pass, without
-    the direct search: the level solutions and, as their oracle energies,
-    the monomial spectrum.  Never raises on disagreement; the report
-    carries per-level records and an overall pass flag.  A level passes
-    when its solution is `converged` and the spread of its Fock, monomial
-    and closed-form energies, relative to the spectral scale
-    max(1, max |E|), is within a fixed 1e-8 (`_ENERGY_TOL`).
+    One `solve_bethe` pass, without the direct search, gives the level
+    solutions and, as their oracle energies, the monomial spectrum.  Never
+    raises on disagreement; the report carries per-level records and an
+    overall pass flag.  A level passes when its solution is `converged`
+    and the spread of its Fock, monomial and closed-form energies,
+    relative to the spectral scale max(1, max |E|), is within a fixed 1e-8
+    (`_ENERGY_TOL`).  The Fock block, the monomial block and the operator
+    all read the sector's one hop table (`diffop._hop_table`).
     """
-    table = _hop_factors(model, sector)
-    fock_spec = diagonalize(_fock_block(model, table))
-    solutions = _solve_table(model, table)
+    fock_spec = diagonalize(build_sector_matrix(model, sector))
+    solutions = solve_bethe(model, sector)
 
     scale = max(1.0, float(np.max(np.abs(fock_spec.energies))))
     records = []

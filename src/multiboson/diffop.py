@@ -16,11 +16,10 @@ Every hop term is a coupling times an integer product of the occupations
 m_i(n): A(n) = g * prod_{i in group 2} m_i (m_i - 1) ... (m_i - k_i + 1),
 C(n) the same product over group 1, and B(n) = sum_i w_i m_i +
 sum_{i<=j} w_ij m_i m_j.  `_hop_factors` reads the integer products off
-the occupations once per sector.  `hop_values` multiplies them by the
-couplings at the levels n = 0..N; the P_i take exact forward differences
-of them first (B's with the couplings scaled to integers), so each
-operator coefficient is exact up to the rounding of its last product or
-quotient.
+the occupations once.  `hop_values` multiplies them by the couplings at
+the levels n = 0..N; the P_i take exact forward differences of them
+first (B's with the couplings scaled to integers), so each operator
+coefficient is exact up to the rounding of its last product or quotient.
 
 Coefficients stay exact rationals whenever the model couplings are
 rational; float couplings flow through the identical code path.
@@ -169,15 +168,15 @@ def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
     """The sector's hop table, read off the occupations once: the order M,
     the rows m(n) for n = 0 .. max(M, N) (past N they continue as
     polynomials in n), the integer products A(n)/g and C(n)/g at those
-    rows, and the level values of `hop_values`.  The operator, the
-    monomial block and the Fock block are all built from it."""
+    rows, and the level values of `hop_values`."""
     order = max(sum(model.k[i] for i in model.group1),
                 sum(model.k[i] for i in model.group2), 2)
     n_top = sector.n_top
-    rows = [_occupations(model, sector, n) for n in range(max(order, n_top) + 1)]
+    rows = tuple(_occupations(model, sector, n) for n in range(max(order, n_top) + 1))
 
     def falling(group):
-        return [math.prod(occ[i] - d for i in group for d in range(model.k[i])) for occ in rows]
+        return tuple(math.prod(occ[i] - d for i in group for d in range(model.k[i]))
+                     for occ in rows)
 
     hop_a, hop_c, terms = falling(model.group2), falling(model.group1), _number_terms(model)
     values = (tuple(model.g * x for x in hop_a[:n_top]),
@@ -186,12 +185,28 @@ def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
     return _HopTable(order, rows, hop_a, hop_c, values)
 
 
+_last_table = (None, None, None)
+
+
+def _hop_table(model: ModelSpec, sector: Sector) -> _HopTable:
+    """`_hop_factors` of the last (model, sector) pair asked for, kept for
+    those objects (both frozen): one sector's operator, monomial block and
+    Fock block each read this one table."""
+    global _last_table
+    last = _last_table
+    if last[0] is not model or last[1] is not sector:
+        last = _last_table = (model, sector, _hop_factors(model, sector))
+    return last[2]
+
+
 def hop_values(model: ModelSpec, sector: Sector):
-    """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels:
+    """Hop values (A(0..N-1), B(0..N), C(1..N)) at the sector's levels.
+
     A(n) and C(n) are g times the integer products of `_hop_factors`, so a
     float g rounds each once and no sum can cancel near the exact zeros
-    A(N) = C(0) = 0; B(n) is `_number_energy` at level n."""
-    return _hop_factors(model, sector).values
+    A(N) = C(0) = 0.  B(n) is `_number_energy` at level n.
+    """
+    return _hop_table(model, sector).values
 
 
 @dataclass(frozen=True)
@@ -215,18 +230,15 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
 
     Writing each hop polynomial in the falling-factorial basis, the
     coefficient c_i of n(n-1)...(n-i+1) lands in P_i: on z^{i+1} for the
-    raising part, z^i for the diagonal, z^{i-1} for the lowering part, all
-    read off the sector's hop table, with its `hop_values` (`_expand`).
-    The c_i of A and C are exact integer differences of its products, each
-    multiplied by g once; B's are the exact differences of `_number_energy`
-    with the couplings scaled to integers by their common denominator,
-    divided by it once.  The lowering part has no i = 0 term: C(0) = 0.
+    raising part, z^i for the diagonal, z^{i-1} for the lowering part.
+    The sector's hop table (`_hop_table`) at n = 0 .. max(M, N) gives them
+    all, and `hop_values` too.  The c_i of A and C are exact integer
+    differences of the products, each multiplied by g once.  B's are the
+    exact differences of `_number_energy` with the couplings scaled to
+    integers by their common denominator, divided by it once.  The lowering
+    part has no i = 0 term because C(0) = 0 exactly.
     """
-    return _expand(model, _hop_factors(model, sector))
-
-
-def _expand(model: ModelSpec, table: _HopTable) -> DiffOpForm:
-    order, rows, hop_a, hop_c, values = table
+    order, rows, hop_a, hop_c, values = _hop_table(model, sector)
     lower = _differences(hop_c[:order + 1])
     if lower[0] != 0:
         raise ValueError("lowering part carries a 1/z term: sector is inconsistent")
@@ -244,7 +256,7 @@ def _expand(model: ModelSpec, table: _HopTable) -> DiffOpForm:
     for i, b in enumerate(_differences([_number_energy(scaled, occ) for occ in rows[:3]])):
         grids[i][i] = Fraction(b, den) if exact else b / den
     return DiffOpForm(order=order, p=tuple(Polynomial(gr) for gr in grids),
-                      hop_values=values, n_top=len(values[1]) - 1)
+                      hop_values=values, n_top=sector.n_top)
 
 
 def apply_to_polynomial(op: DiffOpForm, psi: Polynomial) -> Polynomial:

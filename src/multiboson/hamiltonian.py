@@ -3,18 +3,16 @@
 Two equivalent tridiagonal forms are built: the symmetric Fock-basis block
 with square-root factorial matrix elements, and the non-symmetric
 monomial-basis block whose entries are the hop values A(n), B(n), C(n) of
-`diffop.hop_values`.  Both are read off the sector's one hop table
-(`diffop._hop_factors`): they share its diagonal B(n), and the Fock
-off-diagonal is g times the square root of its integer products
-A(n)/g * C(n+1)/g, bit for bit g times `transition_element`, which
-multiplies the same factors from the occupations.  The two are related
-by an explicit diagonal similarity (ratios of Fock normalization
-constants), so their spectra agree by construction;
-diagonalizing the Fock block is the ground-truth oracle the root-based
-solver is checked against.  Both spectra come from numpy's dense symmetric
-eigensolver; the monomial eigenvectors, each level's eigenpolynomial
-coefficients, come from a twisted factorization only (`_twisted_rows`), in
-float64, and they are the only rows the root solver finds roots of.
+`diffop.hop_values`.  Both are read off the sector's one hop table: its
+diagonal B(n), and off it the Fock block's g sqrt(A(n)/g * C(n+1)/g), bit
+for bit g times `transition_element`.  The two are related by an explicit
+diagonal similarity (ratios of Fock normalization constants), so their
+spectra agree by construction; diagonalizing the Fock block is the
+ground-truth oracle the root-based solver is checked against.  Both spectra
+come from numpy's dense symmetric eigensolver; the monomial eigenvectors,
+each level's eigenpolynomial coefficients, come from a twisted
+factorization only (`_twisted_rows`), in float64, and they are the only
+rows the root solver finds roots of.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffop import _hop_factors, hop_values
+from .diffop import _hop_table
 from .fock import ModelSpec, Sector
 
 # Blocks beyond this size with huge off-diagonal entries get a conditioning
@@ -77,20 +75,25 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
-def _sqrt_product(factors) -> float:
-    """sqrt(prod(factors)) of a factorial ratio's integer factors, correctly
-    rounded: `math.sqrt` below 2^53, where the product is a float; above,
-    `math.isqrt` of it shifted left by 2s bits (a root of 55 bits or more),
-    its low bit set if inexact, over 2^s.  A negative factor is an
-    inconsistent sector; a root past float64's range raises OverflowError."""
-    if any(f < 0 for f in factors):
-        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
-    product = math.prod(factors)
+def _rounded_sqrt(product: int) -> float:
+    """Correctly rounded square root of a nonnegative integer: `math.sqrt`
+    below 2^53, where the integer is a float; above, `math.isqrt` of it
+    shifted left by 2s bits (a root of 55 bits or more), its low bit set if
+    inexact, over 2^s.  A root past float64's range raises OverflowError."""
     if product < 1 << 53:
         return math.sqrt(product)
     shift = max(0, (110 - product.bit_length()) // 2)
-    root = math.isqrt(product << 2 * shift)
-    return math.ldexp(root | (root * root != product << 2 * shift), -shift)
+    scaled = product << 2 * shift
+    root = math.isqrt(scaled)
+    return math.ldexp(root | (root * root != scaled), -shift)
+
+
+def _sqrt_product(factors) -> float:
+    """`_rounded_sqrt` of the product of a factorial ratio's integer
+    factors.  A negative factor is an inconsistent sector."""
+    if any(f < 0 for f in factors):
+        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
+    return _rounded_sqrt(math.prod(factors))
 
 
 def transition_element(model: ModelSpec, occupations) -> float:
@@ -105,52 +108,43 @@ def transition_element(model: ModelSpec, occupations) -> float:
     return _sqrt_product(factors)
 
 
-def _checked(block: TridiagonalBlock) -> TridiagonalBlock:
-    """The block, after a `ConditioningWarning` if it is large and its
-    off-diagonal entries are huge."""
+def _maybe_warn_conditioning(block: TridiagonalBlock):
     if block.dim > _WARN_DIM:
         peak = max(np.max(np.abs(block.upper)), np.max(np.abs(block.lower)), 0.0)
         if peak > _WARN_ELEMENT:
             warnings.warn(
                 f"{block.basis} block of dimension {block.dim} has off-diagonal "
                 f"entries up to {peak:.3e}; spectrum may be ill-conditioned",
-                ConditioningWarning, stacklevel=4)
-    return block
+                ConditioningWarning, stacklevel=3)
 
 
 def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
-    """Symmetric Fock-basis block: diagonal B(n), and off it g times the
-    square root of the hop table's integer product A(n)/g * C(n+1)/g,
-    equal bit for bit to g times `transition_element` at level n."""
-    return _fock_block(model, _hop_factors(model, sector))
+    """Symmetric Fock-basis block: diagonal number energies, and off it g
+    times the root of the hop table's A(n)/g * C(n+1)/g, bit for bit g
+    times `transition_element`.  A negative factor m_i - k_i + 1 at its
+    lowest row (N - 1 on group 2, 1 on group 1) is an inconsistent sector."""
+    _, rows, hop_a, hop_c, (_, hop_b, _) = _hop_table(model, sector)
+    n_top = sector.n_top
+    if n_top and any(rows[n_top - 1 if i in model.group2 else 1][i] < k - 1
+                     for i, k in enumerate(model.k)):
+        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
+    diag = np.array([float(b) for b in hop_b])
+    off = np.array([float(model.g) * _rounded_sqrt(a * c)
+                    for a, c in zip(hop_a[:n_top], hop_c[1:])])
+    block = TridiagonalBlock(basis="fock", diag=diag, upper=off, lower=off.copy())
+    _maybe_warn_conditioning(block)
+    return block
 
 
 def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     """Non-symmetric monomial-basis block: upper A(0..N-1), diagonal
     B(0..N) and lower C(1..N), the hop values of `diffop.hop_values`,
     each rounded to float once."""
-    return _monomial_block(hop_values(model, sector))
-
-
-def _fock_block(model: ModelSpec, table) -> TridiagonalBlock:
-    """`build_sector_matrix` from the sector's hop table.  A product's
-    smallest factor is m_i - k_i + 1 at its lowest row, N - 1 on group 2
-    and 1 on group 1; a negative one is an inconsistent sector."""
-    _, rows, hop_a, hop_c, (_, hop_b, _) = table
-    n_top = len(hop_b) - 1
-    if n_top and any(rows[n_top - 1 if i in model.group2 else 1][i] < k - 1
-                     for i, k in enumerate(model.k)):
-        raise ValueError("negative factorial ratio: occupations inconsistent with sector")
-    off = np.array([float(model.g) * _sqrt_product((a, c))
-                    for a, c in zip(hop_a[:n_top], hop_c[1:])])
-    return _checked(TridiagonalBlock(basis="fock", diag=np.array([float(b) for b in hop_b]),
-                                     upper=off, lower=off.copy()))
-
-
-def _monomial_block(values) -> TridiagonalBlock:
-    """`build_monomial_matrix` from the sector's level values."""
-    hop_a, hop_b, hop_c = (np.array([float(x) for x in part], dtype=float) for part in values)
-    return _checked(TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c))
+    hop_a, hop_b, hop_c = (np.array([float(x) for x in values], dtype=float)
+                           for values in _hop_table(model, sector).values)
+    block = TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c)
+    _maybe_warn_conditioning(block)
+    return block
 
 
 def _pivots(shift: np.ndarray, couplings: list, floor: float = 0.0) -> np.ndarray:

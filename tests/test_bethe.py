@@ -1,6 +1,8 @@
 """Root equations, energies, solver pipeline, and cross-validation."""
 
 import collections
+import copy
+import functools
 import importlib.util
 import math
 import os
@@ -1368,15 +1370,15 @@ def test_kept_attempt_is_the_one_whose_energy_agrees_on_preset_b_at_n60():
 
 
 def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
-    """One hop table per sector, over the whole call: `cross_validate`
-    builds its Fock block, its monomial block and its operator from one
-    `_hop_factors` table, and calls neither `hop_values` nor a public
-    builder, which would read the table afresh.  One monomial spectrum,
+    """One hop table per sector, over the whole call: `cross_validate`'s
+    Fock block, monomial block and operator all read one `_hop_factors`
+    table, and nothing calls `hop_values` afresh.  One monomial spectrum,
     one float form of the operator, no direct search, and one
-    `BetheSolution` per level.  `solve_bethe` alone is the same pass
-    without the Fock block.  A level whose row has no roots still takes
-    its own place in level order: no roots, a NaN energy, an infinite
-    residual, unconverged; every other level is unchanged."""
+    `BetheSolution` per level.  `solve_bethe` alone on a sector of its own
+    is the same pass without the Fock block.  A level whose row has no
+    roots still takes its own place in level order: no roots, a NaN
+    energy, an infinite residual, unconverged; every other level is
+    unchanged."""
     counts = collections.Counter()
 
     def counted(name, func):
@@ -1385,27 +1387,26 @@ def test_cross_validate_builds_each_sector_quantity_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    for name in ("_fock_block", "_monomial_block", "diagonalize", "_expand", "_float_polys",
-                 "direct_search", "BetheSolution"):
+    for name in ("build_sector_matrix", "build_monomial_matrix", "diagonalize", "expand_diffop",
+                 "_float_polys", "solve_bethe", "direct_search", "BetheSolution"):
         monkeypatch.setattr(bethe, name, counted(name, getattr(bethe, name)))
-    for home, names in ((diffop, ("_hop_factors", "hop_values", "expand_diffop")),
-                        (hamiltonian, ("build_sector_matrix", "build_monomial_matrix"))):
-        for name in names:
-            wrapper = counted(name, getattr(home, name))
-            for module in (diffop, hamiltonian, bethe):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+    for name in ("_hop_factors", "hop_values"):
+        wrapper = counted(name, getattr(diffop, name))
+        for module in (diffop, hamiltonian, bethe):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     model = preset("A", w=[0.4, -0.3, 0.2], wq={(0, 1): 0.5}, g=0.8)
     sec = sector_from_occupations(model, (0, 3, 12))
     report = cross_validate(model, sec)
     assert report.passed and len(report.solutions) == sec.dim
-    solve_pass = {"_hop_factors": 1, "_monomial_block": 1, "diagonalize": 1, "_expand": 1,
-                  "_float_polys": 1, "BetheSolution": sec.dim}
-    assert dict(counts) == {**solve_pass, "_fock_block": 1, "diagonalize": 2}
+    solve_pass = {"_hop_factors": 1, "build_monomial_matrix": 1, "diagonalize": 1,
+                  "expand_diffop": 1, "_float_polys": 1, "BetheSolution": sec.dim}
+    assert dict(counts) == {**solve_pass, "build_sector_matrix": 1, "solve_bethe": 1,
+                            "diagonalize": 2}
     counts.clear()
-    assert all(_same_solution(sol, want)
-               for sol, want in zip(solve_bethe(model, sec), report.solutions))
-    assert dict(counts) == solve_pass
+    solutions = bethe.solve_bethe(model, copy.copy(sec))
+    assert all(_same_solution(sol, want) for sol, want in zip(solutions, report.solutions))
+    assert dict(counts) == {**solve_pass, "solve_bethe": 1}
 
     rootless = {1, sec.dim - 2}
     roots_of_rows = bethe._roots_of_rows
@@ -1441,17 +1442,15 @@ def test_direct_roots_build_the_operator_once_per_consumer(monkeypatch, capsys):
             return func(*args, **kwargs)
         return wrapper
 
-    # `_expand` builds every operator: `expand_diffop`'s, and the solve
-    # path's from its hop table
-    expand = counted("_expand", diffop._expand)
-    monkeypatch.setattr(diffop, "_expand", expand)
-    monkeypatch.setattr(bethe, "_expand", expand)
+    expand = counted("expand_diffop", diffop.expand_diffop)
+    monkeypatch.setattr(diffop, "expand_diffop", expand)
+    monkeypatch.setattr(bethe, "expand_diffop", expand)
     monkeypatch.setattr(bethe, "_float_polys", counted("_float_polys", bethe._float_polys))
     code = cli.main(["roots", "--preset", "A", "--g", "1", "--occ", "0,0,3",
                      "--dump-diffop", "--direct"])
     out = capsys.readouterr().out
     assert code == 0 and "direct:" in out
-    assert dict(counts) == {"_expand": 3, "_float_polys": 2}
+    assert dict(counts) == {"expand_diffop": 3, "_float_polys": 2}
 
 
 GRID_W = (0.4, -0.3, 0.2)
@@ -1712,31 +1711,36 @@ def test_every_level_of_the_large_cells_passes(name):
     assert not failing, failing
 
 
-def _bench_random_sectors(seed, count, n_lo, n_hi):
+@functools.cache
+def _bench_random_draws(seed, count, n_lo, n_hi):
     """`count` draws of the benchmark's `random_sector(default_rng(seed),
-    n_lo, n_hi)`, as (model, sector) pairs."""
+    n_lo, n_hi)`, as (model, anchor) pairs.  `bench/workloads.py` is loaded
+    once, by path, and not left in `sys.modules`."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-    # registered first: its dataclasses look their module up
+    # registered while it runs: its dataclasses look their module up
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    rng = np.random.default_rng(seed)
-    for item in (workloads.random_sector(rng, n_lo, n_hi) for _ in range(count)):
-        model = item.model()
-        yield model, sector_from_occupations(model, item.anchor)
+    try:
+        spec.loader.exec_module(workloads)
+        rng = np.random.default_rng(seed)
+        items = [workloads.random_sector(rng, n_lo, n_hi) for _ in range(count)]
+    finally:
+        del sys.modules[spec.name]
+    return [(item.model(), item.anchor) for item in items]
 
 
 @pytest.mark.parametrize("name", [*N40_GRID, "A-100", "B-100", "C-100", "O4-60", "random"])
 def test_shared_hop_table_matches_the_public_builders(name):
-    """`cross_validate` builds its blocks and its operator from one hop
-    table; the public builders read a table of their own.  The two paths
-    give the same bits: every Fock energy is
+    """`cross_validate` builds its two blocks and its operator from one
+    hop table; the public builders, called on a copy of the sector, read a
+    table of their own.  The two give the same bits: every Fock energy is
     `diagonalize(build_sector_matrix(...))`'s, and every solution is
     `solve_bethe`'s, on the N = 40 grid, presets A, B and C at N = 100,
     the order-4 model at N = 60 (all at g = 0.8) and 300 draws of the
     benchmark's `random_sector(default_rng(5), 1, 15)`."""
     if name == "random":
-        cases = _bench_random_sectors(5, 300, 1, 15)
+        cases = [(model, sector_from_occupations(model, anchor))
+                 for model, anchor in _bench_random_draws(5, 300, 1, 15)]
     elif name == "O4-60":
         model = make_model(2, 1, (2, 2, 3), w=list(GRID_W), wq={(0, 1): 0.5}, g=0.8)
         cases = [(model, sector_from_occupations(model, (0, 1, 180)))]
@@ -1744,9 +1748,9 @@ def test_shared_hop_table_matches_the_public_builders(name):
         cases = [_route_sector(name)]
     for model, sec in cases:
         report = cross_validate(model, sec)
-        fock = diagonalize(hamiltonian.build_sector_matrix(model, sec)).energies
+        fock = diagonalize(hamiltonian.build_sector_matrix(model, copy.copy(sec))).energies
         assert [rec.energy_fock for rec in report.levels] == fock.tolist()
-        solutions = solve_bethe(model, sec)
+        solutions = solve_bethe(model, copy.copy(sec))
         assert len(solutions) == len(report.solutions) == sec.dim
         assert all(_same_solution(a, b) for a, b in zip(report.solutions, solutions))
 

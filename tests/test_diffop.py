@@ -1,5 +1,6 @@
 """Differential-operator expansion: hop polynomials and reassembly."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,19 @@ def test_operator_coefficient_is_an_integer_times_g_exactly():
     model = make_model(1, 3, (2, 3, 2, 3), g=g)
     sec = sector_from_occupations(model, (36, 16, 14, 15))
     assert expand_diffop(model, sec).p[8].coeffs[9] == 2916 * g
+
+
+def test_hop_table_is_kept_for_the_objects_not_for_equal_ones():
+    """One (model, sector) pair's operator, blocks and `hop_values` share
+    one hop table, kept for those objects: an equal model, with g = 1/2 a
+    float in place of a Fraction, gets a table of its own."""
+    exact = make_model(1, 1, (1, 2), w=[1, Fraction(1, 3)], g=Fraction(1, 2))
+    sec = sector_from_occupations(exact, (0, 6))
+    rounded = dataclasses.replace(exact, g=0.5)
+    assert rounded == exact and sec.n_top == 3
+    for model, kind in ((exact, Fraction), (rounded, float), (exact, Fraction)):
+        assert all(type(x) is kind for x in hop_values(model, sec)[0])
+        assert type(expand_diffop(model, sec).p[2].coeffs[-1]) is kind     # 4 g
 
 
 def test_hop_micro_example():

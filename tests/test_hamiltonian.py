@@ -281,5 +281,5 @@ def _rounds_sqrt(x, n):
 def test_sqrt_of_a_product_is_correctly_rounded(n):
     """The Fock elements' square root, and the oracle's, round the exact
     root of any integer product once, to nearest, ties to even."""
-    assert _rounds_sqrt(hamiltonian._sqrt_product((n,)), n)
+    assert _rounds_sqrt(hamiltonian._rounded_sqrt(n), n)
     assert _rounds_sqrt(sqrt_rounded(n), n)
