@@ -28,7 +28,6 @@ rational; float couplings flow through the identical code path.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,14 +160,11 @@ def _number_energy(terms, occ):
     return e
 
 
-_HopTable = namedtuple("_HopTable", "order rows hop_a hop_c values")
-
-
-def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
+def _hop_factors(model: ModelSpec, sector: Sector) -> tuple:
     """The sector's hop table, read off the occupations once: the order M,
     the rows m(n) for n = 0 .. max(M, N) (past N they continue as
     polynomials in n), the integer products A(n)/g and C(n)/g at those
-    rows, and the level values of `hop_values`."""
+    rows, and the level values of `hop_values`, in that order."""
     order = max(sum(model.k[i] for i in model.group1),
                 sum(model.k[i] for i in model.group2), 2)
     n_top = sector.n_top
@@ -182,13 +178,13 @@ def _hop_factors(model: ModelSpec, sector: Sector) -> _HopTable:
     values = (tuple(model.g * x for x in hop_a[:n_top]),
               tuple(_number_energy(terms, occ) for occ in rows[:n_top + 1]),
               tuple(model.g * x for x in hop_c[1:n_top + 1]))
-    return _HopTable(order, rows, hop_a, hop_c, values)
+    return order, rows, hop_a, hop_c, values
 
 
 _last_table = (None, None, None)
 
 
-def _hop_table(model: ModelSpec, sector: Sector) -> _HopTable:
+def _hop_table(model: ModelSpec, sector: Sector) -> tuple:
     """`_hop_factors` of the last (model, sector) pair asked for, kept for
     those objects (both frozen): one sector's operator, monomial block and
     Fock block each read this one table."""
@@ -206,7 +202,7 @@ def hop_values(model: ModelSpec, sector: Sector):
     float g rounds each once and no sum can cancel near the exact zeros
     A(N) = C(0) = 0.  B(n) is `_number_energy` at level n.
     """
-    return _hop_table(model, sector).values
+    return _hop_table(model, sector)[4]
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     B(0..N) and lower C(1..N), the hop values of `diffop.hop_values`,
     each rounded to float once."""
     hop_a, hop_b, hop_c = (np.array([float(x) for x in values], dtype=float)
-                           for values in _hop_table(model, sector).values)
+                           for values in _hop_table(model, sector)[4])
     block = TridiagonalBlock(basis="monomial", diag=hop_b, upper=hop_a, lower=hop_c)
     _maybe_warn_conditioning(block)
     return block
