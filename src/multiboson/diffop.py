@@ -227,12 +227,12 @@ def expand_diffop(model: ModelSpec, sector: Sector) -> DiffOpForm:
     Writing each hop polynomial in the falling-factorial basis, the
     coefficient c_i of n(n-1)...(n-i+1) lands in P_i: on z^{i+1} for the
     raising part, z^i for the diagonal, z^{i-1} for the lowering part.
-    The sector's hop table (`_hop_table`) at n = 0 .. max(M, N) gives them
-    all, and `hop_values` too.  The c_i of A and C are exact integer
-    differences of the products, each multiplied by g once.  B's are the
-    exact differences of `_number_energy` with the couplings scaled to
-    integers by their common denominator, divided by it once.  The lowering
-    part has no i = 0 term because C(0) = 0 exactly.
+    One `_hop_factors` evaluation at n = 0 .. max(M, N) gives them all, and
+    `hop_values` too.  The c_i of A and C are exact integer differences of
+    the products, each multiplied by g once.  B's are the exact differences
+    of `_number_energy` with the couplings scaled to integers by their
+    common denominator, divided by it once.  The lowering part has no i = 0
+    term because C(0) = 0 exactly.
     """
     order, rows, hop_a, hop_c, values = _hop_table(model, sector)
     lower = _differences(hop_c[:order + 1])
