@@ -38,14 +38,18 @@ matrix gets the same LAPACK call either way, so the roots are bit for bit
 those of a serial solve.  The masked rows form one (L', N) stack of
 candidates, judged as a whole (`_judged`): canonicalized once
 (`_canonical`), then their residuals, closed-form energies and degenerate
-flags are computed on that stack.  Each canonical set is both scored and
-returned, as a read-only complex array of its own, tagged 'extracted'.  A
-level is `converged` when its scaled robust residual is within a fixed
-1e-10 and its closed-form energy agrees with the oracle eigenvalue to a
-fixed 1e-8 of the spectral scale max(1, max |E|); an unconverged level
-keeps its roots all the same.  A level whose row has no roots is
-unconverged, with no roots and a NaN energy.  This module computes no
-eigenvector of its own, and there is no second route.
+flags are computed on that stack, in the (re, im) order it leaves.  Only a
+set not already closed under conjugation, root for root, takes the
+canonical form's pairing loop: LAPACK's real eigensolver gives each
+complex pair exactly, so no set of the solve path does.  Each canonical
+set is both scored and returned, as a read-only complex array of its own,
+tagged 'extracted'.  A level is `converged` when its scaled robust
+residual is within a fixed 1e-10 and its closed-form energy agrees with
+the oracle eigenvalue to a fixed 1e-8 of the spectral scale
+max(1, max |E|); an unconverged level keeps its roots all the same.  A
+level whose row has no roots is unconverged, with no roots and a NaN
+energy.  This module computes no eigenvector of its own, and there is no
+second route.
 
 `converged` is the one certificate of a level's roots: `cross_validate`
 passes a level that is `converged` and whose Fock, monomial and
@@ -200,17 +204,19 @@ def _monic_from_roots(roots) -> np.ndarray:
     increasing |a_j|.  In a set's sorted order (by real part) the partial
     products of same-signed roots grow coefficients that later cancel: on
     preset C at N=60 that order errs by about 3e-12 of the residual's
-    bound, and this one by 5e-15, as at 60 digits.
+    bound, and this one by 5e-15, as at 60 digits.  The product is built
+    coefficient-major, (N + 1, L), and a stack's result is its transpose.
     """
     roots = np.asarray(roots, dtype=complex)
     rows = np.atleast_2d(roots)
-    rows = np.take_along_axis(rows, np.argsort(np.abs(rows), axis=1, kind="stable"), axis=1)
+    # factor j of every row, (N, L)
+    factors = rows[np.arange(len(rows)), np.argsort(np.abs(rows), axis=1, kind="stable").T]
     n = rows.shape[1]
-    out = np.zeros((rows.shape[0], n + 1), dtype=complex)
-    out[:, n] = 1.0
-    for j in range(n):
-        out[:, n - j - 1:n] -= rows[:, j, None] * out[:, n - j:]
-    return out if roots.ndim == 2 else out[0]
+    out = np.zeros((n + 1, rows.shape[0]), dtype=complex)
+    out[n] = 1.0
+    for j, factor in enumerate(factors):
+        out[n - j - 1:n] -= factor * out[n - j:]
+    return out.T if roots.ndim == 2 else out[:, 0]
 
 
 def _float_polys(op: DiffOpForm) -> np.ndarray:
@@ -280,18 +286,28 @@ def _close_pairs(stack: np.ndarray, rel_tol: float) -> list:
     """Per row of an (L, N) stack of root sets, whether two of its roots lie
     within rel_tol * max(1, max|root|) of the row, as a list of bools.
 
-    A NaN gap never counts as close and hides no other pair.  A gap is
-    never below its real part's, so with each row sorted by real part only
-    the pairs up to the first offset at which no real gap of any row is
-    below the bound need their modulus; the flags are those of all pairs.
+    A NaN gap never counts as close and hides no other pair.  Each row is
+    sorted by real part first (`_close_sorted`).
     """
-    n_rows, n = stack.shape
+    return _close_sorted(np.take_along_axis(stack, np.argsort(stack.real, axis=1), axis=1),
+                         rel_tol)
+
+
+def _close_sorted(z: np.ndarray, rel_tol: float) -> list:
+    """`_close_pairs` of a stack whose rows are sorted by real part, NaN
+    last, in any order of equal real parts, as `_canonical` leaves them.
+
+    A gap is never below its real part's, so only the pairs up to the
+    first offset at which no real gap of any row is below the bound need
+    their modulus; the flags are those of all pairs, whatever the order
+    of equal real parts.
+    """
+    n_rows, n = z.shape
     close = np.zeros(n_rows, dtype=bool)
     if n < 2:
         return close.tolist()
     # fmax, as Python's max(1.0, nan): a NaN root leaves the scale at 1
-    bound = rel_tol * np.fmax(1.0, np.max(np.abs(stack), axis=1, keepdims=True))
-    z = np.take_along_axis(stack, np.argsort(stack.real, axis=1), axis=1)
+    bound = rel_tol * np.fmax(1.0, np.max(np.abs(z), axis=1, keepdims=True))
     for offset in range(1, n):
         near = z.real[:, offset:] - z.real[:, :-offset] < bound
         if not near.any():
@@ -476,29 +492,33 @@ def _roots_of_rows(rows: np.ndarray):
     roots = np.zeros((len(rows), n), dtype=complex)
     has = np.all(np.isfinite(rows), axis=1) & (rows[:, -1] != 0)
     lows = np.argmax(rows != 0, axis=1)
-    for low in np.unique(lows[has]).tolist():
+    for low in np.flatnonzero(np.bincount(lows[has])).tolist():
         index = np.flatnonzero(has & (lows == low))
         size = n - low
-        sigma = (np.abs(rows[index, low]) / np.abs(rows[index, -1])) ** (1 / max(size, 1))
-        coeffs = rows[index, low:][:, ::-1] / sigma[:, None] ** np.arange(size + 1)
+        part = rows[index, low:]
+        sigma = (np.abs(part[:, 0]) / np.abs(part[:, -1])) ** (1 / max(size, 1))
+        coeffs = part[:, ::-1] / sigma[:, None] ** np.arange(size + 1)
         finite = np.all(np.isfinite(coeffs), axis=1) & np.isfinite(sigma)
-        has[index[~finite]] = False
-        index, sigma, coeffs = index[finite], sigma[finite], coeffs[finite]
+        if not finite.all():
+            has[index[~finite]] = False
+            index, sigma, coeffs = index[finite], sigma[finite], coeffs[finite]
         companion = np.zeros((len(index), size, size), dtype=rows.dtype)
         companion[:, :1, :] = (-coeffs[:, 1:] / coeffs[:, :1])[:, None, :]
         companion[:, range(1, size), range(size - 1)] = 1
+        found = np.zeros((len(index), size), dtype=complex)
         try:
-            roots[index, :size] = _eigvals_parts(companion)
+            found[:] = _eigvals_parts(companion)
         except np.linalg.LinAlgError:
             has[index] = False
             if len(index) > 1:   # redo the stack one matrix at a time
-                for row, matrix in zip(index.tolist(), companion):
+                for row, (matrix, out) in enumerate(zip(companion, found)):
                     with contextlib.suppress(np.linalg.LinAlgError):
-                        roots[row, :size] = np.linalg.eigvals(matrix[None])[0]
-                        has[row] = True
+                        out[:] = np.linalg.eigvals(matrix[None])[0]
+                        has[index[row]] = True
         # z = sigma w, part by part; a row without roots stays zero
-        roots.real[index, :size] *= sigma[:, None]
-        roots.imag[index, :size] *= sigma[:, None]
+        found.real *= sigma[:, None]
+        found.imag *= sigma[:, None]
+        roots[index, :size] = found
     return roots, has
 
 
@@ -527,17 +547,40 @@ def _canonical(stack: np.ndarray) -> np.ndarray:
     makes the pair its mean m and conj(m).  The set is then sorted by (re,
     im), a tie kept in the order the pairing built it: axis roots in input
     order, then each upper root's m, conj(m) or unpaired self, then the
-    unpaired lower roots.  The pairing loops once per upper-root position
-    across all rows.  Each step is Python's complex arithmetic written
+    unpaired lower roots.  Each step is Python's complex arithmetic written
     out, so every row is bit for bit what the same steps give on Python
     complex numbers, one set at a time (`tests/oracles.py` keeps that
     loop): moduli by `np.hypot` (`np.abs` can differ in the last bit), a
     flattened root as re + 0.0 (-0.0 becomes 0.0), and the mean as
     Python's division by 2.
+
+    Only the rows not already paired take the pairing loop (`_paired`).  A
+    row is paired when its roots, flattened, are closed under conjugation
+    root for root (by value, so -0.0 pairs with 0.0), as the roots of a
+    real row from LAPACK's real eigensolver are, and no part reaches 2^1023.
+    Its root above the axis k in (re, im) order then takes root k below it
+    at distance 0, and the mean is (re + 0.0, +-im) exactly: the row is its
+    flattened roots sorted by (re, im), whose ties are equal bits.
     """
     z = np.array(stack, dtype=complex)
     if not z.size:
         return z
+    scale = np.hypot(z.real, z.imag).max(axis=1, keepdims=True)
+    tol = _PAIR_TOL * np.maximum(1.0, scale)
+    flat = z + 0.0
+    flat.imag[np.abs(z.imag) <= tol] = 0.0
+    out = np.sort(flat, axis=1)      # by (re, im)
+    # a doubled part below 2^1024 stays finite, so the mean is exact
+    paired = np.all(np.sort(out.conj(), axis=1) == out, axis=1) & (scale[:, 0] < 2.0 ** 1023)
+    rest = np.flatnonzero(~paired)
+    if rest.size:
+        out[rest] = _paired(z[rest])
+    return out
+
+
+def _paired(z: np.ndarray) -> np.ndarray:
+    """`_canonical` of each row of a nonempty (L, N) stack by the pairing
+    loop, which runs once per upper-root position across all rows."""
     n_rows, n = z.shape
     tol = _PAIR_TOL * np.maximum(1.0, np.hypot(z.real, z.imag).max(axis=1, keepdims=True))
     side = (z.imag > tol) + 2 * (z.imag < -tol)     # 0 on the axis, 1 above, 2 below
@@ -630,17 +673,21 @@ def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
     sets, NaN where the imaginary-part rule rejects it.
 
     The sums run column by column, left to right, as Python's `sum` adds a
-    root set (`np.sum` adds pairwise, in other rounding), so each energy is
-    bit for bit `energy_from_roots` of its row.
+    root set (`np.sum` adds pairwise, in other rounding), and B(N) -
+    A(N-1) * total is written out as Python (3.10-3.13) evaluates it with a
+    complex total: each coupling as complex(float(x), 0.0), so a 0.0 times
+    an infinite part is NaN.  Each energy is bit for bit `energy_from_roots`
+    of its row.
     """
     totals = np.zeros(len(stack), dtype=complex)
     for column in stack.T:
         totals += column
-    energies = np.full(len(stack), math.nan)
-    for row, total in enumerate(totals.tolist()):
-        with contextlib.suppress(ValueError):
-            energies[row] = _energy_of_sum(op.hop_values, total)
-    return energies
+    hop_a, hop_b, _ = op.hop_values
+    a, b = float(hop_a[-1]), float(hop_b[-1])
+    real = b - (a * totals.real - 0.0 * totals.imag)
+    imag = 0.0 - (a * totals.imag + 0.0 * totals.real)
+    # fmax, as Python's max(1.0, nan); a NaN imaginary part rejects nothing
+    return np.where(np.abs(imag) > _IMAG_TOL * np.fmax(1.0, np.abs(real)), math.nan, real)
 
 
 def _judged(op: DiffOpForm, polys, stack: np.ndarray, rel_tol: float):
@@ -651,7 +698,7 @@ def _judged(op: DiffOpForm, polys, stack: np.ndarray, rel_tol: float):
     (`_closed_form_energies`) and that close flag."""
     stack = _canonical(stack)
     at = _terms_at_roots(polys, stack)
-    close = _close_pairs(stack, rel_tol)
+    close = _close_sorted(stack, rel_tol)
     bae = np.where(close, math.nan, _scaled_bae(at))
     return (stack, _scaled_robust(at).tolist(), bae.tolist(),
             _closed_form_energies(op, stack).tolist(), close)

@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bethe, diffop, hamiltonian, models, polyalg
@@ -269,10 +270,15 @@ def _cmd_scan(args) -> int:
     else:
         raise ConfigError("scan: supply --g-range or --sweep NAME --range START:STOP:STEP")
     header = ["param", "value", "level", "energy"]
+    if name == "g":   # one hop table: each point scales the block at g = 1
+        with warnings.catch_warnings():   # each point warns for itself
+            warnings.simplefilter("ignore", hamiltonian.ConditioningWarning)
+            unit = hamiltonian.build_sector_matrix(_with_coupling(model, "g", 1), sector)
     rows = []
     for value in grid:
-        swept = _with_coupling(model, name, value)
-        spec = hamiltonian.diagonalize(hamiltonian.build_sector_matrix(swept, sector))
+        block = (hamiltonian._scaled_fock(unit, value) if name == "g" else
+                 hamiltonian.build_sector_matrix(_with_coupling(model, name, value), sector))
+        spec = hamiltonian.diagonalize(block)
         for level, energy in enumerate(spec.energies):
             rows.append([name, _fmt(value), _fmt(level), _fmt(float(energy))])
     _write(args, header, rows)

@@ -136,6 +136,18 @@ def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     return block
 
 
+def _scaled_fock(unit: TridiagonalBlock, g) -> TridiagonalBlock:
+    """`build_sector_matrix` at coupling g from its block at g = 1, whose
+    off-diagonal, the roots alone, is multiplied by float(g): bit for bit,
+    as each element is float(g) times a root that g does not change, and
+    the diagonal does not depend on g."""
+    with np.errstate(over="ignore"):   # a Python float overflows to inf silently
+        off = float(g) * unit.upper
+    block = TridiagonalBlock(basis="fock", diag=unit.diag, upper=off, lower=off.copy())
+    _maybe_warn_conditioning(block)
+    return block
+
+
 def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     """Non-symmetric monomial-basis block: upper A(0..N-1), diagonal
     B(0..N) and lower C(1..N), the hop values of `diffop.hop_values`,
@@ -147,12 +159,13 @@ def build_monomial_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     return block
 
 
-def _pivots(shift: np.ndarray, couplings: list, floor: float = 0.0) -> np.ndarray:
+def _pivots(shift: np.ndarray, couplings: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """The pivots of one sweep, D_0 = d_0 and D_i = d_i - c_(i-1) / D_(i-1),
-    for each column of the (N + 1, L) shifted diagonal d at once: top-down
-    for `_twisted_rows`' D+, and top-down on the reversed block for its
-    D-.  With a floor, a pivot that is exactly zero is replaced by it
-    before it divides; the last pivot divides nothing and is kept."""
+    for each column of the shifted diagonals d, (N + 1, ...), at once, with
+    the couplings c, (N, ...), broadcast against them: `_twisted_rows` runs
+    its top-down and its bottom-up sweep side by side.  With a floor, a
+    pivot that is exactly zero is replaced by it before it divides; the
+    last pivot divides nothing and is kept."""
     pivots = [shift[0]]
     for d, c in zip(shift[1:], couplings):
         if floor:
@@ -188,16 +201,19 @@ def _twisted_rows(block: TridiagonalBlock, energies) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         shift = block.diag[:, None] - np.asarray(energies, dtype=float)   # (N + 1, L)
-        couplings = (block.upper * block.lower).tolist()
-        plus = _pivots(shift, couplings)
-        minus = _pivots(shift[::-1], couplings[::-1])[::-1]
-        if (plus[:-1] == 0).any() or (minus[1:] == 0).any():
+        couplings = block.upper * block.lower
+        # the top-down sweep and the bottom-up one (top-down on the reversed
+        # block) side by side, (N + 1, 2, L)
+        sweeps = np.stack((shift, shift[::-1]), axis=1)
+        couplings = np.stack((couplings, couplings[::-1]), axis=1)[:, :, None]
+        pivots = _pivots(sweeps, couplings)
+        if (pivots[:-1] == 0).any():
             # a zero pivot divided: sweep again with the floor, which
             # changes only pivots that are exactly zero
             floor = np.finfo(float).eps * max(np.max(np.abs(part), initial=0.0)
                                               for part in (block.diag, block.upper, block.lower))
-            plus = _pivots(shift, couplings, floor)
-            minus = _pivots(shift[::-1], couplings[::-1], floor)[::-1]
+            pivots = _pivots(sweeps, couplings, floor)
+        plus, minus = pivots[:, 0], pivots[::-1, 1]
         gamma = np.abs(plus + minus - shift)
         twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
         index = np.arange(len(shift) - 1)[:, None]

@@ -699,6 +699,36 @@ def test_stacked_energies_match_energy_from_roots():
     assert np.isnan(got[::4]).all() and not np.isnan(got[1::4]).any()
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_stacked_energies_of_any_sum_match_energy_from_roots(exact):
+    """Root sums with infinite, NaN, signed-zero and overflowing parts, on a
+    model with float couplings and on one with `Fraction` couplings (whose
+    hop values are exact): each stacked energy is `energy_from_roots` of
+    its row, bit for bit, and NaN where that call raises.  A NaN imaginary
+    part rejects nothing there, and a NaN real part leaves the scale at 1."""
+    number = Fraction if exact else (lambda num, den: num / den)
+    model = preset("A", w=[number(2, 5), number(-3, 10), number(1, 5)],
+                   wq={(0, 1): number(1, 2)}, g=number(4, 5))
+    sec = sector_from_occupations(model, (0, 3, 3))
+    op = expand_diffop(model, sec)
+    assert isinstance(op.hop_values[0][-1], Fraction) == exact
+    parts = [0.0, -0.0, 1.5, -1e-12, 1e308, math.inf, -math.inf, math.nan]
+    rows = [[complex(a, b), complex(c, d), 0j] for a in parts for b in parts
+            for c in (0.0, 1e308, -math.inf) for d in (0.0, -0.0, 1e308, math.nan)]
+    want = []
+    for row in rows:
+        try:
+            want.append(energy_from_roots(model, sec, row))
+        except ValueError:
+            want.append(math.nan)
+    want = np.array(want)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bethe._closed_form_energies(op, np.array(rows))
+    _same_bits(got, want)
+    # sums that are infinite, NaN or rejected all occur
+    assert np.isinf(want).any() and np.isnan(want).any() and np.isfinite(want).any()
+
+
 def test_canonicalize_roots():
     canon = canonicalize_roots([1 + 1e-12j, -2.0, 0.5 + 0.25j, 0.5 - 0.25j + 1e-13j])
     assert canon[0] == -2.0
@@ -747,22 +777,102 @@ def _root_set(draw, n):
     return draw(st.permutations(roots[:n]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.lists(_root_set(n), min_size=1, max_size=4)))
+# Parts at and just below 2^1023, where doubling them overflows or does not,
+# and the parts of a root off the axis beside such a real part: a root past
+# tol = 1e-11 |root| of the axis, with its modulus still finite.
+_HUGE = st.sampled_from([2.0 ** 1023, -2.0 ** 1023, 1.5 * 2.0 ** 1023, -1.75 * 2.0 ** 1023,
+                         np.nextafter(2.0 ** 1023, 0.0), -np.nextafter(2.0 ** 1023, 0.0)])
+_BESIDE_HUGE = st.sampled_from([2.0 ** 1000, 3.0 * 2.0 ** 990, 1e300])
+
+
+@st.composite
+def _conjugate_set(draw, n):
+    """A root set of n finite roots, shuffled, closed under conjugation root
+    for root, as a real row's eigenvalues from LAPACK are: axis roots (+-0.0
+    imaginary parts), conjugate pairs whose real parts may be 0.0 and -0.0,
+    pairs drawn twice, and real parts at and around 2^1023."""
+    roots = []
+    while len(roots) < n:
+        kind = draw(st.sampled_from(["axis", "pair", "zero", "huge"]))
+        if kind == "axis" or len(roots) + 2 > n:
+            roots.append(complex(draw(st.one_of(_DYADIC, _SMALL, _HUGE)),
+                                 draw(st.sampled_from([0.0, -0.0]))))
+            continue
+        if kind == "pair":
+            re, im = draw(st.one_of(_DYADIC, _SMALL)), draw(st.floats(1e-9, 4.0))
+            pair = [complex(re, im), complex(re, -im)]
+        elif kind == "zero":
+            im = draw(_DYADIC.filter(lambda x: x > 0))
+            pair = [complex(draw(st.sampled_from([0.0, -0.0])), im),
+                    complex(draw(st.sampled_from([0.0, -0.0])), -im)]
+        else:
+            re, im = draw(_HUGE), draw(_BESIDE_HUGE)
+            pair = [complex(re, im), complex(re, -im)]
+        roots += pair * (2 if len(roots) + 4 <= n and draw(st.booleans()) else 1)
+    return draw(st.permutations(roots))
+
+
+def _stacks(n):
+    """Stacks of root sets of n roots: sets of `_root_set`, sets closed
+    under conjugation (`_conjugate_set`), and the two mixed."""
+    return st.one_of(st.lists(_root_set(n), min_size=1, max_size=4),
+                     st.lists(_conjugate_set(n), min_size=1, max_size=4),
+                     st.lists(st.one_of(_root_set(n), _conjugate_set(n)), min_size=2, max_size=5))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 9).flatmap(_stacks))
 @example([[complex(-0.0, 0.5), complex(-0.0, -0.5), complex(1.0, -0.0)]])
+@example([[complex(-0.0, 0.5), complex(0.0, -0.5), complex(1.0, 2.0), complex(1.0, -2.0),
+           complex(1.0, 2.0), complex(1.0, -2.0)]])
+@example([[complex(2.0 ** 1023, 1e300), complex(2.0 ** 1023, -1e300), 1.0],
+          [complex(np.nextafter(2.0 ** 1023, 0.0), 1e300),
+           complex(np.nextafter(2.0 ** 1023, 0.0), -1e300), 1.0]])
 def test_stacked_canonicalization_matches_scalar_loop(rows):
     """The stacked canonicalization gives each row of a finite (L, N) stack
     bit for bit what the scalar double loop gives it alone, and so does
-    `canonicalize_roots`, a stack of one; the stack itself is not changed."""
+    `canonicalize_roots`, a stack of one; the stack itself is not changed.
+    A row closed under conjugation skips the pairing loop unless a doubled
+    part overflows, a row that is not takes it, and either way the row is
+    what the loop alone (`_paired`) makes of it.  The flags of close pairs
+    read off the canonical order are those of any order."""
     stack = np.array(rows, dtype=complex)
     before = stack.tobytes()
-    got = bethe._canonical(stack)
-    want = np.array([scalar_canonicalize_roots(row) for row in rows], dtype=complex)
-    assert got.shape == stack.shape and got.dtype == np.complex128
+    # a mean of two parts near 2^1023 overflows, as Python's does silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bethe._canonical(stack)
+        want = np.array([scalar_canonicalize_roots(row) for row in rows], dtype=complex)
+        assert got.shape == stack.shape and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == bethe._paired(stack).tobytes()
+        assert stack.tobytes() == before
+        for row, expected in zip(rows, want):
+            assert np.array(canonicalize_roots(row)).tobytes() == expected.tobytes()
+        for rel_tol in (0.0, 1e-10, 1e-6, 1.0):
+            assert bethe._close_sorted(got, rel_tol) == bethe._close_pairs(got, rel_tol)
+
+
+@pytest.mark.parametrize("row", [
+    [complex(0.5, 1.5 * 2.0 ** 1023), complex(0.5, -1.5 * 2.0 ** 1023), 3.0],
+    [complex(2.0 ** 1023, 1e300), complex(2.0 ** 1023, -1e300)],
+    [complex(-1.75 * 2.0 ** 1023, 2.0 ** 1000), complex(-1.75 * 2.0 ** 1023, -2.0 ** 1000), 1.0],
+], ids=["imag", "real", "negative-real"])
+def test_pair_whose_double_overflows_takes_the_loop(row):
+    """An exact conjugate pair whose doubled real or imaginary part
+    overflows takes the pairing loop, whose mean is then not the pair's own
+    parts: inf and NaN, as in Python's complex arithmetic, where the
+    shortcut would keep the finite parts.  Below 2^1023 the shortcut and the
+    loop agree (`test_stacked_canonicalization_matches_scalar_loop`)."""
+    stack = np.array([row, row[::-1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bethe._canonical(stack)
+        want = bethe._paired(stack)
+        oracle = np.array(scalar_canonicalize_roots(row))
     assert got.tobytes() == want.tobytes()
-    assert stack.tobytes() == before
-    for row, expected in zip(rows, want):
-        assert np.array(canonicalize_roots(row)).tobytes() == expected.tobytes()
+    assert np.isnan(got).sum() == 4 and not np.isfinite(got).all(axis=None)
+    # the oracle's sort leaves its NaN pair in construction order; numpy's
+    # lexsort orders it by imaginary part: the same values either way
+    assert sorted(map(repr, got[0].tolist())) == sorted(map(repr, oracle.tolist()))
 
 
 def test_energy_micro_examples():
@@ -1518,6 +1628,21 @@ def _general_sectors(seed, count, n_range=(16, 24), log_g=False):
             model, [ki * level + int(rng.integers(0, ki)) for ki, level in zip(k, levels)])
         assert sec.n_top == n_top
         yield model, sec
+
+
+def test_solve_path_root_sets_skip_the_pairing_loop(monkeypatch):
+    """The root sets of real twisted rows come from LAPACK's real
+    eigensolver in exact conjugate pairs, so on the solve path no row of
+    the N = 40 grid, of A/C at N = 100 or of 40 general sectors with N up
+    to 24 enters `_canonical`'s pairing loop."""
+    rows = []
+    paired = bethe._paired
+    monkeypatch.setattr(bethe, "_paired", lambda z: rows.append(len(z)) or paired(z))
+    sectors = [_route_sector(name) for name in N40_GRID + ("A-100", "C-100-g0.01")]
+    reports = [cross_validate(model, sec) for model, sec in
+               sectors + list(_general_sectors(5, 40, n_range=(1, 24)))]
+    assert rows == []
+    assert all(report.passed for report in reports[:3])
 
 
 def _route_cases(name):

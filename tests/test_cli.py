@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,52 @@ def test_scan_grid_and_g_zero_limit(capsys):
     assert len(rows) == 21 * 2
     at_zero = [row for row in rows if float(row[1]) == 0.0]
     assert sorted(float(row[3]) for row in at_zero) == [0.0, 0.0]
+
+
+SCAN_C12 = ["scan", "--preset", "C", "--w=0.4,-0.3,0.2,0.1", "--wq=1,2=0.5",
+            "--g-range=-0.5:1.5:0.1", "--occ=0,3,12,14"]
+
+
+def test_scan_over_g_reads_one_hop_table(capsys, monkeypatch):
+    """A g sweep builds the sector's hop table and Fock block once, at
+    g = 1, and scales the off-diagonal by each point's g: one
+    `_hop_factors` call for 21 points, where a table per point made 21,
+    and every printed energy is, byte for byte, that of the block
+    `build_sector_matrix` builds at the point's g."""
+    calls = []
+    hop_factors = multiboson.diffop._hop_factors
+    monkeypatch.setattr(multiboson.diffop, "_hop_factors",
+                        lambda *args: calls.append(args) or hop_factors(*args))
+    code, out, _ = _run(capsys, SCAN_C12)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    model = multiboson.preset("C", w=[0.4, -0.3, 0.2, 0.1], wq={(0, 1): 0.5})
+    sector = multiboson.sector_from_occupations(model, (0, 3, 12, 14))
+    want = ["param,value,level,energy"]
+    for g in multiboson.cli._grid("-0.5:1.5:0.1"):
+        block = multiboson.build_sector_matrix(multiboson.cli._with_coupling(model, "g", g), sector)
+        want += [f"g,{multiboson.cli._fmt(g)},{level},{multiboson.cli._fmt(float(energy))}"
+                 for level, energy in enumerate(multiboson.diagonalize(block).energies)]
+    assert out.splitlines() == want and len(want) == 1 + 21 * sector.dim
+
+
+def test_scan_over_g_warns_at_each_point_it_should(capsys):
+    """Each point of a g sweep whose Fock block `build_sector_matrix` would
+    warn about warns once, and no other: the block at g = 1 that every
+    point scales warns for no point.  Here its entries pass 1e12 at g = 1
+    and at g = 0.6, and not at g = 0.2 or 0.4."""
+    model = multiboson.make_model(1, 1, (5, 5), g=1)
+    sector = multiboson.sector_from_occupations(model, (0, 600))
+    argv = ["scan", "--r", "1", "--s", "1", "--k", "5,5", "--occ=0,600", "--g-range", "0.2:0.6:0.2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+        assert [w.category for w in caught] == [multiboson.ConditioningWarning]
+        assert "0.6" in capsys.readouterr().out
+        for g, warns in ((0.2, False), (0.4, False), (0.6, True), (1, True)):
+            caught.clear()
+            multiboson.build_sector_matrix(multiboson.cli._with_coupling(model, "g", g), sector)
+            assert len(caught) == warns
 
 
 def test_scan_sweep_linear_coupling(capsys):
