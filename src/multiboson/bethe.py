@@ -609,7 +609,9 @@ def _paired(z: np.ndarray) -> np.ndarray:
                         up.imag[:, :, None] + low.imag[:, None, :])
         dist[(upper >= n_upper)[:, :, None] | (lower >= n_lower)[:, None, :]] = np.inf
         partner = np.full(up.shape, -1)
-        reach = 10 * tol[:, 0]
+        # a row with no upper root pairs nothing: with an infinite modulus
+        # its reach is infinite, and so is every padded distance
+        reach = np.where(n_upper[:, 0] > 0, 10 * tol[:, 0], -np.inf)
         for k in upper:
             best = np.argmin(dist[:, k], axis=1)
             near = np.flatnonzero(dist[rows[:, 0], k, best] <= reach)

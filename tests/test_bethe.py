@@ -832,10 +832,10 @@ def test_stacked_canonicalization_matches_scalar_loop(rows):
     """The stacked canonicalization gives each row of a finite (L, N) stack
     bit for bit what the scalar double loop gives it alone, and so does
     `canonicalize_roots`, a stack of one; the stack itself is not changed.
-    A row closed under conjugation skips the pairing loop unless a doubled
-    part overflows, a row that is not takes it, and either way the row is
-    what the loop alone (`_paired`) makes of it.  The flags of close pairs
-    read off the canonical order are those of any order."""
+    Whether a row skips the pairing loop (closed under conjugation, no
+    doubled part overflowing) or takes it, it is what the loop alone
+    (`_paired`) makes of it.  The flags of close pairs read off the
+    canonical order are those of any order."""
     stack = np.array(rows, dtype=complex)
     before = stack.tobytes()
     # a mean of two parts near 2^1023 overflows, as Python's does silently
@@ -869,7 +869,7 @@ def test_pair_whose_double_overflows_takes_the_loop(row):
         want = bethe._paired(stack)
         oracle = np.array(scalar_canonicalize_roots(row))
     assert got.tobytes() == want.tobytes()
-    assert np.isnan(got).sum() == 4 and not np.isfinite(got).all(axis=None)
+    assert np.isnan(got).sum() == 4
     # the oracle's sort leaves its NaN pair in construction order; numpy's
     # lexsort orders it by imaginary part: the same values either way
     assert sorted(map(repr, got[0].tolist())) == sorted(map(repr, oracle.tolist()))
@@ -1628,6 +1628,23 @@ def _general_sectors(seed, count, n_range=(16, 24), log_g=False):
             model, [ki * level + int(rng.integers(0, ki)) for ki, level in zip(k, levels)])
         assert sec.n_top == n_top
         yield model, sec
+
+
+def test_canonical_row_with_infinite_modulus_is_canonicalized_alone():
+    """A finite row whose modulus overflows has an infinite tolerance, so
+    every root is flattened onto the axis and none pairs.  In a stack with
+    a row that takes the pairing loop it stays what it is alone: its
+    infinite reach once paired the loop's padding, writing a mean of other
+    roots into it."""
+    huge = [complex(1.3e308, 1.3e308), 1.0, 2.0]
+    loop = [complex(1.0, 1.0), complex(1.0, -1.0), complex(3.0, 0.5)]
+    alone = [[1.0, 2.0, 1.3e308]]
+    with np.errstate(over="ignore"):
+        for canonical in (bethe._canonical, bethe._paired):
+            assert canonical(np.array([huge])).tobytes() == np.array(alone, complex).tobytes()
+            got = canonical(np.array([huge, loop, huge[::-1]]))
+            assert got[0::2].tobytes() == np.array(alone * 2, complex).tobytes()
+            assert got[1].tobytes() == np.array(scalar_canonicalize_roots(loop)).tobytes()
 
 
 def test_solve_path_root_sets_skip_the_pairing_loop(monkeypatch):
