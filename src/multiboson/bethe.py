@@ -554,13 +554,14 @@ def _canonical(stack: np.ndarray) -> np.ndarray:
     flattened root as re + 0.0 (-0.0 becomes 0.0), and the mean as
     Python's division by 2.
 
-    Only the rows not already paired take the pairing loop (`_paired`).  A
-    row is paired when its roots, flattened, are closed under conjugation
-    root for root (by value, so -0.0 pairs with 0.0), as the roots of a
-    real row from LAPACK's real eigensolver are, and no part reaches 2^1023.
-    Its root above the axis k in (re, im) order then takes root k below it
-    at distance 0, and the mean is (re + 0.0, +-im) exactly: the row is its
-    flattened roots sorted by (re, im), whose ties are equal bits.
+    Only a row that is not closed under conjugation takes the pairing loop
+    (`_paired`).  A row is closed when its roots, flattened, are their own
+    conjugates root for root (by value, so -0.0 pairs with 0.0), as the
+    roots of a real row from LAPACK's real eigensolver are, and no part
+    reaches 2^1023.  Its k-th root above the axis, in (re, im) order, then
+    takes the k-th below it, in (re, -im) order, at distance 0, and their
+    mean is (re + 0.0, +-im) exactly: the row is its flattened roots sorted
+    by (re, im), whose ties are equal bits.
     """
     z = np.array(stack, dtype=complex)
     if not z.size:
@@ -570,9 +571,9 @@ def _canonical(stack: np.ndarray) -> np.ndarray:
     flat = z + 0.0
     flat.imag[np.abs(z.imag) <= tol] = 0.0
     out = np.sort(flat, axis=1)      # by (re, im)
-    # a doubled part below 2^1024 stays finite, so the mean is exact
-    paired = np.all(np.sort(out.conj(), axis=1) == out, axis=1) & (scale[:, 0] < 2.0 ** 1023)
-    rest = np.flatnonzero(~paired)
+    # a part below 2^1023 doubles to a finite value, so the mean is exact
+    closed = np.all(np.sort(out.conj(), axis=1) == out, axis=1) & (scale[:, 0] < 2.0 ** 1023)
+    rest = np.flatnonzero(~closed)
     if rest.size:
         out[rest] = _paired(z[rest])
     return out

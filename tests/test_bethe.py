@@ -790,7 +790,10 @@ def _conjugate_set(draw, n):
     """A root set of n finite roots, shuffled, closed under conjugation root
     for root, as a real row's eigenvalues from LAPACK are: axis roots (+-0.0
     imaginary parts), conjugate pairs whose real parts may be 0.0 and -0.0,
-    pairs drawn twice, and real parts at and around 2^1023."""
+    pairs drawn twice, and real parts at and around 2^1023, of one sign in
+    a set: the gap between two of opposite signs can be finite with a
+    modulus past float64's range, where the oracle's `abs` raises."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
     roots = []
     while len(roots) < n:
         kind = draw(st.sampled_from(["axis", "pair", "zero", "huge"]))
@@ -806,7 +809,7 @@ def _conjugate_set(draw, n):
             pair = [complex(draw(st.sampled_from([0.0, -0.0])), im),
                     complex(draw(st.sampled_from([0.0, -0.0])), -im)]
         else:
-            re, im = draw(_HUGE), draw(_BESIDE_HUGE)
+            re, im = sign * abs(draw(_HUGE)), draw(_BESIDE_HUGE)
             pair = [complex(re, im), complex(re, -im)]
         roots += pair * (2 if len(roots) + 4 <= n and draw(st.booleans()) else 1)
     return draw(st.permutations(roots))
