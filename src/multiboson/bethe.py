@@ -662,7 +662,12 @@ def _energy_of_sum(values, total):
     """E = B(N) - A(N-1) * total, under the imaginary-part rule of
     `energy_from_roots`."""
     hop_a, hop_b, _ = values
-    energy = hop_b[-1] - hop_a[-1] * total
+    if isinstance(total, complex):
+        # complex times complex, the same on every Python: a real times a
+        # complex is part by part from 3.14 on, where 0.0 * inf is not NaN
+        energy = complex(hop_b[-1]) - complex(hop_a[-1]) * total
+    else:
+        energy = hop_b[-1] - hop_a[-1] * total
     if isinstance(energy, complex):
         scale = max(1.0, abs(energy.real))
         if abs(energy.imag) > _IMAG_TOL * scale:
@@ -677,7 +682,7 @@ def _closed_form_energies(op: DiffOpForm, stack: np.ndarray) -> np.ndarray:
 
     The sums run column by column, left to right, as Python's `sum` adds a
     root set (`np.sum` adds pairwise, in other rounding), and B(N) -
-    A(N-1) * total is written out as Python (3.10-3.13) evaluates it with a
+    A(N-1) * total is written out as `_energy_of_sum` evaluates it with a
     complex total: each coupling as complex(float(x), 0.0), so a 0.0 times
     an infinite part is NaN.  Each energy is bit for bit `energy_from_roots`
     of its row.

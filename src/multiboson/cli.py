@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from fractions import Fraction
 
 from . import bethe, diffop, hamiltonian, models, polyalg
@@ -270,10 +269,8 @@ def _cmd_scan(args) -> int:
     else:
         raise ConfigError("scan: supply --g-range or --sweep NAME --range START:STOP:STEP")
     header = ["param", "value", "level", "energy"]
-    if name == "g":   # one hop table: each point scales the block at g = 1
-        with warnings.catch_warnings():   # each point warns for itself
-            warnings.simplefilter("ignore", hamiltonian.ConditioningWarning)
-            unit = hamiltonian.build_sector_matrix(_with_coupling(model, "g", 1), sector)
+    if name == "g":   # one hop table: each point scales the block with g left out
+        unit = hamiltonian._unit_fock(model, sector)
     rows = []
     for value in grid:
         block = (hamiltonian._scaled_fock(unit, value) if name == "g" else

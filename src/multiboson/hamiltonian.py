@@ -108,14 +108,14 @@ def transition_element(model: ModelSpec, occupations) -> float:
     return _sqrt_product(factors)
 
 
-def _maybe_warn_conditioning(block: TridiagonalBlock):
+def _maybe_warn_conditioning(block: TridiagonalBlock, stacklevel: int = 3):
     if block.dim > _WARN_DIM:
         peak = max(np.max(np.abs(block.upper)), np.max(np.abs(block.lower)), 0.0)
         if peak > _WARN_ELEMENT:
             warnings.warn(
                 f"{block.basis} block of dimension {block.dim} has off-diagonal "
                 f"entries up to {peak:.3e}; spectrum may be ill-conditioned",
-                ConditioningWarning, stacklevel=3)
+                ConditioningWarning, stacklevel=stacklevel)
 
 
 def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
@@ -123,28 +123,32 @@ def build_sector_matrix(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
     times the root of the hop table's A(n)/g * C(n+1)/g, bit for bit g
     times `transition_element`.  A negative factor m_i - k_i + 1 at its
     lowest row (N - 1 on group 2, 1 on group 1) is an inconsistent sector."""
+    return _scaled_fock(_unit_fock(model, sector), model.g)
+
+
+def _unit_fock(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
+    """The Fock block with g left out, which neither its diagonal nor the
+    roots off it depend on, unchecked for conditioning: `_scaled_fock`
+    makes it the block at any g."""
     _, rows, hop_a, hop_c, (_, hop_b, _) = _hop_table(model, sector)
     n_top = sector.n_top
     if n_top and any(rows[n_top - 1 if i in model.group2 else 1][i] < k - 1
                      for i, k in enumerate(model.k)):
         raise ValueError("negative factorial ratio: occupations inconsistent with sector")
     diag = np.array([float(b) for b in hop_b])
-    off = np.array([float(model.g) * _rounded_sqrt(a * c)
-                    for a, c in zip(hop_a[:n_top], hop_c[1:])])
-    block = TridiagonalBlock(basis="fock", diag=diag, upper=off, lower=off.copy())
-    _maybe_warn_conditioning(block)
-    return block
+    roots = np.array([_rounded_sqrt(a * c) for a, c in zip(hop_a[:n_top], hop_c[1:])])
+    return TridiagonalBlock(basis="fock", diag=diag, upper=roots, lower=roots)
 
 
 def _scaled_fock(unit: TridiagonalBlock, g) -> TridiagonalBlock:
-    """`build_sector_matrix` at coupling g from its block at g = 1, whose
-    off-diagonal, the roots alone, is multiplied by float(g): bit for bit,
-    as each element is float(g) times a root that g does not change, and
-    the diagonal does not depend on g."""
-    with np.errstate(over="ignore"):   # a Python float overflows to inf silently
-        off = float(g) * unit.upper
+    """The Fock block at coupling g from `_unit_fock`'s: each root off the
+    diagonal times float(g), checked for conditioning."""
+    off = unit.upper.copy()
+    if off.size:   # a block of one level takes no float(g), which may overflow
+        with np.errstate(over="ignore"):   # a Python float overflows to inf silently
+            off = float(g) * off
     block = TridiagonalBlock(basis="fock", diag=unit.diag, upper=off, lower=off.copy())
-    _maybe_warn_conditioning(block)
+    _maybe_warn_conditioning(block, stacklevel=4)   # at the builder's caller
     return block
 
 
