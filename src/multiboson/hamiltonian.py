@@ -143,10 +143,9 @@ def _unit_fock(model: ModelSpec, sector: Sector) -> TridiagonalBlock:
 def _scaled_fock(unit: TridiagonalBlock, g) -> TridiagonalBlock:
     """The Fock block at coupling g from `_unit_fock`'s: each root off the
     diagonal times float(g), checked for conditioning."""
-    off = unit.upper.copy()
-    if off.size:   # a block of one level takes no float(g), which may overflow
-        with np.errstate(over="ignore"):   # a Python float overflows to inf silently
-            off = float(g) * off
+    # Python's product overflows to inf silently; a block of one level takes
+    # no float(g), which may overflow
+    off = np.array([float(g) * root for root in unit.upper.tolist()], dtype=float)
     block = TridiagonalBlock(basis="fock", diag=unit.diag, upper=off, lower=off.copy())
     _maybe_warn_conditioning(block, stacklevel=4)   # at the builder's caller
     return block
