@@ -149,6 +149,10 @@ class BetheSolution:
 
 @dataclass(frozen=True)
 class LevelRecord:
+    """One level of `cross_validate`: its Fock, monomial and root energies,
+    their largest disagreement, its roots' residuals and count, and `ok`,
+    the level's verdict."""
+
     level: int
     energy_fock: float
     energy_monomial: float

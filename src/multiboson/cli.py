@@ -19,13 +19,14 @@ output.  Exit status: 0 all checks passed, 2 malformed configuration,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import bethe, diffop, hamiltonian, models, polyalg
-from .fock import make_model, sector_from_occupations
+from . import bethe, diffop, hamiltonian
+from .fock import PRESET_SHAPES, make_model, sector_from_occupations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,7 +105,7 @@ def _build_model(args) -> "tuple":
     w_text = args.w
 
     if args.preset is not None:
-        r, s, k = models.PRESET_SHAPES[args.preset]   # argparse's choices vet the name
+        r, s, k = PRESET_SHAPES[args.preset]   # argparse's choices vet the name
     elif args.config is not None:
         kv = _read_config_file(args.config)
         try:
@@ -283,6 +284,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify_algebra(args) -> int:
+    from . import polyalg   # loaded by this command alone
+
     if args.trunc is not None and args.trunc < 3 * args.kmax:
         raise ConfigError(f"trunc: expected at least 3 * kmax = {3 * args.kmax}, "
                           f"got {args.trunc}")
@@ -299,6 +302,8 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_verify_presets(args) -> int:
+    from . import models   # loaded by this command alone
+
     cases = [args.case] if args.case else ["A", "B", "C"]
     ok = True
     for case in cases:
@@ -352,7 +357,7 @@ def _positive_count(text: str) -> int:
 
 
 def _add_model_arguments(parser):
-    parser.add_argument("--preset", choices=sorted(models.PRESET_SHAPES), default=None,
+    parser.add_argument("--preset", choices=sorted(PRESET_SHAPES), default=None,
                         help="use a tabulated case shape")
     parser.add_argument("--config", default=None, help="flat config file with dotted keys")
     parser.add_argument("--r", type=int, default=None)
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.set_defaults(func=_cmd_verify_algebra)
 
     p_pre = sub.add_parser("verify-presets", help="closed-form table fixtures")
-    p_pre.add_argument("--case", choices=sorted(models.PRESET_SHAPES), default=None)
+    p_pre.add_argument("--case", choices=sorted(PRESET_SHAPES), default=None)
     p_pre.add_argument("--draws", type=_positive_count, default=50)
     p_pre.add_argument("--seed", type=_count, default=0)
     p_pre.set_defaults(func=_cmd_verify_presets)
@@ -440,7 +445,14 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    """Entry point of the `multiboson` script and `python -m multiboson.cli`."""
+    try:
+        code = main()
+    finally:
+        # the process ends next: the interpreter's final collections then
+        # skip every object alive here, the imports' ~22k among them
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -141,6 +141,15 @@ def make_model(r, s, k, w=None, wq=None, g=0) -> ModelSpec:
                      wq=tuple(tuple(row) for row in rows), g=_as_coupling(g))
 
 
+# (r, s, k) of the three condensate cases whose closed-form tables live in
+# `models`; kept here so that naming a preset needs no table module.
+PRESET_SHAPES = {
+    "A": (2, 1, (1, 1, 1)),
+    "B": (2, 1, (1, 1, 2)),
+    "C": (2, 2, (1, 1, 1, 1)),
+}
+
+
 @dataclass(frozen=True)
 class ModeLabel:
     """Single-mode label (q, n): tower residue q and level index n.

@@ -26,17 +26,12 @@ import numpy as np
 
 from .bethe import bethe_residuals, energy_from_roots
 from .diffop import Polynomial, expand_diffop
-from .fock import ModelSpec, Sector, label_t, make_model, sector_from_occupations
+from .fock import (PRESET_SHAPES, ModelSpec, Sector, label_t, make_model,
+                   sector_from_occupations)
 
 # Agreement of the tabulated root-equation form with the derivative-based
 # residuals, relative to max(1, max |residual|).
 _BAE_TOL = 1e-10
-
-PRESET_SHAPES = {
-    "A": (2, 1, (1, 1, 1)),
-    "B": (2, 1, (1, 1, 2)),
-    "C": (2, 2, (1, 1, 1, 1)),
-}
 
 
 def preset(case: str, w=None, wq=None, g=0) -> ModelSpec:
@@ -244,6 +239,8 @@ def discrepancy_delta(case: str, item: str, model: ModelSpec, sector: Sector):
 
 @dataclass(frozen=True)
 class FixtureItem:
+    """Verdict on one table entry of one draw; `detail` says what differed."""
+
     draw: int
     name: str
     status: str  # 'match' | 'known-discrepancy' | 'MISMATCH'
@@ -252,6 +249,8 @@ class FixtureItem:
 
 @dataclass(frozen=True)
 class CaseFixtureReport:
+    """Every fixture verdict of one preset over `draws` random draws."""
+
     case: str
     draws: int
     items: tuple

@@ -82,6 +82,9 @@ def boson_generators(k: int, trunc: int) -> TruncatedGeneratorSet:
 
 @dataclass(frozen=True)
 class AlgebraCheck:
+    """One algebra identity: its largest error (inf where an exact check
+    fails) and whether it is within tolerance."""
+
     name: str
     max_error: float
     passed: bool
@@ -89,6 +92,8 @@ class AlgebraCheck:
 
 @dataclass(frozen=True)
 class AlgebraReport:
+    """The identity checks of power `k` on the first `trunc` boson levels."""
+
     k: int
     trunc: int
     checks: tuple

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -421,6 +422,14 @@ def test_scan_quadratic_coupling_sweep(capsys):
     assert top == pytest.approx([0.0, 2.0, 4.0])
 
 
+def _fresh_python(code):
+    """Stripped stdout of `code` run in a fresh interpreter on this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout.strip()
+
+
 def test_solve_and_scan_load_neither_scipy_nor_mpmath():
     """A `solve` of preset A at N=30, then a `scan`, run in one fresh
     process: blocks are diagonalized, and roots found, with numpy alone."""
@@ -434,10 +443,7 @@ def test_solve_and_scan_load_neither_scipy_nor_mpmath():
         "                   '--occ', '2,1,1,3'])]\n"
         "print(codes, sorted(name for name in sys.modules\n"
         "                    if name.split('.')[0] in ('scipy', 'mpmath')))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert _fresh_python(code) == "[0, 0] []"
 
 
 def test_package_loads_no_numpy_polynomial():
@@ -451,7 +457,130 @@ def test_package_loads_no_numpy_polynomial():
         "sector = multiboson.sector_from_occupations(model, (0, 3, 12))\n"
         "assert multiboson.cross_validate(model, sector).passed\n"
         "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n")
+    assert _fresh_python(code) == "[]"
+
+
+def _loaded_package_modules(argv):
+    """Code that runs `import multiboson, multiboson.cli` and then `main` on
+    each argv, and prints the exit codes and the loaded `multiboson.models`
+    and `multiboson.polyalg`."""
+    return ("import contextlib, io, sys\n"
+            "import multiboson, multiboson.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [multiboson.cli.main(argv) for argv in {argv!r}]\n"
+            "print(codes, sorted(name for name in sys.modules\n"
+            "                    if name in ('multiboson.models', 'multiboson.polyalg')))\n")
+
+
+SOLVE_A12 = ["solve", "--preset", "A", "--w=0.4,-0.3,0.2", "--wq=1,2=0.5", "--g=0.8",
+             "--occ=0,3,12"]
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    ([], []),
+    ([SOLVE_A12, ["scan", "--preset", "C", "--g-range", "0:1:0.5", "--occ", "2,1,1,3"],
+      ["roots", "--preset", "B", "--g", "1", "--occ", "0,0,4", "--dump-diffop"]], []),
+    ([["verify-algebra", "--kmax", "2"]], ["multiboson.polyalg"]),
+    ([["verify-presets", "--case", "A", "--draws", "2"]], ["multiboson.models"]),
+], ids=["import", "solve-scan-roots", "verify-algebra", "verify-presets"])
+def test_a_command_loads_only_the_modules_it_uses(argvs, loaded):
+    """`models` and `polyalg` load on first use: importing the package and
+    its CLI, and solving, scanning or printing roots, loads neither;
+    each verify command loads its own module alone."""
+    codes = [0] * len(argvs)
+    assert _fresh_python(_loaded_package_modules(argvs)) == f"{codes} {loaded}"
+
+
+# The public names of `dir(multiboson)` when the package loaded all its
+# modules at import, by the module each comes from; "" marks the
+# submodules themselves.
+PACKAGE_NAMES = {
+    "": ("bethe", "diffop", "fock", "hamiltonian", "models", "polyalg"),
+    "bethe": ("BetheSolution", "ValidationReport", "bethe_residuals", "canonicalize_roots",
+              "cross_validate", "direct_search", "energy_from_roots", "robust_residuals",
+              "solve_bethe"),
+    "diffop": ("DiffOpForm", "Polynomial", "apply_to_polynomial", "expand_diffop",
+               "falling_factorial_coefficients", "hop_values"),
+    "fock": ("ModeLabel", "ModelSpec", "Sector", "base_number_values", "label_t",
+             "make_model", "occupations_at", "q_from_occupation", "sector_from_occupations"),
+    "hamiltonian": ("ConditioningWarning", "SpectrumResult", "TridiagonalBlock",
+                    "build_monomial_matrix", "build_sector_matrix", "diagonalize",
+                    "transition_element"),
+    "models": ("KNOWN_DISCREPANCIES", "discrepancy_delta", "preset",
+               "tabulated_bae_residuals", "tabulated_coefficients", "tabulated_energy",
+               "tabulated_operator_polys", "verify_case"),
+    "polyalg": ("LadderCoefficients", "TruncatedGeneratorSet", "boson_generators",
+                "casimir_value", "ladder_coefficients", "lowering_amplitude",
+                "phi_polynomial", "raising_amplitude", "verify_single_mode_algebra"),
+}
+
+
+def test_every_package_name_resolves_to_its_modules_own_object(monkeypatch):
+    """Every name the package exported when it loaded all its modules is
+    still listed by `dir`, still given by `from multiboson import *`, and
+    is its module's own object, read from the module on each access: a
+    function patched there is the one the package gives.  An unknown name
+    is an AttributeError."""
+    import importlib
+
+    names = {name for module_names in PACKAGE_NAMES.values() for name in module_names}
+    assert set(dir(multiboson)) >= names | {"__version__"}
+    star = {}
+    exec("from multiboson import *", star)
+    assert set(star) - {"__builtins__"} == names
+    for module, module_names in PACKAGE_NAMES.items():
+        for name in module_names:
+            want = importlib.import_module(f"multiboson.{module or name}")
+            assert getattr(multiboson, name) is (want if not module else getattr(want, name))
+    monkeypatch.setattr(multiboson.models, "preset", "patched")
+    assert multiboson.preset == "patched"
+    from multiboson import casimir_value, preset
+    assert (casimir_value, preset) == (multiboson.polyalg.casimir_value, "patched")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        multiboson.no_such_name
+    with pytest.raises(ImportError):
+        from multiboson import no_such_name  # noqa: F401
+
+
+def test_exported_functions_have_eleven_optional_parameters():
+    """The optional parameters of the exported functions, counted by
+    `inspect.signature` over `dir(multiboson)`, stay at 11."""
+    import inspect
+
+    functions = [getattr(multiboson, name) for name in dir(multiboson)
+                 if not name.startswith("_")]
+    assert sum(param.default is not param.empty
+               for func in functions if inspect.isfunction(func)
+               for param in inspect.signature(func).parameters.values()) == 11
+
+
+def test_console_main_prints_what_main_prints(tmp_path, capsys):
+    """`python -m multiboson.cli` runs `console_main`: a passing solve, a
+    malformed configuration (exit 2) and a solve of a cell that fails
+    levels (the order-4 cell of `KNOWN_FAILING`, exit 3) print the same
+    output and exit with the same status as `main` in process, which
+    freezes nothing."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.r = 2\nmodel.s = 1\n")
     env = {**os.environ, "PYTHONPATH": str(Path(multiboson.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    frozen = gc.get_freeze_count()
+    for argv, code in ((SOLVE_A12, 0), (["solve", "--config", str(cfg)], 2),
+                       (["solve", "--r", "2", "--s", "1", "--k", "2,2,3", "--w=0.4,-0.3,0.2",
+                         "--wq=1,2=0.5", "--g=0.8", "--occ=0,1,180"], 3)):
+        proc = subprocess.run([sys.executable, "-m", "multiboson.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        in_process = _run(capsys, argv)
+        assert in_process[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_main_freezes_once_the_command_has_returned(monkeypatch):
+    """The freeze comes after the command, so the command's own garbage
+    stays collectable, and before the exit, whose status is main's."""
+    events = []
+    monkeypatch.setattr(multiboson.cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exit_info:
+        multiboson.cli.console_main()
+    assert (events, exit_info.value.code) == (["main", "freeze"], 3)
