@@ -5,6 +5,7 @@ import contextlib
 import copy
 import functools
 import importlib.util
+import itertools
 import math
 import os
 import pathlib
@@ -1651,6 +1652,69 @@ def test_canonical_row_with_infinite_modulus_is_canonicalized_alone():
             got = canonical(np.array([huge, loop, huge[::-1]]))
             assert got[0::2].tobytes() == np.array(alone * 2, complex).tobytes()
             assert got[1].tobytes() == np.array(scalar_canonicalize_roots(loop)).tobytes()
+
+
+_NAN, _NEG_NAN, _INF, _ONE = 0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000000, \
+    0x3ff0000000000000
+
+
+@pytest.mark.parametrize("roots, bits", [
+    ([1 + 2j, 1 - 2j, complex(math.nan, 0.0)], [_ONE, 0, _ONE, 0, _NAN, 0]),
+    ([1 + 2j, 1 - 2j, complex(0.0, math.nan)], [0, 0, _ONE, 0, _ONE, 0]),
+    ([complex(math.nan, math.nan), 1 + 2j, 1 - 2j], [_ONE, 0, _ONE, 0, _NAN, 0]),
+    ([complex(math.inf, 1.0), 1 + 2j, 1 - 2j], [_ONE, 0, _ONE, 0, _INF, 0]),
+    ([complex(1e308, 1e308), complex(1e308, -1e308), 3.0],
+     [0x4008000000000000, 0, _NEG_NAN, _NEG_NAN, _NEG_NAN, _NAN]),
+    ([complex(math.nan, math.inf), complex(-math.nan, 0.0), 2.0],
+     [0x4000000000000000, 0, _NEG_NAN, 0, _NAN, 0]),
+], ids=["nan", "nan-imag", "nan-both", "inf", "overflowed-mean", "nan-signs"])
+def test_canonical_bits_of_non_finite_sets(roots, bits):
+    """The canonical form of a set with a non-finite part or a finite pair
+    whose mean overflows, as the bits of its parts, in every order of the
+    set, alone and as a row of a stack.  A NaN or infinite modulus makes the
+    pair tolerance NaN or inf, so every root is flattened onto the axis;
+    the pair (1e308, +-1e308) is within it, and its mean is NaN.  Of two
+    NaN real parts, the one whose imaginary part is finite comes first."""
+    loop, closed = [1 + 1j, 1 - 1j, 3 + 0.5j], [1.0, 1 + 1j, 1 - 1j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in itertools.permutations(roots):
+            assert np.array(canonicalize_roots(row)).view(np.uint64).tolist() == bits
+            for stack in ([row], [loop, row, closed]):
+                got = bethe._canonical(np.array(stack))[len(stack) // 2]
+                assert got.view(np.uint64).tolist() == bits
+
+
+@st.composite
+def _mixed_row(draw, n):
+    """A root set of n roots of one of four kinds: a `_root_set`, which may
+    take the pairing; a set closed under conjugation (`_conjugate_set`); a
+    set with no root above the axis; or a set with a root whose modulus
+    overflows, so its pair tolerance is infinite."""
+    kind = draw(st.sampled_from(["loop", "closed", "no-upper", "overflow"]))
+    if kind == "loop":
+        return draw(_root_set(n))
+    if kind == "closed":
+        return draw(_conjugate_set(n))
+    if kind == "no-upper":
+        return [complex(draw(_DYADIC), -abs(draw(st.one_of(_DYADIC, _SMALL))))
+                for _ in range(n)]
+    huge = st.sampled_from([1.3e308, -1.3e308, 1.5 * 2.0 ** 1023, -2.0 ** 1023])
+    return draw(st.permutations([complex(draw(huge), draw(huge))] + draw(_root_set(n - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(_mixed_row(n), min_size=2, max_size=5)))
+def test_each_row_of_a_stack_is_canonicalized_alone(rows):
+    """Each row of a stacked canonicalization is bit for bit that row
+    canonicalized alone, as a stack of one and by `canonicalize_roots`,
+    whatever the other rows are: closed under conjugation or not, with no
+    root above the axis, or with a modulus past float64's range."""
+    stack = np.array(rows, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bethe._canonical(stack)
+        for row, canonical in zip(stack, got):
+            assert canonical.tobytes() == bethe._canonical(row[None])[0].tobytes()
+            assert canonical.tobytes() == np.array(canonicalize_roots(row)).tobytes()
 
 
 def test_solve_path_root_sets_skip_the_pairing_loop(monkeypatch):
