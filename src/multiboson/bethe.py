@@ -39,17 +39,17 @@ those of a serial solve.  The masked rows form one (L', N) stack of
 candidates, judged as a whole (`_judged`): canonicalized once
 (`_canonical`), then their residuals, closed-form energies and degenerate
 flags are computed on that stack, in the (re, im) order it leaves.  Only a
-set not already closed under conjugation, root for root, takes the
-canonical form's pairing loop: LAPACK's real eigensolver gives each
-complex pair exactly, so no set of the solve path does.  Each canonical
-set is both scored and returned, as a read-only complex array of its own,
-tagged 'extracted'.  A level is `converged` when its scaled robust
-residual is within a fixed 1e-10 and its closed-form energy agrees with
-the oracle eigenvalue to a fixed 1e-8 of the spectral scale
-max(1, max |E|); an unconverged level keeps its roots all the same.  A
-level whose row has no roots is unconverged, with no roots and a NaN
-energy.  This module computes no eigenvector of its own, and there is no
-second route.
+set not already closed under conjugation, root for root, has its pairs
+snapped, one set at a time (`canonicalize_roots`): LAPACK's real
+eigensolver gives each complex pair exactly, so no set of the solve path
+does.  Each canonical set is both scored and returned, as a read-only
+complex array of its own, tagged 'extracted'.  A level is `converged`
+when its scaled robust residual is within a fixed 1e-10 and its
+closed-form energy agrees with the oracle eigenvalue to a fixed 1e-8 of
+the spectral scale max(1, max |E|); an unconverged level keeps its roots
+all the same.  A level whose row has no roots is unconverged, with no
+roots and a NaN energy.  This module computes no eigenvector of its own,
+and there is no second route.
 
 `converged` is the one certificate of a level's roots: `cross_validate`
 passes a level that is `converged` and whose Fock, monomial and
@@ -93,7 +93,7 @@ _START_RADIUS = 3.0
 _DEDUP_TOL = 1e-7
 # Relative root separation the pole-residue form needs.
 _MIN_SEPARATION = 1e-10
-# Relative distance within which `_canonical` snaps conjugate pairs.
+# Relative distance within which `canonicalize_roots` snaps conjugate pairs.
 _PAIR_TOL = 1e-11
 # Scaled robust residual within which a root set is accepted: a solved
 # level is `converged`, and a direct-search set is kept.
@@ -286,25 +286,17 @@ def _terms_at_roots(p: np.ndarray, roots: np.ndarray):
     return terms, bounds, values[1]
 
 
-def _close_pairs(stack: np.ndarray, rel_tol: float) -> list:
-    """Per row of an (L, N) stack of root sets, whether two of its roots lie
-    within rel_tol * max(1, max|root|) of the row, as a list of bools.
-
-    A NaN gap never counts as close and hides no other pair.  Each row is
-    sorted by real part first (`_close_sorted`).
-    """
-    return _close_sorted(np.take_along_axis(stack, np.argsort(stack.real, axis=1), axis=1),
-                         rel_tol)
-
-
 def _close_sorted(z: np.ndarray, rel_tol: float) -> list:
-    """`_close_pairs` of a stack whose rows are sorted by real part, NaN
-    last, in any order of equal real parts, as `_canonical` leaves them.
+    """Per row of an (L, N) stack of root sets, each sorted by real part,
+    NaN last, in any order of equal real parts (as `np.sort` and
+    `_canonical` leave them), whether two of its roots lie within
+    rel_tol * max(1, max|root|) of the row, as a list of bools.
 
-    A gap is never below its real part's, so only the pairs up to the
-    first offset at which no real gap of any row is below the bound need
-    their modulus; the flags are those of all pairs, whatever the order
-    of equal real parts.
+    A NaN gap never counts as close and hides no other pair.  A gap is
+    never below its real part's, so only the pairs up to the first offset
+    at which no real gap of any row is below the bound need their modulus;
+    the flags are those of all pairs, whatever the order of equal real
+    parts.
     """
     n_rows, n = z.shape
     close = np.zeros(n_rows, dtype=bool)
@@ -382,7 +374,7 @@ def bethe_residuals(op: DiffOpForm, roots) -> np.ndarray:
     roots = _root_set(op, roots)
     if roots.size == 0:
         return np.zeros(0, dtype=complex)
-    if _close_pairs(roots[None], _MIN_SEPARATION)[0]:
+    if _close_sorted(np.sort(roots)[None], _MIN_SEPARATION)[0]:
         raise ValueError("coincident roots: use the robust residual form")
     return _pole_residues(_terms_at_roots(_float_polys(op), roots[None]))[0]
 
@@ -531,35 +523,59 @@ def canonicalize_roots(roots) -> tuple:
 
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of
-    a real-coefficient polynomial serializes deterministically.  No solver
-    path calls it: the solve path and the direct search canonicalize their
-    whole stack of finite root sets at once (`_canonical`), and score and
-    return the canonical sets; this is that routine on a stack of one.
+    a real-coefficient polynomial serializes deterministically.  The solve
+    path and the direct search canonicalize their stacks of root sets with
+    `_canonical`, which calls this on each set not closed under
+    conjugation.
+
+    With tol = 1e-11 max(1, max |root|): roots within tol of the axis are
+    flattened onto it; the roots above it, in (re, im) order, each take the
+    first unused root below it, in (re, -im) order, at the smallest
+    distance from their conjugate, and a partner within 10 tol makes the
+    pair its mean m and conj(m).  The set is then sorted by (re, im), a tie
+    kept in the order the pairing built it: axis roots in input order, by
+    whether the real and then the imaginary part is not finite, then each
+    upper root's m, conj(m) or unpaired self, then the unpaired lower
+    roots.  A NaN or infinite modulus makes tol NaN or inf, and every root
+    is then flattened.  Each step is Python's complex arithmetic written
+    out, so the result is bit for bit what the same steps give on Python
+    complex numbers (`tests/oracles.py` keeps that loop): moduli by
+    `np.hypot` (`np.abs` can differ in the last bit), a flattened root as
+    re + 0.0 (-0.0 becomes 0.0), and the mean as Python's division by 2.
     """
-    stack = np.array([[complex(a) for a in roots]], dtype=complex)
-    return tuple(_canonical(stack)[0].tolist())
+    z = np.array([complex(a) for a in roots], dtype=complex)
+    tol = _PAIR_TOL * np.maximum(1.0, np.hypot(z.real, z.imag).max(initial=0.0))
+    side = (z.imag > tol) + 2 * (z.imag < -tol)     # 0 on the axis, 1 above, 2 below
+    # axis roots in input order, by whether the real and then the imaginary
+    # part is not finite, then the upper roots by (re, im) and the lower
+    # ones by (re, -im): lexsort is stable
+    off = side > 0
+    order = np.lexsort((np.where(side == 1, z.imag, -z.imag) * off, z.real * off, side))
+    z, side = z[order], side[order]
+    lower = z[side == 2]
+    free = np.ones(lower.size, dtype=bool)
+    built = list(z.real[side == 0] + 0.0)       # in construction order
+    for a in z[side == 1]:
+        dist = np.where(free, np.hypot(a.real - lower.real, a.imag + lower.imag), np.inf)
+        q = np.argmin(dist) if free.any() else None
+        if q is not None and dist[q] <= 10 * tol:
+            free[q] = False
+            s_re, s_im = a.real + lower.real[q], a.imag - lower.imag[q]
+            # Python's complex s / 2 step by step: a -0.0 real part becomes 0.0
+            m = complex((s_re + s_im * 0.0) / 2, (s_im - s_re * 0.0) / 2)
+            built += [m, m.conjugate()]
+        else:
+            built.append(a)
+    built = np.array(built + list(lower[free]), dtype=complex)
+    return tuple(built[np.lexsort((built.imag, built.real))].tolist())
 
 
 def _canonical(stack: np.ndarray) -> np.ndarray:
-    """The canonical form of each row of an (L, N) stack of finite root
-    sets, as a new (L, N) complex array.
+    """`canonicalize_roots` of each row of an (L, N) stack of root sets, as
+    a new (L, N) complex array.
 
-    Per row, with tol = 1e-11 max(1, max |root|): roots within tol of the
-    axis are flattened onto it; the roots above it, in (re, im) order, each
-    take the first unused root below it, in (re, -im) order, at the
-    smallest distance from their conjugate, and a partner within 10 tol
-    makes the pair its mean m and conj(m).  The set is then sorted by (re,
-    im), a tie kept in the order the pairing built it: axis roots in input
-    order, then each upper root's m, conj(m) or unpaired self, then the
-    unpaired lower roots.  Each step is Python's complex arithmetic written
-    out, so every row is bit for bit what the same steps give on Python
-    complex numbers, one set at a time (`tests/oracles.py` keeps that
-    loop): moduli by `np.hypot` (`np.abs` can differ in the last bit), a
-    flattened root as re + 0.0 (-0.0 becomes 0.0), and the mean as
-    Python's division by 2.
-
-    Only a row that is not closed under conjugation takes the pairing loop
-    (`_paired`).  A row is closed when its roots, flattened, are their own
+    Only a row that is not closed under conjugation takes the pairing, one
+    row at a time.  A row is closed when its roots, flattened, are their own
     conjugates root for root (by value, so -0.0 pairs with 0.0), as the
     roots of a real row from LAPACK's real eigensolver are, and no part
     reaches 2^1023.  Its k-th root above the axis, in (re, im) order, then
@@ -577,62 +593,9 @@ def _canonical(stack: np.ndarray) -> np.ndarray:
     out = np.sort(flat, axis=1)      # by (re, im)
     # a part below 2^1023 doubles to a finite value, so the mean is exact
     closed = np.all(np.sort(out.conj(), axis=1) == out, axis=1) & (scale[:, 0] < 2.0 ** 1023)
-    rest = np.flatnonzero(~closed)
-    if rest.size:
-        out[rest] = _paired(z[rest])
+    for row in np.flatnonzero(~closed):
+        out[row] = canonicalize_roots(z[row])
     return out
-
-
-def _paired(z: np.ndarray) -> np.ndarray:
-    """`_canonical` of each row of a nonempty (L, N) stack by the pairing
-    loop, which runs once per upper-root position across all rows."""
-    n_rows, n = z.shape
-    tol = _PAIR_TOL * np.maximum(1.0, np.hypot(z.real, z.imag).max(axis=1, keepdims=True))
-    side = (z.imag > tol) + 2 * (z.imag < -tol)     # 0 on the axis, 1 above, 2 below
-    # axis roots in input order, then the upper roots by (re, im) and the
-    # lower ones by (re, -im): lexsort is stable
-    off = side > 0
-    order = np.lexsort((np.where(side == 1, z.imag, -z.imag) * off, z.real * off, side), axis=1)
-    z, side = np.take_along_axis(z, order, axis=1), np.take_along_axis(side, order, axis=1)
-    z[side == 0] = z.real[side == 0] + 0.0
-    n_axis = np.count_nonzero(side == 0, axis=1)[:, None]
-    n_upper = np.count_nonzero(side == 1, axis=1)[:, None]
-    n_lower = n - n_axis - n_upper
-    column = np.arange(n)
-    # construction order: axis roots, then upper root k at n + 2k (its
-    # partner's conj(m) at n + 2k + 1), then the unpaired lower roots
-    built = np.where(side == 0, column,
-                     np.where(side == 1, n + 2 * (column - n_axis), 3 * n + column))
-    if n_upper.any() and n_lower.any():
-        rows = np.arange(n_rows)[:, None]
-        upper, lower = np.arange(n_upper.max()), np.arange(n_lower.max())
-        up_col = np.minimum(n_axis + upper, n - 1)              # padded past the last
-        low_col = np.minimum(n_axis + n_upper + lower, n - 1)
-        up, low = z[rows, up_col], z[rows, low_col]
-        # distance of upper root k to the conjugate of lower root q, (L, K, Q)
-        dist = np.hypot(up.real[:, :, None] - low.real[:, None, :],
-                        up.imag[:, :, None] + low.imag[:, None, :])
-        dist[(upper >= n_upper)[:, :, None] | (lower >= n_lower)[:, None, :]] = np.inf
-        partner = np.full(up.shape, -1)
-        # a row with no upper root pairs nothing: with an infinite modulus
-        # its reach is infinite, and so is every padded distance
-        reach = np.where(n_upper[:, 0] > 0, 10 * tol[:, 0], -np.inf)
-        for k in upper:
-            best = np.argmin(dist[:, k], axis=1)
-            near = np.flatnonzero(dist[rows[:, 0], k, best] <= reach)
-            best = best[near]
-            partner[near, k] = best
-            dist[near, :, best] = np.inf      # a lower root pairs once
-        r, k = np.nonzero(partner >= 0)
-        q = partner[r, k]
-        s_re, s_im = up.real[r, k] + low.real[r, q], up.imag[r, k] - low.imag[r, q]
-        # Python's complex s / 2 step by step: a -0.0 real part becomes 0.0
-        m_re, m_im = (s_re + s_im * 0.0) / 2, (s_im - s_re * 0.0) / 2
-        z.real[r, up_col[r, k]], z.imag[r, up_col[r, k]] = m_re, m_im
-        z.real[r, low_col[r, q]], z.imag[r, low_col[r, q]] = m_re, -m_im
-        built[r, low_col[r, q]] = n + 2 * k + 1
-    order = np.lexsort((built, z.imag, z.real), axis=1)
-    return np.take_along_axis(z, order, axis=1)
 
 
 def _frozen(roots) -> np.ndarray:
@@ -804,7 +767,7 @@ def direct_search(model: ModelSpec, sector: Sector, *, starts: int = 64, seed: i
             h = 1e-7 * max(1.0, float(np.max(np.abs(roots))))
             # the set, then its shifts: row q + 1 moves root q by h
             stack = np.vstack((roots, roots + h * np.eye(n)))
-            close = _close_pairs(stack, _MIN_SEPARATION)
+            close = _close_sorted(np.sort(stack, axis=1), _MIN_SEPARATION)
             if close[0]:
                 break
             residues = _pole_residues(_terms_at_roots(polys, stack))

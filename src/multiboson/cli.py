@@ -31,6 +31,9 @@ from .fock import PRESET_SHAPES, make_model, sector_from_occupations
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# Steps (stop - start) / step a scan range may take: a finer range is
+# rejected before any of its points is built.
+_MAX_GRID_STEPS = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -231,7 +234,10 @@ def _grid(spec_text: str):
         raise ConfigError("range: step must be positive")
     if stop < start:
         raise ConfigError(f"range: stop is below start in {spec_text!r}")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if steps > _MAX_GRID_STEPS:     # inf included
+        raise ConfigError(f"range: {spec_text!r} takes more than {_MAX_GRID_STEPS} steps")
+    count = int(round(steps))
     if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
         count = int((stop - start) // step)
     return [start + i * step for i in range(count + 1)]

@@ -275,9 +275,9 @@ def has_close_pair(roots, rel_tol):
 
 
 def canonicalize_roots(roots) -> tuple:
-    """Sort roots by (re, im) after snapping conjugate pairs, one root set
-    at a time in a pure-Python double loop (the package canonicalizes a
-    whole stack in numpy); 1e-11 is the package's pair tolerance.
+    """Sort roots by (re, im) after snapping conjugate pairs, in a
+    pure-Python double loop (the package takes the same steps in numpy);
+    1e-11 is the package's pair tolerance.
 
     Near-real roots are flattened onto the axis; off-axis roots are paired
     with their closest conjugate partner and symmetrized, so a root set of

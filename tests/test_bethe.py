@@ -630,7 +630,7 @@ def test_direct_solutions_read_as_their_own_stack_of_one(seed):
                 at = bethe._terms_at_roots(p_list, stack)
                 assert sol.residual_robust.hex() == float(bethe._scaled_robust(at)[0]).hex()
                 assert sol.energy.hex() == float(energy_from_roots(model, sec, sol.roots)).hex()
-                close = bethe._close_pairs(stack, 1e-10)[0]
+                close = bethe._close_sorted(np.sort(stack, axis=1), 1e-10)[0]
                 assert math.isnan(sol.residual_bae) == close
                 if not close:
                     assert sol.residual_bae.hex() == float(bethe._scaled_bae(at)[0]).hex()
@@ -836,11 +836,11 @@ def _stacks(n):
 def test_stacked_canonicalization_matches_scalar_loop(rows):
     """The stacked canonicalization gives each row of a finite (L, N) stack
     bit for bit what the scalar double loop gives it alone, and so does
-    `canonicalize_roots`, a stack of one; the stack itself is not changed.
-    Whether a row skips the pairing loop (closed under conjugation, no
-    doubled part overflowing) or takes it, it is what the loop alone
-    (`_paired`) makes of it.  The flags of close pairs read off the
-    canonical order are those of any order."""
+    `canonicalize_roots`, the same pairing on one set; the stack itself is
+    not changed.  A row closed under conjugation, with no doubled part
+    overflowing, skips the pairing and still reads what the pairing makes
+    of it.  The flags of close pairs read off the canonical order are those
+    of the double loop over every pair."""
     stack = np.array(rows, dtype=complex)
     before = stack.tobytes()
     # a mean of two parts near 2^1023 overflows, as Python's does silently;
@@ -851,12 +851,12 @@ def test_stacked_canonicalization_matches_scalar_loop(rows):
         want = np.array([scalar_canonicalize_roots(row) for row in rows], dtype=complex)
         assert got.shape == stack.shape and got.dtype == np.complex128
         assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == bethe._paired(stack).tobytes()
         assert stack.tobytes() == before
         for row, expected in zip(rows, want):
             assert np.array(canonicalize_roots(row)).tobytes() == expected.tobytes()
         for rel_tol in (0.0, 1e-10, 1e-6, 1.0):
-            assert bethe._close_sorted(got, rel_tol) == bethe._close_pairs(got, rel_tol)
+            assert bethe._close_sorted(got, rel_tol) == [has_close_pair(row, rel_tol)
+                                                         for row in got]
 
 
 @pytest.mark.parametrize("row", [
@@ -866,14 +866,15 @@ def test_stacked_canonicalization_matches_scalar_loop(rows):
 ], ids=["imag", "real", "negative-real"])
 def test_pair_whose_double_overflows_takes_the_loop(row):
     """An exact conjugate pair whose doubled real or imaginary part
-    overflows takes the pairing loop, whose mean is then not the pair's own
-    parts: inf and NaN, as in Python's complex arithmetic, where the
-    shortcut would keep the finite parts.  Below 2^1023 the shortcut and the
-    loop agree (`test_stacked_canonicalization_matches_scalar_loop`)."""
+    overflows is paired by `canonicalize_roots`, whose mean is then not
+    the pair's own parts: inf and NaN, as in Python's complex arithmetic,
+    where the shortcut would keep the finite parts.  Below 2^1023 the
+    shortcut and the pairing agree
+    (`test_stacked_canonicalization_matches_scalar_loop`)."""
     stack = np.array([row, row[::-1]])
     with np.errstate(over="ignore", invalid="ignore"):
         got = bethe._canonical(stack)
-        want = bethe._paired(stack)
+        want = np.array([canonicalize_roots(r) for r in stack])
         oracle = np.array(scalar_canonicalize_roots(row))
     assert got.tobytes() == want.tobytes()
     assert np.isnan(got).sum() == 4
@@ -1640,22 +1641,22 @@ def _general_sectors(seed, count, n_range=(16, 24), log_g=False):
 def test_canonical_row_with_infinite_modulus_is_canonicalized_alone():
     """A finite row whose modulus overflows has an infinite tolerance, so
     every root is flattened onto the axis and none pairs.  In a stack with
-    a row that takes the pairing loop it stays what it is alone: its
-    infinite reach once paired the loop's padding, writing a mean of other
-    roots into it."""
+    a row that takes the pairing it stays what it is alone: a stacked
+    pairing loop over padded rows once let its infinite reach pair the
+    padding, writing a mean of other roots into it."""
     huge = [complex(1.3e308, 1.3e308), 1.0, 2.0]
     loop = [complex(1.0, 1.0), complex(1.0, -1.0), complex(3.0, 0.5)]
     alone = [[1.0, 2.0, 1.3e308]]
     with np.errstate(over="ignore"):
-        for canonical in (bethe._canonical, bethe._paired):
-            assert canonical(np.array([huge])).tobytes() == np.array(alone, complex).tobytes()
-            got = canonical(np.array([huge, loop, huge[::-1]]))
-            assert got[0::2].tobytes() == np.array(alone * 2, complex).tobytes()
-            assert got[1].tobytes() == np.array(scalar_canonicalize_roots(loop)).tobytes()
+        assert bethe._canonical(np.array([huge])).tobytes() == np.array(alone, complex).tobytes()
+        got = bethe._canonical(np.array([huge, loop, huge[::-1]]))
+        assert got[0::2].tobytes() == np.array(alone * 2, complex).tobytes()
+        assert got[1].tobytes() == np.array(scalar_canonicalize_roots(loop)).tobytes()
 
 
-_NAN, _NEG_NAN, _INF, _ONE = 0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000000, \
-    0x3ff0000000000000
+# The bits of NaN, of NaN with its sign bit set, of inf and of 1.0.
+_NAN, _NEG_NAN = 0x7ff8000000000000, 0xfff8000000000000
+_INF, _ONE = 0x7ff0000000000000, 0x3ff0000000000000
 
 
 @pytest.mark.parametrize("roots, bits", [
@@ -1721,10 +1722,11 @@ def test_solve_path_root_sets_skip_the_pairing_loop(monkeypatch):
     """The root sets of real twisted rows come from LAPACK's real
     eigensolver in exact conjugate pairs, so on the solve path no row of
     the N = 40 grid, of A/C at N = 100 or of 40 general sectors with N up
-    to 24 enters `_canonical`'s pairing loop."""
+    to 24 is paired by `canonicalize_roots`."""
     rows = []
-    paired = bethe._paired
-    monkeypatch.setattr(bethe, "_paired", lambda z: rows.append(len(z)) or paired(z))
+    canonicalize = bethe.canonicalize_roots
+    monkeypatch.setattr(bethe, "canonicalize_roots",
+                        lambda z: rows.append(len(z)) or canonicalize(z))
     sectors = [_route_sector(name) for name in N40_GRID + ("A-100", "C-100-g0.01")]
     reports = [cross_validate(model, sec) for model, sec in
                sectors + list(_general_sectors(5, 40, n_range=(1, 24)))]
@@ -2134,7 +2136,8 @@ def test_has_close_pair_matches_double_loop(base, repeats, rel_tol, others):
     stack = np.array([items] + [[items[(i * step + shift) % n] for i in range(n)]
                                 for step, shift in others], dtype=complex)
     with np.errstate(all="ignore"):
-        assert bethe._close_pairs(roots[None], rel_tol)[0] == has_close_pair(roots, rel_tol)
-        flags = bethe._close_pairs(stack, rel_tol)
+        assert (bethe._close_sorted(np.sort(roots)[None], rel_tol)[0]
+                == has_close_pair(roots, rel_tol))
+        flags = bethe._close_sorted(np.sort(stack, axis=1), rel_tol)
         assert flags == [has_close_pair(row, rel_tol) for row in stack]
     assert all(type(flag) is bool for flag in flags)

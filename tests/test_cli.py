@@ -230,6 +230,10 @@ def test_text_format(capsys):
     (["solve", "--preset", "A", "--wq=0,2=0.5", "--g=0.8", "--occ=0,3,3"], "out of range"),
     (["solve", "--config", "model.r = 2\nmodel.s = 1\nmodel.k = 1,1,1\n"
       "model.wq.0.0 = 0.5\nmodel.g = 1\nsector.occ = 0,0,1\n"], "out of range"),
+    # a range of ~1e300 points once grew memory until the process died
+    (["scan", "--preset", "A", "--g-range", "0:1:1e-300", "--occ", "0,0,2"], "steps"),
+    (["scan", "--preset", "A", "--sweep", "w1", "--range", "0:1e300:1e-300", "--occ", "0,0,2"],
+     "steps"),
 ])
 def test_malformed_config_exit_code(capsys, tmp_path, argv, needle):
     # an argument holding newlines is the text of a config file
@@ -409,6 +413,15 @@ def test_inline_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert sorted(float(r[1]) for r in rows) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+def test_scan_grid_takes_at_most_a_million_steps():
+    """A range of 10**6 steps gives its 10**6 + 1 points; one step more is
+    a usage error, raised before any point is built."""
+    grid = multiboson.cli._grid("0:1000000:1")
+    assert len(grid) == 10 ** 6 + 1 and grid[-1] == 1e6
+    with pytest.raises(multiboson.cli.ConfigError, match="more than 1000000 steps"):
+        multiboson.cli._grid("0:1000001:1")
 
 
 def test_scan_quadratic_coupling_sweep(capsys):
